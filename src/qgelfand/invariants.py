@@ -21,7 +21,7 @@ from .scalars import (SCALARS, Scalar, UFIELD, qnum, limit_q1, expand,
 from .tmatrix import TMatrix, embed, kron, lift
 from .verdict import Verdict, matrix_verdict
 from .reps import (WeightError, highest_weight_vector, scalar_on_vector,
-                   lift_vector, evaluated_L)
+                   lift_vector, evaluated_L, memo, _image_scalar)
 from .rmatrix import build_rmatrix_set, perm_length
 
 
@@ -158,23 +158,27 @@ def _neg_q_power(l):
     return s if l % 2 == 0 else -s
 
 
-def _aux_diag(rep, field, inverse=False):
-    """D (x) 1_W over ``field``, cached."""
-    key = ("auxdiag", id(field), inverse)
-    if key not in rep._cache:
-        d = build_rmatrix_set(rep.n).D
-        if inverse:
-            d = TMatrix.diag(SCALARS, [d[i, i].inverse() for i in range(rep.n)])
-        rep._cache[key] = kron(lift(d, field),
-                               lift(TMatrix.identity(SCALARS, rep.d), field))
-    return rep._cache[key]
+@memo
+def _aux_diag(rep, field=SCALARS, inverse=False):
+    """D (x) 1_W, or D^-1 (x) 1_W, over ``field``."""
+    d = build_rmatrix_set(rep.n).D
+    if inverse:
+        d = TMatrix.diag(SCALARS, [d[i, i].inverse() for i in range(rep.n)])
+    eye = TMatrix.identity(SCALARS, rep.d)
+    if field is not SCALARS:
+        d, eye = lift(d, field), lift(eye, field)
+    return kron(d, eye)
 
 
+@memo
 def _op_lift(rep, sign, i, j, field):
-    key = ("oplift", id(field), sign, i, j)
-    if key not in rep._cache:
-        rep._cache[key] = lift(rep.op(sign, i, j), field)
-    return rep._cache[key]
+    return lift(rep.op(sign, i, j), field)
+
+
+@memo
+def _l_inverse(rep, sign):
+    """(L+)^-1 or (L-)^-1 over the coefficient field."""
+    return (rep.Lp if sign == "+" else rep.Lm).inverse()
 
 
 def _xblock(rep, sign, a, b, w):
@@ -232,28 +236,27 @@ def minor_on_vector(rep, sign, u, rows, cols, vec):
     return acc
 
 
+@memo
 def qdet_matrix(rep, sign, field=UFIELD):
     """qdet L(u) as an operator on W (u the generator of ``field``)."""
-    key = ("qdet", sign, id(field))
-    if key not in rep._cache:
-        idx = tuple(range(1, rep.n + 1))
-        rep._cache[key] = quantum_minor(rep, sign, field.gen, idx, idx)
-    return rep._cache[key]
+    idx = tuple(range(1, rep.n + 1))
+    return quantum_minor(rep, sign, field.gen, idx, idx)
 
 
+def _qdet_image(rep, sign, lam, u):
+    """qdet L(u) applied to the lambda vector lifted into u's field."""
+    vec = lift_vector(highest_weight_vector(rep, lam), u.field)
+    idx = tuple(range(1, rep.n + 1))
+    return minor_on_vector(rep, sign, u, idx, idx, vec), vec
+
+
+@memo
 def qdet_scalar(rep, sign, lam, field=UFIELD):
     """Highest-weight eigenvalue of qdet L(u) on the lambda vector;
     exactness of the eigen-relation is verified."""
-    vec = lift_vector(highest_weight_vector(rep, lam), field)
-    idx = tuple(range(1, rep.n + 1))
-    image = minor_on_vector(rep, sign, field.gen, idx, idx, vec)
-    pivot = next(i for i, x in enumerate(vec.e) if x)
-    c = image.e[pivot] / vec.e[pivot]
-    if image != vec.scaled(c):
-        from .reps import NotEigenvectorError
-        raise NotEigenvectorError(
-            f"qdet is not scalar on the {tuple(lam)} vector of {rep.label}")
-    return c
+    image, vec = _qdet_image(rep, sign, lam, field.gen)
+    return _image_scalar(image, vec,
+                         f"qdet on the {tuple(lam)} vector of {rep.label}")
 
 
 def column_rule_check(rep, sign, rows, cols, tau):
@@ -328,39 +331,33 @@ def comatrix_transposed_check(rep, sign):
 # the central series z(u)
 # ---------------------------------------------------------------------------
 
+@memo
 def _lu_eval(rep, sign, field=UFIELD):
-    """(L(u), L(uq^{2n})) at the generator u, cached."""
-    key = ("lu", sign, id(field))
-    if key not in rep._cache:
-        u = field.gen
-        shift = u * field.from_coeff(Scalar.q_power(2 * rep.n))
-        rep._cache[key] = (evaluated_L(rep, sign, u),
-                           evaluated_L(rep, sign, shift))
-    return rep._cache[key]
+    """(L(u), L(uq^{2n})) at the generator u."""
+    u = field.gen
+    shift = u * field.from_coeff(Scalar.q_power(2 * rep.n))
+    return evaluated_L(rep, sign, u), evaluated_L(rep, sign, shift)
 
 
+@memo
 def _lu_inverse(rep, sign, field=UFIELD):
     """Full L(u)^-1 over the rational-function field; affordable only at
     modest sizes -- the highest weight paths go through the comatrix
     instead of this inverse."""
-    key = ("luinv", sign, id(field))
-    if key not in rep._cache:
-        rep._cache[key] = _lu_eval(rep, sign, field)[0].inverse()
-    return rep._cache[key]
+    return _lu_eval(rep, sign, field)[0].inverse()
 
 
+@memo
 def z_matrix(rep, sign, field=UFIELD):
     """z(u) as an operator on W:
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
-    key = ("z", sign, id(field))
-    if key not in rep._cache:
-        lu, lshift = _lu_eval(rep, sign, field)
-        prod = _aux_diag(rep, field) * lshift * _lu_inverse(rep, sign, field)
-        rep._cache[key] = prod.partial_trace(1).scaled(
-            field.from_coeff(qnum(rep.n).inverse()))
-    return rep._cache[key]
+    lu, lshift = _lu_eval(rep, sign, field)
+    prod = _aux_diag(rep, field) * lshift * _lu_inverse(rep, sign, field)
+    return prod.partial_trace(1).scaled(
+        field.from_coeff(qnum(rep.n).inverse()))
 
 
+@memo
 def z_scalar(rep, sign, lam, field=UFIELD):
     """Highest-weight eigenvalue of z(u).  Inverting L(u) on the vector
     goes through the comatrix, L(u)^-1 = qdet^-1 Lhat(uq^2), so only
@@ -387,13 +384,8 @@ def z_scalar(rep, sign, lam, field=UFIELD):
             w = _xblock(rep, sign, a, c, ushift) * w
             image = image + w.scaled(da * field.from_coeff(_neg_q_power(a - c)))
     image = image.scaled((field.from_coeff(qnum(n)) * qs).inverse())
-    pivot = next(i for i, x in enumerate(vec.e) if x)
-    c = image.e[pivot] / vec.e[pivot]
-    if image != vec.scaled(c):
-        from .reps import NotEigenvectorError
-        raise NotEigenvectorError(
-            f"z(u) is not scalar on the {tuple(lam)} vector of {rep.label}")
-    return c
+    return _image_scalar(image, vec,
+                         f"z(u) on the {lam} vector of {rep.label}")
 
 
 def z_identity_checks(rep, sign):
@@ -463,27 +455,19 @@ def transport_checks(rep):
 # Gelfand invariants and centrality
 # ---------------------------------------------------------------------------
 
+@memo
 def _m_power(rep, m):
-    key = ("Mpow", m)
-    if key not in rep._cache:
-        if m == 0:
-            big = rep.n * rep.d
-            rep._cache[key] = TMatrix.identity(SCALARS, big,
-                                               shape=(rep.n, rep.d))
-        elif m == 1:
-            rep._cache[key] = rep.Lm * rep.Lp.inverse()
-        else:
-            rep._cache[key] = _m_power(rep, m - 1) * _m_power(rep, 1)
-    return rep._cache[key]
+    if m == 0:
+        return TMatrix.identity(SCALARS, rep.n * rep.d, shape=(rep.n, rep.d))
+    if m == 1:
+        return rep.Lm * _l_inverse(rep, "+")
+    return _m_power(rep, m - 1) * _m_power(rep, 1)
 
 
+@memo
 def gelfand_invariant(rep, m):
     """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W."""
-    key = ("gelfand", m)
-    if key not in rep._cache:
-        d1 = kron(build_rmatrix_set(rep.n).D, TMatrix.identity(SCALARS, rep.d))
-        rep._cache[key] = (d1 * _m_power(rep, m)).partial_trace(1)
-    return rep._cache[key]
+    return (_aux_diag(rep) * _m_power(rep, m)).partial_trace(1)
 
 
 def generator_images(rep):
@@ -523,31 +507,21 @@ def z_coefficient_matrices(rep, sign, order, field=UFIELD):
     return out
 
 
-def _lp_inverse(rep):
-    key = ("Lpinv",)
-    if key not in rep._cache:
-        rep._cache[key] = rep.Lp.inverse()
-    return rep._cache[key]
-
-
+@memo
 def z_series_coefficient(rep, m):
     """u^m coefficient of z+(u) as an operator on W, computed without
     leaving the coefficient field: expanding (L+ - uL-)^-1 as a geometric
     series in K = (L+)^-1 L- turns the coefficient of
     L+(uq^2n) L+(u)^-1 into  L+ K^m (L+)^-1 - q^2n L- K^m-1 (L+)^-1."""
-    key = ("zcoeff", m)
-    if key not in rep._cache:
-        d1 = _aux_diag_plain(rep)
-        inv_n = qnum(rep.n).inverse()
-        if m == 0:
-            rep._cache[key] = d1.partial_trace(1).scaled(inv_n)
-        else:
-            lpinv = _lp_inverse(rep)
-            term = rep.Lp * (_family_power(rep, "pm", m) * lpinv) \
-                - (rep.Lm * (_family_power(rep, "pm", m - 1) * lpinv)).scaled(
-                    Scalar.q_power(2 * rep.n))
-            rep._cache[key] = (d1 * term).partial_trace(1).scaled(inv_n)
-    return rep._cache[key]
+    d1 = _aux_diag(rep)
+    inv_n = qnum(rep.n).inverse()
+    if m == 0:
+        return d1.partial_trace(1).scaled(inv_n)
+    lpinv = _l_inverse(rep, "+")
+    term = rep.Lp * (_family_power(rep, "pm", m) * lpinv) \
+        - (rep.Lm * (_family_power(rep, "pm", m - 1) * lpinv)).scaled(
+            Scalar.q_power(2 * rep.n))
+    return (d1 * term).partial_trace(1).scaled(inv_n)
 
 
 def z_series_coefficients(rep, order):
@@ -577,12 +551,10 @@ def liouville_scalar_check(rep, lam):
     n = rep.n
     zs = z_scalar(rep, "+", lam, field)
     qs = qdet_scalar(rep, "+", lam, field)
-    vec = lift_vector(highest_weight_vector(rep, lam), field)
     uq2 = field.gen * field.from_coeff(Scalar.q_power(2))
-    idx = tuple(range(1, n + 1))
-    image = minor_on_vector(rep, "+", uq2, idx, idx, vec)
-    pivot = next(i for i, x in enumerate(vec.e) if x)
-    qs_shift = image.e[pivot] / vec.e[pivot]
+    image, vec = _qdet_image(rep, "+", lam, uq2)
+    qs_shift = _image_scalar(
+        image, vec, f"qdet(uq^2) on the {tuple(lam)} vector of {rep.label}")
     out = []
     ratio = qs_shift / qs
     out.append(("z equals qdet ratio",
@@ -697,31 +669,18 @@ def shift_covariance_rep_check(rep, lam, m, s):
 # alternate central families
 # ---------------------------------------------------------------------------
 
+@memo
 def _family_power(rep, which, m):
-    """Cached powers of (L+)^-1 L-, (L-)^-1 L+ and L+ (L-)^-1."""
-    key = ("fampow", which, m)
-    if key not in rep._cache:
-        if m == 0:
-            rep._cache[key] = TMatrix.identity(SCALARS, rep.n * rep.d,
-                                               shape=(rep.n, rep.d))
-        elif m == 1:
-            if which == "pm":
-                rep._cache[key] = rep.Lp.inverse() * rep.Lm
-            elif which == "mp":
-                rep._cache[key] = rep.Lm.inverse() * rep.Lp
-            else:
-                rep._cache[key] = rep.Lp * rep.Lm.inverse()
-        else:
-            rep._cache[key] = _family_power(rep, which, m - 1) \
-                * _family_power(rep, which, 1)
-    return rep._cache[key]
-
-
-def _aux_diag_plain(rep, inverse=False):
-    d = build_rmatrix_set(rep.n).D
-    if inverse:
-        d = TMatrix.diag(SCALARS, [d[i, i].inverse() for i in range(rep.n)])
-    return kron(d, TMatrix.identity(SCALARS, rep.d))
+    """Powers of (L+)^-1 L-, (L-)^-1 L+ and L+ (L-)^-1."""
+    if m == 0:
+        return TMatrix.identity(SCALARS, rep.n * rep.d, shape=(rep.n, rep.d))
+    if m == 1:
+        if which == "pm":
+            return _l_inverse(rep, "+") * rep.Lm
+        if which == "mp":
+            return _l_inverse(rep, "-") * rep.Lp
+        return rep.Lp * _l_inverse(rep, "-")
+    return _family_power(rep, which, m - 1) * _family_power(rep, which, 1)
 
 
 def alternate_family_checks(rep, m):
@@ -730,8 +689,8 @@ def alternate_family_checks(rep, m):
       (a)  tr_1 D^-1 ((L+)^-1 L-)^m = tr_q M^m
       (b)  tr_1 D^-1 ((L-)^-1 L+)^m = tr_1 D (L+ (L-)^-1)^m
     """
-    dinv = _aux_diag_plain(rep, inverse=True)
-    dmat = _aux_diag_plain(rep)
+    dinv = _aux_diag(rep, inverse=True)
+    dmat = _aux_diag(rep)
     out = []
     got = (dinv * _family_power(rep, "pm", m)).partial_trace(1)
     out.append(("family (a)",
@@ -748,7 +707,7 @@ def alternate_family_checks(rep, m):
 def alternate_eigenvalue_check(rep, lam, m):
     """(c): the hwv scalar of tr_1 D (L+ (L-)^-1)^m is the q -> q^-1
     image of the tr_q M^m eigenvalue."""
-    op = (_aux_diag_plain(rep) * _family_power(rep, "rev", m)).partial_trace(1)
+    op = (_aux_diag(rep) * _family_power(rep, "rev", m)).partial_trace(1)
     got = scalar_on_vector(op, highest_weight_vector(rep, lam))
     expect = closed_form_eigenvalue(rep.n, lam, m).subs_qinv()
     return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),

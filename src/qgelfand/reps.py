@@ -7,11 +7,20 @@ built explicitly; tensor products come from the coproduct, realised as
 the ordered product of the big L-operators acting through a common
 auxiliary space.  Highest weight vectors are found exactly as joint
 kernels of the raising operators inside a weight subspace.
+
+Everything derived from a representation (generator blocks, weights,
+lifted and evaluated operators, inverses, highest weight vectors and
+eigenvalues) is cached by one mechanism, :func:`memo`, in that
+representation's own ``_cache``.  Nothing is cached across
+representations, so a freshly built module never sees a value computed
+under another fault-probe setting.  Memoised matrices and vectors are
+shared between callers and must never be mutated in place.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import inspect
 
 from . import faults
 from .scalars import SCALARS, Scalar, ONE, Q, QINV, Q_MINUS_QINV
@@ -25,6 +34,31 @@ class WeightError(ValueError):
 
 class NotEigenvectorError(ArithmeticError):
     """An operator expected to act as a scalar failed to do so."""
+
+
+def memo(fn):
+    """Cache ``fn(rep, *args)`` in ``rep._cache``.
+
+    The key is ``fn`` with its remaining arguments after defaults are
+    applied, so an explicit default and an omitted one share an entry;
+    list arguments key as tuples.  A call that raises caches nothing.
+    The cached value is returned to every later caller as is.
+    """
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(rep, *args, **kwargs):
+        bound = sig.bind(rep, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn,) + tuple(tuple(a) if isinstance(a, list) else a
+                            for a in bound.args[1:])
+        try:
+            return rep._cache[key]
+        except KeyError:
+            value = rep._cache[key] = fn(rep, *args, **kwargs)
+            return value
+
+    return cached
 
 
 class Representation:
@@ -43,45 +77,42 @@ class Representation:
     def __repr__(self):
         return f"Representation({self.label}, n={self.n}, d={self.d})"
 
+    @memo
     def op(self, sign, i, j):
         """The d x d matrix of pi(l+_ij) or pi(l-_ij), 1-based indices."""
-        key = ("op", sign, i, j)
-        if key not in self._cache:
-            big = self.Lp if sign == "+" else self.Lm
-            d = self.d
-            blk = TMatrix.zeros(SCALARS, d, d)
-            for r in range(d):
-                base = ((i - 1) * d + r) * big.cols + (j - 1) * d
-                for c in range(d):
-                    blk.e[r * d + c] = big.e[base + c]
-            self._cache[key] = blk
-        return self._cache[key]
+        big = self.Lp if sign == "+" else self.Lm
+        d = self.d
+        blk = TMatrix.zeros(SCALARS, d, d)
+        for r in range(d):
+            base = ((i - 1) * d + r) * big.cols + (j - 1) * d
+            for c in range(d):
+                blk.e[r * d + c] = big.e[base + c]
+        return blk
 
+    @memo
     def weights(self):
         """Weight of each basis vector, read from the diagonal action of
         the l-_ii; every basis vector must be a joint eigenvector with
         eigenvalues integral powers of q."""
-        if "weights" not in self._cache:
-            out = []
-            diag = []
-            for i in range(1, self.n + 1):
-                blk = self.op("-", i, i)
-                for r in range(self.d):
-                    for c in range(self.d):
-                        if r != c:
-                            assert not blk.e[r * self.d + c], \
-                                f"l-_{i}{i} is not diagonal on {self.label}"
-                diag.append([blk.e[r * self.d + r] for r in range(self.d)])
-            for b in range(self.d):
-                wt = []
-                for i in range(self.n):
-                    e = _q_exponent(diag[i][b])
-                    assert e is not None, \
-                        f"non-monomial weight entry on {self.label}"
-                    wt.append(e)
-                out.append(tuple(wt))
-            self._cache["weights"] = tuple(out)
-        return self._cache["weights"]
+        diag = []
+        for i in range(1, self.n + 1):
+            blk = self.op("-", i, i)
+            for r in range(self.d):
+                for c in range(self.d):
+                    if r != c:
+                        assert not blk.e[r * self.d + c], \
+                            f"l-_{i}{i} is not diagonal on {self.label}"
+            diag.append([blk.e[r * self.d + r] for r in range(self.d)])
+        out = []
+        for b in range(self.d):
+            wt = []
+            for i in range(self.n):
+                e = _q_exponent(diag[i][b])
+                assert e is not None, \
+                    f"non-monomial weight entry on {self.label}"
+                wt.append(e)
+            out.append(tuple(wt))
+        return tuple(out)
 
 
 def _q_exponent(s):
@@ -153,14 +184,16 @@ def tensor_power(rep, N):
     return out
 
 
+@memo
+def _lifted_L(rep, field):
+    """(L+, L-) lifted into ``field``."""
+    return lift(rep.Lp, field), lift(rep.Lm, field)
+
+
 def evaluated_L(rep, sign, u):
     """The evaluated operator on C^n (x) W over the field of ``u``:
     L+(u) = L+ - u L-  or  L-(u) = L- - u^-1 L+."""
-    field = u.field
-    key = ("lift", id(field))
-    if key not in rep._cache:
-        rep._cache[key] = (lift(rep.Lp, field), lift(rep.Lm, field))
-    lp, lm = rep._cache[key]
+    lp, lm = _lifted_L(rep, u.field)
     if sign == "+":
         return lp - lm.scaled(u)
     if sign == "-":
@@ -230,6 +263,7 @@ def weight_subspace(rep, lam):
     return tuple(b for b, wt in enumerate(rep.weights()) if wt == lam)
 
 
+@memo
 def highest_weight_vector(rep, lam):
     """A nonzero vector of weight ``lam`` killed by every raising
     operator pi(l+_ij), i < j, normalised so its first nonzero
@@ -277,15 +311,21 @@ def _apply(mat, vec, scale=None):
 
 def scalar_on_vector(mat, vec):
     """The scalar by which ``mat`` acts on ``vec``; exact check."""
-    field = mat.field
-    image = mat * vec
+    return _image_scalar(mat * vec, vec)
+
+
+def _image_scalar(image, vec, what="operator"):
+    """The scalar c with ``image`` = c ``vec``, read at the first nonzero
+    coordinate of ``vec`` and then checked on every coordinate; raises
+    NotEigenvectorError naming ``what`` when no such scalar exists."""
     pivot = next((i for i, x in enumerate(vec.e) if x), None)
     if pivot is None:
         raise ValueError("zero vector has no eigenvalue")
     c = image.e[pivot] / vec.e[pivot]
     if image != vec.scaled(c):
         raise NotEigenvectorError(
-            f"operator does not act as a scalar (candidate {field.render(c)})")
+            f"{what} does not act as a scalar "
+            f"(candidate {image.field.render(c)})")
     return c
 
 

@@ -236,15 +236,20 @@ def perm_sign(p):
     return -1 if perm_length(p) % 2 else 1
 
 
-def reduced_word(perm):
+def reduced_word(perm, from_right=False):
     """Reduced word (s_{a_1} ... s_{a_m} = perm, composition order) via
-    lexicographic bubble sort; length equals the inversion number."""
+    bubble sort, scanning left to right, or right to left when
+    ``from_right``; length equals the inversion number.  The two scans
+    can give different words for the same permutation."""
     p = list(perm)
+    scan = range(len(p) - 1)
+    if from_right:
+        scan = scan[::-1]
     swaps = []
     changed = True
     while changed:
         changed = False
-        for i in range(len(p) - 1):
+        for i in scan:
             if p[i] > p[i + 1]:
                 p[i], p[i + 1] = p[i + 1], p[i]
                 swaps.append(i + 1)
@@ -335,27 +340,12 @@ def reduced_word_independence(k, n):
     rset = build_rmatrix_set(n)
     for perm in itertools.permutations(range(1, k + 1)):
         w1 = reduced_word(perm)
-        w2 = _reduced_word_right(perm)
+        w2 = reduced_word(perm, from_right=True)
         assert len(w1) == len(w2) == perm_length(perm)
         if q_perm(perm, n, rset, w1) != q_perm(perm, n, rset, w2):
             return Verdict(False, witness=f"reduced words disagree for {perm}: "
                                           f"{w1} vs {w2}")
     return Verdict(True, lhs=f"S_{k} words", rhs="operator-independent")
-
-
-def _reduced_word_right(perm):
-    """Alternative reduced word: bubble sort scanning from the right."""
-    p = list(perm)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(p) - 2, -1, -1):
-            if p[i] > p[i + 1]:
-                p[i], p[i + 1] = p[i + 1], p[i]
-                swaps.append(i + 1)
-                changed = True
-    return tuple(reversed(swaps))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ witness, so a crashing identity can never masquerade as a pass.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -105,26 +106,13 @@ def _lam_str(lam):
     return "(" + ",".join(str(x) for x in lam) + ")"
 
 
-class _RepPool:
-    """Tensor powers of the vector representation, built once and shared
-    by every check (their caches carry most of the suite's work)."""
-
-    def __init__(self):
-        self._reps = {}
-
-    def get(self, n, N):
-        key = (n, N)
-        if key not in self._reps:
-            self._reps[key] = reps.tensor_power(reps.vector_rep(n), N)
-        return self._reps[key]
-
-
 # ---------------------------------------------------------------------------
 # category -> concrete tasks
 # ---------------------------------------------------------------------------
 # A task is (category, callable) with the callable returning a list of
-# (context, Verdict) rows.  Tasks touching the same representation share
-# it through the pool.
+# (context, Verdict) rows.  ``power(n, N)`` is the N-th tensor power of
+# the vector representation of gl_n, built once per run and shared by
+# every task (its memo carries most of the suite's work).
 
 def _wrap_crossing(n):
     res = rmatrix.crossing_scalar(n)
@@ -166,7 +154,7 @@ def _lam_sets(config, n):
     return out
 
 
-def _tasks(config, pool):
+def _tasks(config, power):
     tasks = []
     add = tasks.append
     sel = config.selected()
@@ -209,7 +197,7 @@ def _tasks(config, pool):
                 add(("fusion",
                      lambda n=n, sign=sign: [
                          (f"n={n} k=2 sign={sign}",
-                          rmatrix.check_fusion(pool.get(n, 1), 2, sign))]))
+                          rmatrix.check_fusion(power(n, 1), 2, sign))]))
 
     if "defining-relations" in sel:
         for n in ns:
@@ -219,7 +207,7 @@ def _tasks(config, pool):
                      lambda n=n, N=N: [
                          (f"n={n} N={N} {name}", v)
                          for name, v in reps.verify_defining_relations(
-                             pool.get(n, N))]))
+                             power(n, N))]))
 
     if "comatrix" in sel:
         for n in small:
@@ -229,10 +217,10 @@ def _tasks(config, pool):
                          lambda n=n, N=N, sign=sign: [
                              (f"n={n} N={N} sign={sign} direct",
                               invariants.comatrix_identity_check(
-                                  pool.get(n, N), sign)),
+                                  power(n, N), sign)),
                              (f"n={n} N={N} sign={sign} transposed",
                               invariants.comatrix_transposed_check(
-                                  pool.get(n, N), sign))]))
+                                  power(n, N), sign))]))
 
     if "z-identities" in sel:
         for n in small:
@@ -241,18 +229,18 @@ def _tasks(config, pool):
                      lambda n=n, N=N: [
                          (f"n={n} N={N} {name}", v)
                          for name, v in invariants.z_identity_checks(
-                             pool.get(n, N), "+")]))
+                             power(n, N), "+")]))
                 add(("z-identities",
                      lambda n=n, N=N: [
                          (f"n={n} N={N} {name}", v)
                          for name, v in invariants.transport_checks(
-                             pool.get(n, N))]))
+                             power(n, N))]))
 
     if "centrality" in sel:
         for n in small:
             for N in range(1, config.N_max + 1):
                 def central(n=n, N=N):
-                    rep = pool.get(n, N)
+                    rep = power(n, N)
                     rows = []
                     for m in range(1, config.m_max + 1):
                         rows.append((f"n={n} N={N} tr_q M^{m}",
@@ -274,13 +262,13 @@ def _tasks(config, pool):
                      lambda n=n, sign=sign: [
                          (f"n={n} N=1 sign={sign} operator",
                           invariants.liouville_operator_check(
-                              pool.get(n, 1), sign))]))
+                              power(n, 1), sign))]))
             for N, lam in _lam_sets(config, n):
                 add(("liouville",
                      lambda n=n, N=N, lam=lam: [
                          (f"n={n} lambda={_lam_str(lam)} {name}", v)
                          for name, v in invariants.liouville_scalar_check(
-                             pool.get(n, N), lam)]))
+                             power(n, N), lam)]))
 
     if "series-expansion" in sel:
         for n in small:
@@ -289,13 +277,13 @@ def _tasks(config, pool):
                      lambda n=n, N=N: [
                          (f"n={n} N={N} operator coefficients",
                           invariants.series_operator_check(
-                              pool.get(n, N), config.order))]))
+                              power(n, N), config.order))]))
             for N, lam in _lam_sets(config, n):
                 add(("series-expansion",
                      lambda n=n, N=N, lam=lam: [
                          (f"n={n} lambda={_lam_str(lam)} order={config.order}",
                           invariants.series_expansion_check(
-                              pool.get(n, N), lam, config.order))]))
+                              power(n, N), lam, config.order))]))
 
     if "eigenvalue-match" in sel:
         for n in small:
@@ -303,7 +291,7 @@ def _tasks(config, pool):
                 add(("eigenvalue-match",
                      lambda n=n, N=N, lam=lam: [
                          (f"n={n} lambda={_lam_str(lam)} m={m}",
-                          invariants.eigenvalue_check(pool.get(n, N), lam, m))
+                          invariants.eigenvalue_check(power(n, N), lam, m))
                          for m in range(config.m_max + 1)]))
 
     if "partial-fractions" in sel:
@@ -313,7 +301,7 @@ def _tasks(config, pool):
                      lambda n=n, N=N, lam=lam: [
                          (f"n={n} lambda={_lam_str(lam)}",
                           invariants.partial_fraction_check(
-                              pool.get(n, N), lam))]))
+                              power(n, N), lam))]))
 
     if "classical-limit" in sel:
         for n in ns:
@@ -334,12 +322,12 @@ def _tasks(config, pool):
                          (f"n={n} N={N} m={m} {name}", v)
                          for m in range(config.m_max + 1)
                          for name, v in invariants.alternate_family_checks(
-                             pool.get(n, N), m)]))
+                             power(n, N), m)]))
                 add(("alternate-families",
                      lambda n=n, N=N: [
                          (f"n={n} lambda={_lam_str(lam)} m={m} inverted q",
                           invariants.alternate_eigenvalue_check(
-                              pool.get(n, N), lam, m))
+                              power(n, N), lam, m))
                          for lam in dominant_partitions(N, n)
                          for m in range(1, config.m_max + 1)]))
 
@@ -360,7 +348,7 @@ def _tasks(config, pool):
                  lambda n=n, base=base: [
                      (f"n={n} lambda={_lam_str(base)} s=1 m={m} operator",
                       invariants.shift_covariance_rep_check(
-                          pool.get(n, 1), base, m, 1))
+                          power(n, 1), base, m, 1))
                      for m in range(1, config.m_max + 1)]))
             base = (0,) * n
             if n <= config.N_max:
@@ -368,7 +356,7 @@ def _tasks(config, pool):
                      lambda n=n, base=base: [
                          (f"n={n} lambda={_lam_str(base)} s=1 m={m} operator",
                           invariants.shift_covariance_rep_check(
-                              pool.get(n, n), base, m, 1))
+                              power(n, n), base, m, 1))
                          for m in range(1, config.m_max + 1)]))
             base = (1,) + (0,) * (n - 1)
             if n + 1 <= config.N_max:
@@ -376,7 +364,7 @@ def _tasks(config, pool):
                      lambda n=n, base=base: [
                          (f"n={n} lambda={_lam_str(base)} s=1 m={m} operator",
                           invariants.shift_covariance_rep_check(
-                              pool.get(n, n + 1), base, m, 1))
+                              power(n, n + 1), base, m, 1))
                          for m in range(1, config.m_max + 1)]))
 
     return tasks
@@ -401,8 +389,9 @@ def run_suite(config):
     previous = faults.current()
     faults.set_fault(config.fault)
     try:
-        pool = _RepPool()
-        tasks = _tasks(config, pool)
+        power = functools.cache(
+            lambda n, N: reps.tensor_power(reps.vector_rep(n), N))
+        tasks = _tasks(config, power)
         if config.jobs > 1:
             with ThreadPoolExecutor(max_workers=config.jobs) as ex:
                 chunks = list(ex.map(lambda t: _run_task(*t), tasks))

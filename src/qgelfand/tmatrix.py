@@ -7,11 +7,11 @@ their index space, which drives the subscript calculus: ``kron``,
 ``embed`` (place operators at chosen tensor sites), partial transpose
 and partial trace over a site.
 
-Inverse, solve, rank, determinant and nullspace all run fraction-field
-Gaussian elimination with exact zero tests.  Pivots are chosen to
-minimise an entry-size hint, and elimination skips exact zeros, so
-block-decomposable systems (such as weight-graded operators) never mix
-their blocks.
+Inverse, solve, rank, determinant and nullspace all run one kernel,
+fraction-field Gauss-Jordan elimination with exact zero tests.  Pivots
+are chosen to minimise an entry-size hint, and elimination skips exact
+zeros, so block-decomposable systems (such as weight-graded operators)
+never mix their blocks.
 """
 
 from __future__ import annotations
@@ -218,16 +218,30 @@ class TMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _eliminate(self, aug_cols, want_rank=False):
-        """In-place forward+back elimination on a working copy augmented
-        with ``aug_cols`` extra columns.  Returns (work, pivots, rank)."""
+    def _gauss_jordan(self, aug=None):
+        """The elimination kernel: Gauss-Jordan on a working copy of
+        ``self``, augmented on the right by the columns of ``aug``.
+
+        Each column of ``self`` in turn takes as pivot the remaining row
+        whose entry there has the smallest size hint; that row is scaled
+        to a leading 1 and the column is cleared in every other row,
+        skipping exact zeros.  A column with no pivot is passed over, so
+        fewer pivots than rows means a rank deficit.  Returns
+        (rows, pivot columns, sign of the row permutation, pivot values
+        before scaling).
+        """
         rows, cols = self.rows, self.cols
-        width = cols + aug_cols
-        work = [list(self.e[r * cols:(r + 1) * cols]) + [self.field.zero] * aug_cols
-                for r in range(rows)]
-        pivots = []
+        zero, one = self.field.zero, self.field.one
+        m = 0 if aug is None else aug.cols
+        width = cols + m
+        work = [self.e[r * cols:(r + 1) * cols]
+                + (aug.e[r * m:(r + 1) * m] if m else []) for r in range(rows)]
+        pivots, values = [], []
+        sign = 1
         pr = 0
         for c in range(cols):
+            if pr == rows:
+                break
             best = None
             best_size = None
             for r in range(pr, rows):
@@ -238,146 +252,66 @@ class TMatrix:
                         best, best_size = r, s
             if best is None:
                 continue
-            work[pr], work[best] = work[best], work[pr]
+            if best != pr:
+                work[pr], work[best] = work[best], work[pr]
+                sign = -sign
             prow = work[pr]
-            inv = self.field.one / prow[c]
+            p = prow[c]
+            pinv = one / p
             for j in range(c, width):
                 if prow[j]:
-                    prow[j] = prow[j] * inv
+                    prow[j] = prow[j] * pinv
             for r in range(rows):
                 if r != pr:
-                    f = work[r][c]
+                    row = work[r]
+                    f = row[c]
                     if f:
-                        row = work[r]
-                        for j in range(c, width):
-                            if prow[j]:
-                                row[j] = row[j] - f * prow[j]
-            pivots.append(c)
-            pr += 1
-            if pr == rows and not want_rank:
-                break
-        return work, pivots, pr
-
-    def inverse(self):
-        assert self.rows == self.cols, "inverse of a non-square matrix"
-        n = self.rows
-        work = [list(self.e[r * n:(r + 1) * n]) for r in range(n)]
-        zero, one = self.field.zero, self.field.one
-        inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for c in range(n):
-            best = None
-            best_size = None
-            for r in range(c, n):
-                x = work[r][c]
-                if x:
-                    s = _size(x)
-                    if best is None or s < best_size:
-                        best, best_size = r, s
-            if best is None:
-                raise SingularMatrixError(
-                    f"singular matrix: zero pivot at row/column {c}")
-            work[c], work[best] = work[best], work[c]
-            inv[c], inv[best] = inv[best], inv[c]
-            prow, irow = work[c], inv[c]
-            pinv = one / prow[c]
-            for j in range(c, n):
-                if prow[j]:
-                    prow[j] = prow[j] * pinv
-            for j in range(n):
-                if irow[j]:
-                    irow[j] = irow[j] * pinv
-            for r in range(n):
-                if r != c:
-                    f = work[r][c]
-                    if f:
-                        wrow, xrow = work[r], inv[r]
-                        for j in range(c + 1, n):
-                            if prow[j]:
-                                wrow[j] = wrow[j] - f * prow[j]
-                        wrow[c] = zero
-                        for j in range(n):
-                            if irow[j]:
-                                xrow[j] = xrow[j] - f * irow[j]
-        flat = [x for row in inv for x in row]
-        return TMatrix(self.field, n, n, flat, self.shape)
-
-    def solve(self, rhs):
-        """Solve self @ X = rhs for X (rhs a TMatrix of columns)."""
-        assert self.rows == self.cols == rhs.rows
-        n, m = self.rows, rhs.cols
-        work = [list(self.e[r * n:(r + 1) * n]) + list(rhs.e[r * m:(r + 1) * m])
-                for r in range(n)]
-        zero, one = self.field.zero, self.field.one
-        width = n + m
-        for c in range(n):
-            best = None
-            best_size = None
-            for r in range(c, n):
-                x = work[r][c]
-                if x:
-                    s = _size(x)
-                    if best is None or s < best_size:
-                        best, best_size = r, s
-            if best is None:
-                raise SingularMatrixError(
-                    f"singular matrix: zero pivot at row/column {c}")
-            work[c], work[best] = work[best], work[c]
-            prow = work[c]
-            pinv = one / prow[c]
-            for j in range(c, width):
-                if prow[j]:
-                    prow[j] = prow[j] * pinv
-            for r in range(n):
-                if r != c:
-                    f = work[r][c]
-                    if f:
-                        row = work[r]
                         for j in range(c + 1, width):
                             if prow[j]:
                                 row[j] = row[j] - f * prow[j]
                         row[c] = zero
-        flat = [work[r][n + j] for r in range(n) for j in range(m)]
-        return TMatrix(self.field, n, m, flat)
+            pivots.append(c)
+            values.append(p)
+            pr += 1
+        return work, pivots, sign, values
+
+    def _solved(self, aug):
+        """The augmented block after reducing a square ``self`` to 1."""
+        assert self.rows == self.cols == aug.rows, "not a square system"
+        n = self.rows
+        work, pivots, _, _ = self._gauss_jordan(aug)
+        if len(pivots) < n:
+            raise SingularMatrixError(
+                f"singular matrix: rank {len(pivots)} < {n}")
+        return [x for row in work for x in row[n:]]
+
+    def inverse(self):
+        n = self.rows
+        flat = self._solved(TMatrix.identity(self.field, n))
+        return TMatrix(self.field, n, n, flat, self.shape)
+
+    def solve(self, rhs):
+        """Solve self @ X = rhs for X (rhs a TMatrix of columns)."""
+        return TMatrix(self.field, self.rows, rhs.cols, self._solved(rhs))
 
     def rank(self):
-        _, _, rk = self._eliminate(0, want_rank=True)
-        return rk
+        return len(self._gauss_jordan()[1])
 
     def det(self):
+        """Signed product of the pivots; the product is taken here, not
+        inside the kernel, so inverse and solve never pay for it."""
         assert self.rows == self.cols
-        n = self.rows
-        work = [list(self.e[r * n:(r + 1) * n]) for r in range(n)]
+        _, pivots, sign, values = self._gauss_jordan()
+        if len(pivots) < self.rows:
+            return self.field.zero
         acc = self.field.one
-        sign = 1
-        for c in range(n):
-            piv = None
-            for r in range(c, n):
-                if work[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                return self.field.zero
-            if piv != c:
-                work[c], work[piv] = work[piv], work[c]
-                sign = -sign
-            prow = work[c]
-            acc = acc * prow[c]
-            pinv = self.field.one / prow[c]
-            for r in range(c + 1, n):
-                f = work[r][c]
-                if f:
-                    f = f * pinv
-                    row = work[r]
-                    for j in range(c, n):
-                        if prow[j]:
-                            row[j] = row[j] - f * prow[j]
-        if sign < 0:
-            acc = -acc
-        return acc
+        for p in values:
+            acc = acc * p
+        return acc if sign > 0 else -acc
 
     def nullspace(self):
         """Exact kernel basis, deterministic order, first coordinate 1."""
-        work, pivots, rk = self._eliminate(0, want_rank=True)
+        work, pivots, _, _ = self._gauss_jordan()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         zero, one = self.field.zero, self.field.one

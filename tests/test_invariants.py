@@ -142,6 +142,14 @@ def test_z_scalar_against_full_operator():
         assert scalar_on_vector(z, vec) == inv.z_scalar(rep, "+", lam)
 
 
+def test_memoised_z_shares_defaults_and_list_weights():
+    rep = v(2)
+    assert inv.z_matrix(rep, "+") is inv.z_matrix(rep, "+", UFIELD)
+    zs = inv.z_scalar(rep, "+", (1, 0))
+    assert inv.z_scalar(rep, "+", [1, 0]) is zs
+    assert inv.z_scalar(rep, "+", [1, 0], UFIELD) is zs
+
+
 def test_z_identity_rows():
     for name, verdict in inv.z_identity_checks(v(2), "+"):
         assert verdict, (name, verdict.witness)

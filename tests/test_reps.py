@@ -8,7 +8,7 @@ from qgelfand.reps import (Representation, WeightError, NotEigenvectorError,
                            vector_rep, trivial_rep, tensor_product,
                            tensor_power, evaluated_L, verify_defining_relations,
                            weight_subspace, highest_weight_vector,
-                           scalar_on_vector, lift_vector)
+                           scalar_on_vector, lift_vector, _image_scalar)
 
 
 def all_pass(rows):
@@ -101,6 +101,26 @@ def test_scalar_on_vector():
     skew = TMatrix.unit(SCALARS, 2, 2, 1)
     with pytest.raises(NotEigenvectorError):
         scalar_on_vector(skew + d, TMatrix.column(SCALARS, [ONE, ONE]))
+
+
+def test_image_scalar_checks_every_coordinate():
+    vec = TMatrix.column(SCALARS, [ONE, ONE])
+    assert _image_scalar(vec.scaled(Q), vec) == Q
+    # the pivot coordinate alone would read off q
+    image = TMatrix.column(SCALARS, [Q, ONE])
+    with pytest.raises(NotEigenvectorError, match="qdet"):
+        _image_scalar(image, vec, "qdet")
+
+
+def test_memo_keys_lists_as_tuples_and_skips_errors():
+    rep = tensor_power(vector_rep(2), 2)
+    v = highest_weight_vector(rep, (1, 1))
+    assert highest_weight_vector(rep, [1, 1]) is v
+    cached = len(rep._cache)
+    for _ in range(2):
+        with pytest.raises(WeightError, match="does not occur"):
+            highest_weight_vector(rep, (3, 0))
+    assert len(rep._cache) == cached
 
 
 # ---------------------------------------------------------------------------

@@ -143,15 +143,18 @@ def test_perm_helpers_random():
         # length counts inversions and matches the reduced word
         inversions = sum(1 for i in range(k) for j in range(i + 1, k)
                          if p[i] > p[j])
-        assert perm_length(p) == inversions == len(reduced_word(p))
         assert perm_sign(p) == (-1) ** inversions
-        # rebuild from the word: s_a swaps positions a, a+1 acting on the left
-        q = tuple(range(1, k + 1))
-        for a in reduced_word(p):
-            s = tuple(a + 1 if x == a else a if x == a + 1 else x
-                      for x in range(1, k + 1))
-            q = perm_compose(q, s)
-        assert q == p
+        for from_right in (False, True):
+            word = reduced_word(p, from_right)
+            assert perm_length(p) == inversions == len(word)
+            # rebuild from the word: s_a swaps positions a, a+1 acting
+            # on the left
+            q = tuple(range(1, k + 1))
+            for a in word:
+                s = tuple(a + 1 if x == a else a if x == a + 1 else x
+                          for x in range(1, k + 1))
+                q = perm_compose(q, s)
+            assert q == p
 
 
 def test_q_perm_word_independence_longest_element():
@@ -164,6 +167,9 @@ def test_q_perm_word_independence_longest_element():
 
 
 def test_reduced_word_independence_s3():
+    # the check compares two different words, at least on w0
+    assert reduced_word((3, 2, 1)) == (1, 2, 1)
+    assert reduced_word((3, 2, 1), from_right=True) == (2, 1, 2)
     assert reduced_word_independence(3, 2)
 
 

@@ -62,3 +62,17 @@ def test_run_suite_fault_reports_witness():
     assert report["summary"]["fail"] > 0
     bad = [r for r in report["checks"] if r["verdict"] == "fail"]
     assert bad and all(r.get("witness") for r in bad)
+
+
+def test_fault_run_after_clean_run_fails_rep_categories():
+    # representations and their memos are per run: a clean run first
+    # must not leave values that hide the injected fault
+    cfg = dict(ns=(2,), N_max=1, m_max=2, order=2)
+    assert run_suite(SuiteConfig(**cfg))["summary"]["fail"] == 0
+    report = run_suite(SuiteConfig(**cfg, fault="rep"))
+    failing = {r["name"] for r in report["checks"] if r["verdict"] == "fail"}
+    assert failing >= {"defining-relations", "fusion", "comatrix",
+                       "z-identities", "centrality", "liouville",
+                       "series-expansion", "eigenvalue-match",
+                       "partial-fractions", "alternate-families",
+                       "shift-covariance"}

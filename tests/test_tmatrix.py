@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qgelfand.scalars import Scalar, SCALARS, UFIELD, ONE, ZERO, qnum
+from qgelfand.scalars import Scalar, SCALARS, UFIELD, ONE, ZERO, Q, qnum
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
                               first_difference)
 
@@ -109,6 +109,46 @@ def test_solve_matches_inverse():
         rhs = rand_matrix(rng, 3, 2)
         assert a.solve(rhs) == inv * rhs
         done += 1
+
+
+def test_det_sign_under_row_swaps():
+    a, b = Scalar.q_power(1), qnum(3)
+    z = ZERO
+    assert TMatrix(SCALARS, 2, 2, [z, a, b, z]).det() == -(a * b)
+    # (1 2 3) -> (2 3 1) is even, a single transposition is odd
+    cycle = TMatrix(SCALARS, 3, 3, [z, ONE, z, z, z, ONE, ONE, z, z])
+    swap = TMatrix(SCALARS, 3, 3, [z, ONE, z, ONE, z, z, z, z, ONE])
+    assert cycle.det() == ONE
+    assert swap.det() == -ONE
+
+
+def test_det_zero_after_nonzero_pivots():
+    # rows 1 and 2 pivot, row 3 = row 1 + row 2 leaves no third pivot
+    r1 = [ONE, Scalar.q_power(1), qnum(2)]
+    r2 = [ZERO, qnum(3), ONE]
+    r3 = [x + y for x, y in zip(r1, r2)]
+    a = TMatrix.from_rows(SCALARS, [r1, r2, r3])
+    assert a.det() == ZERO
+    assert a.rank() == 2
+
+
+def test_solve_singular_raises():
+    a = TMatrix(SCALARS, 2, 2, [ONE, Q, ONE, Q])
+    with pytest.raises(SingularMatrixError):
+        a.solve(TMatrix.column(SCALARS, [ONE, ZERO]))
+
+
+def test_inverse_keeps_shape():
+    rng = random.Random(23)
+    while True:
+        a = kron(rand_matrix(rng, 2, 2), rand_matrix(rng, 2, 2))
+        try:
+            inv = a.inverse()
+        except SingularMatrixError:
+            continue
+        break
+    assert a.shape == inv.shape == (2, 2)
+    assert a * inv == TMatrix.identity(SCALARS, 4)
 
 
 def test_det_multiplicative():
