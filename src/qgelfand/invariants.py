@@ -291,10 +291,8 @@ def comatrix(rep, sign, u):
                     field.from_coeff(_neg_q_power(j - i)))
             else:
                 blk = lift(TMatrix.identity(SCALARS, d), field)
-            for r in range(d):
-                base = ((i - 1) * d + r) * n * d + (j - 1) * d
-                for c in range(d):
-                    big.e[base + c] = blk.e[r * d + c]
+            for r, c, x in blk.nonzero():
+                big.set((i - 1) * d + r, (j - 1) * d + c, x)
     return big
 
 
@@ -379,7 +377,7 @@ def z_scalar(rep, sign, lam, field=UFIELD):
         for c in all_idx:
             cols = tuple(i for i in all_idx if i != c)
             w = minor_on_vector(rep, sign, uq2, rows, cols, vec)
-            if not any(w.e):
+            if not w:
                 continue
             w = _xblock(rep, sign, a, c, ushift) * w
             image = image + w.scaled(da * field.from_coeff(_neg_q_power(a - c)))
@@ -497,12 +495,12 @@ def z_coefficient_matrices(rep, sign, order, field=UFIELD):
     route below avoids the rational-function inverse."""
     z = z_matrix(rep, sign, field)
     d = rep.d
-    series = [expand(z.e[k], order) for k in range(d * d)]
+    series = [(i, j, expand(x, order)) for i, j, x in z.nonzero()]
     out = []
     for m in range(order + 1):
         cm = TMatrix.zeros(SCALARS, d, d)
-        for k in range(d * d):
-            cm.e[k] = series[k].coeff(m)
+        for i, j, s in series:
+            cm.set(i, j, s.coeff(m))
         out.append(cm)
     return out
 

@@ -82,11 +82,11 @@ class Representation:
         """The d x d matrix of pi(l+_ij) or pi(l-_ij), 1-based indices."""
         big = self.Lp if sign == "+" else self.Lm
         d = self.d
+        r0, c0 = (i - 1) * d, (j - 1) * d
         blk = TMatrix.zeros(SCALARS, d, d)
-        for r in range(d):
-            base = ((i - 1) * d + r) * big.cols + (j - 1) * d
-            for c in range(d):
-                blk.e[r * d + c] = big.e[base + c]
+        for r, c, x in big.nonzero():
+            if r0 <= r < r0 + d and c0 <= c < c0 + d:
+                blk.set(r - r0, c - c0, x)
         return blk
 
     @memo
@@ -97,12 +97,9 @@ class Representation:
         diag = []
         for i in range(1, self.n + 1):
             blk = self.op("-", i, i)
-            for r in range(self.d):
-                for c in range(self.d):
-                    if r != c:
-                        assert not blk.e[r * self.d + c], \
-                            f"l-_{i}{i} is not diagonal on {self.label}"
-            diag.append([blk.e[r * self.d + r] for r in range(self.d)])
+            assert all(r == c for r, c, _ in blk.nonzero()), \
+                f"l-_{i}{i} is not diagonal on {self.label}"
+            diag.append([blk[r, r] for r in range(self.d)])
         out = []
         for b in range(self.d):
             wt = []
@@ -139,7 +136,7 @@ def vector_rep(n):
     lm = TMatrix.zeros(SCALARS, n * n, n * n)
 
     def put(m, i, j, r, c, x):
-        m.e[((i - 1) * n + (r - 1)) * n * n + (j - 1) * n + (c - 1)] = x
+        m.set((i - 1) * n + (r - 1), (j - 1) * n + (c - 1), x)
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -281,7 +278,7 @@ def highest_weight_vector(rep, lam):
     rows = []
     for op in raisers:
         for r in range(d):
-            row = [op.e[r * d + c] for c in cols]
+            row = [op[r, c] for c in cols]
             if any(row):
                 rows.append(row)
     if not rows:
@@ -292,9 +289,9 @@ def highest_weight_vector(rep, lam):
         raise WeightError(f"no highest weight vector of weight {lam} "
                           f"in {rep.label}")
     coords = basis[0]
-    vec = TMatrix.column(SCALARS, [SCALARS.zero] * d)
-    for c, x in zip(cols, coords.e):
-        vec.e[c] = x
+    vec = TMatrix.zeros(SCALARS, d, 1)
+    for k, c in enumerate(cols):
+        vec.set(c, 0, coords[k, 0])
     for i in range(1, n + 1):
         assert not _apply(rep.op("+", i, i), vec, scale=Scalar.q_power(lam[i - 1])), \
             "highest weight vector fails the diagonal eigenvalue test"
@@ -318,10 +315,11 @@ def _image_scalar(image, vec, what="operator"):
     """The scalar c with ``image`` = c ``vec``, read at the first nonzero
     coordinate of ``vec`` and then checked on every coordinate; raises
     NotEigenvectorError naming ``what`` when no such scalar exists."""
-    pivot = next((i for i, x in enumerate(vec.e) if x), None)
-    if pivot is None:
+    stored = vec.nonzero()
+    if not stored:
         raise ValueError("zero vector has no eigenvalue")
-    c = image.e[pivot] / vec.e[pivot]
+    pivot, _, x = stored[0]
+    c = image[pivot, 0] / x
     if image != vec.scaled(c):
         raise NotEigenvectorError(
             f"{what} does not act as a scalar "

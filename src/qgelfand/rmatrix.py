@@ -43,7 +43,7 @@ def _two_site(n, entries):
     """n^2 x n^2 matrix from {((a,b),(c,d)): scalar} with 1-based indices."""
     m = TMatrix.zeros(SCALARS, n * n, n * n, shape=(n, n))
     for ((a, b), (c, d)), x in entries.items():
-        m.e[((a - 1) * n + (b - 1)) * n * n + (c - 1) * n + (d - 1)] = x
+        m.set((a - 1) * n + (b - 1), (c - 1) * n + (d - 1), x)
     return m
 
 
@@ -324,7 +324,7 @@ def pq_action_check(k, n):
                        - perm_length(tau))
                 ts = perm_compose(tau, perm_inverse(sigma))
                 dst = flat([a_tuple[ts[i] - 1] for i in range(k)])
-                col = [ops[sigma].e[r * total + src] for r in range(total)]
+                col = [ops[sigma][r, src] for r in range(total)]
                 expect = [SCALARS.zero] * total
                 expect[dst] = Scalar.q_power(exp)
                 if col != expect:

@@ -40,8 +40,15 @@ CHECK_NAMES = (
 )
 
 
+# The largest operator a run may build, as a dimension: n^2 * n^N-max for
+# the largest n (defining relations act on C^n (x) C^n (x) W).  It admits
+# n=3 with N-max 5 (2187) and n=4 with N-max 3 (1024), and refuses n=3
+# with N-max 6 (6561) before anything is built.
+MAX_OPERATOR_DIM = 4096
+
+
 class ConfigError(ValueError):
-    """Rejected suite configuration (unknown names, bad bounds)."""
+    """Rejected suite configuration (unknown names, bad bounds, too large)."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,15 @@ class SuiteConfig:
             raise ConfigError(f"order must be nonnegative, got {self.order}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be positive, got {self.jobs}")
+        n, exp = max(self.ns), self.N_max + 2
+        # n >= 2 gives n^exp >= 2^exp, so a long exponent is refused
+        # without computing the power
+        short = exp <= MAX_OPERATOR_DIM.bit_length()
+        if n > 1 and (not short or n ** exp > MAX_OPERATOR_DIM):
+            dim = f"{n}^{exp}" + (f" = {n ** exp}" if short else "")
+            raise ConfigError(
+                f"largest operator dimension n^2*n^N-max = {dim} exceeds "
+                f"the cap of {MAX_OPERATOR_DIM}")
         for name in tuple(self.include) + tuple(self.exclude):
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check name: {name!r}")
@@ -132,7 +148,7 @@ def _wrap_rank(n, k):
 
 def _wrap_vanishing(n):
     a = rmatrix.antisymmetrizer(n + 1, n)
-    ok = not any(a.e)
+    ok = not a
     return [(f"n={n} vanishing k={n + 1}",
              Verdict(ok, lhs=f"A^({n + 1})", rhs="0",
                      witness=None if ok else

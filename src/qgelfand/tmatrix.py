@@ -1,17 +1,24 @@
-"""Exact dense matrices over a coefficient field, with tensor-factor shape.
+"""Exact sparse matrices over a coefficient field, with tensor-factor shape.
 
-A ``TMatrix`` is a dense row-major matrix whose entries live in one of
-the exact fields from :mod:`.scalars` (via a field descriptor).  Square
-matrices may carry a ``shape`` tuple recording a tensor factorisation of
-their index space, which drives the subscript calculus: ``kron``,
-``embed`` (place operators at chosen tensor sites), partial transpose
-and partial trace over a site.
+A ``TMatrix`` stores each row as a dict ``{column: entry}`` holding only
+the nonzero entries, whose values live in one of the exact fields from
+:mod:`.scalars` (via a field descriptor).  An exact zero is never
+stored: every kernel drops the entries that cancel, so equality is
+equality of the row dicts and a matrix is falsy exactly when no row
+holds an entry.  ``.e`` is a read-only dense view, a fresh row-major
+list built on each access; no kernel uses it.
+
+Square matrices may carry a ``shape`` tuple recording a tensor
+factorisation of their index space, which drives the subscript
+calculus: ``kron``, ``embed`` (place operators at chosen tensor sites),
+partial transpose and partial trace over a site.  Every one of them,
+like the ring operations, walks only the stored entries.
 
 Inverse, solve, rank, determinant and nullspace all run one kernel,
-fraction-field Gauss-Jordan elimination with exact zero tests.  Pivots
-are chosen to minimise an entry-size hint, and elimination skips exact
-zeros, so block-decomposable systems (such as weight-graded operators)
-never mix their blocks.
+fraction-field Gauss-Jordan elimination on sparse rows.  Pivots are
+chosen to minimise an entry-size hint, and elimination touches only
+stored entries, so block-decomposable systems (such as weight-graded
+operators) never mix their blocks.
 """
 
 from __future__ import annotations
@@ -29,49 +36,63 @@ def _size(x):
 
 
 class TMatrix:
-    """Dense matrix over an exact field, optionally tensor-shaped."""
+    """Sparse-row matrix over an exact field, optionally tensor-shaped.
 
-    __slots__ = ("field", "rows", "cols", "e", "shape")
+    ``TMatrix(field, rows, cols, entries, shape)`` takes the entries as
+    one flat row-major list; zeros in it are dropped.  Kernels build
+    their results from row dicts through ``_of``.  Values rely on the
+    field having no zero divisors: a product of two stored entries is
+    never tested for zero, a sum is.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_data", "shape")
 
     def __init__(self, field, rows, cols, entries, shape=None):
         assert len(entries) == rows * cols
+        self._init(field, rows, cols,
+                  [{j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
+                    if x} for i in range(rows)], shape)
+
+    @classmethod
+    def _of(cls, field, rows, cols, data, shape=None):
+        """The matrix whose row ``i`` is the dict ``data[i]``, taken
+        over as is: it must hold no zero and be shared with no one."""
+        m = cls.__new__(cls)
+        m._init(field, rows, cols, data, shape)
+        return m
+
+    def _init(self, field, rows, cols, data, shape):
         if shape is not None:
             assert math.prod(shape) == rows == cols
             shape = tuple(shape)
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.e = entries
+        self._data = data
         self.shape = shape
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, field, rows, cols, shape=None):
-        return cls(field, rows, cols, [field.zero] * (rows * cols), shape)
+        return cls._of(field, rows, cols, [{} for _ in range(rows)], shape)
 
     @classmethod
     def identity(cls, field, n, shape=None):
-        m = cls.zeros(field, n, n, shape)
-        one = field.one
-        for i in range(n):
-            m.e[i * n + i] = one
-        return m
+        return cls.diag(field, [field.one] * n, shape)
 
     @classmethod
     def unit(cls, field, n, i, j, coeff=None, shape=None):
         """Matrix unit e_ij (1-based indices)."""
         m = cls.zeros(field, n, n, shape)
-        m.e[(i - 1) * n + (j - 1)] = coeff if coeff is not None else field.one
+        m.set(i - 1, j - 1, coeff if coeff is not None else field.one)
         return m
 
     @classmethod
     def diag(cls, field, entries, shape=None):
         n = len(entries)
-        m = cls.zeros(field, n, n, shape)
-        for i, x in enumerate(entries):
-            m.e[i * n + i] = x
-        return m
+        return cls._of(field, n, n, [{i: x} if x else {}
+                                     for i, x in enumerate(entries)], shape)
 
     @classmethod
     def from_rows(cls, field, rows, shape=None):
@@ -91,88 +112,138 @@ class TMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.e[i * self.cols + j]
+        return self._data[i].get(j, self.field.zero)
+
+    def set(self, i, j, x):
+        """Write entry (i, j) in place; writing zero removes it.  Never
+        call it on a matrix another caller may hold (a memoised one)."""
+        row = self._data[i]
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+    @property
+    def e(self):
+        """A fresh dense row-major list of all entries; writing to it
+        leaves the matrix unchanged."""
+        cols = self.cols
+        out = [self.field.zero] * (self.rows * cols)
+        for i, row in enumerate(self._data):
+            base = i * cols
+            for j, x in row.items():
+                out[base + j] = x
+        return out
 
     def with_shape(self, shape):
-        return TMatrix(self.field, self.rows, self.cols, self.e, shape)
+        return TMatrix._of(self.field, self.rows, self.cols,
+                           [dict(row) for row in self._data], shape)
 
     def copy(self):
-        return TMatrix(self.field, self.rows, self.cols, list(self.e), self.shape)
+        return self.with_shape(self.shape)
 
     def __bool__(self):
-        return any(self.e)
+        return any(self._data)
 
     def __eq__(self, other):
         """Entrywise equality; tensor-shape metadata is ignored."""
         return (isinstance(other, TMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.e == other.e)
+                and self.cols == other.cols and self._data == other._data)
 
     def __neg__(self):
-        return TMatrix(self.field, self.rows, self.cols,
-                       [-x for x in self.e], self.shape)
+        return TMatrix._of(self.field, self.rows, self.cols,
+                           [{j: -x for j, x in row.items()}
+                            for row in self._data], self.shape)
+
+    def _merged(self, other, negate):
+        """Rows of ``self + other`` (``self - other`` when ``negate``)."""
+        assert self.rows == other.rows and self.cols == other.cols
+        out = []
+        for ra, rb in zip(self._data, other._data):
+            row = dict(ra)
+            for j, y in rb.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -y if negate else y
+                else:
+                    s = x - y if negate else x + y
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+            out.append(row)
+        return TMatrix._of(self.field, self.rows, self.cols, out, self.shape)
 
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return TMatrix(self.field, self.rows, self.cols,
-                       [a + b for a, b in zip(self.e, other.e)], self.shape)
+        return self._merged(other, False)
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return TMatrix(self.field, self.rows, self.cols,
-                       [a - b for a, b in zip(self.e, other.e)], self.shape)
+        return self._merged(other, True)
 
     def scaled(self, s):
-        return TMatrix(self.field, self.rows, self.cols,
-                       [s * x for x in self.e], self.shape)
+        if not s:
+            return TMatrix.zeros(self.field, self.rows, self.cols, self.shape)
+        return TMatrix._of(self.field, self.rows, self.cols,
+                           [{j: s * x for j, x in row.items()}
+                            for row in self._data], self.shape)
 
     def __mul__(self, other):
-        """Matrix product, skipping exact zeros on both sides."""
+        """Matrix product over the stored entries of both sides."""
         assert isinstance(other, TMatrix)
         assert self.cols == other.rows, "inner dimensions differ"
-        rows, cols, inner = self.rows, other.cols, self.cols
-        zero = self.field.zero
-        out = [zero] * (rows * cols)
-        be = other.e
-        brows = []
-        for k in range(inner):
-            base = k * cols
-            brows.append([(j, be[base + j]) for j in range(cols) if be[base + j]])
-        ae = self.e
-        for i in range(rows):
-            abase = i * cols
-            arow = i * inner
-            for k in range(inner):
-                a = ae[arow + k]
-                if a:
-                    for j, b in brows[k]:
-                        out[abase + j] = out[abase + j] + a * b
+        rows, cols = self.rows, other.cols
+        brows = other._data
+        out = []
+        for arow in self._data:
+            acc = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    if j in acc:
+                        acc[j] = acc[j] + a * b
+                    else:
+                        acc[j] = a * b
+            out.append({j: x for j, x in acc.items() if x})
         shape = self.shape if self.shape is not None else other.shape
         if shape is not None and (rows != cols or math.prod(shape) != rows):
             shape = None
-        return TMatrix(self.field, rows, cols, out, shape)
+        return TMatrix._of(self.field, rows, cols, out, shape)
 
     def transpose(self):
-        out = [None] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self.e[i * self.cols + j]
-        return TMatrix(self.field, self.cols, self.rows, out, self.shape)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._data):
+            for j, x in row.items():
+                out[j][i] = x
+        return TMatrix._of(self.field, self.cols, self.rows, out, self.shape)
 
     def trace(self):
         assert self.rows == self.cols
         acc = self.field.zero
-        for i in range(self.rows):
-            acc = acc + self.e[i * self.cols + i]
+        for i, row in enumerate(self._data):
+            x = row.get(i)
+            if x is not None:
+                acc = acc + x
         return acc
 
     def map_entries(self, func, field=None):
-        return TMatrix(field if field is not None else self.field,
-                       self.rows, self.cols,
-                       [func(x) for x in self.e], self.shape)
+        """Apply ``func`` to the stored entries, dropping zero results.
+
+        ``func`` must send zero to zero, since the entries that are not
+        stored are never passed to it; a ``ValueError`` says otherwise.
+        """
+        field = field if field is not None else self.field
+        if func(self.field.zero):
+            raise ValueError("map_entries needs a function that sends zero "
+                             "to zero")
+        out = []
+        for row in self._data:
+            mapped = ((j, func(x)) for j, x in row.items())
+            out.append({j: y for j, y in mapped if y})
+        return TMatrix._of(field, self.rows, self.cols, out, self.shape)
 
     def nonzero(self):
-        c = self.cols
-        return [(k // c, k % c, x) for k, x in enumerate(self.e) if x]
+        """(row, col, entry) of every stored entry, in row-major order."""
+        return [(i, j, row[j]) for i, row in enumerate(self._data)
+                for j in sorted(row)]
 
     # -- tensor-site calculus ---------------------------------------------
 
@@ -185,17 +256,15 @@ class TMatrix:
         """Transpose in one tensor factor (1-based site index)."""
         dims = self._need_shape()
         a = site - 1
-        strides = _strides(dims)
+        sa, da = _strides(dims)[a], dims[a]
         n = self.rows
-        out = [None] * (n * n)
-        for r in range(n):
-            ridx = _unflatten(r, dims, strides)
-            for c in range(n):
-                cidx = _unflatten(c, dims, strides)
-                r2 = r + (cidx[a] - ridx[a]) * strides[a]
-                c2 = c + (ridx[a] - cidx[a]) * strides[a]
-                out[r2 * n + c2] = self.e[r * n + c]
-        return TMatrix(self.field, n, n, out, dims)
+        out = [{} for _ in range(n)]
+        for r, row in enumerate(self._data):
+            ra = (r // sa) % da
+            for c, x in row.items():
+                shift = ((c // sa) % da - ra) * sa
+                out[r + shift][c - shift] = x
+        return TMatrix._of(self.field, n, n, out, dims)
 
     def partial_trace(self, site):
         """Trace out one tensor factor (1-based site index)."""
@@ -203,39 +272,42 @@ class TMatrix:
         a = site - 1
         rest = dims[:a] + dims[a + 1:]
         m = math.prod(rest) if rest else 1
-        strides = _strides(dims)
-        sa, da = strides[a], dims[a]
-        zero = self.field.zero
-        out = [zero] * (m * m)
-        rest_positions = _enumerate_rest(dims, a)
-        for ri, r0 in enumerate(rest_positions):
-            for ci, c0 in enumerate(rest_positions):
-                acc = zero
-                for t in range(da):
-                    acc = acc + self.e[(r0 + t * sa) * self.rows + (c0 + t * sa)]
-                out[ri * m + ci] = acc
-        return TMatrix(self.field, m, m, out, rest if rest else None)
+        sa, da = _strides(dims)[a], dims[a]
+        block = sa * da
+        out = [{} for _ in range(m)]
+        for r, row in enumerate(self._data):
+            ra = (r // sa) % da
+            target = out[(r // block) * sa + r % sa]
+            for c, x in row.items():
+                if (c // sa) % da == ra:
+                    k = (c // block) * sa + c % sa
+                    y = target.get(k)
+                    target[k] = x if y is None else y + x
+        out = [{k: x for k, x in row.items() if x} for row in out]
+        return TMatrix._of(self.field, m, m, out, rest if rest else None)
 
     # -- elimination -------------------------------------------------------
 
     def _gauss_jordan(self, aug=None):
-        """The elimination kernel: Gauss-Jordan on a working copy of
-        ``self``, augmented on the right by the columns of ``aug``.
+        """The elimination kernel: Gauss-Jordan on a working copy of the
+        rows of ``self``, augmented on the right by the columns of
+        ``aug``.
 
         Each column of ``self`` in turn takes as pivot the remaining row
         whose entry there has the smallest size hint; that row is scaled
-        to a leading 1 and the column is cleared in every other row,
-        skipping exact zeros.  A column with no pivot is passed over, so
-        fewer pivots than rows means a rank deficit.  Returns
-        (rows, pivot columns, sign of the row permutation, pivot values
+        to a leading 1 and the column is cleared in every other row that
+        stores an entry there.  A column with no pivot is passed over, so
+        fewer pivots than rows means a rank deficit.  Returns (rows as
+        dicts, pivot columns, sign of the row permutation, pivot values
         before scaling).
         """
         rows, cols = self.rows, self.cols
-        zero, one = self.field.zero, self.field.one
-        m = 0 if aug is None else aug.cols
-        width = cols + m
-        work = [self.e[r * cols:(r + 1) * cols]
-                + (aug.e[r * m:(r + 1) * m] if m else []) for r in range(rows)]
+        one = self.field.one
+        work = [dict(row) for row in self._data]
+        if aug is not None:
+            for row, extra in zip(work, aug._data):
+                for j, x in extra.items():
+                    row[cols + j] = x
         pivots, values = [], []
         sign = 1
         pr = 0
@@ -245,8 +317,8 @@ class TMatrix:
             best = None
             best_size = None
             for r in range(pr, rows):
-                x = work[r][c]
-                if x:
+                x = work[r].get(c)
+                if x is not None:
                     s = _size(x)
                     if best is None or s < best_size:
                         best, best_size = r, s
@@ -255,44 +327,49 @@ class TMatrix:
             if best != pr:
                 work[pr], work[best] = work[best], work[pr]
                 sign = -sign
-            prow = work[pr]
-            p = prow[c]
+            p = work[pr][c]
             pinv = one / p
-            for j in range(c, width):
-                if prow[j]:
-                    prow[j] = prow[j] * pinv
+            prow = work[pr] = {j: x * pinv for j, x in work[pr].items()}
             for r in range(rows):
                 if r != pr:
                     row = work[r]
-                    f = row[c]
-                    if f:
-                        for j in range(c + 1, width):
-                            if prow[j]:
-                                row[j] = row[j] - f * prow[j]
-                        row[c] = zero
+                    f = row.pop(c, None)
+                    if f is not None:
+                        for j, y in prow.items():
+                            if j != c:
+                                x = row.get(j)
+                                if x is None:
+                                    row[j] = -(f * y)
+                                else:
+                                    x = x - f * y
+                                    if x:
+                                        row[j] = x
+                                    else:
+                                        del row[j]
             pivots.append(c)
             values.append(p)
             pr += 1
         return work, pivots, sign, values
 
     def _solved(self, aug):
-        """The augmented block after reducing a square ``self`` to 1."""
+        """Rows of the augmented block after reducing a square ``self``
+        to 1."""
         assert self.rows == self.cols == aug.rows, "not a square system"
         n = self.rows
         work, pivots, _, _ = self._gauss_jordan(aug)
         if len(pivots) < n:
             raise SingularMatrixError(
                 f"singular matrix: rank {len(pivots)} < {n}")
-        return [x for row in work for x in row[n:]]
+        return [{j - n: x for j, x in row.items() if j >= n} for row in work]
 
     def inverse(self):
         n = self.rows
-        flat = self._solved(TMatrix.identity(self.field, n))
-        return TMatrix(self.field, n, n, flat, self.shape)
+        data = self._solved(TMatrix.identity(self.field, n))
+        return TMatrix._of(self.field, n, n, data, self.shape)
 
     def solve(self, rhs):
         """Solve self @ X = rhs for X (rhs a TMatrix of columns)."""
-        return TMatrix(self.field, self.rows, rhs.cols, self._solved(rhs))
+        return TMatrix._of(self.field, self.rows, rhs.cols, self._solved(rhs))
 
     def rank(self):
         return len(self._gauss_jordan()[1])
@@ -319,8 +396,8 @@ class TMatrix:
             v = [zero] * self.cols
             v[fc] = one
             for r, pc in enumerate(pivots):
-                x = work[r][fc]
-                if x:
+                x = work[r].get(fc)
+                if x is not None:
                     v[pc] = -x
             # normalise: first nonzero coordinate 1
             first = next(x for x in v if x)
@@ -331,9 +408,9 @@ class TMatrix:
         return basis
 
     def render_entries(self):
-        rf = self.field.render
-        return [[rf(self.e[i * self.cols + j]) for j in range(self.cols)]
-                for i in range(self.rows)]
+        rf, zero = self.field.render, self.field.zero
+        return [[rf(row.get(j, zero)) for j in range(self.cols)]
+                for row in self._data]
 
     def __repr__(self):
         return f"TMatrix({self.rows}x{self.cols} over {self.field.name})"
@@ -354,49 +431,21 @@ def _unflatten(pos, dims, strides):
     return [(pos // strides[i]) % dims[i] for i in range(len(dims))]
 
 
-def _enumerate_rest(dims, skip):
-    """Flat base positions with index 0 at factor ``skip``, ordered by the
-    remaining factors (row-major)."""
-    rest = [d for i, d in enumerate(dims) if i != skip]
-    strides = _strides(dims)
-    rest_strides = [s for i, s in enumerate(strides) if i != skip]
-    out = []
-
-    def rec(i, acc):
-        if i == len(rest):
-            out.append(acc)
-            return
-        for t in range(rest[i]):
-            rec(i + 1, acc + t * rest_strides[i])
-
-    rec(0, 0)
-    return out
-
-
 def kron(a, b):
     """Kronecker product; concatenates tensor-factor shapes when known."""
     assert a.field is b.field
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    zero = a.field.zero
-    out = [zero] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x = a.e[i * a.cols + j]
-            if x:
-                rbase = i * b.rows
-                cbase = j * b.cols
-                for k in range(b.rows):
-                    row = (rbase + k) * cols + cbase
-                    bk = k * b.cols
-                    for l in range(b.cols):
-                        y = b.e[bk + l]
-                        if y:
-                            out[row + l] = x * y
+    bc = b.cols
+    out = []
+    for ra in a._data:
+        for rb in b._data:
+            out.append({j * bc + l: x * y
+                        for j, x in ra.items() for l, y in rb.items()})
     sa = a.shape if a.shape is not None else ((a.rows,) if a.rows == a.cols else None)
     sb = b.shape if b.shape is not None else ((b.rows,) if b.rows == b.cols else None)
     shape = sa + sb if (sa is not None and sb is not None) else None
-    return TMatrix(a.field, rows, cols, out, shape)
+    return TMatrix._of(a.field, rows, cols, out, shape)
 
 
 def embed(op, sites, dims):
@@ -431,17 +480,15 @@ def embed(op, sites, dims):
     for d, st in zip(rest_dims, rest_strides):
         rest_positions = [p + t * st for p in rest_positions for t in range(d)]
 
-    zero = op.field.zero
-    out = [zero] * (total * total)
-    for i in range(op.rows):
+    out = [{} for _ in range(total)]
+    for i, row in enumerate(op._data):
         base_r = offsets[i]
-        for j in range(op.cols):
-            x = op.e[i * op.cols + j]
-            if x:
-                base_c = offsets[j]
-                for p in rest_positions:
-                    out[(base_r + p) * total + (base_c + p)] = x
-    return TMatrix(op.field, total, total, out, dims)
+        shifted = [(offsets[j], x) for j, x in row.items()]
+        for p in rest_positions:
+            target = out[base_r + p]
+            for base_c, x in shifted:
+                target[base_c + p] = x
+    return TMatrix._of(op.field, total, total, out, dims)
 
 
 def lift(mat, field):
@@ -450,9 +497,13 @@ def lift(mat, field):
 
 
 def first_difference(a, b):
-    """(row, col, left, right) of the first differing entry, or None."""
+    """(row, col, left, right) of the first differing entry in row-major
+    order, or None."""
     assert a.rows == b.rows and a.cols == b.cols
-    for k, (x, y) in enumerate(zip(a.e, b.e)):
-        if not x == y:
-            return k // a.cols, k % a.cols, x, y
+    za, zb = a.field.zero, b.field.zero
+    for i, (ra, rb) in enumerate(zip(a._data, b._data)):
+        if ra != rb:
+            j = min(j for j in ra.keys() | rb.keys()
+                    if not ra.get(j, za) == rb.get(j, zb))
+            return i, j, ra.get(j, za), rb.get(j, zb)
     return None

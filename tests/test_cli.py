@@ -4,6 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from qgelfand.suite import SuiteConfig, ConfigError
+
 
 def run_cli(*args, timeout=120):
     return subprocess.run([sys.executable, "-m", "qgelfand", *args],
@@ -124,3 +128,17 @@ def test_version_and_usage():
     assert res.returncode == 2
     res = run_cli("verify", "--n", "0")
     assert res.returncode == 2
+
+
+def test_verify_refuses_oversized_configuration():
+    # the guard runs when the configuration is made, before anything is
+    # built, so a refused run exits at once
+    for ns, N_max in (((2, 3), 3), ((2, 3), 4), ((3,), 5), ((4,), 3)):
+        SuiteConfig(ns=ns, N_max=N_max)
+    with pytest.raises(ConfigError, match="6561"):
+        SuiteConfig(ns=(2, 3), N_max=6)
+    with pytest.raises(ConfigError, match=r"3\^1000000002"):
+        SuiteConfig(ns=(3,), N_max=10 ** 9)
+    res = run_cli("verify", "--n", "3", "--N-max", "6", timeout=30)
+    assert res.returncode == 2
+    assert "6561" in res.stderr and not res.stdout

@@ -39,6 +39,11 @@ def test_defining_relations_small():
         all_pass(verify_defining_relations(rep))
 
 
+def test_defining_relations_largest_benchmark_module():
+    # the 729 x 729 exchange products of n=3, N=4
+    all_pass(verify_defining_relations(tensor_power(vector_rep(3), 4)))
+
+
 def test_weights():
     assert vector_rep(3).weights() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert trivial_rep(2).weights() == ((0, 0),)

@@ -1,4 +1,5 @@
-"""Dense exact matrices: arithmetic, elimination, tensor-leg operations."""
+"""Sparse exact matrices: arithmetic, elimination, tensor-leg operations,
+checked against dense entrywise oracles over ``.e``."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from qgelfand.scalars import Scalar, SCALARS, UFIELD, ONE, ZERO, Q, qnum
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
                               first_difference)
+from qgelfand.verdict import matrix_verdict
 
 
 def rand_entry(rng):
@@ -21,18 +23,6 @@ def rand_matrix(rng, rows, cols):
                    [rand_entry(rng) for _ in range(rows * cols)])
 
 
-def naive_mul(a, b):
-    out = TMatrix.zeros(a.field, a.rows, b.cols)
-    e = list(out.e)
-    for i in range(a.rows):
-        for j in range(b.cols):
-            acc = a.field.zero
-            for k in range(a.cols):
-                acc = acc + a[i, k] * b[k, j]
-            e[i * b.cols + j] = acc
-    return TMatrix(a.field, a.rows, b.cols, e)
-
-
 # ---------------------------------------------------------------------------
 # ring operations
 # ---------------------------------------------------------------------------
@@ -42,7 +32,7 @@ def test_mul_matches_naive_random():
     for _ in range(25):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         b = rand_matrix(rng, a.cols, rng.randint(1, 5))
-        assert a * b == naive_mul(a, b)
+        assert a * b == oracle_mul(a, b)
 
 
 def test_mul_shape_mismatch():
@@ -268,3 +258,298 @@ def test_lift_and_first_difference():
     b = TMatrix(SCALARS, 2, 3, e)
     diff = first_difference(a, b)
     assert diff is not None and diff[:2] == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels against dense oracles
+# ---------------------------------------------------------------------------
+# Each oracle works on the flat row-major list ``.e`` with the entrywise
+# formula, so it shares no code with the sparse kernels.
+
+def rand_field_entry(rng, field):
+    if field is SCALARS:
+        return rand_entry(rng)
+    return (field.from_coeff(rand_entry(rng))
+            + field.gen * field.from_coeff(rand_entry(rng)))
+
+
+def rand_sparse(rng, field, rows, cols, density=0.3, shape=None):
+    return TMatrix(field, rows, cols,
+                   [rand_field_entry(rng, field) if rng.random() < density
+                    else field.zero for _ in range(rows * cols)], shape)
+
+
+def assert_sparse(m):
+    """No stored zero, and the stored entries are exactly the nonzeros of
+    the dense view."""
+    stored = m.nonzero()
+    assert all(x for _, _, x in stored)
+    dense = m.e
+    assert len(dense) == m.rows * m.cols
+    assert [(i, j) for i, j, _ in stored] == [
+        divmod(k, m.cols) for k, x in enumerate(dense) if x]
+    for i, j, x in stored:
+        assert dense[i * m.cols + j] == x
+    return m
+
+
+def oracle_mul(a, b):
+    ae, be, z = a.e, b.e, a.field.zero
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = z
+            for k in range(a.cols):
+                acc = acc + ae[i * a.cols + k] * be[k * b.cols + j]
+            out.append(acc)
+    return TMatrix(a.field, a.rows, b.cols, out)
+
+
+def oracle_kron(a, b):
+    ae, be = a.e, b.e
+    out = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            for j in range(a.cols):
+                for l in range(b.cols):
+                    out.append(ae[i * a.cols + j] * be[k * b.cols + l])
+    return TMatrix(a.field, a.rows * b.rows, a.cols * b.cols, out)
+
+
+def digits(pos, dims):
+    out = []
+    for d in reversed(dims):
+        pos, t = divmod(pos, d)
+        out.append(t)
+    return out[::-1]
+
+
+def flat(idx, dims):
+    pos = 0
+    for t, d in zip(idx, dims):
+        pos = pos * d + t
+    return pos
+
+
+def oracle_embed(op, sites, dims):
+    total = 1
+    for d in dims:
+        total *= d
+    op_dims = [dims[s - 1] for s in sites]
+    oe, z = op.e, op.field.zero
+    out = []
+    for r in range(total):
+        rd = digits(r, dims)
+        for c in range(total):
+            cd = digits(c, dims)
+            if any(rd[t] != cd[t] for t in range(len(dims))
+                   if t + 1 not in sites):
+                out.append(z)
+                continue
+            i = flat([rd[s - 1] for s in sites], op_dims)
+            j = flat([cd[s - 1] for s in sites], op_dims)
+            out.append(oe[i * op.cols + j])
+    return TMatrix(op.field, total, total, out)
+
+
+def oracle_partial_trace(m, site):
+    dims = m.shape
+    a = site - 1
+    rest = dims[:a] + dims[a + 1:]
+    size = 1
+    for d in rest:
+        size *= d
+    me, z = m.e, m.field.zero
+    out = []
+    for r in range(size):
+        rd = digits(r, rest)
+        for c in range(size):
+            cd = digits(c, rest)
+            acc = z
+            for t in range(dims[a]):
+                rr = flat(rd[:a] + [t] + rd[a:], dims)
+                cc = flat(cd[:a] + [t] + cd[a:], dims)
+                acc = acc + me[rr * m.cols + cc]
+            out.append(acc)
+    return TMatrix(m.field, size, size, out)
+
+
+def oracle_partial_transpose(m, site):
+    dims, a, n = m.shape, site - 1, m.rows
+    me = m.e
+    out = [None] * (n * n)
+    for r in range(n):
+        for c in range(n):
+            rd, cd = digits(r, dims), digits(c, dims)
+            rd[a], cd[a] = cd[a], rd[a]
+            out[flat(rd, dims) * n + flat(cd, dims)] = me[r * n + c]
+    return TMatrix(m.field, n, n, out)
+
+
+def cancelling_pair(rng, field, rows, inner, cols):
+    """(B, C) where columns 0 and 1 of B are equal and row 1 of C is
+    minus row 0, so those two terms of every product entry cancel; the
+    other terms are sparse, so many entries of B C cancel to zero."""
+    b = rand_sparse(rng, field, rows, inner, density=0.2)
+    c = rand_sparse(rng, field, inner, cols, density=0.2)
+    for i in range(rows):
+        b.set(i, 1, b[i, 0] if rng.random() < 0.8 else field.one)
+        if not b[i, 0]:
+            b.set(i, 0, field.one)
+            b.set(i, 1, field.one)
+    for j in range(cols):
+        x = c[0, j] if c[0, j] else rand_field_entry(rng, field)
+        c.set(0, j, x)
+        c.set(1, j, -x)
+    return b, c
+
+
+FIELDS = [pytest.param(SCALARS, id="Qq"), pytest.param(UFIELD, id="Qq(u)")]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ring_ops_match_dense_oracle(field):
+    rng = random.Random(30 if field is SCALARS else 31)
+    rounds = 12 if field is SCALARS else 4
+    for _ in range(rounds):
+        r, k, c = rng.randint(1, 5), rng.randint(2, 5), rng.randint(1, 5)
+        a = rand_sparse(rng, field, r, k)
+        a2 = rand_sparse(rng, field, r, k)
+        b = rand_sparse(rng, field, k, c)
+        assert assert_sparse(a * b) == oracle_mul(a, b)
+        add = [x + y for x, y in zip(a.e, a2.e)]
+        sub = [x - y for x, y in zip(a.e, a2.e)]
+        assert assert_sparse(a + a2) == TMatrix(field, r, k, add)
+        assert assert_sparse(a - a2) == TMatrix(field, r, k, sub)
+        s = rand_field_entry(rng, field)
+        assert assert_sparse(a.scaled(s)) == TMatrix(
+            field, r, k, [s * x for x in a.e])
+        assert assert_sparse(a.scaled(field.zero)) == TMatrix.zeros(field, r, k)
+        assert assert_sparse(-a) == TMatrix(field, r, k, [-x for x in a.e])
+        t = a.transpose()
+        assert assert_sparse(t) == TMatrix(
+            field, k, r, [a.e[i * k + j] for j in range(k) for i in range(r)])
+        assert_sparse(a.copy())
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_cancellation_stores_no_zero(field):
+    rng = random.Random(32 if field is SCALARS else 33)
+    for _ in range(6 if field is SCALARS else 3):
+        a = rand_sparse(rng, field, 3, 4, density=0.5)
+        for zero in (a - a, a + (-a), a.scaled(field.zero)):
+            assert_sparse(zero)
+            assert not zero
+            assert zero == TMatrix.zeros(field, 3, 4)
+        b, c = cancelling_pair(rng, field, 4, 4, 3)
+        prod = assert_sparse(b * c)
+        assert prod == oracle_mul(b, c)
+    # a product whose every entry cancels
+    b, c = cancelling_pair(rng, field, 3, 2, 3)
+    assert not assert_sparse(b * c)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tensor_ops_match_dense_oracle(field):
+    rng = random.Random(34 if field is SCALARS else 35)
+    for _ in range(4 if field is SCALARS else 2):
+        a = rand_sparse(rng, field, 2, 3, density=0.5)
+        b = rand_sparse(rng, field, 3, 2, density=0.5)
+        assert assert_sparse(kron(a, b)) == oracle_kron(a, b)
+        op = rand_sparse(rng, field, 4, 4, density=0.4, shape=(2, 2))
+        for sites, dims in (((1, 2), (2, 2)), ((1, 3), (2, 3, 2)),
+                            ((3, 1), (2, 2, 2))):
+            assert assert_sparse(embed(op, sites, dims)) == oracle_embed(
+                op, sites, dims)
+        m = rand_sparse(rng, field, 12, 12, density=0.3, shape=(2, 3, 2))
+        for site in (1, 2, 3):
+            assert assert_sparse(m.partial_trace(site)) == \
+                oracle_partial_trace(m, site)
+            assert assert_sparse(m.partial_transpose(site)) == \
+                oracle_partial_transpose(m, site)
+        # a partial trace whose sum cancels: diagonal blocks x and -x
+        x = rand_field_entry(rng, field)
+        c = TMatrix.diag(field, [x, x, -x, -x], shape=(2, 2))
+        assert not assert_sparse(c.partial_trace(1))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_inverse_and_solve_match_dense_oracle(field):
+    # Q(q)(u) elimination normalises through polynomial gcds, so it gets
+    # the smaller size
+    rng = random.Random(36 if field is SCALARS else 37)
+    n = 4 if field is SCALARS else 2
+    eye = TMatrix.identity(field, n)
+    done = 0
+    while done < 4:
+        a = rand_sparse(rng, field, n, n, density=0.4) + TMatrix.diag(
+            field, [rand_field_entry(rng, field) for _ in range(n)])
+        try:
+            inv = a.inverse()
+        except SingularMatrixError:
+            assert a.rank() < n
+            continue
+        assert_sparse(inv)
+        assert oracle_mul(a, inv) == eye
+        assert oracle_mul(inv, a) == eye
+        rhs = rand_sparse(rng, field, n, 2, density=0.5)
+        x = assert_sparse(a.solve(rhs))
+        assert oracle_mul(a, x) == rhs
+        done += 1
+
+
+def test_dense_view_is_a_copy():
+    rng = random.Random(38)
+    a = rand_sparse(rng, SCALARS, 3, 3, density=0.5)
+    before = a.copy()
+    view = a.e
+    view[0] = view[0] + ONE
+    view[4] = ZERO
+    assert a == before
+    with pytest.raises(AttributeError):
+        a.e = view
+
+
+def test_set_and_getitem():
+    m = TMatrix.zeros(SCALARS, 2, 3)
+    m.set(1, 2, Q)
+    assert m[1, 2] == Q and m[0, 0] == ZERO
+    m.set(1, 2, ZERO)
+    assert not m and m.nonzero() == []
+
+
+def test_first_difference_is_row_major_with_absent_entries():
+    # in row 1, column 3 differs in value and was stored first; column 1
+    # is stored on one side only and comes first in row-major order
+    a = TMatrix.zeros(SCALARS, 3, 5)
+    b = TMatrix.zeros(SCALARS, 3, 5)
+    a.set(0, 4, ONE)
+    b.set(0, 4, ONE)
+    a.set(1, 3, Q)
+    b.set(1, 3, qnum(2))
+    a.set(1, 1, ONE)
+    a.set(2, 0, Q)
+    assert first_difference(a, b) == (1, 1, ONE, ZERO)
+    assert first_difference(b, a) == (1, 1, ZERO, ONE)
+    v = matrix_verdict(a, b, label="probe")
+    assert not v and v.witness == "probe: entry (1,1): 1 != 0"
+    assert matrix_verdict(b, a).witness == "entry (1,1): 0 != 1"
+    a.set(1, 1, ZERO)
+    assert first_difference(a, b) == (1, 3, Q, qnum(2))
+
+
+def test_map_entries_contract():
+    rng = random.Random(39)
+    a = rand_sparse(rng, SCALARS, 3, 4, density=0.5)
+    seen = []
+
+    def spy(x):
+        seen.append(x)
+        return ZERO if x == a.nonzero()[0][2] else x * Q
+
+    out = assert_sparse(a.map_entries(spy))
+    # one probe of zero, then each stored entry once
+    assert len(seen) == 1 + len(a.nonzero())
+    assert out == TMatrix(SCALARS, 3, 4, [spy(x) for x in a.e])
+    with pytest.raises(ValueError):
+        a.map_entries(lambda x: x + ONE)
