@@ -13,6 +13,15 @@ over a polynomial ring in one variable.  It is instantiated three times:
 * ``XFIELD``  = Q(q)(x)   -- crossing-symmetry checks,
 * ``XYFIELD`` = Q(q)(x)(y) -- bivariate field for Yang-Baxter checks.
 
+A ``Frac`` is normalised by dividing out ``Poly.gcd`` of its numerator
+and denominator.  Over Q(q) that gcd is fraction-free: the denominators
+of both inputs are cleared into Z[q, q^-1][u], a primitive PRS (each
+pseudo-remainder divided by its content, Knuth TAOCP 2, 4.6.1) runs over
+``IntLaurent`` coefficients, and the result is made monic over Q(q).
+Euclid over Q(q) would give the same monic gcd, but every step of it
+normalises ``Scalar`` coefficients of growing size.  Euclid still runs
+for ``XYFIELD``, whose coefficients Q(q)(x) have no such clearing.
+
 Rendering is deterministic: Laurent polynomials in q print in descending
 powers ("q^2 + 1 + q^-2"); polynomials in u print in ascending powers
 with the denominator display-normalised so its lowest coefficient is 1
@@ -34,12 +43,6 @@ class DivergentLimitError(ArithmeticError):
 
 class NoSeriesError(ValueError):
     """Raised when a rational function has no power series at u = 0."""
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +154,7 @@ class IntLaurent:
         return IntLaurent(-(self.low + len(self.c) - 1), tuple(reversed(self.c)))
 
     def content(self):
-        g = 0
-        for a in self.c:
-            g = _igcd(g, a)
-        return g
+        return math.gcd(*self.c)
 
     def at_one(self):
         return sum(self.c)
@@ -248,7 +248,7 @@ class IntLaurent:
             p = r
             c = rem.content()
             r = IntLaurent(0, tuple(x // c for x in rem.c)) if c else _L_ZERO
-        g = p.scale(_igcd(ca, cb)).shifted(-p.low)
+        g = p.scale(math.gcd(ca, cb)).shifted(-p.low)
         return g if g.c[-1] > 0 else -g
 
     def __repr__(self):
@@ -591,13 +591,111 @@ class Poly:
 
     @staticmethod
     def gcd(a, b):
-        """Monic gcd by the Euclidean algorithm over the coefficient field."""
-        while b:
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a and not a.c[-1] == a.f.one:
-            a = a.scale(a.f.one / a.c[-1])
-        return a
+        """Monic gcd over the coefficient field.
+
+        Over Q(q) (``UFIELD``, ``XFIELD``) it is fraction-free: both
+        inputs are cleared of their ``Scalar`` denominators, a primitive
+        PRS over Z[q, q^-1] finds a primitive gcd, and that is made monic
+        over Q(q).  The monic gcd is unique, so this is the polynomial
+        Euclid returns, without Euclid's coefficient swell.  Over a
+        coefficient field that is itself a function field (``XYFIELD``)
+        the Euclidean loop ``_euclid_gcd`` runs.
+        """
+        if a.f is not SCALARS or not (a and b):
+            return _euclid_gcd(a, b)
+        if a.degree == 0 or b.degree == 0:
+            return Poly(SCALARS, (ONE,))
+        p, r = _cleared(a), _cleared(b)
+        if len(p) < len(r):
+            p, r = r, p
+        while True:
+            rem = _prem(p, r)
+            if not rem:
+                break
+            if len(rem) == 1:
+                return Poly(SCALARS, (ONE,))
+            p, r = r, _primitive(rem)
+        lead = r[-1]
+        return Poly(SCALARS, [Scalar(c, lead) for c in r[:-1]] + [ONE])
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over the coefficient field.
+
+    ``Poly.gcd`` uses it for nested function fields and for zero inputs;
+    the tests use it as the reference for the fraction-free path.
+    """
+    while b:
+        _, r = a.divmod(b)
+        a, b = b, r
+    if a and not a.c[-1] == a.f.one:
+        a = a.scale(a.f.one / a.c[-1])
+    return a
+
+
+# A polynomial over Z[q, q^-1] in u is a list of ``IntLaurent``
+# coefficients in ascending powers of u, with a nonzero last entry.
+
+def _cleared(p):
+    """Primitive part in Z[q][u] of a nonzero polynomial over Q(q).
+
+    Multiplies by the lcm of the ``Scalar`` denominators, so every
+    coefficient becomes a Laurent polynomial, then removes the content.
+    """
+    lcm = _L_ONE
+    for s in p.c:
+        d = s.den
+        if d.is_one() or d == lcm:
+            continue
+        lcm = d if lcm.is_one() else lcm * d.divexact(IntLaurent.gcd(lcm, d))
+    if lcm.is_one():
+        return _primitive([s.num for s in p.c])
+    return _primitive([s.num if s.den == lcm else s.num * lcm.divexact(s.den)
+                       for s in p.c])
+
+
+def _primitive(coeffs):
+    """Divide by the content in Z[q, q^-1] and shift q-powers so the
+    lowest exponent among the coefficients is 0."""
+    nonzero = sorted((c for c in coeffs if c), key=lambda c: len(c.c))
+    g = nonzero[0]
+    for c in nonzero[1:]:
+        if len(g.c) == 1:
+            break
+        g = IntLaurent.gcd(g, c)
+    if len(g.c) == 1:
+        # a monomial content: only its integer part is not a unit
+        n = 0
+        for c in nonzero:
+            n = math.gcd(n, c.content())
+        g = IntLaurent.from_int(n)
+    if not g.is_one():
+        coeffs = [c.divexact(g) for c in coeffs]
+    low = min(c.low for c in coeffs if c)
+    return [c.shifted(-low) for c in coeffs] if low else coeffs
+
+
+def _prem(a, b):
+    """Pseudo-remainder of ``a`` by ``b`` (deg a >= deg b), fraction-free.
+
+    Each step replaces a by lc(b)*a - lc(a)*u^k*b, so the result is the
+    remainder times a nonzero element of Z[q, q^-1]; only its primitive
+    part is used.
+    """
+    r = a
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        minus_lr = -r[-1]
+        k = len(r) - 1 - db
+        new = [c * lb for c in r[:-1]]
+        for i in range(db):
+            if b[i]:
+                new[i + k] = new[i + k] + minus_lr * b[i]
+        while new and not new[-1]:
+            new.pop()
+        r = new
+    return r
 
 
 class Frac:

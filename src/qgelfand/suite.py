@@ -41,14 +41,29 @@ CHECK_NAMES = (
 
 
 # The largest operator a run may build, as a dimension: n^2 * n^N-max for
-# the largest n (defining relations act on C^n (x) C^n (x) W).  It admits
-# n=3 with N-max 5 (2187) and n=4 with N-max 3 (1024), and refuses n=3
-# with N-max 6 (6561) before anything is built.
+# the largest n (defining relations act on C^n (x) C^n (x) W), and n^n
+# when the antisymmetrizer category runs (``_wrap_rank(n, n)`` acts on
+# (C^n)^(x)n).  It admits n=3 with N-max 5 (2187), n=4 with N-max 3
+# (1024) and n=5 with the antisymmetrizer (3125), and refuses n=3 with
+# N-max 6 (6561) and n=6 with the antisymmetrizer (46656) before anything
+# is built.
 MAX_OPERATOR_DIM = 4096
 
 
 class ConfigError(ValueError):
     """Rejected suite configuration (unknown names, bad bounds, too large)."""
+
+
+def _check_dim(n, exp, formula):
+    """Refuse an operator of dimension n^exp above ``MAX_OPERATOR_DIM``."""
+    # n >= 2 gives n^exp >= 2^exp, so a long exponent is refused
+    # without computing the power
+    short = exp <= MAX_OPERATOR_DIM.bit_length()
+    if n > 1 and (not short or n ** exp > MAX_OPERATOR_DIM):
+        dim = f"{n}^{exp}" + (f" = {n ** exp}" if short else "")
+        raise ConfigError(
+            f"largest operator dimension {formula} = {dim} exceeds "
+            f"the cap of {MAX_OPERATOR_DIM}")
 
 
 @dataclass(frozen=True)
@@ -80,18 +95,13 @@ class SuiteConfig:
             raise ConfigError(f"order must be nonnegative, got {self.order}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be positive, got {self.jobs}")
-        n, exp = max(self.ns), self.N_max + 2
-        # n >= 2 gives n^exp >= 2^exp, so a long exponent is refused
-        # without computing the power
-        short = exp <= MAX_OPERATOR_DIM.bit_length()
-        if n > 1 and (not short or n ** exp > MAX_OPERATOR_DIM):
-            dim = f"{n}^{exp}" + (f" = {n ** exp}" if short else "")
-            raise ConfigError(
-                f"largest operator dimension n^2*n^N-max = {dim} exceeds "
-                f"the cap of {MAX_OPERATOR_DIM}")
         for name in tuple(self.include) + tuple(self.exclude):
             if name not in CHECK_NAMES:
                 raise ConfigError(f"unknown check name: {name!r}")
+        n = max(self.ns)
+        _check_dim(n, self.N_max + 2, "n^2*n^N-max")
+        if "antisymmetrizer" in self.selected():
+            _check_dim(n, n, "n^n (antisymmetrizer)")
         if self.fault is not None and self.fault not in faults.KINDS:
             raise ConfigError(f"unknown fault kind: {self.fault!r}")
 

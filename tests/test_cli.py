@@ -142,3 +142,16 @@ def test_verify_refuses_oversized_configuration():
     res = run_cli("verify", "--n", "3", "--N-max", "6", timeout=30)
     assert res.returncode == 2
     assert "6561" in res.stderr and not res.stdout
+
+
+def test_verify_refuses_oversized_antisymmetrizer():
+    # the antisymmetrizer category builds operators on (C^n)^(x)n, which
+    # n^2*n^N-max = 216 does not count for n=6
+    res = run_cli("verify", "--n", "6", "--N-max", "1", timeout=30)
+    assert res.returncode == 2
+    assert "46656" in res.stderr and not res.stdout
+    with pytest.raises(ConfigError, match="46656"):
+        SuiteConfig(ns=(2, 6), N_max=1)
+    SuiteConfig(ns=(6,), N_max=1, exclude=("antisymmetrizer",))
+    SuiteConfig(ns=(6,), N_max=1, include=("ybe", "crossing"))
+    SuiteConfig(ns=(5,), N_max=1)  # 5^5 = 3125

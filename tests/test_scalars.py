@@ -3,11 +3,13 @@
 import random
 
 import pytest
+import sympy
+from hypothesis import Phase, given, settings, strategies as st
 
-from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, XFIELD,
-                              XYFIELD, qnum, limit_q1, expand,
+from qgelfand.scalars import (IntLaurent, Scalar, Poly, Frac, SCALARS, UFIELD,
+                              XFIELD, XYFIELD, qnum, limit_q1, expand,
                               DivergentLimitError, NoSeriesError,
-                              ONE, ZERO, Q, QINV, Q_MINUS_QINV)
+                              ONE, ZERO, Q, QINV, Q_MINUS_QINV, _euclid_gcd)
 from fractions import Fraction
 
 
@@ -193,3 +195,168 @@ def test_render_over_u():
     u = UFIELD.gen
     val = UFIELD.from_coeff(qnum(2)) * u + UFIELD.one
     assert UFIELD.render(val) == "1 + (q + q^-1)*u"
+
+
+# ---------------------------------------------------------------------------
+# gcd and normal-form oracles over Q(q)(u)
+# ---------------------------------------------------------------------------
+
+SQ, SU = sympy.symbols("q u")
+SYMPY_QQ_Q = sympy.QQ.frac_field(SQ)
+# no explain phase: it traces every line of a failing example's reruns,
+# which takes minutes on this arithmetic
+ORACLE = settings(max_examples=25, derandomize=True, deadline=None,
+                  database=None,
+                  phases=(Phase.explicit, Phase.generate, Phase.shrink))
+
+laurents = st.builds(IntLaurent, st.integers(-3, 3),
+                     st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+nonzero_laurents = laurents.filter(bool)
+# Q(q) elements with denominators and negative q-powers
+scalars = st.builds(Scalar, laurents, nonzero_laurents)
+nonzero_scalars = scalars.filter(bool)
+
+
+@st.composite
+def upolys(draw, degree):
+    """A polynomial of exactly the given degree in Q(q)[u]."""
+    if degree < 0:
+        return Poly(SCALARS, ())
+    coeffs = [draw(scalars) for _ in range(degree)]
+    return Poly(SCALARS, coeffs + [draw(nonzero_scalars)])
+
+
+def any_upolys(max_degree):
+    return st.integers(0, max_degree).flatmap(upolys)
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two polynomials with a planted common factor of degree 0-3, and
+    the factor; the first cofactor may be zero, either may be constant."""
+    common = draw(st.integers(0, 3).flatmap(upolys))
+    a = draw(st.integers(-1, 2).flatmap(upolys))
+    b = draw(st.integers(0, 2).flatmap(upolys))
+    return a * common, b * common, common
+
+
+def laurent_expr(p):
+    return sum((a * SQ ** (p.low + i) for i, a in enumerate(p.c)),
+               sympy.Integer(0))
+
+
+def scalar_expr(s):
+    return laurent_expr(s.num) / laurent_expr(s.den)
+
+
+def poly_expr(p):
+    return sum((scalar_expr(c) * SU ** i for i, c in enumerate(p.c)),
+               sympy.Integer(0))
+
+
+def sympy_upoly(p):
+    return sympy.Poly(poly_expr(p), SU, domain=SYMPY_QQ_Q)
+
+
+def assert_divides(g, p):
+    _, r = p.divmod(g)
+    assert not r
+
+
+@ORACLE
+@given(gcd_pairs())
+def test_poly_gcd_matches_euclid_and_divides(pair):
+    a, b, common = pair
+    g = Poly.gcd(a, b)
+    assert g == _euclid_gcd(a, b)
+    assert g.c[-1] == ONE
+    assert_divides(g, a)
+    assert_divides(g, b)
+    assert_divides(common, g)
+    assert Poly.gcd(b, a) == g
+
+
+@settings(ORACLE, max_examples=10)
+@given(gcd_pairs())
+def test_poly_gcd_matches_sympy(pair):
+    a, b, _ = pair
+    g = Poly.gcd(a, b)
+    expect = sympy.gcd(sympy_upoly(a), sympy_upoly(b)).monic()
+    assert g.degree == expect.degree()
+    assert sympy_upoly(g) == expect
+
+
+def test_poly_gcd_edge_cases():
+    u = Poly(SCALARS, (ZERO, ONE))
+    zero = Poly(SCALARS, ())
+    two = Poly(SCALARS, (Scalar.from_int(2),))
+    a = Poly(SCALARS, (qnum(2), Q_MINUS_QINV.inverse())) * u
+    monic_a = Poly(SCALARS, (qnum(2) * Q_MINUS_QINV, ONE)) * u
+    assert Poly.gcd(zero, zero) == zero
+    assert Poly.gcd(a, zero) == Poly.gcd(zero, a) == monic_a
+    assert Poly.gcd(a, two).c == (ONE,)
+    assert Poly.gcd(a, a) == monic_a
+    # coprime: u and u - q
+    assert Poly.gcd(u, u - Poly(SCALARS, (Q,))).c == (ONE,)
+
+
+@settings(ORACLE, max_examples=10)
+@given(gcd_pairs())
+def test_frac_normal_form_matches_sympy_cancel(pair):
+    num, den, _ = pair
+    x = Frac(UFIELD, num, den)
+    assert x.den.c[-1] == ONE
+    # same value, and as reduced in u as sympy's cancellation over Z[q, u]
+    assert x.num * den == num * x.den
+    top, bottom = sympy.fraction(
+        sympy.cancel(poly_expr(num) / poly_expr(den)))
+    assert x.num.degree == (sympy.degree(top, SU) if num else -1)
+    assert x.den.degree == (sympy.degree(bottom, SU) if num else 0)
+
+
+@ORACLE
+@given(any_upolys(2), any_upolys(2), any_upolys(2))
+def test_frac_two_routes_agree(a, b, h):
+    # a/b built directly, through a shared factor, and through a sum
+    x = Frac(UFIELD, a, b)
+    routes = [Frac(UFIELD, a * h, b * h),
+              UFIELD.poly(a.c) / UFIELD.poly(b.c),
+              (x + UFIELD.poly(h.c)) - UFIELD.poly(h.c)]
+    for y in routes:
+        assert (y.num, y.den) == (x.num, x.den)
+        assert y.render() == x.render()
+
+
+def test_frac_normal_form_edge_cases():
+    u = UFIELD.gen
+    q = UFIELD.from_coeff(Q)
+    zero = Frac(UFIELD, UFIELD.poly_zero, Poly(SCALARS, (QINV, ONE)))
+    assert zero == UFIELD.zero and zero.render() == "0"
+    const = Frac(UFIELD, Poly(SCALARS, (qnum(3),)), Poly(SCALARS, (qnum(2),)))
+    assert const == UFIELD.from_coeff(qnum(3) / qnum(2))
+    # already coprime: nothing cancels, the denominator is made monic
+    x = (u - q) / (UFIELD.from_coeff(qnum(2)) * u + UFIELD.one)
+    assert x.den.c[-1] == ONE and x.num.degree == 1 and x.den.degree == 1
+    assert x.render() == "(-q + u)/(1 + (q + q^-1)*u)"
+    # a common factor (u - q)^2 cancels completely
+    y = (x * (u - q) ** 2) / ((u - q) ** 2)
+    assert (y.num, y.den) == (x.num, x.den)
+
+
+fracs = st.builds(lambda a, b: UFIELD.poly(a.c) / UFIELD.poly(b.c),
+                  any_upolys(1), any_upolys(1))
+
+
+@settings(ORACLE, max_examples=15)
+@given(fracs, fracs, fracs)
+def test_frac_field_axioms_over_u(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + UFIELD.zero == a and a * UFIELD.one == a
+    assert a - a == UFIELD.zero
+    if a:
+        assert a * a.inverse() == UFIELD.one
+        assert (b / a) * a == b

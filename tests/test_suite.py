@@ -1,5 +1,7 @@
 """Suite configuration and report assembly."""
 
+import time
+
 import pytest
 
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
@@ -64,6 +66,25 @@ def test_run_suite_fault_reports_witness():
     assert bad and all(r.get("witness") for r in bad)
 
 
+# the categories criterion 10 expects a broken representation to fail
+REP_CATEGORIES = {"defining-relations", "fusion", "comatrix", "z-identities",
+                  "centrality", "liouville", "series-expansion",
+                  "eigenvalue-match", "partial-fractions",
+                  "alternate-families", "shift-covariance"}
+
+
+def test_fault_probe_at_n2_N2_finishes():
+    # verify --n 2 --N-max 2 --inject-fault rep: the faulty module's
+    # Q(q)(u) fractions must not stall the gcd
+    start = time.monotonic()
+    report = run_suite(SuiteConfig(ns=(2,), N_max=2, fault="rep"))
+    elapsed = time.monotonic() - start
+    bad = [r for r in report["checks"] if r["verdict"] == "fail"]
+    assert all(r.get("witness") for r in bad)
+    assert {r["name"] for r in bad} >= REP_CATEGORIES
+    assert elapsed < 60, elapsed
+
+
 def test_fault_run_after_clean_run_fails_rep_categories():
     # representations and their memos are per run: a clean run first
     # must not leave values that hide the injected fault
@@ -71,8 +92,4 @@ def test_fault_run_after_clean_run_fails_rep_categories():
     assert run_suite(SuiteConfig(**cfg))["summary"]["fail"] == 0
     report = run_suite(SuiteConfig(**cfg, fault="rep"))
     failing = {r["name"] for r in report["checks"] if r["verdict"] == "fail"}
-    assert failing >= {"defining-relations", "fusion", "comatrix",
-                       "z-identities", "centrality", "liouville",
-                       "series-expansion", "eigenvalue-match",
-                       "partial-fractions", "alternate-families",
-                       "shift-covariance"}
+    assert failing >= REP_CATEGORIES

@@ -475,10 +475,8 @@ def test_tensor_ops_match_dense_oracle(field):
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_inverse_and_solve_match_dense_oracle(field):
-    # Q(q)(u) elimination normalises through polynomial gcds, so it gets
-    # the smaller size
     rng = random.Random(36 if field is SCALARS else 37)
-    n = 4 if field is SCALARS else 2
+    n = 4 if field is SCALARS else 3
     eye = TMatrix.identity(field, n)
     done = 0
     while done < 4:
