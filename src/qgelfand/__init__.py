@@ -40,6 +40,7 @@ from .reps import (  # noqa: F401
 )
 from .invariants import (  # noqa: F401
     closed_form_eigenvalue,
+    closed_form_eigenvalues,
     classical_eigenvalue,
     gelfand_invariant,
     qdet_scalar,

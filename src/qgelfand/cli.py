@@ -11,8 +11,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .invariants import (closed_form_eigenvalue, classical_eigenvalue,
-                         classical_limit_value, require_dominant)
+from .invariants import (closed_form_eigenvalues, classical_eigenvalue,
+                         classical_limit_values, require_dominant,
+                         shifted_weights)
 from .reps import WeightError
 from .suite import (SuiteConfig, ConfigError, CHECK_NAMES, run_suite,
                     render_text, render_json)
@@ -96,14 +97,43 @@ def build_parser():
     return top
 
 
-def _m_range(args):
+# The largest q-exponent span an eigenvalue or limit query may reach.
+# For degrees up to m the span is bounded from n, lambda and m alone by
+#
+#     2m (|l_1| + |l_n| + 1) + (n + 2)(n - 1)(l_1 - l_n + 1):
+#
+# the monomials q^{2 l_k m}, q^0 and the limit's (q - q^-1)^m lie within
+# the first term; the common denominator of the weights divides
+# prod_{i<j} [l_i - l_j]_q, and each weight's numerator is a product of
+# n - 1 q-integers, which together reach the second.  A query above the
+# cap exits 2 before anything is built.  Every query with n <= 6, m <= 6
+# and |lambda| <= 16 spans at most 1144.  The slowest accepted queries
+# are limits with a large m-max on a small weight, which add up
+# O(m-max^2) polynomials: ``limit --n 1 --lambda 0 --m-max 750`` takes
+# about 5 s on a 2-core Xeon.
+MAX_Q_SPAN = 1500
+
+
+def _q_span(n, ell, m):
+    return (2 * m * (abs(ell[0]) + abs(ell[-1]) + 1)
+            + (n + 2) * (n - 1) * (ell[0] - ell[-1] + 1))
+
+
+def _degrees(args, lam):
+    """The requested degrees, after the q-span guard."""
     if args.m is not None:
         if args.m < 0:
             raise WeightError(f"degree must be nonnegative, got {args.m}")
-        return range(args.m, args.m + 1)
-    if args.m_max < 0:
+        ms = range(args.m, args.m + 1)
+    elif args.m_max < 0:
         raise WeightError(f"m-max must be nonnegative, got {args.m_max}")
-    return range(args.m_max + 1)
+    else:
+        ms = range(args.m_max + 1)
+    span = _q_span(args.n, shifted_weights(args.n, lam), ms[-1])
+    if span > MAX_Q_SPAN:
+        raise ConfigError(f"q-exponent span {span} of degree {ms[-1]} on "
+                          f"{_lam_text(lam)} exceeds the cap of {MAX_Q_SPAN}")
+    return ms
 
 
 def cmd_verify(args):
@@ -128,8 +158,8 @@ def cmd_verify(args):
 
 def cmd_eigenvalue(args):
     lam = _check_weight(args.n, args.lam)
-    for m in _m_range(args):
-        value = closed_form_eigenvalue(args.n, lam, m)
+    ms = _degrees(args, lam)
+    for m, value in zip(ms, closed_form_eigenvalues(args.n, lam, ms)):
         line = f"E_{m}{_lam_text(lam)} = {value.render()}"
         if args.eval_q is not None:
             at = value.eval_at(args.eval_q)
@@ -140,10 +170,10 @@ def cmd_eigenvalue(args):
 
 def cmd_limit(args):
     lam = _check_weight(args.n, args.lam)
+    ms = _degrees(args, lam)
     code = 0
-    for m in _m_range(args):
+    for m, via_limit in zip(ms, classical_limit_values(args.n, lam, ms)):
         direct = classical_eigenvalue(args.n, lam, m)
-        via_limit = classical_limit_value(args.n, lam, m)
         line = f"m={m}: {direct}"
         if via_limit != direct:
             line += f"   MISMATCH: q->1 limit gives {via_limit}"
@@ -171,10 +201,7 @@ def main(argv=None):
                "limit": cmd_limit}[args.command]
     try:
         return handler(args)
-    except WeightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDivisionError as exc:
+    except (WeightError, ConfigError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import (SCALARS, Scalar, UFIELD, qnum, limit_q1, expand,
-                      ONE, Q_MINUS_QINV)
+from .scalars import (SCALARS, IntLaurent, Scalar, UFIELD, qnum, limit_q1,
+                      expand, ONE, Q_MINUS_QINV)
 from .tmatrix import TMatrix, embed, kron, lift
 from .verdict import Verdict, matrix_verdict
 from .reps import (WeightError, highest_weight_vector, scalar_on_vector,
@@ -53,20 +53,56 @@ def require_dominant(n, lam):
     return ell
 
 
-def closed_form_eigenvalue(n, lam, m):
-    """Eigenvalue of tr_q M^m on the highest weight module L_q(lambda):
+def _pp_weights(n, lam):
+    """(l, [c_1..c_n]) with the Perelomov-Popov weights
 
-        sum_k q^{2 l_k m} prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q.
-    """
+        c_k = prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q,
+
+    each formed as one product of q-integers (Laurent polynomials) over
+    another and normalised once.  c_k = 0 when l_k - l_i = 1 for some
+    i > k."""
     ell = require_dominant(n, lam)
-    acc = SCALARS.zero
+    weights = []
     for k in range(n):
-        term = Scalar.q_power(2 * ell[k] * m)
+        num = den = IntLaurent.from_int(1)
         for i in range(n):
             if i != k:
-                term = term * qnum(ell[i] - ell[k] + 1) / qnum(ell[i] - ell[k])
-        acc = acc + term
-    return acc
+                num = num * qnum(ell[i] - ell[k] + 1).num
+                den = den * qnum(ell[i] - ell[k]).num
+        weights.append(Scalar(num, den))
+    return ell, weights
+
+
+def _eigen_numerators(n, lam, ms):
+    """(L, [numerator of E_m for m in ms]): the weights c_k = N_k / L over
+    their lcm L, and E_m = sum_k q^{2 l_k m} N_k / L."""
+    ell, weights = _pp_weights(n, lam)
+    lcd = IntLaurent.from_int(1)
+    for c in weights:
+        if not c.den.is_one():
+            lcd = lcd * c.den.divexact(IntLaurent.gcd(lcd, c.den))
+    parts = [(2 * l, c.num * lcd.divexact(c.den))
+             for l, c in zip(ell, weights) if c]
+    zero = IntLaurent.from_int(0)
+    return lcd, [sum((part.shifted(step * m) for step, part in parts), zero)
+                 for m in ms]
+
+
+def closed_form_eigenvalues(n, lam, ms):
+    """Eigenvalues of tr_q M^m on the highest weight module L_q(lambda),
+    one per degree m in ``ms``:
+
+        E_m = sum_k q^{2 l_k m} prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q.
+
+    The weights are formed once and put over one common denominator, so
+    each E_m costs one normalisation."""
+    lcd, nums = _eigen_numerators(n, lam, ms)
+    return [Scalar(num, lcd) for num in nums]
+
+
+def closed_form_eigenvalue(n, lam, m):
+    """The single eigenvalue E_m of ``closed_form_eigenvalues``."""
+    return closed_form_eigenvalues(n, lam, (m,))[0]
 
 
 def classical_eigenvalue(n, lam, m):
@@ -85,22 +121,47 @@ def classical_eigenvalue(n, lam, m):
     return acc
 
 
+def classical_limit_values(n, lam, ms):
+    """q -> 1 limits of (q - q^-1)^-m sum_r C(m,r) (-1)^(m-r) E_r, one per
+    degree m in ``ms``; E_0..E_max(ms) come from one batch over their
+    common denominator L, so each limit costs one normalisation."""
+    ms = tuple(ms)
+    top = max(ms, default=-1)
+    lcd, nums = _eigen_numerators(n, lam, range(top + 1))
+    dens = [lcd]   # L (q - q^-1)^m, one two-term product per degree
+    for _ in range(top):
+        dens.append(dens[-1] * Q_MINUS_QINV.num)
+    out = []
+    for m in ms:
+        acc = sum((nums[r].scale(math.comb(m, r) * (-1) ** (m - r))
+                   for r in range(m + 1)), IntLaurent.from_int(0))
+        out.append(limit_q1(Scalar(acc, dens[m])))
+    return out
+
+
 def classical_limit_value(n, lam, m):
-    """q -> 1 limit of (q - q^-1)^-m sum_r C(m,r) (-1)^(m-r) E_r."""
-    acc = SCALARS.zero
-    for r in range(m + 1):
-        coeff = Scalar.from_int(math.comb(m, r) * (-1) ** (m - r))
-        acc = acc + coeff * closed_form_eigenvalue(n, lam, r)
-    return limit_q1(acc / Q_MINUS_QINV ** m)
+    """The single limit of ``classical_limit_values``."""
+    return classical_limit_values(n, lam, (m,))[0]
+
+
+def classical_limit_checks(n, lam, ms):
+    """("m=<m>", verdict) per degree m in ``ms``: the q -> 1 limit of the
+    closed form against the direct classical eigenvalue."""
+    ms = tuple(ms)
+    out = []
+    for m, got in zip(ms, classical_limit_values(n, lam, ms)):
+        expect = classical_eigenvalue(n, lam, m)
+        out.append((f"m={m}",
+                    Verdict(got == expect, lhs=str(got), rhs=str(expect),
+                            witness=None if got == expect else
+                            f"classical limit n={n} lambda={tuple(lam)} "
+                            f"m={m}: {got} != {expect}")))
+    return out
 
 
 def classical_limit_check(n, lam, m):
-    got = classical_limit_value(n, lam, m)
-    expect = classical_eigenvalue(n, lam, m)
-    return Verdict(got == expect, lhs=str(got), rhs=str(expect),
-                   witness=None if got == expect else
-                   f"classical limit n={n} lambda={tuple(lam)} m={m}: "
-                   f"{got} != {expect}")
+    """The single verdict of ``classical_limit_checks``."""
+    return classical_limit_checks(n, lam, (m,))[0][1]
 
 
 def qdet_scalar_closed_form(n, lam, field=UFIELD):
@@ -123,15 +184,7 @@ def series_factor(n):
 def partial_fraction_constants(n, lam):
     """(C, [a_1..a_n]) with z-eigenvalue = C + sum a_k / (1 - q^{2 l_k} u);
     a_k = (q^{n-1} - q^{n+1}) prod_{i != k} [l_i - l_k + 1]/[l_i - l_k]."""
-    ell = require_dominant(n, lam)
-    factor = series_factor(n)
-    a = []
-    for k in range(n):
-        term = factor
-        for i in range(n):
-            if i != k:
-                term = term * qnum(ell[i] - ell[k] + 1) / qnum(ell[i] - ell[k])
-        a.append(term)
+    a = [series_factor(n) * c for c in _pp_weights(n, lam)[1]]
     c = ONE
     for ak in a:
         c = c - ak
@@ -580,8 +633,9 @@ def series_expansion_check(rep, lam, order):
                                f"{series.coeff(0).render()}, not 1"
                                f" (lambda={tuple(lam)})")
     factor = series_factor(rep.n)
-    for m in range(1, order + 1):
-        expect = factor * closed_form_eigenvalue(rep.n, lam, m)
+    eigenvalues = closed_form_eigenvalues(rep.n, lam, range(1, order + 1))
+    for m, eigenvalue in enumerate(eigenvalues, 1):
+        expect = factor * eigenvalue
         if series.coeff(m) != expect:
             return Verdict(False,
                            witness=f"z series u^{m} coefficient: "

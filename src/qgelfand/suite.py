@@ -330,15 +330,15 @@ def _tasks(config, power):
                               power(n, N), lam))]))
 
     if "classical-limit" in sel:
+        ms = range(1, config.m_max + 1)
         for n in ns:
-            lams = [lam for N in range(min(config.N_max, 3) + 1)
-                    for lam in dominant_partitions(N, n)]
-            add(("classical-limit",
-                 lambda n=n, lams=tuple(lams): [
-                     (f"n={n} lambda={_lam_str(lam)} m={m}",
-                      invariants.classical_limit_check(n, lam, m))
-                     for lam in lams
-                     for m in range(1, config.m_max + 1)]))
+            for N in range(min(config.N_max, 3) + 1):
+                for lam in dominant_partitions(N, n):
+                    add(("classical-limit",
+                         lambda n=n, lam=lam: [
+                             (f"n={n} lambda={_lam_str(lam)} {name}", v)
+                             for name, v in invariants.classical_limit_checks(
+                                 n, lam, ms)]))
 
     if "alternate-families" in sel:
         for n in small:

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from qgelfand import cli
+from qgelfand.invariants import shifted_weights
 from qgelfand.suite import SuiteConfig, ConfigError
 
 
@@ -61,6 +63,71 @@ def test_limit_output():
     assert res.stdout.splitlines() == ["m=0: 3", "m=1: 0", "m=2: 0"]
     res = run_cli("limit", "--n", "2", "--lambda", "1,0", "--m-max", "2")
     assert res.stdout.splitlines() == ["m=0: 2", "m=1: 1", "m=2: 2"]
+
+
+def test_negative_arguments_use_the_equals_form():
+    # "--lambda -1,-3" reads as an option; "--lambda=-1,-3" is a value
+    res = run_cli("eigenvalue", "--n", "2", "--lambda=-1,-3", "--m-max", "2",
+                  "--eval-q=-3/2")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "E_0(-1,-3) = q + q^-1   [q=-3/2: -13/6]",
+        "E_1(-1,-3) = q^-1 + q^-7   [q=-3/2: -1586/2187]",
+        "E_2(-1,-3) = q^-1 - q^-5 + q^-7 + q^-13   [q=-3/2: -954434/1594323]"]
+    res = run_cli("limit", "--n", "2", "--lambda=-1,-3", "--m-max", "3")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["m=0: 2", "m=1: -4", "m=2: 12",
+                                       "m=3: -36"]
+
+
+def test_eigen_queries_refuse_large_q_spans():
+    # refused before anything is built, so each run exits at once
+    for args, span in (
+            (("eigenvalue", "--n", "2", "--lambda", "1,0",
+              "--m", "1000000000"), "6000000012"),
+            (("eigenvalue", "--n", "2", "--lambda", "1,0",
+              "--m-max", "1000000000"), "6000000012"),
+            (("limit", "--n", "3", "--lambda", "3000,0,0", "--m", "1"),
+             "36036")):
+        res = run_cli(*args, timeout=30)
+        assert res.returncode == 2, args
+        assert f"q-exponent span {span}" in res.stderr and not res.stdout
+
+
+def dominant_weights(n, budget, cap=None):
+    """Weakly decreasing integer weights with sum |lambda_i| <= budget."""
+    if n == 0:
+        yield ()
+        return
+    top = budget if cap is None else min(cap, budget)
+    for x in range(top, -budget - 1, -1):
+        for rest in dominant_weights(n - 1, budget - abs(x), x):
+            yield (x,) + rest
+
+
+def test_q_span_bounds_the_built_polynomials():
+    # every numerator, the common denominator and q^0 fit in the span
+    from qgelfand import invariants
+    for n, lam in ((1, (0,)), (1, (-4,)), (2, (5, -5)), (3, (2, 2, -1)),
+                   (4, (6, 1, -2, -5)), (6, (16, 0, 0, 0, 0, 0))):
+        ell = shifted_weights(n, lam)
+        lcd, nums = invariants._eigen_numerators(n, lam, range(7))
+        for m, num in enumerate(nums):
+            polys = [p for p in (num, lcd) if p]
+            low = min(0, *(p.low for p in polys))
+            high = max(0, *(p.degree for p in polys))
+            assert high - low <= cli._q_span(n, ell, m), (n, lam, m)
+
+
+def test_q_span_admits_every_small_query():
+    # n <= 6, m <= 6, |lambda| <= 16: the tests' and the benchmark's range
+    worst = max(cli._q_span(n, shifted_weights(n, lam), 6)
+                for n in range(1, 7) for lam in dominant_weights(n, 16))
+    assert worst == 1144 <= cli.MAX_Q_SPAN
+    assert cli.main(["limit", "--n", "6", "--lambda", "16,0,0,0,0,0",
+                     "--m-max", "6"]) == 0
+    assert cli.main(["eigenvalue", "--n", "6", "--lambda", "16,0,0,0,0,0",
+                     "--m", "6"]) == 0
 
 
 # ---------------------------------------------------------------------------

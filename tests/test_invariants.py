@@ -1,5 +1,6 @@
 """Gelfand invariants, quantum determinants and the central series z(u)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from qgelfand.tmatrix import TMatrix
 from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
                            lift_vector)
-from qgelfand import invariants as inv
+from qgelfand import faults, invariants as inv
 
 
 def v(n):
@@ -91,6 +92,120 @@ def test_partial_fraction_constants():
         for ak in a:
             total = total + ak
         assert total == ONE - Scalar.q_power(2 * n)
+
+
+# ---------------------------------------------------------------------------
+# the batch eigenvalue path against term-by-term and Fraction oracles
+# ---------------------------------------------------------------------------
+
+def per_m_eigenvalue(n, lam, m):
+    """E_m term by term, every product and sum normalised on its own."""
+    ell = inv.shifted_weights(n, lam)
+    acc = SCALARS.zero
+    for k in range(n):
+        term = Scalar.q_power(2 * ell[k] * m)
+        for i in range(n):
+            if i != k:
+                term = term * qnum(ell[i] - ell[k] + 1) / qnum(ell[i] - ell[k])
+        acc = acc + term
+    return acc
+
+
+def per_k_partial_fractions(n, lam):
+    ell = inv.shifted_weights(n, lam)
+    a = []
+    for k in range(n):
+        term = inv.series_factor(n)
+        for i in range(n):
+            if i != k:
+                term = term * qnum(ell[i] - ell[k] + 1) / qnum(ell[i] - ell[k])
+        a.append(term)
+    c = ONE
+    for ak in a:
+        c = c - ak
+    return c, a
+
+
+def fraction_eigenvalue(n, lam, m, q):
+    ell = [lam[i] + n - 1 - i for i in range(n)]
+
+    def qint(k):
+        return (q ** k - q ** -k) / (q - 1 / q)
+
+    total = Fraction(0)
+    for k in range(n):
+        term = q ** (2 * ell[k] * m)
+        for i in range(n):
+            if i != k:
+                term *= qint(ell[i] - ell[k] + 1) / qint(ell[i] - ell[k])
+        total += term
+    return total
+
+
+def random_dominant_weights(seed, count):
+    """Seeded dominant weights with n = 1..6 and sum |lambda_i| <= 16,
+    negative entries included, plus weights with a zero weight c_k
+    (equal neighbours lambda_k = lambda_k+1, so l_k - l_k+1 = 1)."""
+    rng = random.Random(seed)
+    out = [(1, (0,)), (1, (-7,)), (2, (0, 0)), (3, (2, 2, -1)),
+           (4, (3, 0, 0, -3)), (6, (0,) * 6), (6, (16, 0, 0, 0, 0, 0)),
+           (6, (0, 0, 0, 0, 0, -16))]
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        bound = 16 // n + 1
+        lam = sorted((rng.randint(-bound, bound) for _ in range(n)),
+                     reverse=True)
+        if n > 1 and rng.random() < 0.5:
+            i = rng.randrange(n - 1)
+            lam[i + 1] = lam[i]
+            lam.sort(reverse=True)
+        if sum(map(abs, lam)) <= 16:
+            out.append((n, tuple(lam)))
+    return out
+
+
+BATCH_WEIGHTS = random_dominant_weights(5, 40)
+
+
+def test_batch_weights_cover_zero_weights_and_negatives():
+    zero_weight = [lam for n, lam in BATCH_WEIGHTS
+                   if not all(inv._pp_weights(n, lam)[1])]
+    assert len(zero_weight) >= 10
+    assert any(min(lam) < 0 for _, lam in BATCH_WEIGHTS)
+    assert {n for n, _ in BATCH_WEIGHTS} == set(range(1, 7))
+
+
+@pytest.mark.parametrize("n,lam", BATCH_WEIGHTS)
+def test_closed_form_batch_matches_oracles(n, lam):
+    batch = inv.closed_form_eigenvalues(n, lam, range(7))
+    q0 = Fraction(3, 2)
+    for m, e in enumerate(batch):
+        ref = per_m_eigenvalue(n, lam, m)
+        assert (e.num, e.den) == (ref.num, ref.den), m
+        assert e.render() == ref.render()
+        assert e.eval_at(q0) == fraction_eigenvalue(n, lam, m, q0)
+        assert inv.closed_form_eigenvalue(n, lam, m) == e
+    assert inv.closed_form_eigenvalues(n, lam, (5, 0, 5)) == [
+        batch[5], batch[0], batch[5]]
+    limits = inv.classical_limit_values(n, lam, range(7))
+    assert limits == [inv.classical_eigenvalue(n, lam, m) for m in range(7)]
+    assert inv.classical_limit_values(n, lam, (4,)) == [limits[4]]
+    assert inv.partial_fraction_constants(n, lam) == \
+        per_k_partial_fractions(n, lam)
+
+
+def test_batch_empty_degrees():
+    assert inv.closed_form_eigenvalues(2, (1, 0), ()) == []
+    assert inv.classical_limit_values(2, (1, 0), ()) == []
+
+
+def test_classical_limit_checks_rows():
+    rows = inv.classical_limit_checks(3, (2, 1, 0), range(1, 4))
+    assert [name for name, _ in rows] == ["m=1", "m=2", "m=3"]
+    assert all(v for _, v in rows)
+    with faults.inject("qnum"):
+        rows = inv.classical_limit_checks(2, (1, 0), range(1, 4))
+    assert not all(v for _, v in rows)
 
 
 def test_shift_covariance_formula():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from qgelfand.scalars import (IntLaurent, Scalar, Poly, Frac, SCALARS, UFIELD,
                               XFIELD, XYFIELD, qnum, limit_q1, expand,
@@ -360,3 +360,99 @@ def test_frac_field_axioms_over_u(a, b, c):
     if a:
         assert a * a.inverse() == UFIELD.one
         assert (b / a) * a == b
+
+
+# ---------------------------------------------------------------------------
+# property tests for Z[q, q^-1] and Q(q)
+# ---------------------------------------------------------------------------
+
+@ORACLE
+@given(laurents, laurents, laurents)
+def test_laurent_ring_axioms(a, b, c):
+    zero, one = IntLaurent.from_int(0), IntLaurent.from_int(1)
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a - a == zero
+    assert a.reverse().reverse() == a
+    assert (a * b).reverse() == a.reverse() * b.reverse()
+    if b:
+        assert (a * b).divexact(b) == a
+
+
+@ORACLE
+@given(scalars, scalars, scalars)
+def test_scalar_field_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + ZERO == a and a * ONE == a and a - a == ZERO
+    if a:
+        assert a * a.inverse() == ONE
+        assert (b / a) * a == b
+
+
+def assert_normal_form(x):
+    assert x.den.low == 0 and x.den.c[-1] > 0
+    assert IntLaurent.gcd(x.num, x.den).is_one()
+
+
+@ORACLE
+@given(laurents, nonzero_laurents, nonzero_laurents, scalars)
+def test_scalar_normal_form_unique(a, b, h, y):
+    # one value reached by four routes gives one num/den/render
+    x = Scalar(a, b)
+    assert_normal_form(x)
+    routes = [Scalar(a * h, b * h),
+              Scalar(a.shifted(3), b.shifted(3)),
+              Scalar(a) / Scalar(b),
+              (x + y) - y,
+              (x * Scalar(h)) / Scalar(h)]
+    for z in routes:
+        assert_normal_form(z)
+        assert (z.num, z.den) == (x.num, x.den)
+        assert z.render() == x.render()
+        assert hash(z) == hash(x)
+
+
+@ORACLE
+@given(scalars, scalars)
+def test_subs_qinv_is_an_involutive_homomorphism(a, b):
+    assert a.subs_qinv().subs_qinv() == a
+    assert (a + b).subs_qinv() == a.subs_qinv() + b.subs_qinv()
+    assert (a * b).subs_qinv() == a.subs_qinv() * b.subs_qinv()
+    assert (-a).subs_qinv() == -a.subs_qinv()
+    assert Q.subs_qinv() == QINV and ONE.subs_qinv() == ONE
+    if b:
+        assert (a / b).subs_qinv() == a.subs_qinv() / b.subs_qinv()
+    assert_normal_form(a.subs_qinv())
+
+
+Q_MINUS_ONE = IntLaurent(0, (-1, 1))
+off_one = nonzero_laurents.filter(lambda p: p.at_one() != 0)
+
+
+@settings(ORACLE, max_examples=15)
+@given(off_one, off_one, st.integers(0, 3), st.sampled_from((0, 0, 1, -1)))
+@example(IntLaurent(-1, (3, 0, 1)), IntLaurent(0, (1, 1)), 2, 0)
+def test_limit_q1_matches_sympy(a, b, j, d):
+    # a (q-1)^k / (b (q-1)^j) with k = j + d: finite iff d >= 0, nonzero
+    # iff d = 0; the unreduced form takes limit_q1's 1+t substitution path
+    k = max(j + d, 0)
+    num, den = a, b
+    for _ in range(k):
+        num = num * Q_MINUS_ONE
+    for _ in range(j):
+        den = den * Q_MINUS_ONE
+    expect = sympy.limit(laurent_expr(num) / laurent_expr(den), SQ, 1)
+    for x in (Scalar(num, den), Scalar(num, den, _reduced=True)):
+        if k < j:
+            assert not expect.is_finite
+            with pytest.raises(DivergentLimitError):
+                limit_q1(x)
+        else:
+            assert limit_q1(x) == Fraction(int(expect.p), int(expect.q))
