@@ -160,7 +160,7 @@ def classical_limit_checks(n, lam, ms):
 
 
 def classical_limit_check(n, lam, m):
-    """The single verdict of ``classical_limit_checks``."""
+    """The single verdict of ``classical_limit_checks``; API for tests."""
     return classical_limit_checks(n, lam, (m,))[0][1]
 
 
@@ -313,7 +313,8 @@ def qdet_scalar(rep, sign, lam, field=UFIELD):
 
 
 def column_rule_check(rep, sign, rows, cols, tau):
-    """Permuting minor columns by tau multiplies it by (-q)^{-l(tau)}."""
+    """Permuting minor columns by tau multiplies it by (-q)^{-l(tau)}.
+    API for the tests; no suite row calls it."""
     u = UFIELD.gen
     permuted = tuple(cols[tau[t] - 1] for t in range(len(cols)))
     got = quantum_minor(rep, sign, u, rows, permuted)
@@ -560,10 +561,11 @@ def z_coefficient_matrices(rep, sign, order, field=UFIELD):
 
 @memo
 def z_series_coefficient(rep, m):
-    """u^m coefficient of z+(u) as an operator on W, computed without
-    leaving the coefficient field: expanding (L+ - uL-)^-1 as a geometric
-    series in K = (L+)^-1 L- turns the coefficient of
-    L+(uq^2n) L+(u)^-1 into  L+ K^m (L+)^-1 - q^2n L- K^m-1 (L+)^-1."""
+    """u^m coefficient of z+(u) on W by the K-power route: expanding
+    (L+ - uL-)^-1 as a geometric series in K = (L+)^-1 L- gives
+    L+ K^m (L+)^-1 - q^2n L- K^m-1 (L+)^-1.  The cross-check side of
+    series_operator_check, also used by centrality row m = 0 and tests;
+    the suite's other z coefficients are derived from tr_q M^m."""
     d1 = _aux_diag(rep)
     inv_n = qnum(rep.n).inverse()
     if m == 0:
@@ -573,10 +575,6 @@ def z_series_coefficient(rep, m):
         - (rep.Lm * (_family_power(rep, "pm", m - 1) * lpinv)).scaled(
             Scalar.q_power(2 * rep.n))
     return (d1 * term).partial_trace(1).scaled(inv_n)
-
-
-def z_series_coefficients(rep, order):
-    return [z_series_coefficient(rep, m) for m in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +646,10 @@ def series_expansion_check(rep, lam, order):
 def series_operator_check(rep, order):
     """Operator-level expansion: the u^m coefficient of z+(u) equals
     (q^{n-1} - q^{n+1}) tr_q M^m for m >= 1 and the identity at m = 0.
-    The two sides come from independent products (K-powers against
-    M-powers), so this is not a tautology."""
-    cs = z_series_coefficients(rep, order)
+    Left: the K-power route of ``z_series_coefficient``; right: the
+    M-powers of ``gelfand_invariant``.  Independent products, so this is
+    not a tautology; it is the one row comparing the two routes."""
+    cs = [z_series_coefficient(rep, m) for m in range(order + 1)]
     if cs[0] != TMatrix.identity(SCALARS, rep.d):
         return Verdict(False, witness=f"constant z coefficient is not the "
                                       f"identity on {rep.label}")

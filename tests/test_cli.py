@@ -188,6 +188,22 @@ def test_verify_fault_injection_fails():
     assert "FAIL" in res.stdout
 
 
+def test_rep_fault_fails_derived_z_coefficient_rows():
+    # the z coefficient rows m >= 1 come from tr_q M^m; a broken
+    # generator image must still fail each of them with a witness
+    res = run_cli("verify", "--n", "2", "--N-max", "2", "--checks",
+                  "centrality", "--inject-fault", "rep", "--format", "json")
+    assert res.returncode == 1
+    rows = [r for r in json.loads(res.stdout)["checks"]
+            if " z coefficient " in r["context"]
+            and not r["context"].endswith(" 0")]
+    assert len(rows) == 6
+    for r in rows:
+        assert r["verdict"] == "fail", r["context"]
+        assert r["witness"].startswith(r["context"].split(" ", 2)[2]
+                                       + " does not commute with ")
+
+
 def test_version_and_usage():
     res = run_cli("--version")
     assert res.returncode == 0 and res.stdout.strip()

@@ -306,6 +306,17 @@ def test_series_operator_check():
     assert inv.series_operator_check(v(3), 3)
 
 
+def test_z_coefficients_are_scaled_gelfand_invariants():
+    # the identity behind the suite's centrality rows: for m >= 1 the
+    # K-power route gives (q^{n-1} - q^{n+1}) tr_q M^m
+    for n, N in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
+        rep = vv(n, N)
+        factor = inv.series_factor(n)
+        for m in range(1, 4):
+            assert inv.z_series_coefficient(rep, m) == \
+                inv.gelfand_invariant(rep, m).scaled(factor), (n, N, m)
+
+
 def test_partial_fractions_on_modules():
     assert inv.partial_fraction_check(v(2), (1, 0))
     assert inv.partial_fraction_check(vv(2, 2), (1, 1))

@@ -93,3 +93,25 @@ def test_fault_run_after_clean_run_fails_rep_categories():
     report = run_suite(SuiteConfig(**cfg, fault="rep"))
     failing = {r["name"] for r in report["checks"] if r["verdict"] == "fail"}
     assert failing >= REP_CATEGORIES
+
+
+def test_centrality_rows_at_n2_3_N2():
+    # the z coefficient rows m >= 1 read (q^{n-1} - q^{n+1}) tr_q M^m
+    # and keep the names, order and verdicts of the K-power route
+    report = run_suite(SuiteConfig(ns=(2, 3), N_max=2,
+                                   include=("centrality",)))
+    assert [(r["name"], r["context"]) for r in report["checks"]] == [
+        ("centrality", context) for context in (
+            "n=2 N=1 tr_q M^1", "n=2 N=1 tr_q M^2", "n=2 N=1 tr_q M^3",
+            "n=2 N=1 z coefficient 0", "n=2 N=1 z coefficient 1",
+            "n=2 N=1 z coefficient 2", "n=2 N=1 z coefficient 3",
+            "n=2 N=2 tr_q M^1", "n=2 N=2 tr_q M^2", "n=2 N=2 tr_q M^3",
+            "n=2 N=2 z coefficient 0", "n=2 N=2 z coefficient 1",
+            "n=2 N=2 z coefficient 2", "n=2 N=2 z coefficient 3",
+            "n=3 N=1 tr_q M^1", "n=3 N=1 tr_q M^2", "n=3 N=1 tr_q M^3",
+            "n=3 N=1 z coefficient 0", "n=3 N=1 z coefficient 1",
+            "n=3 N=1 z coefficient 2", "n=3 N=1 z coefficient 3",
+            "n=3 N=2 tr_q M^1", "n=3 N=2 tr_q M^2", "n=3 N=2 tr_q M^3",
+            "n=3 N=2 z coefficient 0", "n=3 N=2 z coefficient 1",
+            "n=3 N=2 z coefficient 2", "n=3 N=2 z coefficient 3")]
+    assert all(r["verdict"] == "pass" for r in report["checks"])
