@@ -16,7 +16,6 @@ from .scalars import (  # noqa: F401
     SCALARS,
     UFIELD,
     XFIELD,
-    XYFIELD,
     USeries,
     expand,
     limit_q1,

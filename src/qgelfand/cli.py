@@ -16,7 +16,7 @@ from .invariants import (closed_form_eigenvalues, classical_eigenvalue,
                          shifted_weights)
 from .reps import WeightError
 from .suite import (SuiteConfig, ConfigError, CHECK_NAMES, run_suite,
-                    render_text, render_json)
+                    render_text, render_json, _lam_str)
 
 
 def _parse_ints(text):
@@ -72,7 +72,8 @@ def build_parser():
     p.add_argument("--out", metavar="PATH",
                    help="write the report here instead of stdout")
     p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="worker threads")
+                   help="accepted for compatibility; checks always "
+                        "run serially")
     p.add_argument("--inject-fault", choices=("rmatrix", "rep", "qnum"),
                    default=None, help=argparse.SUPPRESS)
 
@@ -132,7 +133,7 @@ def _degrees(args, lam):
     span = _q_span(args.n, shifted_weights(args.n, lam), ms[-1])
     if span > MAX_Q_SPAN:
         raise ConfigError(f"q-exponent span {span} of degree {ms[-1]} on "
-                          f"{_lam_text(lam)} exceeds the cap of {MAX_Q_SPAN}")
+                          f"{_lam_str(lam)} exceeds the cap of {MAX_Q_SPAN}")
     return ms
 
 
@@ -160,7 +161,7 @@ def cmd_eigenvalue(args):
     lam = _check_weight(args.n, args.lam)
     ms = _degrees(args, lam)
     for m, value in zip(ms, closed_form_eigenvalues(args.n, lam, ms)):
-        line = f"E_{m}{_lam_text(lam)} = {value.render()}"
+        line = f"E_{m}{_lam_str(lam)} = {value.render()}"
         if args.eval_q is not None:
             at = value.eval_at(args.eval_q)
             line += f"   [q={args.eval_q}: {at}]"
@@ -189,10 +190,6 @@ def _check_weight(n, lam):
         raise WeightError(f"weight {lam} has {len(lam)} entries, need {n}")
     require_dominant(n, lam)
     return tuple(lam)
-
-
-def _lam_text(lam):
-    return "(" + ",".join(str(x) for x in lam) + ")"
 
 
 def main(argv=None):

@@ -164,15 +164,15 @@ def classical_limit_check(n, lam, m):
     return classical_limit_checks(n, lam, (m,))[0][1]
 
 
-def qdet_scalar_closed_form(n, lam, field=UFIELD):
+def qdet_scalar_closed_form(n, lam):
     """Highest-weight eigenvalue of qdet L+(u):
     q^{n(n-1)/2} prod_i (q^{-l_i} - q^{l_i} u)."""
     ell = require_dominant(n, lam)
-    u = field.gen
-    out = field.from_coeff(Scalar.q_power(n * (n - 1) // 2))
+    u = UFIELD.gen
+    out = UFIELD.from_coeff(Scalar.q_power(n * (n - 1) // 2))
     for l in ell:
-        out = out * (field.from_coeff(Scalar.q_power(-l))
-                     - field.from_coeff(Scalar.q_power(l)) * u)
+        out = out * (UFIELD.from_coeff(Scalar.q_power(-l))
+                     - UFIELD.from_coeff(Scalar.q_power(l)) * u)
     return out
 
 
@@ -290,10 +290,10 @@ def minor_on_vector(rep, sign, u, rows, cols, vec):
 
 
 @memo
-def qdet_matrix(rep, sign, field=UFIELD):
-    """qdet L(u) as an operator on W (u the generator of ``field``)."""
+def qdet_matrix(rep, sign):
+    """qdet L(u) as an operator on W (u the generator of ``UFIELD``)."""
     idx = tuple(range(1, rep.n + 1))
-    return quantum_minor(rep, sign, field.gen, idx, idx)
+    return quantum_minor(rep, sign, UFIELD.gen, idx, idx)
 
 
 def _qdet_image(rep, sign, lam, u):
@@ -304,10 +304,10 @@ def _qdet_image(rep, sign, lam, u):
 
 
 @memo
-def qdet_scalar(rep, sign, lam, field=UFIELD):
+def qdet_scalar(rep, sign, lam):
     """Highest-weight eigenvalue of qdet L(u) on the lambda vector;
     exactness of the eigen-relation is verified."""
-    image, vec = _qdet_image(rep, sign, lam, field.gen)
+    image, vec = _qdet_image(rep, sign, lam, UFIELD.gen)
     return _image_scalar(image, vec,
                          f"qdet on the {tuple(lam)} vector of {rep.label}")
 
@@ -357,7 +357,7 @@ def comatrix_identity_check(rep, sign):
     uq2 = u * field.from_coeff(Scalar.q_power(2))
     lhs = comatrix(rep, sign, uq2) * evaluated_L(rep, sign, u)
     rhs = kron(lift(TMatrix.identity(SCALARS, rep.n), field),
-               qdet_matrix(rep, sign, field))
+               qdet_matrix(rep, sign))
     return matrix_verdict(lhs, rhs,
                           label=f"comatrix identity sign={sign} {rep.label}")
 
@@ -374,7 +374,7 @@ def comatrix_transposed_check(rep, sign):
            * _aux_diag(rep, field, inverse=True)
            * evaluated_L(rep, sign, shift).partial_transpose(1))
     rhs = kron(lift(TMatrix.identity(SCALARS, rep.n), field),
-               qdet_matrix(rep, sign, field))
+               qdet_matrix(rep, sign))
     return matrix_verdict(lhs, rhs,
                           label=f"transposed comatrix sign={sign} {rep.label}")
 
@@ -384,44 +384,45 @@ def comatrix_transposed_check(rep, sign):
 # ---------------------------------------------------------------------------
 
 @memo
-def _lu_eval(rep, sign, field=UFIELD):
+def _lu_eval(rep, sign):
     """(L(u), L(uq^{2n})) at the generator u."""
-    u = field.gen
-    shift = u * field.from_coeff(Scalar.q_power(2 * rep.n))
+    u = UFIELD.gen
+    shift = u * UFIELD.from_coeff(Scalar.q_power(2 * rep.n))
     return evaluated_L(rep, sign, u), evaluated_L(rep, sign, shift)
 
 
 @memo
-def _lu_inverse(rep, sign, field=UFIELD):
+def _lu_inverse(rep, sign):
     """Full L(u)^-1 over the rational-function field; affordable only at
     modest sizes -- the highest weight paths go through the comatrix
     instead of this inverse."""
-    return _lu_eval(rep, sign, field)[0].inverse()
+    return _lu_eval(rep, sign)[0].inverse()
 
 
 @memo
-def z_matrix(rep, sign, field=UFIELD):
+def z_matrix(rep, sign):
     """z(u) as an operator on W:
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
-    lu, lshift = _lu_eval(rep, sign, field)
-    prod = _aux_diag(rep, field) * lshift * _lu_inverse(rep, sign, field)
+    lu, lshift = _lu_eval(rep, sign)
+    prod = _aux_diag(rep, UFIELD) * lshift * _lu_inverse(rep, sign)
     return prod.partial_trace(1).scaled(
-        field.from_coeff(qnum(rep.n).inverse()))
+        UFIELD.from_coeff(qnum(rep.n).inverse()))
 
 
 @memo
-def z_scalar(rep, sign, lam, field=UFIELD):
+def z_scalar(rep, sign, lam):
     """Highest-weight eigenvalue of z(u).  Inverting L(u) on the vector
     goes through the comatrix, L(u)^-1 = qdet^-1 Lhat(uq^2), so only
     chains of matrix-vector products and one scalar division occur; the
     eigen-relation is verified exactly."""
+    field = UFIELD
     n, d = rep.n, rep.d
     lam = tuple(lam)
     vec = lift_vector(highest_weight_vector(rep, lam), field)
     u = field.gen
     uq2 = u * field.from_coeff(Scalar.q_power(2))
     ushift = u * field.from_coeff(Scalar.q_power(2 * n))
-    qs = qdet_scalar(rep, sign, lam, field)
+    qs = qdet_scalar(rep, sign, lam)
     dmat = build_rmatrix_set(n).D
     all_idx = tuple(range(1, n + 1))
     image = TMatrix.zeros(field, d, 1)
@@ -449,9 +450,9 @@ def z_identity_checks(rep, sign):
       opposite      (L(u)^-1)^t D^-1 L(uq^2n)^t = D^-1 (x) z(u)
     """
     field = UFIELD
-    lu, lshift = _lu_eval(rep, sign, field)
-    linv = _lu_inverse(rep, sign, field)
-    z = z_matrix(rep, sign, field)
+    lu, lshift = _lu_eval(rep, sign)
+    linv = _lu_inverse(rep, sign)
+    z = z_matrix(rep, sign)
     inv_n = field.from_coeff(qnum(rep.n).inverse())
     out = []
 
@@ -491,12 +492,12 @@ def transport_checks(rep):
     if n % 2 == 1:
         factor = -factor
     factor = factor * u.inverse() ** n
-    got = qdet_matrix(rep, "-", field)
-    expect = qdet_matrix(rep, "+", field).scaled(factor)
+    got = qdet_matrix(rep, "-")
+    expect = qdet_matrix(rep, "+").scaled(factor)
     out.append(("qdet sign transport",
                 matrix_verdict(got, expect, label=f"qdet transport {rep.label}")))
-    got = z_matrix(rep, "-", field)
-    expect = z_matrix(rep, "+", field).scaled(
+    got = z_matrix(rep, "-")
+    expect = z_matrix(rep, "+").scaled(
         field.from_coeff(Scalar.q_power(-2 * n)))
     out.append(("z sign transport",
                 matrix_verdict(got, expect, label=f"z transport {rep.label}")))
@@ -508,18 +509,26 @@ def transport_checks(rep):
 # ---------------------------------------------------------------------------
 
 @memo
-def _m_power(rep, m):
+def _family_power(rep, which, m):
+    """Powers of M = L- (L+)^-1 ("M"), (L+)^-1 L- ("pm"), (L-)^-1 L+
+    ("mp") and L+ (L-)^-1 ("rev")."""
     if m == 0:
         return TMatrix.identity(SCALARS, rep.n * rep.d, shape=(rep.n, rep.d))
     if m == 1:
-        return rep.Lm * _l_inverse(rep, "+")
-    return _m_power(rep, m - 1) * _m_power(rep, 1)
+        if which == "M":
+            return rep.Lm * _l_inverse(rep, "+")
+        if which == "pm":
+            return _l_inverse(rep, "+") * rep.Lm
+        if which == "mp":
+            return _l_inverse(rep, "-") * rep.Lp
+        return rep.Lp * _l_inverse(rep, "-")
+    return _family_power(rep, which, m - 1) * _family_power(rep, which, 1)
 
 
 @memo
 def gelfand_invariant(rep, m):
     """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W."""
-    return (_aux_diag(rep) * _m_power(rep, m)).partial_trace(1)
+    return (_aux_diag(rep) * _family_power(rep, "M", m)).partial_trace(1)
 
 
 def generator_images(rep):
@@ -543,11 +552,11 @@ def centrality_check(rep, mat, label):
     return Verdict(True, lhs=f"[{label}, all generators]", rhs="0")
 
 
-def z_coefficient_matrices(rep, sign, order, field=UFIELD):
+def z_coefficient_matrices(rep, sign, order):
     """u-expansion coefficients of z(u) by expanding the rational entries
     of the full z operator.  Small representations only; the series
     route below avoids the rational-function inverse."""
-    z = z_matrix(rep, sign, field)
+    z = z_matrix(rep, sign)
     d = rep.d
     series = [(i, j, expand(x, order)) for i, j, x in z.nonzero()]
     out = []
@@ -586,7 +595,7 @@ def liouville_operator_check(rep, sign):
     field = UFIELD
     uq2 = field.gen * field.from_coeff(Scalar.q_power(2))
     idx = tuple(range(1, rep.n + 1))
-    lhs = z_matrix(rep, sign, field) * qdet_matrix(rep, sign, field)
+    lhs = z_matrix(rep, sign) * qdet_matrix(rep, sign)
     rhs = quantum_minor(rep, sign, uq2, idx, idx)
     return matrix_verdict(lhs, rhs,
                           label=f"Liouville operator sign={sign} {rep.label}")
@@ -598,8 +607,8 @@ def liouville_scalar_check(rep, lam):
     its closed form q^{n(n-1)/2} prod (q^{-l_i} - q^{l_i} u)."""
     field = UFIELD
     n = rep.n
-    zs = z_scalar(rep, "+", lam, field)
-    qs = qdet_scalar(rep, "+", lam, field)
+    zs = z_scalar(rep, "+", lam)
+    qs = qdet_scalar(rep, "+", lam)
     uq2 = field.gen * field.from_coeff(Scalar.q_power(2))
     image, vec = _qdet_image(rep, "+", lam, uq2)
     qs_shift = _image_scalar(
@@ -611,7 +620,7 @@ def liouville_scalar_check(rep, lam):
                         rhs=field.render(ratio),
                         witness=None if zs == ratio else
                         f"Liouville scalar lambda={tuple(lam)} {rep.label}")))
-    closed = qdet_scalar_closed_form(n, lam, field)
+    closed = qdet_scalar_closed_form(n, lam)
     out.append(("qdet closed form",
                 Verdict(qs == closed, lhs=field.render(qs),
                         rhs=field.render(closed),
@@ -623,7 +632,7 @@ def liouville_scalar_check(rep, lam):
 def series_expansion_check(rep, lam, order):
     """u-expansion of the z(u) eigenvalue:
     1 + (q^{n-1} - q^{n+1}) sum_m E_m(lambda) u^m."""
-    zs = z_scalar(rep, "+", lam, UFIELD)
+    zs = z_scalar(rep, "+", lam)
     series = expand(zs, order)
     if series.coeff(0) != ONE:
         return Verdict(False,
@@ -671,7 +680,7 @@ def partial_fraction_check(rep, lam):
     field = UFIELD
     n = rep.n
     u = field.gen
-    zs = z_scalar(rep, "+", lam, field)
+    zs = z_scalar(rep, "+", lam)
     c, a = partial_fraction_constants(n, lam)
     ell = shifted_weights(n, lam)
     rhs = field.from_coeff(c)
@@ -719,20 +728,6 @@ def shift_covariance_rep_check(rep, lam, m, s):
 # ---------------------------------------------------------------------------
 # alternate central families
 # ---------------------------------------------------------------------------
-
-@memo
-def _family_power(rep, which, m):
-    """Powers of (L+)^-1 L-, (L-)^-1 L+ and L+ (L-)^-1."""
-    if m == 0:
-        return TMatrix.identity(SCALARS, rep.n * rep.d, shape=(rep.n, rep.d))
-    if m == 1:
-        if which == "pm":
-            return _l_inverse(rep, "+") * rep.Lm
-        if which == "mp":
-            return _l_inverse(rep, "-") * rep.Lp
-        return rep.Lp * _l_inverse(rep, "-")
-    return _family_power(rep, which, m - 1) * _family_power(rep, which, 1)
-
 
 def alternate_family_checks(rep, m):
     """Operator identities among the central families:

@@ -4,7 +4,7 @@ Constructs, over exact fields, the standard R-matrix on C^n ⊗ C^n, its
 lower-triangular counterpart, the spectral combination R0(x) = R - xR~,
 the permutation and q-permutation operators, the diagonal quantum-trace
 twist D, and the q-antisymmetrizers.  The check functions verify the
-Yang-Baxter equation over Q(q)(x)(y), crossing symmetry with its
+Yang-Baxter equation over Q(q)(x) at y = x^3, crossing symmetry with its
 predicted proportionality scalar, the normalising series f(x), the
 q-permutation action combinatorics, and the fusion relation against
 evaluated L-operators.
@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import faults
-from .scalars import (SCALARS, Scalar, UFIELD, XFIELD, XYFIELD, qnum,
+from .scalars import (SCALARS, Scalar, UFIELD, XFIELD, qnum,
                       Q, QINV, ONE, Q_MINUS_QINV)
 from .tmatrix import TMatrix, embed, kron, lift
 from .verdict import Verdict, matrix_verdict
@@ -111,16 +111,23 @@ def predicted_crossing_scalar(n, x):
 
 def check_yang_baxter(n):
     """R0_12(x) R0_13(xy) R0_23(y) = R0_23(y) R0_13(xy) R0_12(x) over
-    Q(q)(x)(y)."""
+    Q(q)(x) at y = x^3.
+
+    R0(t) is linear in t, so every entry of either side is a Q(q)-linear
+    combination of x^i y^j with 0 <= i, j <= 2.  Substituting y = x^3
+    sends these nine monomials to the distinct powers x^(i+3j), so the
+    identity holds over Q(q)[x, y] exactly when it holds at y = x^3.
+    Every entry stays a polynomial in x, so no gcd runs.
+    """
     rset = build_rmatrix_set(n)
-    x = XYFIELD.from_coeff(XFIELD.gen)
-    y = XYFIELD.gen
+    x = XFIELD.gen
+    y = x ** 3
     dims = (n, n, n)
     r12 = embed(r0(n, x, rset), (1, 2), dims)
     r13 = embed(r0(n, x * y, rset), (1, 3), dims)
     r23 = embed(r0(n, y, rset), (2, 3), dims)
     return matrix_verdict(r12 * (r13 * r23), (r23 * r13) * r12,
-                          label=f"Yang-Baxter n={n}")
+                          label=f"Yang-Baxter n={n} at y=x^3")
 
 
 @dataclass(frozen=True)

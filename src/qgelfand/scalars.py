@@ -7,11 +7,10 @@ field hold for every generic (non-root-of-unity) value of q, so no
 floating-point tolerances enter anywhere.
 
 On top of Q(q) sits a generic fraction-field construction ``FracField``
-over a polynomial ring in one variable.  It is instantiated three times:
+over a polynomial ring in one variable.  It is instantiated twice:
 
-* ``UFIELD``  = Q(q)(u)   -- spectral-parameter rational functions,
-* ``XFIELD``  = Q(q)(x)   -- crossing-symmetry checks,
-* ``XYFIELD`` = Q(q)(x)(y) -- bivariate field for Yang-Baxter checks.
+* ``UFIELD`` = Q(q)(u) -- spectral-parameter rational functions,
+* ``XFIELD`` = Q(q)(x) -- crossing-symmetry and Yang-Baxter checks.
 
 A ``Frac`` is normalised by dividing out ``Poly.gcd`` of its numerator
 and denominator.  Over Q(q) that gcd is fraction-free: the denominators
@@ -19,8 +18,8 @@ of both inputs are cleared into Z[q, q^-1][u], a primitive PRS (each
 pseudo-remainder divided by its content, Knuth TAOCP 2, 4.6.1) runs over
 ``IntLaurent`` coefficients, and the result is made monic over Q(q).
 Euclid over Q(q) would give the same monic gcd, but every step of it
-normalises ``Scalar`` coefficients of growing size.  Euclid still runs
-for ``XYFIELD``, whose coefficients Q(q)(x) have no such clearing.
+normalises ``Scalar`` coefficients of growing size; it survives only in
+the tests, as the reference the fraction-free gcd is checked against.
 
 Rendering is deterministic: Laurent polynomials in q print in descending
 powers ("q^2 + 1 + q^-2"); polynomials in u print in ascending powers
@@ -591,18 +590,18 @@ class Poly:
 
     @staticmethod
     def gcd(a, b):
-        """Monic gcd over the coefficient field.
+        """Monic gcd over Q(q), fraction-free.
 
-        Over Q(q) (``UFIELD``, ``XFIELD``) it is fraction-free: both
-        inputs are cleared of their ``Scalar`` denominators, a primitive
-        PRS over Z[q, q^-1] finds a primitive gcd, and that is made monic
-        over Q(q).  The monic gcd is unique, so this is the polynomial
-        Euclid returns, without Euclid's coefficient swell.  Over a
-        coefficient field that is itself a function field (``XYFIELD``)
-        the Euclidean loop ``_euclid_gcd`` runs.
+        Both inputs are cleared of their ``Scalar`` denominators, a
+        primitive PRS over Z[q, q^-1] finds a primitive gcd, and that is
+        made monic over Q(q).  The monic gcd is unique, so this is the
+        polynomial Euclid returns, without Euclid's coefficient swell.
+        gcd(0, 0) is 0 and gcd(a, 0) is a made monic.
         """
-        if a.f is not SCALARS or not (a and b):
-            return _euclid_gcd(a, b)
+        if not b:
+            a, b = b, a
+        if not a:
+            return b.scale(ONE / b.c[-1]) if b else b
         if a.degree == 0 or b.degree == 0:
             return Poly(SCALARS, (ONE,))
         p, r = _cleared(a), _cleared(b)
@@ -617,20 +616,6 @@ class Poly:
             p, r = r, _primitive(rem)
         lead = r[-1]
         return Poly(SCALARS, [Scalar(c, lead) for c in r[:-1]] + [ONE])
-
-
-def _euclid_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over the coefficient field.
-
-    ``Poly.gcd`` uses it for nested function fields and for zero inputs;
-    the tests use it as the reference for the fraction-free path.
-    """
-    while b:
-        _, r = a.divmod(b)
-        a, b = b, r
-    if a and not a.c[-1] == a.f.one:
-        a = a.scale(a.f.one / a.c[-1])
-    return a
 
 
 # A polynomial over Z[q, q^-1] in u is a list of ``IntLaurent``
@@ -807,10 +792,6 @@ class FracField:
         return self.from_coeff(self.coeff.from_int(n))
 
     def from_coeff(self, c):
-        # lift through nested fields, e.g. a Scalar into Q(q)(x)(y)
-        if isinstance(self.coeff, FracField) and not (
-                isinstance(c, Frac) and c.field is self.coeff):
-            c = self.coeff.from_coeff(c)
         return Frac(self, Poly(self.coeff, (c,)))
 
     def poly(self, coeffs):
@@ -863,7 +844,6 @@ class FracField:
 
 UFIELD = FracField(SCALARS, "u")
 XFIELD = FracField(SCALARS, "x")
-XYFIELD = FracField(XFIELD, "y")
 
 
 # ---------------------------------------------------------------------------

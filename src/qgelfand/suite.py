@@ -1,8 +1,8 @@
 """The named verification suite behind ``qgelfand verify``.
 
 Sixteen check categories, each expanded into concrete contexts from a
-:class:`SuiteConfig`, dispatched to a worker pool and collected into an
-order-stable report (rows sorted by check name, then context).  Every
+:class:`SuiteConfig`, run serially and collected into an order-stable
+report (rows sorted by check name, then context).  Every
 exception inside a check becomes a failed row with the exception text as
 witness, so a crashing identity can never masquerade as a pass.
 """
@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 from . import __version__, faults
@@ -73,6 +72,8 @@ class SuiteConfig:
     ``ns`` are the matrix sizes to cover, ``N_max`` caps the tensor
     power, ``m_max`` the invariant degree and ``order`` the u-series
     order.  ``include``/``exclude`` select categories by name.
+    ``jobs`` is validated and reported but changes nothing: the checks
+    always run serially.
     """
 
     ns: tuple = (2, 3)
@@ -421,12 +422,7 @@ def run_suite(config):
     try:
         power = functools.cache(
             lambda n, N: reps.tensor_power(reps.vector_rep(n), N))
-        tasks = _tasks(config, power)
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as ex:
-                chunks = list(ex.map(lambda t: _run_task(*t), tasks))
-        else:
-            chunks = [_run_task(*t) for t in tasks]
+        chunks = [_run_task(*t) for t in _tasks(config, power)]
     finally:
         faults.set_fault(previous)
     rows = sorted((r for chunk in chunks for r in chunk),

@@ -4,9 +4,10 @@ import itertools
 import math
 import random
 
-from qgelfand.scalars import (Scalar, SCALARS, UFIELD, qnum, ONE,
-                              Q, QINV, Q_MINUS_QINV)
-from qgelfand.tmatrix import TMatrix, lift
+from qgelfand import faults
+from qgelfand.scalars import (Scalar, SCALARS, UFIELD, XFIELD, Poly, qnum, ONE,
+                              ZERO, Q, QINV, Q_MINUS_QINV)
+from qgelfand.tmatrix import TMatrix, embed, lift
 from qgelfand.rmatrix import (build_rmatrix_set, r0, check_yang_baxter,
                               crossing_scalar, predicted_crossing_scalar,
                               f_series, f_series_residual, f1_closed_form_check,
@@ -99,6 +100,61 @@ def test_q_operator_is_partial_transpose_of_flip():
 def test_yang_baxter_n2():
     v = check_yang_baxter(2)
     assert v, v.witness
+
+
+def ybe_coefficients(n, reverse):
+    """{(i, j): c_ij} over Q(q) with R0_12(x) R0_13(xy) R0_23(y)
+    = sum c_ij x^i y^j, or the reversed product when ``reverse``.
+
+    Each of the 8 products picks R or -R~ at every site; -R~ at sites
+    12 and 13 adds one to the x degree, at sites 13 and 23 to the y
+    degree."""
+    rset = build_rmatrix_set(n)
+    dims = (n, n, n)
+    sites = ((1, 2), (1, 3), (2, 3))
+    ops = {s: (embed(rset.R, s, dims), -embed(rset.Rtilde, s, dims))
+           for s in sites}
+    out = {}
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        factors = [ops[(1, 2)][a], ops[(1, 3)][b], ops[(2, 3)][c]]
+        if reverse:
+            factors.reverse()
+        prod = factors[0] * factors[1] * factors[2]
+        key = (a + b, b + c)
+        out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def test_yang_baxter_at_x_cubed_matches_coefficient_oracle():
+    # the sides over Q(q)(x) at y = x^3, built as check_yang_baxter does,
+    # carry c_ij at x^(i+3j) and nothing else, and c_ij agree side by side
+    for n in (2, 3):
+        rset = build_rmatrix_set(n)
+        dims = (n, n, n)
+        x = XFIELD.gen
+        y = x ** 3
+        r12 = embed(r0(n, x, rset), (1, 2), dims)
+        r13 = embed(r0(n, x * y, rset), (1, 3), dims)
+        r23 = embed(r0(n, y, rset), (2, 3), dims)
+        sides = {False: r12 * (r13 * r23), True: (r23 * r13) * r12}
+        oracle = {rev: ybe_coefficients(n, rev) for rev in sides}
+        assert oracle[False] == oracle[True]
+        for rev, side in sides.items():
+            for r in range(n ** 3):
+                for col in range(n ** 3):
+                    expect = [ZERO] * 9
+                    for (i, j), c in oracle[rev].items():
+                        expect[i + 3 * j] = c[r, col]
+                    entry = side[r, col]
+                    assert entry.den.is_one()
+                    assert entry.num == Poly(SCALARS, expect), (n, rev, r, col)
+
+
+def test_yang_baxter_fault_witness_n2():
+    with faults.inject("rmatrix"):
+        v = check_yang_baxter(2)
+    assert not v
+    assert v.witness.startswith("Yang-Baxter n=2 at y=x^3: entry (1,2): ")
 
 
 def test_crossing_n1_n2():
