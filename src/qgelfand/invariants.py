@@ -345,8 +345,7 @@ def comatrix(rep, sign, u):
                     field.from_coeff(_neg_q_power(j - i)))
             else:
                 blk = lift(TMatrix.identity(SCALARS, d), field)
-            for r, c, x in blk.nonzero():
-                big.set((i - 1) * d + r, (j - 1) * d + c, x)
+            big = big + kron(TMatrix.unit(field, n, i, j), blk)
     return big
 
 
@@ -393,9 +392,14 @@ def _lu_eval(rep, sign):
 
 @memo
 def _lu_inverse(rep, sign):
-    """Full L(u)^-1 over the rational-function field; affordable only at
-    modest sizes -- the highest weight paths go through the comatrix
-    instead of this inverse."""
+    """Full L(u)^-1 over the rational-function field, by Gauss-Jordan on
+    the polynomial entries of L(u).  The result is stored as numerators
+    over the lcm of its entry denominators, which stays small (u-degree
+    3 at n=3, N=2, where the 87 entries have 3 distinct denominators,
+    each dividing the next), so the products through it in ``z_matrix``
+    and the z-identities are polynomial.  The elimination itself still
+    normalises every fraction; the highest weight paths go through the
+    comatrix instead of this inverse."""
     return _lu_eval(rep, sign)[0].inverse()
 
 
@@ -554,8 +558,11 @@ def centrality_check(rep, mat, label):
 
 def z_coefficient_matrices(rep, sign, order):
     """u-expansion coefficients of z(u) by expanding the rational entries
-    of the full z operator.  Small representations only; the series
-    route below avoids the rational-function inverse."""
+    of the full z operator.  z(u) is formed from numerators over one
+    common denominator, so its products cost polynomial arithmetic; the
+    time goes to the inverse of L(u) (see ``_lu_inverse``) and to the
+    reduction of each entry read here.  Used by the tests only; the
+    series route below avoids the rational-function inverse."""
     z = z_matrix(rep, sign)
     d = rep.d
     series = [(i, j, expand(x, order)) for i, j, x in z.nonzero()]

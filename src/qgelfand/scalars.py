@@ -489,7 +489,13 @@ def limit_q1(s):
 # ---------------------------------------------------------------------------
 
 class _ScalarField:
-    """Field descriptor for Q(q)."""
+    """Field descriptor for Q(q).
+
+    ``split`` and ``join`` are the matrix storage interface (see
+    :mod:`.tmatrix`): a ``Scalar`` is its own numerator over the
+    denominator ``ONE``, and a matrix over Q(q) keeps ``ONE`` as its
+    common denominator, so ``join`` returns the numerator as it is.
+    """
 
     name = "Q(q)"
     zero = None  # filled below
@@ -498,6 +504,14 @@ class _ScalarField:
     @staticmethod
     def from_int(n):
         return Scalar.from_int(n)
+
+    @staticmethod
+    def split(x):
+        return x, ONE
+
+    @staticmethod
+    def join(num, den):
+        return num
 
     @staticmethod
     def render(x):
@@ -790,6 +804,14 @@ class FracField:
 
     def from_int(self, n):
         return self.from_coeff(self.coeff.from_int(n))
+
+    def split(self, x):
+        """(numerator, denominator) of ``x`` as polynomials."""
+        return x.num, x.den
+
+    def join(self, num, den):
+        """The normalised element num/den (den a nonzero polynomial)."""
+        return Frac(self, num, den)
 
     def from_coeff(self, c):
         return Frac(self, Poly(self.coeff, (c,)))

@@ -1,12 +1,29 @@
 """Exact sparse matrices over a coefficient field, with tensor-factor shape.
 
-A ``TMatrix`` stores each row as a dict ``{column: entry}`` holding only
-the nonzero entries, whose values live in one of the exact fields from
-:mod:`.scalars` (via a field descriptor).  An exact zero is never
-stored: every kernel drops the entries that cancel, so equality is
-equality of the row dicts and a matrix is falsy exactly when no row
-holds an entry.  ``.e`` is a read-only dense view, a fresh row-major
-list built on each access; no kernel uses it.
+A ``TMatrix`` stores each row as a dict ``{column: numerator}`` holding
+only the nonzero entries, plus one common denominator ``den``: the
+value of entry (i, j) is ``numerator / den``.  The field descriptor
+(from :mod:`.scalars`) supplies ``split``, an element as (numerator,
+denominator), and ``join``, the normalised element num/den.  Over Q(q)
+(``SCALARS``) an entry is its own numerator and ``den`` is always
+``ONE``; over Q(q)(u) and Q(q)(x) (``FracField``) the numerators and
+``den`` are polynomials.  An exact zero is never stored: every kernel
+drops the entries that cancel, so a matrix is falsy exactly when no row
+holds an entry.
+
+The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
+partial trace and equality -- work on the numerators alone and multiply
+the denominators, so over a function field they are polynomial
+arithmetic and run no gcd.  Equality cross-multiplies, comparing
+a_ij d_b with b_ij d_a, and names the same row-major first differing
+entry as entrywise comparison of the reduced values would.  An entry is
+normalised to a canonical field element only when it is read
+(``m[i, j]``, ``nonzero()``, ``.e``, ``trace()``, ``map_entries`` and
+the values of ``first_difference``), so every rendering is the same as
+if each entry had been reduced all along.  Constructors and ``set``
+take field elements and pack them over the lcm of their denominators.
+``.e`` is a read-only dense view, a fresh row-major list built on each
+access; no kernel uses it.
 
 Square matrices may carry a ``shape`` tuple recording a tensor
 factorisation of their index space, which drives the subscript
@@ -15,15 +32,18 @@ partial transpose and partial trace over a site.  Every one of them,
 like the ring operations, walks only the stored entries.
 
 Inverse, solve, rank, determinant and nullspace all run one kernel,
-fraction-field Gauss-Jordan elimination on sparse rows.  Pivots are
-chosen to minimise an entry-size hint, and elimination touches only
-stored entries, so block-decomposable systems (such as weight-graded
-operators) never mix their blocks.
+fraction-field Gauss-Jordan elimination on sparse rows of normalised
+entries.  Pivots are chosen to minimise an entry-size hint, and
+elimination touches only stored entries, so block-decomposable systems
+(such as weight-graded operators) never mix their blocks.  Inverse and
+solve pack their result over the lcm of its entry denominators.
 """
 
 from __future__ import annotations
 
 import math
+
+from .scalars import Poly
 
 
 class SingularMatrixError(ValueError):
@@ -35,33 +55,73 @@ def _size(x):
     return hint() if hint is not None else 1
 
 
+def _unit(field):
+    """The denominator of a matrix with polynomial entries."""
+    return field.split(field.one)[1]
+
+
+def _lcm(a, b):
+    """Monic lcm of two monic polynomials."""
+    return a * b.divmod(Poly.gcd(a, b))[0]
+
+
+def _packed(field, rows):
+    """(numerator rows, den) for rows of field elements: ``den`` is the
+    lcm of the entry denominators and each numerator is scaled by the
+    exact quotient lcm / denominator, found once per distinct
+    denominator.  The rows must hold no zero."""
+    split = field.split
+    parts = [[(j,) + split(x) for j, x in row.items()] for row in rows]
+    dens = {d: None for row in parts for _, _, d in row}
+    if len(dens) <= 1:
+        den = next(iter(dens)) if dens else _unit(field)
+        return [{j: x for j, x, _ in row} for row in parts], den
+    it = iter(dens)
+    den = next(it)
+    for d in it:
+        den = _lcm(den, d)
+    for d in dens:
+        dens[d] = den.divmod(d)[0]
+    return [{j: x * dens[d] for j, x, d in row} for row in parts], den
+
+
+def _times(data, f):
+    """Rows with every numerator multiplied by ``f``."""
+    return [{j: x * f for j, x in row.items()} for row in data]
+
+
 class TMatrix:
     """Sparse-row matrix over an exact field, optionally tensor-shaped.
 
     ``TMatrix(field, rows, cols, entries, shape)`` takes the entries as
-    one flat row-major list; zeros in it are dropped.  Kernels build
-    their results from row dicts through ``_of``.  Values rely on the
-    field having no zero divisors: a product of two stored entries is
-    never tested for zero, a sum is.
+    one flat row-major list of field elements; zeros in it are dropped
+    and the rest are packed over one denominator ``den``.  Kernels build
+    their results from numerator rows through ``_of``.  Values rely on
+    the field having no zero divisors: a product of two stored
+    numerators is never tested for zero, a sum is.  Reads return
+    normalised field elements; equality cross-multiplies and runs no
+    gcd.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "shape")
+    __slots__ = ("field", "rows", "cols", "_data", "den", "shape")
 
     def __init__(self, field, rows, cols, entries, shape=None):
         assert len(entries) == rows * cols
-        self._init(field, rows, cols,
-                  [{j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
-                    if x} for i in range(rows)], shape)
+        data, den = _packed(field, [
+            {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)])
+        self._init(field, rows, cols, data, den, shape)
 
     @classmethod
-    def _of(cls, field, rows, cols, data, shape=None):
-        """The matrix whose row ``i`` is the dict ``data[i]``, taken
-        over as is: it must hold no zero and be shared with no one."""
+    def _of(cls, field, rows, cols, data, den, shape=None):
+        """The matrix whose row ``i`` holds the numerators ``data[i]``
+        over ``den``, taken over as is: the rows must hold no zero and be
+        shared with no one."""
         m = cls.__new__(cls)
-        m._init(field, rows, cols, data, shape)
+        m._init(field, rows, cols, data, den, shape)
         return m
 
-    def _init(self, field, rows, cols, data, shape):
+    def _init(self, field, rows, cols, data, den, shape):
         if shape is not None:
             assert math.prod(shape) == rows == cols
             shape = tuple(shape)
@@ -69,17 +129,20 @@ class TMatrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+        self.den = den
         self.shape = shape
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, field, rows, cols, shape=None):
-        return cls._of(field, rows, cols, [{} for _ in range(rows)], shape)
+        return cls._of(field, rows, cols, [{} for _ in range(rows)],
+                       _unit(field), shape)
 
     @classmethod
     def identity(cls, field, n, shape=None):
-        return cls.diag(field, [field.one] * n, shape)
+        one, den = field.split(field.one)
+        return cls._of(field, n, n, [{i: one} for i in range(n)], den, shape)
 
     @classmethod
     def unit(cls, field, n, i, j, coeff=None, shape=None):
@@ -91,8 +154,9 @@ class TMatrix:
     @classmethod
     def diag(cls, field, entries, shape=None):
         n = len(entries)
-        return cls._of(field, n, n, [{i: x} if x else {}
-                                     for i, x in enumerate(entries)], shape)
+        data, den = _packed(field, [{i: x} if x else {}
+                                    for i, x in enumerate(entries)])
+        return cls._of(field, n, n, data, den, shape)
 
     @classmethod
     def from_rows(cls, field, rows, shape=None):
@@ -112,32 +176,46 @@ class TMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._data[i].get(j, self.field.zero)
+        x = self._data[i].get(j)
+        return self.field.zero if x is None else self.field.join(x, self.den)
 
     def set(self, i, j, x):
-        """Write entry (i, j) in place; writing zero removes it.  Never
-        call it on a matrix another caller may hold (a memoised one)."""
+        """Write entry (i, j) in place; writing zero removes it.  When
+        x times ``den`` is not a polynomial, the whole matrix is first
+        moved to the lcm of ``den`` and x's denominator.  Never call it
+        on a matrix another caller may hold (a memoised one)."""
         row = self._data[i]
-        if x:
-            row[j] = x
-        else:
+        if not x:
             row.pop(j, None)
+            return
+        num, d = self.field.split(x)
+        if d != self.den:
+            quot, rem = self.den.divmod(d)
+            if rem:
+                den = _lcm(self.den, d)
+                self._data = _times(self._data, den.divmod(self.den)[0])
+                self.den = den
+                quot = den.divmod(d)[0]
+                row = self._data[i]
+            num = num * quot
+        row[j] = num
 
     @property
     def e(self):
-        """A fresh dense row-major list of all entries; writing to it
-        leaves the matrix unchanged."""
+        """A fresh dense row-major list of all entries, each normalised;
+        writing to it leaves the matrix unchanged."""
         cols = self.cols
+        join, den = self.field.join, self.den
         out = [self.field.zero] * (self.rows * cols)
         for i, row in enumerate(self._data):
             base = i * cols
             for j, x in row.items():
-                out[base + j] = x
+                out[base + j] = join(x, den)
         return out
 
     def with_shape(self, shape):
         return TMatrix._of(self.field, self.rows, self.cols,
-                           [dict(row) for row in self._data], shape)
+                           [dict(row) for row in self._data], self.den, shape)
 
     def copy(self):
         return self.with_shape(self.shape)
@@ -146,20 +224,33 @@ class TMatrix:
         return any(self._data)
 
     def __eq__(self, other):
-        """Entrywise equality; tensor-shape metadata is ignored."""
+        """Entrywise equality, by cross-multiplying when the denominators
+        differ; tensor-shape metadata is ignored."""
         return (isinstance(other, TMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self._data == other._data)
+                and self.cols == other.cols and _differing(self, other) is None)
 
     def __neg__(self):
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: -x for j, x in row.items()}
-                            for row in self._data], self.shape)
+                            for row in self._data], self.den, self.shape)
 
     def _merged(self, other, negate):
-        """Rows of ``self + other`` (``self - other`` when ``negate``)."""
+        """``self + other`` (``self - other`` when ``negate``).  Equal
+        denominators add the numerators; a zero operand takes the other's
+        denominator; otherwise both sides are cross-multiplied."""
         assert self.rows == other.rows and self.cols == other.cols
+        if not other:
+            return self.with_shape(self.shape)
+        if not self:
+            data = [{j: -y if negate else y for j, y in row.items()}
+                    for row in other._data]
+            return TMatrix._of(self.field, self.rows, self.cols, data,
+                               other.den, self.shape)
+        a, b, den = self._data, other._data, self.den
+        if other.den != den:
+            a, b, den = _times(a, other.den), _times(b, den), den * other.den
         out = []
-        for ra, rb in zip(self._data, other._data):
+        for ra, rb in zip(a, b):
             row = dict(ra)
             for j, y in rb.items():
                 x = row.get(j)
@@ -172,7 +263,8 @@ class TMatrix:
                     else:
                         del row[j]
             out.append(row)
-        return TMatrix._of(self.field, self.rows, self.cols, out, self.shape)
+        return TMatrix._of(self.field, self.rows, self.cols, out, den,
+                           self.shape)
 
     def __add__(self, other):
         return self._merged(other, False)
@@ -181,14 +273,18 @@ class TMatrix:
         return self._merged(other, True)
 
     def scaled(self, s):
+        """Every entry times the field element ``s``: the numerators take
+        s's numerator and ``den`` takes its denominator."""
         if not s:
             return TMatrix.zeros(self.field, self.rows, self.cols, self.shape)
+        num, den = self.field.split(s)
         return TMatrix._of(self.field, self.rows, self.cols,
-                           [{j: s * x for j, x in row.items()}
-                            for row in self._data], self.shape)
+                           [{j: num * x for j, x in row.items()}
+                            for row in self._data], self.den * den, self.shape)
 
     def __mul__(self, other):
-        """Matrix product over the stored entries of both sides."""
+        """Matrix product over the stored numerators of both sides; the
+        denominators multiply."""
         assert isinstance(other, TMatrix)
         assert self.cols == other.rows, "inner dimensions differ"
         rows, cols = self.rows, other.cols
@@ -206,26 +302,32 @@ class TMatrix:
         shape = self.shape if self.shape is not None else other.shape
         if shape is not None and (rows != cols or math.prod(shape) != rows):
             shape = None
-        return TMatrix._of(self.field, rows, cols, out, shape)
+        return TMatrix._of(self.field, rows, cols, out, self.den * other.den,
+                           shape)
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, x in row.items():
                 out[j][i] = x
-        return TMatrix._of(self.field, self.cols, self.rows, out, self.shape)
+        return TMatrix._of(self.field, self.cols, self.rows, out, self.den,
+                           self.shape)
 
     def trace(self):
+        """The sum of the diagonal numerators, normalised once."""
         assert self.rows == self.cols
-        acc = self.field.zero
+        acc = None
         for i, row in enumerate(self._data):
             x = row.get(i)
             if x is not None:
-                acc = acc + x
-        return acc
+                acc = x if acc is None else acc + x
+        if not acc:
+            return self.field.zero
+        return self.field.join(acc, self.den)
 
     def map_entries(self, func, field=None):
-        """Apply ``func`` to the stored entries, dropping zero results.
+        """Apply ``func`` to the normalised stored entries, dropping zero
+        results, and pack the results over one denominator.
 
         ``func`` must send zero to zero, since the entries that are not
         stored are never passed to it; a ``ValueError`` says otherwise.
@@ -234,15 +336,19 @@ class TMatrix:
         if func(self.field.zero):
             raise ValueError("map_entries needs a function that sends zero "
                              "to zero")
+        join, den = self.field.join, self.den
         out = []
         for row in self._data:
-            mapped = ((j, func(x)) for j, x in row.items())
+            mapped = ((j, func(join(x, den))) for j, x in row.items())
             out.append({j: y for j, y in mapped if y})
-        return TMatrix._of(field, self.rows, self.cols, out, self.shape)
+        data, den = _packed(field, out)
+        return TMatrix._of(field, self.rows, self.cols, data, den, self.shape)
 
     def nonzero(self):
-        """(row, col, entry) of every stored entry, in row-major order."""
-        return [(i, j, row[j]) for i, row in enumerate(self._data)
+        """(row, col, entry) of every stored entry, normalised, in
+        row-major order."""
+        join, den = self.field.join, self.den
+        return [(i, j, join(row[j], den)) for i, row in enumerate(self._data)
                 for j in sorted(row)]
 
     # -- tensor-site calculus ---------------------------------------------
@@ -264,7 +370,7 @@ class TMatrix:
             for c, x in row.items():
                 shift = ((c // sa) % da - ra) * sa
                 out[r + shift][c - shift] = x
-        return TMatrix._of(self.field, n, n, out, dims)
+        return TMatrix._of(self.field, n, n, out, self.den, dims)
 
     def partial_trace(self, site):
         """Trace out one tensor factor (1-based site index)."""
@@ -284,30 +390,31 @@ class TMatrix:
                     y = target.get(k)
                     target[k] = x if y is None else y + x
         out = [{k: x for k, x in row.items() if x} for row in out]
-        return TMatrix._of(self.field, m, m, out, rest if rest else None)
+        return TMatrix._of(self.field, m, m, out, self.den,
+                           rest if rest else None)
 
     # -- elimination -------------------------------------------------------
 
     def _gauss_jordan(self, aug=None):
-        """The elimination kernel: Gauss-Jordan on a working copy of the
-        rows of ``self``, augmented on the right by the columns of
-        ``aug``.
+        """The elimination kernel: Gauss-Jordan on the normalised entries
+        of ``self``, augmented on the right by the columns of ``aug``.
 
         Each column of ``self`` in turn takes as pivot the remaining row
         whose entry there has the smallest size hint; that row is scaled
         to a leading 1 and the column is cleared in every other row that
         stores an entry there.  A column with no pivot is passed over, so
         fewer pivots than rows means a rank deficit.  Returns (rows as
-        dicts, pivot columns, sign of the row permutation, pivot values
-        before scaling).
+        dicts of field elements, pivot columns, sign of the row
+        permutation, pivot values before scaling).
         """
         rows, cols = self.rows, self.cols
-        one = self.field.one
-        work = [dict(row) for row in self._data]
+        one, join = self.field.one, self.field.join
+        work = [{j: join(x, self.den) for j, x in row.items()}
+                for row in self._data]
         if aug is not None:
             for row, extra in zip(work, aug._data):
                 for j, x in extra.items():
-                    row[cols + j] = x
+                    row[cols + j] = join(x, aug.den)
         pivots, values = [], []
         sign = 1
         pr = 0
@@ -351,25 +458,26 @@ class TMatrix:
             pr += 1
         return work, pivots, sign, values
 
-    def _solved(self, aug):
-        """Rows of the augmented block after reducing a square ``self``
-        to 1."""
+    def _solved(self, aug, shape=None):
+        """The solution X of self @ X = aug for a square ``self``, packed
+        over the lcm of its entry denominators."""
         assert self.rows == self.cols == aug.rows, "not a square system"
         n = self.rows
         work, pivots, _, _ = self._gauss_jordan(aug)
         if len(pivots) < n:
             raise SingularMatrixError(
                 f"singular matrix: rank {len(pivots)} < {n}")
-        return [{j - n: x for j, x in row.items() if j >= n} for row in work]
+        data, den = _packed(self.field, [
+            {j - n: x for j, x in row.items() if j >= n} for row in work])
+        return TMatrix._of(self.field, n, aug.cols, data, den, shape)
 
     def inverse(self):
-        n = self.rows
-        data = self._solved(TMatrix.identity(self.field, n))
-        return TMatrix._of(self.field, n, n, data, self.shape)
+        return self._solved(TMatrix.identity(self.field, self.rows),
+                            self.shape)
 
     def solve(self, rhs):
         """Solve self @ X = rhs for X (rhs a TMatrix of columns)."""
-        return TMatrix._of(self.field, self.rows, rhs.cols, self._solved(rhs))
+        return self._solved(rhs)
 
     def rank(self):
         return len(self._gauss_jordan()[1])
@@ -428,7 +536,8 @@ def _unflatten(pos, dims, strides):
 
 
 def kron(a, b):
-    """Kronecker product; concatenates tensor-factor shapes when known."""
+    """Kronecker product; concatenates tensor-factor shapes when known.
+    The denominators multiply."""
     assert a.field is b.field
     rows = a.rows * b.rows
     cols = a.cols * b.cols
@@ -441,7 +550,7 @@ def kron(a, b):
     sa = a.shape if a.shape is not None else ((a.rows,) if a.rows == a.cols else None)
     sb = b.shape if b.shape is not None else ((b.rows,) if b.rows == b.cols else None)
     shape = sa + sb if (sa is not None and sb is not None) else None
-    return TMatrix._of(a.field, rows, cols, out, shape)
+    return TMatrix._of(a.field, rows, cols, out, a.den * b.den, shape)
 
 
 def embed(op, sites, dims):
@@ -484,7 +593,7 @@ def embed(op, sites, dims):
             target = out[base_r + p]
             for base_c, x in shifted:
                 target[base_c + p] = x
-    return TMatrix._of(op.field, total, total, out, dims)
+    return TMatrix._of(op.field, total, total, out, op.den, dims)
 
 
 def lift(mat, field):
@@ -492,14 +601,32 @@ def lift(mat, field):
     return mat.map_entries(field.from_coeff, field)
 
 
+def _differing(a, b):
+    """(row, col) of the first entry, in row-major order, where ``a`` and
+    ``b`` differ, or None.  Numerators over equal denominators compare
+    directly; otherwise a_ij d_b is compared with b_ij d_a, so no gcd
+    runs either way."""
+    da, db = a.den, b.den
+    same = da == db
+    for i, (ra, rb) in enumerate(zip(a._data, b._data)):
+        if same:
+            if ra != rb:
+                return i, min(j for j in ra.keys() | rb.keys()
+                              if ra.get(j) != rb.get(j))
+            continue
+        for j in sorted(ra.keys() | rb.keys()):
+            x, y = ra.get(j), rb.get(j)
+            if x is None or y is None or x * db != y * da:
+                return i, j
+    return None
+
+
 def first_difference(a, b):
     """(row, col, left, right) of the first differing entry in row-major
-    order, or None."""
+    order, with both values normalised, or None."""
     assert a.rows == b.rows and a.cols == b.cols
-    za, zb = a.field.zero, b.field.zero
-    for i, (ra, rb) in enumerate(zip(a._data, b._data)):
-        if ra != rb:
-            j = min(j for j in ra.keys() | rb.keys()
-                    if not ra.get(j, za) == rb.get(j, zb))
-            return i, j, ra.get(j, za), rb.get(j, zb)
-    return None
+    where = _differing(a, b)
+    if where is None:
+        return None
+    i, j = where
+    return i, j, a[i, j], b[i, j]

@@ -204,6 +204,80 @@ def test_rep_fault_fails_derived_z_coefficient_rows():
                                        + " does not commute with ")
 
 
+# witnesses of `verify --n 2 --N-max 1 --inject-fault rep`, taken from the
+# code that stored every Q(q)(u) entry as a reduced fraction; the
+# cross-multiplied comparison of numerators over a common denominator
+# must name the same entry and render it the same way
+REP_FAULT_WITNESSES = {
+    ("comatrix", "n=2 N=1 sign=+ direct"):
+        "comatrix identity sign=+ vector(2)^(x)1: entry (0,0): "
+        "1 + (-q^3 - q^2 + q - q^-1)*u + q^3*u^2 != 1 + (-q^3 - 1)*u + q^3*u^2",
+    ("comatrix", "n=2 N=1 sign=+ transposed"):
+        "transposed comatrix sign=+ vector(2)^(x)1: entry (2,1): "
+        "-q + 1 + q^-1 - q^-2 != 0",
+    ("comatrix", "n=2 N=1 sign=- direct"):
+        "comatrix identity sign=- vector(2)^(x)1: entry (0,0): "
+        "(q^-2 + (-q - 1 + q^-1 - q^-3)*u + q*u^2)/(u^2) != "
+        "(q^-2 + (-q - q^-2)*u + q*u^2)/(u^2)",
+    ("comatrix", "n=2 N=1 sign=- transposed"):
+        "transposed comatrix sign=- vector(2)^(x)1: entry (2,1): "
+        "(-q^-1 + q^-2 + q^-3 - q^-4)/(u^2) != 0",
+    ("liouville", "n=2 N=1 sign=+ operator"):
+        "Liouville operator sign=+ vector(2)^(x)1: entry (0,0): "
+        "(1 + (-q^5 - q^3 - 2*q^2 + q - q^-1)*u "
+        "+ (q^8 + q^7 + 3*q^5 - q^3 + q^2 + q)*u^2 "
+        "+ (-q^10 - q^8 - 2*q^7 + q^6 - q^4)*u^3 + q^10*u^4)"
+        "/(1 + (-q^3 - q^2 + q - q^-1)*u + q^3*u^2) != "
+        "1 + (-q^5 - q^2)*u + q^7*u^2",
+    ("liouville", "n=2 N=1 sign=- operator"):
+        "Liouville operator sign=- vector(2)^(x)1: entry (0,0): "
+        "(q^-6 + (-q^-1 - q^-3 - 2*q^-4 + q^-5 - q^-7)*u "
+        "+ (q^2 + q + 3*q^-1 - q^-3 + q^-4 + q^-5)*u^2 "
+        "+ (-q^4 - q^2 - 2*q + 1 - q^-2)*u^3 + q^4*u^4)"
+        "/(u^2 + (-q^3 - q^2 + q - q^-1)*u^3 + q^3*u^4) != "
+        "(q^-6 + (-q^-1 - q^-4)*u + q*u^2)/(u^2)",
+    ("z-identities", "n=2 N=1 opposite transposed product"):
+        "z opposite sign=+: entry (0,0): "
+        "(q^-1 + (-q^4 - q)*u + q^6*u^2)"
+        "/(1 + (-q^3 - q^2 + q - q^-1)*u + q^3*u^2) != "
+        "(q^-1 + (-q^4 - 2*q + 1 - q^-2)*u "
+        "+ (q^6 + q^4 + q^3 - q^2 + 1)*u^2 - q^6*u^3)"
+        "/(1 + (-q^3 - q^2 + q - 1 - q^-1)*u "
+        "+ (2*q^3 + q^2 - q + q^-1)*u^2 - q^3*u^3)",
+    ("z-identities", "n=2 N=1 qdet sign transport"): None,
+    ("z-identities", "n=2 N=1 trace forms agree"):
+        "z trace forms sign=+: entry (0,0): "
+        "(1 + (-q^5 - 2*q^2 + q - q^-1)*u "
+        "+ (q^7 + q^5 + q^4 - q^3 + q)*u^2 - q^7*u^3)"
+        "/(1 + (-q^3 - q^2 + q - 1 - q^-1)*u "
+        "+ (2*q^3 + q^2 - q + q^-1)*u^2 - q^3*u^3) != "
+        "(1 + (-q^5 - q^4 + q^3 - q - 1)*u "
+        "+ (q^7 + q^6 - q^4 + q^3 + q^2)*u^2 - q^7*u^3)"
+        "/(1 + (-q^3 - q^2 + q - 1 - q^-1)*u "
+        "+ (2*q^3 + q^2 - q + q^-1)*u^2 - q^3*u^3)",
+    ("z-identities", "n=2 N=1 transposed product"):
+        "z transposed sign=+: entry (0,0): "
+        "(q + (-q^6 - q^3)*u + q^8*u^2)"
+        "/(1 + (-q^3 - q^2 + q - q^-1)*u + q^3*u^2) != "
+        "(q + (-q^6 - 2*q^3 + q^2 - 1)*u "
+        "+ (q^8 + q^6 + q^5 - q^4 + q^2)*u^2 - q^8*u^3)"
+        "/(1 + (-q^3 - q^2 + q - 1 - q^-1)*u "
+        "+ (2*q^3 + q^2 - q + q^-1)*u^2 - q^3*u^3)",
+    ("z-identities", "n=2 N=1 z sign transport"): None,
+}
+
+
+def test_rep_fault_witnesses_are_pinned():
+    res = run_cli("verify", "--n", "2", "--N-max", "1", "--checks",
+                  "comatrix,z-identities,liouville", "--inject-fault", "rep",
+                  "--format", "json")
+    assert res.returncode == 1
+    got = {(r["name"], r["context"]): r.get("witness")
+           for r in json.loads(res.stdout)["checks"]
+           if r["name"] != "liouville" or r["context"].endswith(" operator")}
+    assert got == REP_FAULT_WITNESSES
+
+
 def test_version_and_usage():
     res = run_cli("--version")
     assert res.returncode == 0 and res.stdout.strip()

@@ -1,4 +1,5 @@
-"""Exact arithmetic in Z[q,q^-1], Q(q) and the nested function fields."""
+"""Exact arithmetic in Z[q,q^-1], Q(q) and the function fields Q(q)(u)
+and Q(q)(x)."""
 
 import random
 

@@ -1,14 +1,18 @@
 """Sparse exact matrices: arithmetic, elimination, tensor-leg operations,
-checked against dense entrywise oracles over ``.e``."""
+checked against dense entrywise oracles over ``.e``, over Q(q) and over
+Q(q)(u) with trivial and nontrivial common denominators."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qgelfand.scalars import Scalar, SCALARS, UFIELD, ONE, ZERO, Q, qnum
+from qgelfand.scalars import (Scalar, SCALARS, UFIELD, ONE, ZERO, Q, qnum,
+                              Poly)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
                               first_difference)
 from qgelfand.verdict import matrix_verdict
+from test_scalars import ORACLE
 
 
 def rand_entry(rng):
@@ -551,3 +555,220 @@ def test_map_entries_contract():
     assert out == TMatrix(SCALARS, 3, 4, [spy(x) for x in a.e])
     with pytest.raises(ValueError):
         a.map_entries(lambda x: x + ONE)
+
+
+# ---------------------------------------------------------------------------
+# Q(q)(u) matrices over a nontrivial common denominator
+# ---------------------------------------------------------------------------
+# Built by scaling with 1/p, by inverse() and by sums over different
+# denominators; the oracles read the normalised entries through ``.e``.
+
+def rand_upoly(rng):
+    """A nonconstant polynomial in u with a nonzero u-coefficient."""
+    u = UFIELD.gen
+    c1 = rand_entry(rng) or ONE
+    p = UFIELD.from_coeff(rand_entry(rng)) + u * UFIELD.from_coeff(c1)
+    return p * u if rng.random() < 0.3 else p
+
+
+def rand_invertible(rng, n):
+    while True:
+        a = rand_sparse(rng, UFIELD, n, n, density=0.4) + TMatrix.diag(
+            UFIELD, [rand_field_entry(rng, UFIELD) for _ in range(n)])
+        if a.rank() == n:
+            return a
+
+
+def rand_fraction_matrix(rng, rows, cols, density=0.4, shape=None):
+    """A sparse matrix over Q(q)(u) whose ``den`` is not 1."""
+    while True:
+        # inverses only of small blocks: elimination over Q(q)(u) is slow
+        kind = rng.randrange(3 if cols <= 3 else 2)
+        m = rand_sparse(rng, UFIELD, rows, cols, density)
+        if kind == 0:
+            m = m.scaled(rand_upoly(rng).inverse())
+        elif kind == 1:
+            m = m.scaled(rand_upoly(rng).inverse()) + rand_sparse(
+                rng, UFIELD, rows, cols, density).scaled(
+                    rand_upoly(rng).inverse())
+        else:
+            m = m * rand_invertible(rng, cols).inverse()
+        if m and m.den.degree > 0:
+            return m.with_shape(shape)
+
+
+def test_fraction_ring_ops_match_dense_oracle():
+    rng = random.Random(40)
+    for _ in range(2):
+        r, k, c = rng.randint(1, 3), rng.randint(2, 3), rng.randint(1, 3)
+        a = rand_fraction_matrix(rng, r, k)
+        a2 = rand_fraction_matrix(rng, r, k)
+        b = rand_fraction_matrix(rng, k, c)
+        expect = oracle_mul(a, b)
+        assert assert_sparse(a * b) == expect and (a * b).e == expect.e
+        add = [x + y for x, y in zip(a.e, a2.e)]
+        sub = [x - y for x, y in zip(a.e, a2.e)]
+        assert assert_sparse(a + a2).e == add
+        assert assert_sparse(a - a2).e == sub
+        assert assert_sparse(a - a) == TMatrix.zeros(UFIELD, r, k)
+        s = rand_upoly(rng).inverse() * rand_field_entry(rng, UFIELD)
+        assert assert_sparse(a.scaled(s)).e == [s * x for x in a.e]
+        assert assert_sparse(-a).e == [-x for x in a.e]
+        assert assert_sparse(a.transpose()).e == [
+            a.e[i * k + j] for j in range(k) for i in range(r)]
+        sq = rand_fraction_matrix(rng, k, k)
+        assert sq.trace() == sum((sq[i, i] for i in range(k)), UFIELD.zero)
+
+
+def test_fraction_tensor_ops_match_dense_oracle():
+    rng = random.Random(41)
+    a = rand_fraction_matrix(rng, 2, 3, density=0.5)
+    b = rand_fraction_matrix(rng, 3, 2, density=0.5)
+    assert assert_sparse(kron(a, b)).e == oracle_kron(a, b).e
+    op = rand_fraction_matrix(rng, 4, 4, density=0.4, shape=(2, 2))
+    for sites, dims in (((1, 3), (2, 3, 2)), ((3, 1), (2, 2, 2))):
+        assert assert_sparse(embed(op, sites, dims)).e == oracle_embed(
+            op, sites, dims).e
+    m = rand_fraction_matrix(rng, 8, 8, density=0.3, shape=(2, 2, 2))
+    for site in (1, 2, 3):
+        assert assert_sparse(m.partial_trace(site)).e == \
+            oracle_partial_trace(m, site).e
+        assert assert_sparse(m.partial_transpose(site)).e == \
+            oracle_partial_transpose(m, site).e
+
+
+def test_fraction_inverse_and_solve_match_dense_oracle():
+    rng = random.Random(42)
+    eye = TMatrix.identity(UFIELD, 2)
+    for _ in range(2):
+        a = rand_invertible(rng, 2).scaled(rand_upoly(rng).inverse())
+        assert a.den.degree > 0
+        inv = assert_sparse(a.inverse())
+        assert oracle_mul(a, inv) == eye and oracle_mul(inv, a) == eye
+        rhs = rand_fraction_matrix(rng, 2, 2, density=0.5)
+        x = assert_sparse(a.solve(rhs))
+        assert oracle_mul(a, x).e == rhs.e
+
+
+def test_equality_across_denominators():
+    rng = random.Random(43)
+    a = rand_fraction_matrix(rng, 3, 3, density=0.6)
+    p = rand_upoly(rng)
+    b = a.scaled(p).scaled(p.inverse())
+    assert b.den != a.den
+    assert a == b and b == a
+    assert first_difference(a, b) is None
+    assert a.e == b.e
+    # change one entry: the same entry is named, with the same rendering
+    i, j, x = a.nonzero()[-1]
+    c = b.copy()
+    c.set(i, j, x + UFIELD.one)
+    assert c != a
+    assert first_difference(a, c) == (i, j, x, x + UFIELD.one)
+    assert (matrix_verdict(a, c).witness
+            == f"entry ({i},{j}): {UFIELD.render(x)} != "
+               f"{UFIELD.render(x + UFIELD.one)}")
+    # an entry stored on one side only comes first in row-major order
+    d = b.copy()
+    d.set(0, 0, UFIELD.zero if a[0, 0] else UFIELD.one)
+    assert first_difference(a, d)[:2] == (0, 0)
+
+
+def test_set_rescales_when_the_denominator_does_not_divide():
+    rng = random.Random(44)
+    u = UFIELD.gen
+    m = rand_sparse(rng, UFIELD, 2, 3, density=0.8).scaled(
+        (u - UFIELD.one).inverse())
+    before = m.e
+    x = (u + UFIELD.from_int(2)).inverse()
+    m.set(1, 2, x)
+    assert m.den == ((u - UFIELD.one) * (u + UFIELD.from_int(2))).num
+    assert m.e == before[:5] + [x]
+    # a denominator dividing den is absorbed without rescaling
+    y = (u - UFIELD.one).inverse()
+    m.set(0, 0, y)
+    assert m.den == ((u - UFIELD.one) * (u + UFIELD.from_int(2))).num
+    assert m[0, 0] == y
+    m.set(0, 0, UFIELD.zero)
+    assert m[0, 0] == UFIELD.zero and (0, 0) not in [
+        (i, j) for i, j, _ in m.nonzero()]
+
+
+def test_constructor_packs_over_the_lcm():
+    u = UFIELD.gen
+    one = UFIELD.one
+    a, b = u - one, u + one
+    entries = [a.inverse(), (a * b).inverse(), u, UFIELD.zero]
+    m = TMatrix(UFIELD, 2, 2, entries)
+    assert m.den == (a * b).num
+    assert m.e == entries
+    assert m[0, 0] == a.inverse() and m[1, 1] == UFIELD.zero
+    d = TMatrix.diag(UFIELD, [a.inverse(), b.inverse()])
+    assert d.den == (a * b).num and d.e == [a.inverse(), UFIELD.zero,
+                                            UFIELD.zero, b.inverse()]
+    # polynomial entries keep the denominator 1
+    assert TMatrix(UFIELD, 1, 2, [u, one]).den.is_one()
+    assert TMatrix.identity(SCALARS, 2).den == ONE
+
+
+def test_kernels_run_no_gcd(monkeypatch):
+    """Products, sums, scaling, tensor-site operations and equality on
+    matrices with nontrivial denominators are polynomial arithmetic."""
+    rng = random.Random(45)
+    a = rand_fraction_matrix(rng, 4, 4, density=0.5, shape=(2, 2))
+    b = rand_fraction_matrix(rng, 4, 4, density=0.5, shape=(2, 2))
+    p = rand_upoly(rng)
+    s = p.inverse() * rand_field_entry(rng, UFIELD)
+    twin = a.scaled(p).scaled(p.inverse())
+    assert a.den != b.den and twin.den != a.den
+    calls = []
+    real = Poly.gcd
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    monkeypatch.setattr(Poly, "gcd", staticmethod(counting))
+    a * b
+    a + b
+    a - b
+    a - a
+    a.scaled(s)
+    kron(a, b)
+    embed(a, (3, 1), (2, 3, 2))
+    a.partial_trace(1)
+    a.partial_transpose(2)
+    assert a == twin and a != b and not first_difference(a, twin)
+    assert not calls
+    a.nonzero()      # reads normalise, so the counter does see gcd calls
+    assert calls
+
+
+small_scalars = st.builds(lambda k, c: Scalar.q_power(k) * Scalar.from_int(c),
+                          st.integers(-2, 2), st.integers(-3, 3))
+
+
+@st.composite
+def u_fractions(draw):
+    """(a + b u) / (c + u), or zero."""
+    if draw(st.integers(0, 3)) == 0:
+        return UFIELD.zero
+    num = UFIELD.poly([draw(small_scalars), draw(small_scalars)])
+    return num / UFIELD.poly([draw(small_scalars), ONE])
+
+
+def u_matrices(rows, cols, shape=None):
+    return st.lists(u_fractions(), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda e: TMatrix(UFIELD, rows, cols, e, shape))
+
+
+@settings(ORACLE, max_examples=10)
+@given(u_matrices(2, 2), u_matrices(2, 2), u_matrices(2, 2),
+       u_matrices(4, 4, shape=(2, 2)))
+def test_kernels_match_entrywise_frac_arithmetic(a, a2, b, m):
+    assert (a * b).e == oracle_mul(a, b).e
+    assert (a + a2).e == [x + y for x, y in zip(a.e, a2.e)]
+    assert kron(a, b).e == oracle_kron(a, b).e
+    for site in (1, 2):
+        assert m.partial_trace(site).e == oracle_partial_trace(m, site).e
