@@ -262,25 +262,17 @@ def quantum_minor(rep, sign, u, rows, cols):
         sum_sigma (-q)^{-l(sigma)} X_{rows[sigma(1)] cols[1]}(u q^{2k-2})
                   ... X_{rows[sigma(k)] cols[k]}(u).
     """
-    k = len(rows)
-    assert k == len(cols) and k >= 1
-    field = u.field
-    acc = TMatrix.zeros(field, rep.d, rep.d)
-    for perm, coeff, shifts in _minor_terms(k, u):
-        term = _xblock(rep, sign, rows[perm[0] - 1], cols[0], shifts[0])
-        for t in range(1, k):
-            term = term * _xblock(rep, sign, rows[perm[t] - 1], cols[t],
-                                  shifts[t])
-        acc = acc + term.scaled(coeff)
-    return acc
+    return minor_on_vector(rep, sign, u, rows, cols,
+                           TMatrix.identity(u.field, rep.d))
 
 
 def minor_on_vector(rep, sign, u, rows, cols, vec):
-    """quantum_minor applied to a column vector, never forming the full
-    operator (each term is a chain of matrix-vector products)."""
+    """quantum_minor applied to ``vec`` (d x c), never forming the full
+    operator when ``vec`` is a column: each term is a chain of products
+    taken right to left."""
     k = len(rows)
-    field = u.field
-    acc = TMatrix.zeros(field, rep.d, 1)
+    assert k == len(cols) and k >= 1
+    acc = TMatrix.zeros(u.field, rep.d, vec.cols)
     for perm, coeff, shifts in _minor_terms(k, u):
         w = vec
         for t in range(k - 1, -1, -1):

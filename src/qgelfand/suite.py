@@ -1,10 +1,14 @@
 """The named verification suite behind ``qgelfand verify``.
 
-Sixteen check categories, each expanded into concrete contexts from a
-:class:`SuiteConfig`, run serially and collected into an order-stable
-report (rows sorted by check name, then context).  Every
-exception inside a check becomes a failed row with the exception text as
-witness, so a crashing identity can never masquerade as a pass.
+Sixteen check categories, laid out in one check table: each entry names
+a category, the contexts it covers for a :class:`SuiteConfig` and the
+check run on each.  A task is one check on one context; tasks run
+serially and their rows are collected into an order-stable report (rows
+sorted by check name, then context).  A check returning one Verdict
+gives the row named by its context; one returning (name, Verdict) pairs
+gives rows named "context name".  Every exception inside a task becomes
+one failed row with the exception text as witness, so a crashing
+identity can never masquerade as a pass.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ CHECK_NAMES = (
 
 # The largest operator a run may build, as a dimension: n^2 * n^N-max for
 # the largest n (defining relations act on C^n (x) C^n (x) W), and n^n
-# when the antisymmetrizer category runs (``_wrap_rank(n, n)`` acts on
+# when the antisymmetrizer category runs (``_rank(n, n)`` acts on
 # (C^n)^(x)n).  It admits n=3 with N-max 5 (2187), n=4 with N-max 3
 # (1024) and n=5 with the antisymmetrizer (3125), and refuses n=3 with
 # N-max 6 (6561) and n=6 with the antisymmetrizer (46656) before anything
@@ -134,271 +138,215 @@ def _lam_str(lam):
 
 
 # ---------------------------------------------------------------------------
-# category -> concrete tasks
+# the check table
 # ---------------------------------------------------------------------------
-# A task is (category, callable) with the callable returning a list of
-# (context, Verdict) rows.  ``power(n, N)`` is the N-th tensor power of
-# the vector representation of gl_n, built once per run and shared by
-# every task (its memo carries most of the suite's work).
+# Each entry is (category, contexts, check), and ``contexts(config)``
+# yields (context, key, args), one per task.  A task runs
+# ``check(power(n, N), *args)`` when ``key`` is (n, N) and ``check(*args)``
+# when it is None; ``power(n, N)`` is the N-th tensor power of the vector
+# representation of gl_n, built once per run and shared by every task
+# (its memo carries most of the suite's work).  A check returns one
+# Verdict, the row named ``context``, or (name, Verdict) pairs, the rows
+# named "context name".  The table is built per run, not at import, so
+# it reads each check from its module when the run starts: a wrapper
+# rebound on a module attribute (the benchmark's tracer, a test's
+# monkeypatch) is the function the run calls.
 
-def _wrap_crossing(n):
+def _crossing_rows(n):
     res = rmatrix.crossing_scalar(n)
-    return [(f"n={n} proportional", res.proportional),
-            (f"n={n} predicted scalar", res.matches_predicted)]
+    return [("proportional", res.proportional),
+            ("predicted scalar", res.matches_predicted)]
 
 
-def _wrap_rank(n, k):
+def _fseries_rows(n, order):
+    return [(f"residual order={order}",
+             rmatrix.f_series_residual(rmatrix.f_series(n, order))),
+            ("first coefficient", rmatrix.f1_closed_form_check(n))]
+
+
+def _rank(n, k):
     a = rmatrix.antisymmetrizer(k, n)
     want = math.comb(n, k)
     got = a.rank()
-    return [(f"n={n} rank k={k}",
-             Verdict(got == want, lhs=str(got), rhs=str(want),
-                     witness=None if got == want else
-                     f"rank A^({k}) at n={n}: {got} != {want}"))]
+    return Verdict(got == want, lhs=str(got), rhs=str(want),
+                   witness=None if got == want else
+                   f"rank A^({k}) at n={n}: {got} != {want}")
 
 
-def _wrap_vanishing(n):
-    a = rmatrix.antisymmetrizer(n + 1, n)
-    ok = not a
-    return [(f"n={n} vanishing k={n + 1}",
-             Verdict(ok, lhs=f"A^({n + 1})", rhs="0",
-                     witness=None if ok else
-                     f"A^({n + 1}) does not vanish at n={n}"))]
+def _vanishing(n):
+    ok = not rmatrix.antisymmetrizer(n + 1, n)
+    return Verdict(ok, lhs=f"A^({n + 1})", rhs="0",
+                   witness=None if ok else
+                   f"A^({n + 1}) does not vanish at n={n}")
 
 
-def _wrap_fseries(n, order):
-    fs = rmatrix.f_series(n, order)
-    return [(f"n={n} residual order={order}", rmatrix.f_series_residual(fs)),
-            (f"n={n} first coefficient", rmatrix.f1_closed_form_check(n))]
+def _comatrix_rows(rep, sign):
+    return [("direct", invariants.comatrix_identity_check(rep, sign)),
+            ("transposed", invariants.comatrix_transposed_check(rep, sign))]
 
 
-def _lam_sets(config, n):
-    """The highest weights exercised per tensor power, N <= min(N_max, 3)."""
-    out = []
-    for N in range(1, min(config.N_max, 3) + 1):
-        for lam in dominant_partitions(N, n):
-            out.append((N, lam))
-    return out
+def _centrality_rows(rep, m_max, order):
+    rows = [(f"tr_q M^{m}", invariants.centrality_check(
+                rep, invariants.gelfand_invariant(rep, m), f"tr_q M^{m}"))
+            for m in range(1, m_max + 1)]
+    # z coefficients m >= 1 are derived from tr_q M^m;
+    # series-expansion cross-checks the K-power route
+    factor = invariants.series_factor(rep.n)
+    for m in range(order + 1):
+        z = (invariants.gelfand_invariant(rep, m).scaled(factor)
+             if m else invariants.z_series_coefficient(rep, 0))
+        rows.append((f"z coefficient {m}", invariants.centrality_check(
+            rep, z, f"z coefficient {m}")))
+    return rows
+
+
+def _eigenvalue_rows(rep, lam, m_max):
+    return [(f"m={m}", invariants.eigenvalue_check(rep, lam, m))
+            for m in range(m_max + 1)]
+
+
+def _family_rows(rep, m_max):
+    return [(f"m={m} {name}", v) for m in range(m_max + 1)
+            for name, v in invariants.alternate_family_checks(rep, m)]
+
+
+def _inverted_rows(rep, lams, m_max):
+    return [(f"lambda={_lam_str(lam)} m={m} inverted q",
+             invariants.alternate_eigenvalue_check(rep, lam, m))
+            for lam in lams for m in range(1, m_max + 1)]
+
+
+def _formula_rows(n, lams, m_max):
+    return [(f"lambda={_lam_str(lam)} s={s} m={m} formula",
+             invariants.shift_covariance_formula_check(n, lam, m, s))
+            for lam in lams for s in (1, 2) for m in range(1, m_max + 1)]
+
+
+def _shift_rows(rep, base, m_max):
+    return [(f"m={m} operator",
+             invariants.shift_covariance_rep_check(rep, base, m, 1))
+            for m in range(1, m_max + 1)]
+
+
+def _sizes(c):
+    """One context per matrix size."""
+    return ((f"n={n}", None, (n,)) for n in c.ns)
+
+
+def _small(c):
+    """The matrix sizes that the operator categories cover."""
+    return [n for n in c.ns if n in (2, 3)]
+
+
+def _powers(ns, top, *args):
+    """Contexts on the N-th tensor power of each n in ``ns``, N <= top."""
+    return ((f"n={n} N={N}", (n, N), args)
+            for n in ns for N in range(1, top + 1))
+
+
+def _weights(c, *args):
+    """Contexts on each highest weight lambda of the N-th tensor power,
+    n in ``_small``, N <= min(N_max, 3); lambda leads the args."""
+    return ((f"n={n} lambda={_lam_str(lam)}", (n, N), (lam, *args))
+            for n in _small(c) for N in range(1, min(c.N_max, 3) + 1)
+            for lam in dominant_partitions(N, n))
+
+
+def _check_table():
+    """The (category, contexts, check) entries, in ``CHECK_NAMES`` order."""
+    return (
+        ("ybe", _sizes, rmatrix.check_yang_baxter),
+        ("crossing", _sizes, _crossing_rows),
+        ("f-series", lambda c: ((f"n={n}", None, (n, max(c.order, 2)))
+                                for n in c.ns), _fseries_rows),
+        ("antisymmetrizer", lambda c: (
+            (f"n={n} rank k={k}", None, (n, k))
+            for n in c.ns for k in range(1, n + 1)), _rank),
+        ("antisymmetrizer", lambda c: (
+            (f"n={n} interpolation", None, (n,)) for n in c.ns),
+         rmatrix.antisymmetrizer_r0_check),
+        ("antisymmetrizer", lambda c: (
+            (f"n={n} vanishing k={n + 1}", None, (n,))
+            for n in (2,) if n in c.ns), _vanishing),
+        ("antisymmetrizer", lambda c: (
+            (f"n={n} reduced words S_3", None, (3, n))
+            for n in (min(c.ns),)), rmatrix.reduced_word_independence),
+        ("antisymmetrizer", lambda c: (
+            (f"n={n} action formula k=2", None, (2, n)) for n in _small(c)),
+         rmatrix.pq_action_check),
+        ("fusion", lambda c: (
+            (f"n={n} k=2 sign={s}", (n, 1), (2, s))
+            for n in _small(c) for s in "+-"), rmatrix.check_fusion),
+        ("defining-relations", lambda c: (
+            (f"n={n} N={N}", (n, N), ()) for n in c.ns
+            for N in range(1, (c.N_max if n <= 3 else min(c.N_max, 2)) + 1)),
+         reps.verify_defining_relations),
+        ("comatrix", lambda c: (
+            (f"{ctx} sign={s}", key, (s,))
+            for ctx, key, _ in _powers(_small(c), min(c.N_max, 2))
+            for s in "+-"), _comatrix_rows),
+        ("z-identities", lambda c: _powers(_small(c), min(c.N_max, 2), "+"),
+         invariants.z_identity_checks),
+        ("z-identities", lambda c: _powers(_small(c), min(c.N_max, 2)),
+         invariants.transport_checks),
+        ("centrality", lambda c: _powers(_small(c), c.N_max, c.m_max, c.order),
+         _centrality_rows),
+        ("liouville", lambda c: (
+            (f"n={n} N=1 sign={s} operator", (n, 1), (s,))
+            for n in _small(c) for s in "+-"),
+         invariants.liouville_operator_check),
+        ("liouville", _weights, invariants.liouville_scalar_check),
+        ("series-expansion", lambda c: (
+            (f"{ctx} operator coefficients", key, args)
+            for ctx, key, args in _powers(_small(c), c.N_max, c.order)),
+         invariants.series_operator_check),
+        ("series-expansion", lambda c: (
+            (f"{ctx} order={c.order}", key, args)
+            for ctx, key, args in _weights(c, c.order)),
+         invariants.series_expansion_check),
+        ("eigenvalue-match", lambda c: _weights(c, c.m_max), _eigenvalue_rows),
+        ("partial-fractions", _weights, invariants.partial_fraction_check),
+        ("classical-limit", lambda c: (
+            (f"n={n} lambda={_lam_str(lam)}", None,
+             (n, lam, range(1, c.m_max + 1)))
+            for n in c.ns for N in range(min(c.N_max, 3) + 1)
+            for lam in dominant_partitions(N, n)),
+         invariants.classical_limit_checks),
+        ("alternate-families", lambda c: _powers(
+            _small(c), min(c.N_max, 3), c.m_max), _family_rows),
+        ("alternate-families", lambda c: (
+            (f"n={n}", (n, N), (dominant_partitions(N, n), c.m_max))
+            for n in _small(c) for N in range(1, min(c.N_max, 3) + 1)),
+         _inverted_rows),
+        ("shift-covariance", lambda c: (
+            (f"n={n}", None,
+             (n, dominant_partitions(min(c.N_max, 2), n), c.m_max))
+            for n in c.ns), _formula_rows),
+        # rep-anchored rows: base weights whose unit shift is a highest
+        # weight of the N-th tensor power, the vector one at N = 1
+        ("shift-covariance", lambda c: (
+            (f"n={n} lambda={_lam_str(base)} s=1", (n, N), (base, c.m_max))
+            for n in _small(c)
+            for N, base in ((1, (0,) + (-1,) * (n - 1)), (n, (0,) * n),
+                            (n + 1, (1,) + (0,) * (n - 1)))
+            if N <= c.N_max), _shift_rows),
+    )
+
+
+def _task_rows(power, check, context, key, args):
+    """Run one task and name its rows by the table's rule."""
+    out = check(*args) if key is None else check(power(*key), *args)
+    if isinstance(out, Verdict):
+        return [(context, out)]
+    return [(f"{context} {name}", v) for name, v in out]
 
 
 def _tasks(config, power):
-    tasks = []
-    add = tasks.append
+    """(category, fn) per task of the selected categories."""
     sel = config.selected()
-    ns = tuple(config.ns)
-    small = tuple(n for n in ns if n in (2, 3))
-
-    if "ybe" in sel:
-        for n in ns:
-            add(("ybe", lambda n=n: [(f"n={n}", rmatrix.check_yang_baxter(n))]))
-
-    if "crossing" in sel:
-        for n in ns:
-            add(("crossing", lambda n=n: _wrap_crossing(n)))
-
-    if "f-series" in sel:
-        for n in ns:
-            add(("f-series", lambda n=n: _wrap_fseries(n, max(config.order, 2))))
-
-    if "antisymmetrizer" in sel:
-        for n in ns:
-            for k in range(1, n + 1):
-                add(("antisymmetrizer", lambda n=n, k=k: _wrap_rank(n, k)))
-            add(("antisymmetrizer",
-                 lambda n=n: [(f"n={n} interpolation",
-                               rmatrix.antisymmetrizer_r0_check(n))]))
-        if 2 in ns:
-            add(("antisymmetrizer", lambda: _wrap_vanishing(2)))
-        nw = min(ns)
-        add(("antisymmetrizer",
-             lambda n=nw: [(f"n={n} reduced words S_3",
-                            rmatrix.reduced_word_independence(3, n))]))
-        for n in small:
-            add(("antisymmetrizer",
-                 lambda n=n: [(f"n={n} action formula k=2",
-                               rmatrix.pq_action_check(2, n))]))
-
-    if "fusion" in sel:
-        for n in small:
-            for sign in "+-":
-                add(("fusion",
-                     lambda n=n, sign=sign: [
-                         (f"n={n} k=2 sign={sign}",
-                          rmatrix.check_fusion(power(n, 1), 2, sign))]))
-
-    if "defining-relations" in sel:
-        for n in ns:
-            cap = config.N_max if n <= 3 else min(config.N_max, 2)
-            for N in range(1, cap + 1):
-                add(("defining-relations",
-                     lambda n=n, N=N: [
-                         (f"n={n} N={N} {name}", v)
-                         for name, v in reps.verify_defining_relations(
-                             power(n, N))]))
-
-    if "comatrix" in sel:
-        for n in small:
-            for N in range(1, min(config.N_max, 2) + 1):
-                for sign in "+-":
-                    add(("comatrix",
-                         lambda n=n, N=N, sign=sign: [
-                             (f"n={n} N={N} sign={sign} direct",
-                              invariants.comatrix_identity_check(
-                                  power(n, N), sign)),
-                             (f"n={n} N={N} sign={sign} transposed",
-                              invariants.comatrix_transposed_check(
-                                  power(n, N), sign))]))
-
-    if "z-identities" in sel:
-        for n in small:
-            for N in range(1, min(config.N_max, 2) + 1):
-                add(("z-identities",
-                     lambda n=n, N=N: [
-                         (f"n={n} N={N} {name}", v)
-                         for name, v in invariants.z_identity_checks(
-                             power(n, N), "+")]))
-                add(("z-identities",
-                     lambda n=n, N=N: [
-                         (f"n={n} N={N} {name}", v)
-                         for name, v in invariants.transport_checks(
-                             power(n, N))]))
-
-    if "centrality" in sel:
-        for n in small:
-            for N in range(1, config.N_max + 1):
-                def central(n=n, N=N):
-                    rep = power(n, N)
-                    rows = []
-                    for m in range(1, config.m_max + 1):
-                        rows.append((f"n={n} N={N} tr_q M^{m}",
-                                     invariants.centrality_check(
-                                         rep, invariants.gelfand_invariant(rep, m),
-                                         f"tr_q M^{m}")))
-                    # z coefficients m >= 1 are derived from tr_q M^m;
-                    # series-expansion cross-checks the K-power route
-                    factor = invariants.series_factor(n)
-                    for m in range(config.order + 1):
-                        z = (invariants.gelfand_invariant(rep, m).scaled(factor)
-                             if m else invariants.z_series_coefficient(rep, 0))
-                        rows.append((f"n={n} N={N} z coefficient {m}",
-                                     invariants.centrality_check(
-                                         rep, z, f"z coefficient {m}")))
-                    return rows
-                add(("centrality", central))
-
-    if "liouville" in sel:
-        for n in small:
-            for sign in "+-":
-                add(("liouville",
-                     lambda n=n, sign=sign: [
-                         (f"n={n} N=1 sign={sign} operator",
-                          invariants.liouville_operator_check(
-                              power(n, 1), sign))]))
-            for N, lam in _lam_sets(config, n):
-                add(("liouville",
-                     lambda n=n, N=N, lam=lam: [
-                         (f"n={n} lambda={_lam_str(lam)} {name}", v)
-                         for name, v in invariants.liouville_scalar_check(
-                             power(n, N), lam)]))
-
-    if "series-expansion" in sel:
-        for n in small:
-            for N in range(1, config.N_max + 1):
-                add(("series-expansion",
-                     lambda n=n, N=N: [
-                         (f"n={n} N={N} operator coefficients",
-                          invariants.series_operator_check(
-                              power(n, N), config.order))]))
-            for N, lam in _lam_sets(config, n):
-                add(("series-expansion",
-                     lambda n=n, N=N, lam=lam: [
-                         (f"n={n} lambda={_lam_str(lam)} order={config.order}",
-                          invariants.series_expansion_check(
-                              power(n, N), lam, config.order))]))
-
-    if "eigenvalue-match" in sel:
-        for n in small:
-            for N, lam in _lam_sets(config, n):
-                add(("eigenvalue-match",
-                     lambda n=n, N=N, lam=lam: [
-                         (f"n={n} lambda={_lam_str(lam)} m={m}",
-                          invariants.eigenvalue_check(power(n, N), lam, m))
-                         for m in range(config.m_max + 1)]))
-
-    if "partial-fractions" in sel:
-        for n in small:
-            for N, lam in _lam_sets(config, n):
-                add(("partial-fractions",
-                     lambda n=n, N=N, lam=lam: [
-                         (f"n={n} lambda={_lam_str(lam)}",
-                          invariants.partial_fraction_check(
-                              power(n, N), lam))]))
-
-    if "classical-limit" in sel:
-        ms = range(1, config.m_max + 1)
-        for n in ns:
-            for N in range(min(config.N_max, 3) + 1):
-                for lam in dominant_partitions(N, n):
-                    add(("classical-limit",
-                         lambda n=n, lam=lam: [
-                             (f"n={n} lambda={_lam_str(lam)} {name}", v)
-                             for name, v in invariants.classical_limit_checks(
-                                 n, lam, ms)]))
-
-    if "alternate-families" in sel:
-        for n in small:
-            for N in range(1, min(config.N_max, 3) + 1):
-                add(("alternate-families",
-                     lambda n=n, N=N: [
-                         (f"n={n} N={N} m={m} {name}", v)
-                         for m in range(config.m_max + 1)
-                         for name, v in invariants.alternate_family_checks(
-                             power(n, N), m)]))
-                add(("alternate-families",
-                     lambda n=n, N=N: [
-                         (f"n={n} lambda={_lam_str(lam)} m={m} inverted q",
-                          invariants.alternate_eigenvalue_check(
-                              power(n, N), lam, m))
-                         for lam in dominant_partitions(N, n)
-                         for m in range(1, config.m_max + 1)]))
-
-    if "shift-covariance" in sel:
-        for n in ns:
-            add(("shift-covariance",
-                 lambda n=n: [
-                     (f"n={n} lambda={_lam_str(lam)} s={s} m={m} formula",
-                      invariants.shift_covariance_formula_check(n, lam, m, s))
-                     for lam in dominant_partitions(min(config.N_max, 2), n)
-                     for s in (1, 2)
-                     for m in range(1, config.m_max + 1)]))
-        for n in small:
-            # base weight whose unit shift is the vector representation's
-            # highest weight -- rep-anchored rows at every N bound
-            base = (0,) + (-1,) * (n - 1)
-            add(("shift-covariance",
-                 lambda n=n, base=base: [
-                     (f"n={n} lambda={_lam_str(base)} s=1 m={m} operator",
-                      invariants.shift_covariance_rep_check(
-                          power(n, 1), base, m, 1))
-                     for m in range(1, config.m_max + 1)]))
-            base = (0,) * n
-            if n <= config.N_max:
-                add(("shift-covariance",
-                     lambda n=n, base=base: [
-                         (f"n={n} lambda={_lam_str(base)} s=1 m={m} operator",
-                          invariants.shift_covariance_rep_check(
-                              power(n, n), base, m, 1))
-                         for m in range(1, config.m_max + 1)]))
-            base = (1,) + (0,) * (n - 1)
-            if n + 1 <= config.N_max:
-                add(("shift-covariance",
-                     lambda n=n, base=base: [
-                         (f"n={n} lambda={_lam_str(base)} s=1 m={m} operator",
-                          invariants.shift_covariance_rep_check(
-                              power(n, n + 1), base, m, 1))
-                         for m in range(1, config.m_max + 1)]))
-
-    return tasks
+    return [(category, functools.partial(_task_rows, power, check, *ctx))
+            for category, contexts, check in _check_table() if category in sel
+            for ctx in contexts(config)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from qgelfand import invariants, suite
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
                             dominant_partitions, run_suite)
 
@@ -115,3 +116,40 @@ def test_centrality_rows_at_n2_3_N2():
             "n=3 N=2 z coefficient 0", "n=3 N=2 z coefficient 1",
             "n=3 N=2 z coefficient 2", "n=3 N=2 z coefficient 3")]
     assert all(r["verdict"] == "pass" for r in report["checks"])
+
+
+def test_crashing_check_becomes_failed_rows(monkeypatch):
+    # the table reads each check from its module when the run starts, so
+    # a patched check is the one the run calls; every task it serves
+    # fails alone with the exception as witness
+    def boom(rep):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(invariants, "transport_checks", boom)
+    report = run_suite(SuiteConfig(ns=(2, 3), N_max=2,
+                                   include=("z-identities",)))
+    raised = [r for r in report["checks"] if r["context"] == "(raised)"]
+    assert len(raised) == 4
+    assert all(r["name"] == "z-identities" and r["verdict"] == "fail"
+               and r["witness"] == "RuntimeError: boom" for r in raised)
+    rest = [r for r in report["checks"] if r["context"] != "(raised)"]
+    assert rest and all(r["verdict"] == "pass" for r in rest)
+
+
+def test_task_partition_at_default_config():
+    # one task per context: the unit a crash fails, counted per category
+    def power(n, N):
+        raise AssertionError("building the task list builds no rep")
+
+    counts = {}
+    for category, _ in suite._tasks(SuiteConfig(), power):
+        counts[category] = counts.get(category, 0) + 1
+    assert counts == {
+        "ybe": 2, "crossing": 2, "f-series": 2, "antisymmetrizer": 11,
+        "fusion": 4, "defining-relations": 6, "comatrix": 8,
+        "z-identities": 8, "centrality": 6, "liouville": 15,
+        "series-expansion": 17, "eigenvalue-match": 11,
+        "partial-fractions": 11, "classical-limit": 13,
+        "alternate-families": 12, "shift-covariance": 7}
+    assert ({category for category, _, _ in suite._check_table()}
+            == set(CHECK_NAMES))
