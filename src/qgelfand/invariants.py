@@ -79,8 +79,7 @@ def _eigen_numerators(n, lam, ms):
     ell, weights = _pp_weights(n, lam)
     lcd = IntLaurent.from_int(1)
     for c in weights:
-        if not c.den.is_one():
-            lcd = lcd * c.den.divexact(IntLaurent.gcd(lcd, c.den))
+        lcd = IntLaurent.lcm(lcd, c.den)
     parts = [(2 * l, c.num * lcd.divexact(c.den))
              for l, c in zip(ell, weights) if c]
     zero = IntLaurent.from_int(0)
@@ -336,7 +335,7 @@ def comatrix(rep, sign, u):
                 blk = quantum_minor(rep, sign, u, rows, cols).scaled(
                     field.from_coeff(_neg_q_power(j - i)))
             else:
-                blk = lift(TMatrix.identity(SCALARS, d), field)
+                blk = TMatrix.identity(field, d)
             big = big + kron(TMatrix.unit(field, n, i, j), blk)
     return big
 
@@ -347,8 +346,7 @@ def comatrix_identity_check(rep, sign):
     u = field.gen
     uq2 = u * field.from_coeff(Scalar.q_power(2))
     lhs = comatrix(rep, sign, uq2) * evaluated_L(rep, sign, u)
-    rhs = kron(lift(TMatrix.identity(SCALARS, rep.n), field),
-               qdet_matrix(rep, sign))
+    rhs = kron(TMatrix.identity(field, rep.n), qdet_matrix(rep, sign))
     return matrix_verdict(lhs, rhs,
                           label=f"comatrix identity sign={sign} {rep.label}")
 
@@ -364,8 +362,7 @@ def comatrix_transposed_check(rep, sign):
            * comatrix(rep, sign, u).partial_transpose(1)
            * _aux_diag(rep, field, inverse=True)
            * evaluated_L(rep, sign, shift).partial_transpose(1))
-    rhs = kron(lift(TMatrix.identity(SCALARS, rep.n), field),
-               qdet_matrix(rep, sign))
+    rhs = kron(TMatrix.identity(field, rep.n), qdet_matrix(rep, sign))
     return matrix_verdict(lhs, rhs,
                           label=f"transposed comatrix sign={sign} {rep.label}")
 

@@ -143,8 +143,7 @@ def crossing_scalar(n):
     rset = build_rmatrix_set(n)
     x = XFIELD.gen
     q2n = XFIELD.from_coeff(Scalar.q_power(2 * n))
-    d2 = kron(lift(TMatrix.identity(SCALARS, n), XFIELD),
-              lift(rset.D, XFIELD))
+    d2 = kron(TMatrix.identity(XFIELD, n), lift(rset.D, XFIELD))
     lhs = (r0(n, x, rset).inverse().partial_transpose(2)
            * d2
            * r0(n, x * q2n, rset).partial_transpose(2))

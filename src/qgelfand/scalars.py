@@ -20,6 +20,12 @@ pseudo-remainder divided by its content, Knuth TAOCP 2, 4.6.1) runs over
 Euclid over Q(q) would give the same monic gcd, but every step of it
 normalises ``Scalar`` coefficients of growing size; it survives only in
 the tests, as the reference the fraction-free gcd is checked against.
+One PRS loop, ``_prs``, serves both rings: ``IntLaurent.gcd`` runs it on
+integer coefficient lists, ``Poly.gcd`` on ``IntLaurent`` ones.
+
+Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
+out of numerator and denominator with ``IntLaurent.divexact`` until one
+of them no longer vanishes there.
 
 Rendering is deterministic: Laurent polynomials in q print in descending
 powers ("q^2 + 1 + q^-2"); polynomials in u print in ascending powers
@@ -168,87 +174,68 @@ class IntLaurent:
                 acc += a * q0 ** (self.low + i)
         return acc
 
-    def taylor_at_one(self, order):
-        """Coefficients of p(1+t) up to t^order; requires low >= 0."""
-        if self.low < 0:
-            raise ValueError("shift to nonnegative exponents first")
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.c):
-            if a:
-                e = self.low + i
-                for j in range(min(e, order) + 1):
-                    out[j] += a * math.comb(e, j)
-        return out
-
-    # -- division helpers used by the gcd machinery -----------------------
-
-    def _divmod_poly(self, other):
-        """Long division of ordinary (low >= 0) polynomials over Z.
-
-        Only valid when every quotient coefficient is an exact integer,
-        which holds for the pseudo-remainder and exact-division call sites.
-        """
-        a = list(self.c)
-        alow, blow = self.low, other.low
+    def divexact(self, other):
+        """The quotient self/other in Z[q, q^-1]; raises ArithmeticError
+        when ``other`` does not divide ``self``."""
         b = other.c
         if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        da, db = len(a) - 1, len(b) - 1
-        if da + alow < db + blow:
-            return _L_ZERO, self
-        # work with plain polynomials shifted to exponent 0
-        a = [0] * alow + a
-        bfull = [0] * blow + list(b)
-        da, db = len(a) - 1, len(bfull) - 1
-        quot = [0] * (da - db + 1)
-        for k in range(da - db, -1, -1):
-            if a[db + k] % bfull[db] != 0:
-                raise ArithmeticError("inexact integer polynomial division")
-            f = a[db + k] // bfull[db]
-            quot[k] = f
-            if f:
-                for i in range(db + 1):
-                    a[i + k] -= f * bfull[i]
-        return IntLaurent(0, quot), IntLaurent(0, a)
-
-    def divexact(self, other):
-        """Exact division; both arguments Laurent, remainder must vanish."""
-        if not other.c:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.c:
             return _L_ZERO
-        shift = self.low - other.low
-        q, r = IntLaurent(0, self.c)._divmod_poly(IntLaurent(0, other.c))
-        if r:
+        a = list(self.c)
+        db = len(b) - 1
+        lb = b[-1]
+        quot = [0] * max(len(a) - db, 0)
+        for k in range(len(quot) - 1, -1, -1):
+            f, m = divmod(a[db + k], lb)
+            if m:
+                raise ArithmeticError("inexact Laurent division")
+            quot[k] = f
+            if f:
+                for i in range(db):
+                    a[i + k] -= f * b[i]
+        if not quot or any(a[:db]):
             raise ArithmeticError("inexact Laurent division")
-        return q.shifted(shift)
+        return IntLaurent(self.low - other.low, quot)
 
     @staticmethod
     def gcd(a, b):
         """A gcd in Z[q, q^-1], normalised to lowest exponent 0 and
-        positive leading coefficient (primitive PRS on primitive parts)."""
-        if not a.c:
-            return IntLaurent.gcd(b, a) if b.c else _L_ZERO
+        positive leading coefficient.
+
+        The integer content is the gcd of the two contents; the primitive
+        part is the last remainder of ``_prs`` on the primitive parts,
+        the PRS that ``Poly.gcd`` runs over Z[q, q^-1]."""
         if not b.c:
-            g = IntLaurent(0, a.c)
+            a, b = b, a
+        if not a.c:
+            if not b.c:
+                return _L_ZERO
+            g = IntLaurent(0, b.c)
             return g if g.c[-1] > 0 else -g
         ca, cb = a.content(), b.content()
-        p = IntLaurent(0, tuple(x // ca for x in a.c))
-        r = IntLaurent(0, tuple(x // cb for x in b.c))
-        while r.c:
-            if len(p.c) < len(r.c):
-                p, r = r, p
-                continue
-            # pseudo-remainder keeps everything over Z; q-power units are
-            # irrelevant, so every intermediate is renormalised to low = 0
-            d = len(p.c) - len(r.c) + 1
-            scaled = p.scale(r.c[-1] ** d)
-            _, rem = scaled._divmod_poly(r)
-            p = r
-            c = rem.content()
-            r = IntLaurent(0, tuple(x // c for x in rem.c)) if c else _L_ZERO
-        g = p.scale(math.gcd(ca, cb)).shifted(-p.low)
+        n = math.gcd(ca, cb)
+        if len(a.c) == 1 or len(b.c) == 1:
+            return IntLaurent.from_int(n)
+        p = [x // ca for x in a.c]
+        r = [x // cb for x in b.c]
+        if len(p) < len(r):
+            p, r = r, p
+        g = _prs(p, r, _int_primitive)
+        if len(g) == 1:
+            return IntLaurent.from_int(n)
+        g = IntLaurent(0, g).scale(n)
         return g if g.c[-1] > 0 else -g
+
+    @staticmethod
+    def lcm(a, b):
+        """An lcm of nonzero ``a`` and ``b``: the other side when one is 1
+        or the two are equal, else a * b / gcd(a, b)."""
+        if a.is_one() or a == b:
+            return b
+        if b.is_one():
+            return a
+        return a * b.divexact(IntLaurent.gcd(a, b))
 
     def __repr__(self):
         return f"IntLaurent({render_laurent(self)})"
@@ -370,18 +357,6 @@ class Scalar:
             raise ZeroDivisionError("division by zero in Q(q)")
         return Scalar(self.num * other.den, self.den * other.num)
 
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def subs_qinv(self):
         """Substitute q -> q^-1."""
         return Scalar(self.num.reverse(), self.den.reverse())
@@ -435,53 +410,24 @@ def qnum(k):
 # Limits at q = 1
 # ---------------------------------------------------------------------------
 
-def _substitution_limit(num, den, cap=64):
-    """Limit via q = 1 + t with adaptively truncated expansions.
-
-    Doubles the truncation order until the lowest nonzero t-coefficient
-    of both expansions is found (or the cap is reached).
-    """
-    shift = min(num.low, den.low, 0)
-    num = num.shifted(-shift)
-    den = den.shifted(-shift)
-
-    def lowest(p, order):
-        for j, a in enumerate(p.taylor_at_one(order)):
-            if a:
-                return j, a
-        return None
-
-    order = 1
-    while order <= cap:
-        ln = lowest(num, order)
-        ld = lowest(den, order)
-        if ld is not None and (ln is not None or order >= num.degree):
-            if ln is None:
-                return Fraction(0)
-            jn, an = ln
-            jd, ad = ld
-            if jn < jd:
-                raise DivergentLimitError("pole at q=1")
-            if jn > jd:
-                return Fraction(0)
-            return Fraction(an, ad)
-        order *= 2
-    raise DivergentLimitError("q=1 limit did not resolve within order cap")
+_Q_MINUS_ONE = IntLaurent(0, (-1, 1))
 
 
 def limit_q1(s):
     """Exact limit of a Scalar as q -> 1, as a Fraction.
 
-    The stored fraction is already reduced, so evaluating at q = 1
-    resolves almost every case; the 1+t substitution handles any
-    residual 0/0 cancellation.
+    While numerator and denominator both vanish at q = 1, each is divided
+    by (q - 1) exactly; then both are evaluated at q = 1.  A reduced
+    ``Scalar`` has no common factor (q - 1), so it is evaluated at once.
     """
-    d1 = s.den.at_one()
-    if d1 != 0:
-        return Fraction(s.num.at_one(), d1)
-    if s.num.at_one() != 0:
+    num, den = s.num, s.den
+    while den.at_one() == 0 and num.at_one() == 0:
+        num = num.divexact(_Q_MINUS_ONE)
+        den = den.divexact(_Q_MINUS_ONE)
+    d1 = den.at_one()
+    if d1 == 0:
         raise DivergentLimitError("pole at q=1")
-    return _substitution_limit(s.num, s.den)
+    return Fraction(num.at_one(), d1)
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +553,8 @@ class Poly:
         """Monic gcd over Q(q), fraction-free.
 
         Both inputs are cleared of their ``Scalar`` denominators, a
-        primitive PRS over Z[q, q^-1] finds a primitive gcd, and that is
-        made monic over Q(q).  The monic gcd is unique, so this is the
+        primitive PRS (``_prs``) over Z[q, q^-1] finds a primitive gcd,
+        and that is made monic over Q(q).  The monic gcd is unique, so this is the
         polynomial Euclid returns, without Euclid's coefficient swell.
         gcd(0, 0) is 0 and gcd(a, 0) is a made monic.
         """
@@ -621,15 +567,11 @@ class Poly:
         p, r = _cleared(a), _cleared(b)
         if len(p) < len(r):
             p, r = r, p
-        while True:
-            rem = _prem(p, r)
-            if not rem:
-                break
-            if len(rem) == 1:
-                return Poly(SCALARS, (ONE,))
-            p, r = r, _primitive(rem)
-        lead = r[-1]
-        return Poly(SCALARS, [Scalar(c, lead) for c in r[:-1]] + [ONE])
+        g = _prs(p, r, _primitive)
+        if len(g) == 1:
+            return Poly(SCALARS, (ONE,))
+        lead = g[-1]
+        return Poly(SCALARS, [Scalar(c, lead) for c in g[:-1]] + [ONE])
 
 
 # A polynomial over Z[q, q^-1] in u is a list of ``IntLaurent``
@@ -643,10 +585,7 @@ def _cleared(p):
     """
     lcm = _L_ONE
     for s in p.c:
-        d = s.den
-        if d.is_one() or d == lcm:
-            continue
-        lcm = d if lcm.is_one() else lcm * d.divexact(IntLaurent.gcd(lcm, d))
+        lcm = IntLaurent.lcm(lcm, s.den)
     if lcm.is_one():
         return _primitive([s.num for s in p.c])
     return _primitive([s.num if s.den == lcm else s.num * lcm.divexact(s.den)
@@ -674,12 +613,36 @@ def _primitive(coeffs):
     return [c.shifted(-low) for c in coeffs] if low else coeffs
 
 
+def _int_primitive(c):
+    """Primitive part of an integer polynomial, q-power unit removed."""
+    p = IntLaurent(0, c)
+    n = p.content()
+    return [x // n for x in p.c]
+
+
+def _prs(p, r, primitive):
+    """Last remainder of the primitive pseudo-remainder sequence of p and
+    r (coefficient lists, len(p) >= len(r) >= 2): repeat ``_prem`` and
+    keep ``primitive`` of each remainder until one vanishes (Knuth TAOCP
+    2, 4.6.1).  The result is the primitive gcd up to a unit, or a
+    constant when p and r are coprime.
+
+    Both gcds run it: ``Poly.gcd`` over Z[q, q^-1] with ``_primitive``,
+    ``IntLaurent.gcd`` over Z with ``_int_primitive``.
+    """
+    while True:
+        rem = _prem(p, r)
+        if len(rem) <= 1:
+            return rem or r
+        p, r = r, primitive(rem)
+
+
 def _prem(a, b):
     """Pseudo-remainder of ``a`` by ``b`` (deg a >= deg b), fraction-free.
 
-    Each step replaces a by lc(b)*a - lc(a)*u^k*b, so the result is the
-    remainder times a nonzero element of Z[q, q^-1]; only its primitive
-    part is used.
+    Each step replaces a by lc(b)*a - lc(a)*x^k*b, so the result is the
+    remainder times a nonzero element of the coefficient ring; only its
+    primitive part is used.
     """
     r = a
     db = len(b) - 1
@@ -881,11 +844,6 @@ class USeries:
 
     def coeff(self, m):
         return self.coeffs[m]
-
-    def render(self):
-        return " + ".join(
-            f"({c.render()})*u^{m}" if m else f"({c.render()})"
-            for m, c in enumerate(self.coeffs))
 
 
 def expand(r, order):

@@ -144,6 +144,17 @@ def test_limit_q1():
         assert limit_q1(qnum(k) / qnum(j)) == Fraction(k, j)
     with pytest.raises(DivergentLimitError):
         limit_q1(Q_MINUS_QINV.inverse())
+    # unreduced forms with a high power of (q - 1) on both sides
+    q_minus_one = IntLaurent(0, (-1, 1))
+    power = {0: IntLaurent.from_int(1)}
+    for k in range(1, 67):
+        power[k] = power[k - 1] * q_minus_one
+    x = Scalar(IntLaurent(0, (3, 1)) * power[65],
+               IntLaurent(0, (1, 1)) * power[65], _reduced=True)
+    assert limit_q1(x) == 2
+    assert limit_q1(Scalar(power[66], power[65], _reduced=True)) == 0
+    with pytest.raises(DivergentLimitError):
+        limit_q1(Scalar(power[64], power[65], _reduced=True))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +414,73 @@ def test_scalar_field_axioms(a, b, c):
         assert (b / a) * a == b
 
 
+def shifted_expr(p):
+    """sympy polynomial of ``p`` over ZZ, shifted to lowest exponent 0."""
+    return sympy.Poly(laurent_expr(p.shifted(-p.low)), SQ, domain=sympy.ZZ)
+
+
+@st.composite
+def laurent_gcd_pairs(draw):
+    """Two nonzero Laurent polynomials with a planted common factor of
+    degree 0-3, content > 1 and negative q-powers."""
+    deg = draw(st.integers(0, 3))
+    common = IntLaurent(draw(st.integers(-3, 0)),
+                        [draw(st.integers(-4, 4)) for _ in range(deg)]
+                        + [draw(st.integers(1, 4))])
+    common = common.scale(draw(st.integers(2, 6)))
+    a, b = draw(nonzero_laurents), draw(nonzero_laurents)
+    return a * common, b * common
+
+
+def assert_associates(x, y):
+    """x = +-q^k y in Z[q, q^-1]."""
+    assert x.c == y.c or x.c == tuple(-v for v in y.c)
+
+
+@ORACLE
+@given(laurent_gcd_pairs())
+def test_laurent_gcd_matches_sympy(pair):
+    a, b = pair
+    g = IntLaurent.gcd(a, b)
+    # sympy's gcd over ZZ[q] carries the content and a positive leading
+    # coefficient, the normal form of IntLaurent.gcd
+    assert shifted_expr(g) == sympy.gcd(shifted_expr(a), shifted_expr(b))
+    assert g.low == 0
+    assert IntLaurent.gcd(b, a) == g
+
+
+@ORACLE
+@given(laurent_gcd_pairs())
+def test_laurent_lcm_times_gcd(pair):
+    a, b = pair
+    m = IntLaurent.lcm(a, b)
+    assert_associates(m * IntLaurent.gcd(a, b), a * b)
+    assert m.divexact(a) * a == m and m.divexact(b) * b == m
+    assert IntLaurent.lcm(a, a) == a
+    assert IntLaurent.lcm(IntLaurent.from_int(1), b) == b
+
+
+@ORACLE
+@given(nonzero_laurents, nonzero_laurents,
+       st.sampled_from(("free", "exact", "remainder")))
+@example(IntLaurent(-1, (1, 1, 1)), IntLaurent(2, (1, 1)), "free")
+def test_laurent_divexact_matches_sympy(a, b, plant):
+    # "exact" plants b as a factor, "remainder" adds a monomial to such a
+    # multiple, which leaves a remainder whenever b is not a monomial
+    if plant != "free":
+        a = a * b
+    if plant == "remainder":
+        a = a + IntLaurent.q_power(b.low)
+    quot, rem = sympy.div(shifted_expr(a), shifted_expr(b))
+    if rem.is_zero and all(c.is_integer for c in quot.coeffs()):
+        got = a.divexact(b)
+        assert got * b == a
+        assert shifted_expr(got) == quot
+    else:
+        with pytest.raises(ArithmeticError):
+            a.divexact(b)
+
+
 def assert_normal_form(x):
     assert x.den.low == 0 and x.den.c[-1] > 0
     assert IntLaurent.gcd(x.num, x.den).is_one()
@@ -448,7 +526,7 @@ off_one = nonzero_laurents.filter(lambda p: p.at_one() != 0)
 @example(IntLaurent(-1, (3, 0, 1)), IntLaurent(0, (1, 1)), 2, 0)
 def test_limit_q1_matches_sympy(a, b, j, d):
     # a (q-1)^k / (b (q-1)^j) with k = j + d: finite iff d >= 0, nonzero
-    # iff d = 0; the unreduced form takes limit_q1's 1+t substitution path
+    # iff d = 0; the unreduced form takes limit_q1's (q - 1)-division path
     k = max(j + d, 0)
     num, den = a, b
     for _ in range(k):
