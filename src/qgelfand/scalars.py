@@ -227,15 +227,14 @@ class IntLaurent:
         g = IntLaurent(0, g).scale(n)
         return g if g.c[-1] > 0 else -g
 
-    @staticmethod
-    def lcm(a, b):
-        """An lcm of nonzero ``a`` and ``b``: the other side when one is 1
-        or the two are equal, else a * b / gcd(a, b)."""
-        if a.is_one() or a == b:
-            return b
-        if b.is_one():
-            return a
-        return a * b.divexact(IntLaurent.gcd(a, b))
+    def lcm(self, other):
+        """An lcm of nonzero ``self`` and ``other``: the other side when
+        one is 1 or the two are equal, else self * other / gcd."""
+        if self.is_one() or self == other:
+            return other
+        if other.is_one():
+            return self
+        return self * other.divexact(IntLaurent.gcd(self, other))
 
     def __repr__(self):
         return f"IntLaurent({render_laurent(self)})"
@@ -437,10 +436,9 @@ def limit_q1(s):
 class _ScalarField:
     """Field descriptor for Q(q).
 
-    ``split`` and ``join`` are the matrix storage interface (see
-    :mod:`.tmatrix`): a ``Scalar`` is its own numerator over the
-    denominator ``ONE``, and a matrix over Q(q) keeps ``ONE`` as its
-    common denominator, so ``join`` returns the numerator as it is.
+    ``join`` is the matrix storage interface (see :mod:`.tmatrix`): it
+    turns an ``IntLaurent`` numerator and denominator into the reduced
+    ``Scalar``.
     """
 
     name = "Q(q)"
@@ -452,12 +450,8 @@ class _ScalarField:
         return Scalar.from_int(n)
 
     @staticmethod
-    def split(x):
-        return x, ONE
-
-    @staticmethod
     def join(num, den):
-        return num
+        return Scalar(num, den)
 
     @staticmethod
     def render(x):
@@ -474,7 +468,9 @@ _ScalarField.one = ONE
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense univariate polynomial over a coefficient field descriptor."""
+    """Dense univariate polynomial over a coefficient field descriptor;
+    ``lcm`` and ``divexact`` are the matrix denominator protocol (see
+    :mod:`.tmatrix`), as on ``IntLaurent``."""
 
     __slots__ = ("f", "c")
 
@@ -547,6 +543,18 @@ class Poly:
                 for i in range(db + 1):
                     rem[i + k] = rem[i + k] - f * other.c[i]
         return Poly(self.f, quot), Poly(self.f, rem)
+
+    def divexact(self, other):
+        """The quotient self/other; raises ArithmeticError when ``other``
+        does not divide ``self``."""
+        quot, rem = self.divmod(other)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        return quot
+
+    def lcm(self, other):
+        """Monic lcm of two monic polynomials."""
+        return self * other.divexact(Poly.gcd(self, other))
 
     @staticmethod
     def gcd(a, b):
@@ -678,8 +686,8 @@ class Frac:
         if not (_reduced or den.is_one()):
             g = Poly.gcd(num, den)
             if g.degree > 0:
-                num, _ = num.divmod(g)
-                den, _ = den.divmod(g)
+                num = num.divexact(g)
+                den = den.divexact(g)
             lead = den.c[-1]
             if not lead == field.coeff.one:
                 inv = field.coeff.one / lead
@@ -753,7 +761,11 @@ class Frac:
 
 
 class FracField:
-    """The field of rational functions in one variable over ``coeff``."""
+    """The field of rational functions in one variable over ``coeff``.
+
+    ``join`` is the matrix storage interface (see :mod:`.tmatrix`): it
+    turns a ``Poly`` numerator and denominator into the reduced ``Frac``.
+    """
 
     def __init__(self, coeff, var):
         self.coeff = coeff
@@ -767,10 +779,6 @@ class FracField:
 
     def from_int(self, n):
         return self.from_coeff(self.coeff.from_int(n))
-
-    def split(self, x):
-        """(numerator, denominator) of ``x`` as polynomials."""
-        return x.num, x.den
 
     def join(self, num, den):
         """The normalised element num/den (den a nonzero polynomial)."""

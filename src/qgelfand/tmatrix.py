@@ -1,29 +1,29 @@
 """Exact sparse matrices over a coefficient field, with tensor-factor shape.
 
-A ``TMatrix`` stores each row as a dict ``{column: numerator}`` holding
-only the nonzero entries, plus one common denominator ``den``: the
-value of entry (i, j) is ``numerator / den``.  The field descriptor
-(from :mod:`.scalars`) supplies ``split``, an element as (numerator,
-denominator), and ``join``, the normalised element num/den.  Over Q(q)
-(``SCALARS``) an entry is its own numerator and ``den`` is always
-``ONE``; over Q(q)(u) and Q(q)(x) (``FracField``) the numerators and
-``den`` are polynomials.  An exact zero is never stored: every kernel
-drops the entries that cancel, so a matrix is falsy exactly when no row
-holds an entry.
+Every ``TMatrix`` stores each row as a dict ``{column: numerator}``
+holding only the nonzero entries, plus one common denominator ``den``:
+an entry x is kept as ``x.num`` scaled to ``den``, the lcm of the
+entries' ``x.den``.  Over Q(q) (``SCALARS``) the numerators and ``den``
+are ``IntLaurent``, in Z[q, q^-1]; over Q(q)(u) and Q(q)(x)
+(``FracField``) they are ``Poly``.  This module knows no ring: it uses
+the field descriptor's ``zero``, ``one``, ``join`` (the normalised
+element num/den), ``name`` and ``render``, and a ``den``'s ``lcm``,
+``divexact``, ``*``, ``==`` and hash.  An exact zero is never stored:
+every kernel drops the entries that cancel, so a matrix is falsy
+exactly when no row holds an entry.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
-the denominators, so over a function field they are polynomial
-arithmetic and run no gcd.  Equality cross-multiplies, comparing
-a_ij d_b with b_ij d_a, and names the same row-major first differing
-entry as entrywise comparison of the reduced values would.  An entry is
-normalised to a canonical field element only when it is read
-(``m[i, j]``, ``nonzero()``, ``.e``, ``trace()``, ``map_entries`` and
-the values of ``first_difference``), so every rendering is the same as
-if each entry had been reduced all along.  Constructors and ``set``
-take field elements and pack them over the lcm of their denominators.
-``.e`` is a read-only dense view, a fresh row-major list built on each
-access; no kernel uses it.
+the denominators, so they are ring arithmetic and run no gcd.  Equality
+cross-multiplies, comparing a_ij d_b with b_ij d_a, and names the same
+row-major first differing entry as entrywise comparison of the reduced
+values would.  An entry is normalised to a canonical field element only
+when it is read (``m[i, j]``, ``nonzero()``, ``.e``, ``trace()``,
+``map_entries`` and the values of ``first_difference``), so every
+rendering is the same as if each entry had been reduced all along.
+Constructors and ``set`` take field elements and pack them over the lcm
+of their denominators.  ``.e`` is a read-only dense view, a fresh
+row-major list built on each access; no kernel uses it.
 
 Square matrices may carry a ``shape`` tuple recording a tensor
 factorisation of their index space, which drives the subscript
@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import math
 
-from .scalars import Poly
-
 
 class SingularMatrixError(ValueError):
     """Raised when inverting or solving against a singular matrix."""
@@ -55,33 +53,22 @@ def _size(x):
     return hint() if hint is not None else 1
 
 
-def _unit(field):
-    """The denominator of a matrix with polynomial entries."""
-    return field.split(field.one)[1]
-
-
-def _lcm(a, b):
-    """Monic lcm of two monic polynomials."""
-    return a * b.divmod(Poly.gcd(a, b))[0]
-
-
 def _packed(field, rows):
     """(numerator rows, den) for rows of field elements: ``den`` is the
     lcm of the entry denominators and each numerator is scaled by the
     exact quotient lcm / denominator, found once per distinct
     denominator.  The rows must hold no zero."""
-    split = field.split
-    parts = [[(j,) + split(x) for j, x in row.items()] for row in rows]
+    parts = [[(j, x.num, x.den) for j, x in row.items()] for row in rows]
     dens = {d: None for row in parts for _, _, d in row}
     if len(dens) <= 1:
-        den = next(iter(dens)) if dens else _unit(field)
+        den = next(iter(dens)) if dens else field.one.den
         return [{j: x for j, x, _ in row} for row in parts], den
     it = iter(dens)
     den = next(it)
     for d in it:
-        den = _lcm(den, d)
+        den = den.lcm(d)
     for d in dens:
-        dens[d] = den.divmod(d)[0]
+        dens[d] = den.divexact(d)
     return [{j: x * dens[d] for j, x, d in row} for row in parts], den
 
 
@@ -95,12 +82,12 @@ class TMatrix:
 
     ``TMatrix(field, rows, cols, entries, shape)`` takes the entries as
     one flat row-major list of field elements; zeros in it are dropped
-    and the rest are packed over one denominator ``den``.  Kernels build
-    their results from numerator rows through ``_of``.  Values rely on
-    the field having no zero divisors: a product of two stored
-    numerators is never tested for zero, a sum is.  Reads return
-    normalised field elements; equality cross-multiplies and runs no
-    gcd.
+    and each other entry x is stored as ``x.num`` over the lcm ``den``
+    of the ``x.den``.  Kernels build their results from numerator rows
+    through ``_of``.  Values rely on the ring having no zero divisors: a
+    product of two stored numerators is never tested for zero, a sum is.
+    Reads return normalised field elements; equality cross-multiplies
+    and runs no gcd.
     """
 
     __slots__ = ("field", "rows", "cols", "_data", "den", "shape")
@@ -137,12 +124,13 @@ class TMatrix:
     @classmethod
     def zeros(cls, field, rows, cols, shape=None):
         return cls._of(field, rows, cols, [{} for _ in range(rows)],
-                       _unit(field), shape)
+                       field.one.den, shape)
 
     @classmethod
     def identity(cls, field, n, shape=None):
-        one, den = field.split(field.one)
-        return cls._of(field, n, n, [{i: one} for i in range(n)], den, shape)
+        one = field.one
+        return cls._of(field, n, n, [{i: one.num} for i in range(n)], one.den,
+                       shape)
 
     @classmethod
     def unit(cls, field, n, i, j, coeff=None, shape=None):
@@ -180,24 +168,22 @@ class TMatrix:
         return self.field.zero if x is None else self.field.join(x, self.den)
 
     def set(self, i, j, x):
-        """Write entry (i, j) in place; writing zero removes it.  When
-        x times ``den`` is not a polynomial, the whole matrix is first
-        moved to the lcm of ``den`` and x's denominator.  Never call it
-        on a matrix another caller may hold (a memoised one)."""
+        """Write entry (i, j) in place; writing zero removes it.  The
+        matrix moves to the lcm of ``den`` and ``x.den`` (its rows are
+        rescaled only when ``x.den`` does not divide ``den``).  Never call
+        it on a matrix another caller may hold (a memoised one)."""
         row = self._data[i]
         if not x:
             row.pop(j, None)
             return
-        num, d = self.field.split(x)
+        num, d = x.num, x.den
         if d != self.den:
-            quot, rem = self.den.divmod(d)
-            if rem:
-                den = _lcm(self.den, d)
-                self._data = _times(self._data, den.divmod(self.den)[0])
+            den = self.den.lcm(d)
+            if den != self.den:
+                self._data = _times(self._data, den.divexact(self.den))
                 self.den = den
-                quot = den.divmod(d)[0]
                 row = self._data[i]
-            num = num * quot
+            num = num * den.divexact(d)
         row[j] = num
 
     @property
@@ -277,7 +263,7 @@ class TMatrix:
         s's numerator and ``den`` takes its denominator."""
         if not s:
             return TMatrix.zeros(self.field, self.rows, self.cols, self.shape)
-        num, den = self.field.split(s)
+        num, den = s.num, s.den
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: num * x for j, x in row.items()}
                             for row in self._data], self.den * den, self.shape)

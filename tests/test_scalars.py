@@ -292,6 +292,15 @@ def test_poly_gcd_matches_euclid_and_divides(pair):
     assert_divides(g, b)
     assert_divides(common, g)
     assert Poly.gcd(b, a) == g
+    # lcm * gcd is a * b up to a unit of Q(q)
+    m, ab = Poly.lcm(a, b) * g, a * b
+    assert m.scale(ab.c[-1]) == ab.scale(m.c[-1]) if ab else not m
+    # divexact returns the quotient when the division is exact ...
+    assert ab.divexact(b) == a and a.divexact(g) * g == a
+    # ... and raises when a remainder is planted
+    if b.degree > 0:
+        with pytest.raises(ArithmeticError):
+            (ab + Poly(SCALARS, (ONE,))).divexact(b)
 
 
 @settings(ORACLE, max_examples=10)

@@ -37,3 +37,31 @@ def test_project_declares_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def _imported_modules(path, package="qgelfand"):
+    """(line, dotted module name) of every module ``path`` imports from,
+    relative imports resolved against ``package``; ``from X import Y``
+    also yields X.Y, since Y may be a submodule."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"{package}.{module}" if module else package
+            yield node.lineno, module
+            for alias in node.names:
+                yield node.lineno, f"{module}.{alias.name}"
+
+
+def test_tmatrix_imports_nothing_from_scalars():
+    """The matrix kernels know no ring: the field descriptors and the
+    ``den`` types carry it, so ``tmatrix`` must not import ``scalars``."""
+    found = [f"tmatrix.py:{line}: {name}"
+             for line, name in _imported_modules(PACKAGE / "tmatrix.py")
+             if name == "qgelfand.scalars"
+             or name.startswith("qgelfand.scalars.")]
+    assert not found, found

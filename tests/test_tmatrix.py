@@ -1,14 +1,14 @@
 """Sparse exact matrices: arithmetic, elimination, tensor-leg operations,
 checked against dense entrywise oracles over ``.e``, over Q(q) and over
-Q(q)(u) with trivial and nontrivial common denominators."""
+Q(q)(u), each with trivial and nontrivial common denominators."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgelfand.scalars import (Scalar, SCALARS, UFIELD, ONE, ZERO, Q, qnum,
-                              Poly)
+from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, ONE, ZERO,
+                              Q, qnum, Poly)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
                               first_difference)
 from qgelfand.verdict import matrix_verdict
@@ -558,190 +558,217 @@ def test_map_entries_contract():
 
 
 # ---------------------------------------------------------------------------
-# Q(q)(u) matrices over a nontrivial common denominator
+# matrices over a nontrivial common denominator
 # ---------------------------------------------------------------------------
-# Built by scaling with 1/p, by inverse() and by sums over different
-# denominators; the oracles read the normalised entries through ``.e``.
+# Over Q(q) the denominator is a Laurent polynomial, over Q(q)(u) a
+# polynomial in u.  Built by scaling with 1/p, by inverse() and by sums
+# over different denominators; the oracles read the normalised entries
+# through ``.e``.
 
-def rand_upoly(rng):
-    """A nonconstant polynomial in u with a nonzero u-coefficient."""
-    u = UFIELD.gen
+def gen(field):
+    """q over Q(q), the variable over a function field."""
+    return Q if field is SCALARS else field.gen
+
+
+def rand_den(rng, field):
+    """A nonunit of the field's ring: over Q(q) a Laurent polynomial of
+    two or more terms, else a nonconstant polynomial with a nonzero
+    coefficient of the variable."""
+    if field is SCALARS:
+        if rng.random() < 0.3:
+            return qnum(rng.randint(2, 3))
+        k, c1, c0 = (rng.choice((-2, -1, 1, 2)) for _ in range(3))
+        return Scalar.q_power(k) * Scalar.from_int(c1) + Scalar.from_int(c0)
+    u = field.gen
     c1 = rand_entry(rng) or ONE
-    p = UFIELD.from_coeff(rand_entry(rng)) + u * UFIELD.from_coeff(c1)
+    p = field.from_coeff(rand_entry(rng)) + u * field.from_coeff(c1)
     return p * u if rng.random() < 0.3 else p
 
 
-def rand_invertible(rng, n):
+def rand_invertible(rng, field, n):
     while True:
-        a = rand_sparse(rng, UFIELD, n, n, density=0.4) + TMatrix.diag(
-            UFIELD, [rand_field_entry(rng, UFIELD) for _ in range(n)])
+        a = rand_sparse(rng, field, n, n, density=0.4) + TMatrix.diag(
+            field, [rand_field_entry(rng, field) for _ in range(n)])
         if a.rank() == n:
             return a
 
 
-def rand_fraction_matrix(rng, rows, cols, density=0.4, shape=None):
-    """A sparse matrix over Q(q)(u) whose ``den`` is not 1."""
+def rand_fraction_matrix(rng, field, rows, cols, density=0.4, shape=None):
+    """A sparse matrix over ``field`` whose ``den`` is not 1."""
     while True:
         # inverses only of small blocks: elimination over Q(q)(u) is slow
         kind = rng.randrange(3 if cols <= 3 else 2)
-        m = rand_sparse(rng, UFIELD, rows, cols, density)
+        m = rand_sparse(rng, field, rows, cols, density)
         if kind == 0:
-            m = m.scaled(rand_upoly(rng).inverse())
+            m = m.scaled(rand_den(rng, field).inverse())
         elif kind == 1:
-            m = m.scaled(rand_upoly(rng).inverse()) + rand_sparse(
-                rng, UFIELD, rows, cols, density).scaled(
-                    rand_upoly(rng).inverse())
+            m = m.scaled(rand_den(rng, field).inverse()) + rand_sparse(
+                rng, field, rows, cols, density).scaled(
+                    rand_den(rng, field).inverse())
         else:
-            m = m * rand_invertible(rng, cols).inverse()
-        if m and m.den.degree > 0:
+            m = m * rand_invertible(rng, field, cols).inverse()
+        if m and not m.den.is_one():
             return m.with_shape(shape)
 
 
+DEN_FIELDS = (SCALARS, UFIELD)
+
+
 def test_fraction_ring_ops_match_dense_oracle():
-    rng = random.Random(40)
-    for _ in range(2):
-        r, k, c = rng.randint(1, 3), rng.randint(2, 3), rng.randint(1, 3)
-        a = rand_fraction_matrix(rng, r, k)
-        a2 = rand_fraction_matrix(rng, r, k)
-        b = rand_fraction_matrix(rng, k, c)
-        expect = oracle_mul(a, b)
-        assert assert_sparse(a * b) == expect and (a * b).e == expect.e
-        add = [x + y for x, y in zip(a.e, a2.e)]
-        sub = [x - y for x, y in zip(a.e, a2.e)]
-        assert assert_sparse(a + a2).e == add
-        assert assert_sparse(a - a2).e == sub
-        assert assert_sparse(a - a) == TMatrix.zeros(UFIELD, r, k)
-        s = rand_upoly(rng).inverse() * rand_field_entry(rng, UFIELD)
-        assert assert_sparse(a.scaled(s)).e == [s * x for x in a.e]
-        assert assert_sparse(-a).e == [-x for x in a.e]
-        assert assert_sparse(a.transpose()).e == [
-            a.e[i * k + j] for j in range(k) for i in range(r)]
-        sq = rand_fraction_matrix(rng, k, k)
-        assert sq.trace() == sum((sq[i, i] for i in range(k)), UFIELD.zero)
+    for field in DEN_FIELDS:
+        rng = random.Random(40 if field is UFIELD else 140)
+        for _ in range(2):
+            r, k, c = rng.randint(1, 3), rng.randint(2, 3), rng.randint(1, 3)
+            a = rand_fraction_matrix(rng, field, r, k)
+            a2 = rand_fraction_matrix(rng, field, r, k)
+            b = rand_fraction_matrix(rng, field, k, c)
+            expect = oracle_mul(a, b)
+            assert assert_sparse(a * b) == expect and (a * b).e == expect.e
+            add = [x + y for x, y in zip(a.e, a2.e)]
+            sub = [x - y for x, y in zip(a.e, a2.e)]
+            assert assert_sparse(a + a2).e == add
+            assert assert_sparse(a - a2).e == sub
+            assert assert_sparse(a - a) == TMatrix.zeros(field, r, k)
+            s = rand_den(rng, field).inverse() * rand_field_entry(rng, field)
+            assert assert_sparse(a.scaled(s)).e == [s * x for x in a.e]
+            assert assert_sparse(-a).e == [-x for x in a.e]
+            assert assert_sparse(a.transpose()).e == [
+                a.e[i * k + j] for j in range(k) for i in range(r)]
+            sq = rand_fraction_matrix(rng, field, k, k)
+            assert sq.trace() == sum((sq[i, i] for i in range(k)), field.zero)
 
 
 def test_fraction_tensor_ops_match_dense_oracle():
-    rng = random.Random(41)
-    a = rand_fraction_matrix(rng, 2, 3, density=0.5)
-    b = rand_fraction_matrix(rng, 3, 2, density=0.5)
-    assert assert_sparse(kron(a, b)).e == oracle_kron(a, b).e
-    op = rand_fraction_matrix(rng, 4, 4, density=0.4, shape=(2, 2))
-    for sites, dims in (((1, 3), (2, 3, 2)), ((3, 1), (2, 2, 2))):
-        assert assert_sparse(embed(op, sites, dims)).e == oracle_embed(
-            op, sites, dims).e
-    m = rand_fraction_matrix(rng, 8, 8, density=0.3, shape=(2, 2, 2))
-    for site in (1, 2, 3):
-        assert assert_sparse(m.partial_trace(site)).e == \
-            oracle_partial_trace(m, site).e
-        assert assert_sparse(m.partial_transpose(site)).e == \
-            oracle_partial_transpose(m, site).e
+    for field in DEN_FIELDS:
+        rng = random.Random(41 if field is UFIELD else 141)
+        a = rand_fraction_matrix(rng, field, 2, 3, density=0.5)
+        b = rand_fraction_matrix(rng, field, 3, 2, density=0.5)
+        assert assert_sparse(kron(a, b)).e == oracle_kron(a, b).e
+        op = rand_fraction_matrix(rng, field, 4, 4, density=0.4, shape=(2, 2))
+        for sites, dims in (((1, 3), (2, 3, 2)), ((3, 1), (2, 2, 2))):
+            assert assert_sparse(embed(op, sites, dims)).e == oracle_embed(
+                op, sites, dims).e
+        m = rand_fraction_matrix(rng, field, 8, 8, density=0.3,
+                                 shape=(2, 2, 2))
+        for site in (1, 2, 3):
+            assert assert_sparse(m.partial_trace(site)).e == \
+                oracle_partial_trace(m, site).e
+            assert assert_sparse(m.partial_transpose(site)).e == \
+                oracle_partial_transpose(m, site).e
 
 
 def test_fraction_inverse_and_solve_match_dense_oracle():
     rng = random.Random(42)
     eye = TMatrix.identity(UFIELD, 2)
     for _ in range(2):
-        a = rand_invertible(rng, 2).scaled(rand_upoly(rng).inverse())
+        a = rand_invertible(rng, UFIELD, 2).scaled(
+            rand_den(rng, UFIELD).inverse())
         assert a.den.degree > 0
         inv = assert_sparse(a.inverse())
         assert oracle_mul(a, inv) == eye and oracle_mul(inv, a) == eye
-        rhs = rand_fraction_matrix(rng, 2, 2, density=0.5)
+        rhs = rand_fraction_matrix(rng, UFIELD, 2, 2, density=0.5)
         x = assert_sparse(a.solve(rhs))
         assert oracle_mul(a, x).e == rhs.e
 
 
 def test_equality_across_denominators():
-    rng = random.Random(43)
-    a = rand_fraction_matrix(rng, 3, 3, density=0.6)
-    p = rand_upoly(rng)
-    b = a.scaled(p).scaled(p.inverse())
-    assert b.den != a.den
-    assert a == b and b == a
-    assert first_difference(a, b) is None
-    assert a.e == b.e
-    # change one entry: the same entry is named, with the same rendering
-    i, j, x = a.nonzero()[-1]
-    c = b.copy()
-    c.set(i, j, x + UFIELD.one)
-    assert c != a
-    assert first_difference(a, c) == (i, j, x, x + UFIELD.one)
-    assert (matrix_verdict(a, c).witness
-            == f"entry ({i},{j}): {UFIELD.render(x)} != "
-               f"{UFIELD.render(x + UFIELD.one)}")
-    # an entry stored on one side only comes first in row-major order
-    d = b.copy()
-    d.set(0, 0, UFIELD.zero if a[0, 0] else UFIELD.one)
-    assert first_difference(a, d)[:2] == (0, 0)
+    for field in DEN_FIELDS:
+        rng = random.Random(43 if field is UFIELD else 143)
+        a = rand_fraction_matrix(rng, field, 3, 3, density=0.6)
+        p = rand_den(rng, field)
+        b = a.scaled(p).scaled(p.inverse())
+        assert b.den != a.den
+        assert a == b and b == a
+        assert first_difference(a, b) is None
+        assert a.e == b.e
+        # change one entry: the same entry is named, with the same rendering
+        i, j, x = a.nonzero()[-1]
+        c = b.copy()
+        c.set(i, j, x + field.one)
+        assert c != a
+        assert first_difference(a, c) == (i, j, x, x + field.one)
+        assert (matrix_verdict(a, c).witness
+                == f"entry ({i},{j}): {field.render(x)} != "
+                   f"{field.render(x + field.one)}")
+        # an entry stored on one side only comes first in row-major order
+        d = b.copy()
+        d.set(0, 0, field.zero if a[0, 0] else field.one)
+        assert first_difference(a, d)[:2] == (0, 0)
 
 
 def test_set_rescales_when_the_denominator_does_not_divide():
-    rng = random.Random(44)
-    u = UFIELD.gen
-    m = rand_sparse(rng, UFIELD, 2, 3, density=0.8).scaled(
-        (u - UFIELD.one).inverse())
-    before = m.e
-    x = (u + UFIELD.from_int(2)).inverse()
-    m.set(1, 2, x)
-    assert m.den == ((u - UFIELD.one) * (u + UFIELD.from_int(2))).num
-    assert m.e == before[:5] + [x]
-    # a denominator dividing den is absorbed without rescaling
-    y = (u - UFIELD.one).inverse()
-    m.set(0, 0, y)
-    assert m.den == ((u - UFIELD.one) * (u + UFIELD.from_int(2))).num
-    assert m[0, 0] == y
-    m.set(0, 0, UFIELD.zero)
-    assert m[0, 0] == UFIELD.zero and (0, 0) not in [
-        (i, j) for i, j, _ in m.nonzero()]
+    for field in DEN_FIELDS:
+        rng = random.Random(44 if field is UFIELD else 144)
+        g, one = gen(field), field.one
+        m = rand_sparse(rng, field, 2, 3, density=0.8).scaled(
+            (g - one).inverse())
+        before = m.e
+        x = (g + field.from_int(2)).inverse()
+        m.set(1, 2, x)
+        assert m.den == ((g - one) * (g + field.from_int(2))).num
+        assert m.e == before[:5] + [x]
+        # a denominator dividing den is absorbed without rescaling
+        y = (g - one).inverse()
+        m.set(0, 0, y)
+        assert m.den == ((g - one) * (g + field.from_int(2))).num
+        assert m[0, 0] == y
+        m.set(0, 0, field.zero)
+        assert m[0, 0] == field.zero and (0, 0) not in [
+            (i, j) for i, j, _ in m.nonzero()]
 
 
 def test_constructor_packs_over_the_lcm():
-    u = UFIELD.gen
-    one = UFIELD.one
-    a, b = u - one, u + one
-    entries = [a.inverse(), (a * b).inverse(), u, UFIELD.zero]
-    m = TMatrix(UFIELD, 2, 2, entries)
-    assert m.den == (a * b).num
-    assert m.e == entries
-    assert m[0, 0] == a.inverse() and m[1, 1] == UFIELD.zero
-    d = TMatrix.diag(UFIELD, [a.inverse(), b.inverse()])
-    assert d.den == (a * b).num and d.e == [a.inverse(), UFIELD.zero,
-                                            UFIELD.zero, b.inverse()]
-    # polynomial entries keep the denominator 1
-    assert TMatrix(UFIELD, 1, 2, [u, one]).den.is_one()
-    assert TMatrix.identity(SCALARS, 2).den == ONE
+    for field in DEN_FIELDS:
+        g, one = gen(field), field.one
+        a, b = g - one, g + one
+        entries = [a.inverse(), (a * b).inverse(), g, field.zero]
+        m = TMatrix(field, 2, 2, entries)
+        assert m.den == (a * b).num
+        assert m.e == entries
+        assert m[0, 0] == a.inverse() and m[1, 1] == field.zero
+        d = TMatrix.diag(field, [a.inverse(), b.inverse()])
+        assert d.den == (a * b).num and d.e == [a.inverse(), field.zero,
+                                                field.zero, b.inverse()]
+        # polynomial entries keep the denominator 1
+        assert TMatrix(field, 1, 2, [g, one]).den.is_one()
+        assert TMatrix.identity(SCALARS, 2).den.is_one()
 
 
 def test_kernels_run_no_gcd(monkeypatch):
     """Products, sums, scaling, tensor-site operations and equality on
-    matrices with nontrivial denominators are polynomial arithmetic."""
-    rng = random.Random(45)
-    a = rand_fraction_matrix(rng, 4, 4, density=0.5, shape=(2, 2))
-    b = rand_fraction_matrix(rng, 4, 4, density=0.5, shape=(2, 2))
-    p = rand_upoly(rng)
-    s = p.inverse() * rand_field_entry(rng, UFIELD)
-    twin = a.scaled(p).scaled(p.inverse())
-    assert a.den != b.den and twin.den != a.den
-    calls = []
-    real = Poly.gcd
+    matrices with nontrivial denominators are ring arithmetic: they run
+    no gcd of the numerator ring, ``IntLaurent`` over Q(q) and ``Poly``
+    over Q(q)(u)."""
+    for field, ring in ((SCALARS, IntLaurent), (UFIELD, Poly)):
+        rng = random.Random(45 if field is UFIELD else 145)
+        a = rand_fraction_matrix(rng, field, 4, 4, density=0.5, shape=(2, 2))
+        b = rand_fraction_matrix(rng, field, 4, 4, density=0.5, shape=(2, 2))
+        p = rand_den(rng, field)
+        s = p.inverse() * rand_field_entry(rng, field)
+        twin = a.scaled(p).scaled(p.inverse())
+        assert a.den != b.den and twin.den != a.den
+        calls = []
+        real = ring.gcd
 
-    def counting(x, y):
-        calls.append(1)
-        return real(x, y)
+        def counting(x, y):
+            calls.append(1)
+            return real(x, y)
 
-    monkeypatch.setattr(Poly, "gcd", staticmethod(counting))
-    a * b
-    a + b
-    a - b
-    a - a
-    a.scaled(s)
-    kron(a, b)
-    embed(a, (3, 1), (2, 3, 2))
-    a.partial_trace(1)
-    a.partial_transpose(2)
-    assert a == twin and a != b and not first_difference(a, twin)
-    assert not calls
-    a.nonzero()      # reads normalise, so the counter does see gcd calls
-    assert calls
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "gcd", staticmethod(counting))
+            a * b
+            a + b
+            a - b
+            a - a
+            a.scaled(s)
+            kron(a, b)
+            embed(a, (3, 1), (2, 3, 2))
+            a.partial_trace(1)
+            a.partial_transpose(2)
+            assert a == twin and a != b and not first_difference(a, twin)
+            assert not calls
+            a.nonzero()  # reads normalise, so the counter does see gcd calls
+            assert calls
 
 
 small_scalars = st.builds(lambda k, c: Scalar.q_power(k) * Scalar.from_int(c),
