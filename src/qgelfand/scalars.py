@@ -27,6 +27,17 @@ Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
 out of numerator and denominator with ``IntLaurent.divexact`` until one
 of them no longer vanishes there.
 
+Matrices over Q(q) do not store ``Scalar`` or ``IntLaurent`` entries.
+``_ScalarField.pack`` puts their numerators over one denominator and
+packs each into one integer by Kronecker substitution (Schoenhage 1982):
+P = q^shift * num in Z[q] is stored as P(2^B).  The ``Packed`` record
+that travels with the matrix holds the denominator, B, the shift and
+bounds on the coefficients and degrees.  Matrix products, sums and
+equality are then integer products, sums and equality; each kernel
+widens B before a coefficient could reach 2^(B-1), which keeps every
+decode and every zero test exact (the argument is on ``Packed``).
+Entries are decoded only when they are read.
+
 Rendering is deterministic: Laurent polynomials in q print in descending
 powers ("q^2 + 1 + q^-2"); polynomials in u print in ascending powers
 with the denominator display-normalised so its lowest coefficient is 1
@@ -36,6 +47,7 @@ with the denominator display-normalised so its lowest coefficient is 1
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -430,15 +442,252 @@ def limit_q1(s):
 
 
 # ---------------------------------------------------------------------------
+# Matrix storage: numerators over one denominator (see :mod:`.tmatrix`)
+# ---------------------------------------------------------------------------
+
+def _over_lcm(rows, one):
+    """(numerator rows, den) for rows of field elements: ``den`` is the
+    lcm of the entry denominators (``one`` when there is none) and each
+    numerator is scaled by the exact quotient lcm / denominator, found
+    once per distinct denominator.  The rows must hold no zero."""
+    parts = [[(j, x.num, x.den) for j, x in row.items()] for row in rows]
+    dens = {d: None for row in parts for _, _, d in row}
+    if len(dens) <= 1:
+        den = next(iter(dens)) if dens else one
+        return [{j: x for j, x, _ in row} for row in parts], den
+    it = iter(dens)
+    den = next(it)
+    for d in it:
+        den = den.lcm(d)
+    for d in dens:
+        dens[d] = den.divexact(d)
+    return [{j: x * dens[d] for j, x, d in row} for row in parts], den
+
+
+def _times(rows, f):
+    """Rows with every numerator multiplied by ``f`` (the rows
+    themselves when ``f`` is the integer 1)."""
+    if f == 1:
+        return rows
+    return [{j: x * f for j, x in row.items()} for row in rows]
+
+
+# Q(q) matrices pack each numerator into one integer (Kronecker
+# substitution).  BITS is the width B of a base-2^B digit that a matrix
+# built from field elements starts with: 64 bits hold every product
+# chain of the verify suite's default and large configurations between
+# two re-measures, so those runs never widen.
+BITS = 64
+
+
+def _encode(p, bits, shift):
+    """P(2^bits) for P = q^shift * p, which must lie in Z[q]."""
+    x = 0
+    for c in reversed(p.c):
+        x = (x << bits) + c
+    return x << bits * (p.low + shift)
+
+
+def _decode(x, bits):
+    """The coefficients of P, lowest first, from x = P(2^bits), where
+    every |coefficient| of P is below 2^(bits-1).
+
+    P has at most n = bitlength(x) // bits + 1 coefficients: when the
+    top one sits at q^k, |x| > 2^(bits*k) / 2.  Adding 2^(bits-1) to
+    each of the n digits puts them all in [0, 2^bits), so the digits of
+    the sum are unsigned: machine words at 64 bits, else byte slices."""
+    w = bits >> 3
+    n = x.bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    offset = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    raw = (x + offset).to_bytes(w * n, "little")
+    if w == 8 and sys.byteorder == "little":
+        return [d - half for d in memoryview(raw).cast("Q").tolist()]
+    return [int.from_bytes(raw[i:i + w], "little") - half
+            for i in range(0, w * n, w)]
+
+
+def _lmul(a, b):
+    """a * b in Z[q, q^-1], as one product of packed integers."""
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
+    bound = max(map(abs, a.c)) * max(map(abs, b.c)) * min(len(a.c), len(b.c))
+    bits = (bound.bit_length() // 8 + 1) * 8
+    x = _encode(a, bits, -a.low) * _encode(b, bits, -b.low)
+    return IntLaurent(a.low + b.low, _decode(x, bits))
+
+
+def _grown(frame, f):
+    """The coefficient bound of a frame's numerators times ``f``."""
+    return (frame.bound * max(map(abs, f.c))
+            * (min(frame.deg, len(f.c) - 1) + 1))
+
+
+def _fit(need, *ops):
+    """Bring (frame, rows) operands to one digit width B with
+    ``need(*frames) < 2^(B-1)``; returns (the rows, B).
+
+    When ``need`` reaches 2^(B-1) at the widest operand B, the operands'
+    frames are first re-measured in place from their actual digits; only
+    if that still does not fit is B doubled.  An operand at another B is
+    repacked for this kernel alone: its own matrix keeps its rows."""
+    frames = [f for f, _ in ops]
+    bits = max(f.bits for f in frames)
+    if need(*frames).bit_length() >= bits:
+        for f, rows in ops:
+            _measure(f, rows)
+        while need(*frames).bit_length() >= bits:
+            bits *= 2
+    return [rows if f.bits == bits else _repacked(rows, f, bits)
+            for f, rows in ops], bits
+
+
+def _measure(frame, rows):
+    """Tighten ``frame``'s bound and degree to the digits of ``rows``."""
+    bound = deg = 0
+    for row in rows:
+        for x in row.values():
+            c = _decode(x, frame.bits)
+            bound = max(bound, max(map(abs, c)))
+            deg = max(deg, max(i for i, a in enumerate(c) if a))
+    frame.bound, frame.deg = bound, deg
+
+
+def _repacked(rows, frame, bits):
+    """``rows`` packed at width ``bits`` instead of ``frame.bits``."""
+    return [{j: _encode(IntLaurent(0, _decode(x, frame.bits)), bits, 0)
+             for j, x in row.items()} for row in rows]
+
+
+class Packed:
+    """The denominator of a Q(q) matrix, and how its numerators are packed.
+
+    A Q(q) ``TMatrix`` stores an entry num/den as the integer P(2^B),
+    where P = q^shift * num lies in Z[q].  The record holds ``den`` (an
+    ``IntLaurent``), the digit width B (``bits``, a multiple of 8),
+    ``shift``, and ``bound`` and ``deg``, upper bounds on every |coefficient|
+    and on the degree of every stored P.  Evaluation at 2^B is a ring map
+    Z[q] -> Z, so products, sums and equality of the numerators are
+    products, sums and equality of the integers.
+
+    **Exactness.**  While every |coefficient| is below 2^(B-1), P is
+    recovered from P(2^B) digit by digit (balanced base 2^B), so decoding
+    is exact.  So is every zero test: if P != 0 but P(2^B) = 0, write
+    P = q^k R with R(0) != 0; the integer root 2^B of R divides R(0), so
+    |R(0)| >= 2^B.  Every kernel therefore keeps ``bound`` below
+    2^(B-1), by these rules:
+
+    * product: bound_a * bound_b * (min(deg_a, deg_b) + 1, the shorter
+      length) * (the most inner terms per output entry); shifts and
+      degrees add;
+    * ``kron`` and ``scaled``: the product rule with one inner term;
+    * sum and equality: bound_a + bound_b, after cross-multiplying each
+      side by the other's ``den`` where the dens differ and shifting the
+      side with the smaller ``shift`` up to the other's;
+    * partial trace and trace: bound times the number of terms summed;
+    * copies, transposes, embeddings and negation keep the record.
+
+    A denominator has lowest exponent 0 (the ``Scalar`` normal form, kept
+    by lcm and products), so cross-multiplying by one leaves the shift
+    alone.  Before a kernel whose bound could reach 2^(B-1), ``_fit``
+    re-measures the operands and widens B only if that does not suffice.  A record is
+    shared only by matrices holding the same coefficients up to sign (the
+    copying kernels), so tightening it in place is true of all of them;
+    ``put`` always makes a new one.
+
+    ``product``, ``common``, ``summed`` and ``put`` are the denominator
+    protocol of :mod:`.tmatrix`; ``Poly`` implements them for Q(q)(u)
+    and Q(q)(x) with no packing.
+    """
+
+    __slots__ = ("den", "bits", "shift", "bound", "deg")
+
+    def __init__(self, den, bits, shift, bound, deg):
+        self.den = den
+        self.bits = bits
+        self.shift = shift
+        self.bound = bound
+        self.deg = deg
+
+    def product(self, other, a, b, terms):
+        """(a, b, frame of the products) for rows ``a`` in this frame and
+        ``b`` in ``other``, where an output entry sums at most ``terms``
+        products."""
+        def need(x, y):
+            return x.bound * y.bound * (min(x.deg, y.deg) + 1) * terms
+
+        (a, b), bits = _fit(need, (self, a), (other, b))
+        return a, b, Packed(_lmul(self.den, other.den), bits,
+                            self.shift + other.shift, need(self, other),
+                            self.deg + other.deg)
+
+    def common(self, other, a, b):
+        """(a, b, frame of their sums): rows ``a`` in this frame and ``b``
+        in ``other`` brought into one frame, where entries compare and add
+        directly."""
+        if self.den == other.den:
+            fa = fb = _L_ONE
+            den = self.den
+        else:
+            fa, fb, den = other.den, self.den, _lmul(self.den, other.den)
+        shift = max(self.shift, other.shift)
+
+        def need(x, y):
+            return _grown(x, fa) + _grown(y, fb)
+
+        (a, b), bits = _fit(need, (self, a), (other, b))
+        deg = max(f.deg + shift - f.shift + len(g.c) - 1
+                  for f, g in ((self, fa), (other, fb)))
+        return (_times(a, _encode(fa, bits, shift - self.shift)),
+                _times(b, _encode(fb, bits, shift - other.shift)),
+                Packed(den, bits, shift, need(self, other), deg))
+
+    def summed(self, rows, k):
+        """(rows, frame of sums of up to ``k`` of their entries)."""
+        (rows,), bits = _fit(lambda x: x.bound * k, (self, rows))
+        return rows, Packed(self.den, bits, self.shift, self.bound * k,
+                            self.deg)
+
+    def put(self, rows, x):
+        """(rows, frame, numerator) to write the ``Scalar`` x into rows
+        in this frame: the frame moves to the lcm of ``den`` and x.den,
+        rescaling the rows only when x.den does not divide ``den``, and to
+        a larger shift when x has a lower power of q.  The frame is a new
+        record even when x is zero (the entry is removed): the matrix's
+        coefficients change, so it may no longer share this one."""
+        if not x:
+            return rows, Packed(self.den, self.bits, self.shift, self.bound,
+                                self.deg), None
+        den = self.den.lcm(x.den)
+        f = _L_ONE if den == self.den else den.divexact(self.den)
+        num = x.num if den == x.den else x.num * den.divexact(x.den)
+        shift = max(self.shift, -num.low)
+        top = max(map(abs, num.c))
+
+        def need(y):
+            return max(_grown(y, f), top)
+
+        (rows,), bits = _fit(need, (self, rows))
+        deg = max(self.deg + shift - self.shift + len(f.c) - 1,
+                  num.low + shift + len(num.c) - 1)
+        return (_times(rows, _encode(f, bits, shift - self.shift)),
+                Packed(den, bits, shift, need(self), deg),
+                _encode(num, bits, shift))
+
+
+# ---------------------------------------------------------------------------
 # Scalar field descriptor (so matrices and polynomials stay ring-generic)
 # ---------------------------------------------------------------------------
 
 class _ScalarField:
     """Field descriptor for Q(q).
 
-    ``join`` is the matrix storage interface (see :mod:`.tmatrix`): it
-    turns an ``IntLaurent`` numerator and denominator into the reduced
-    ``Scalar``.
+    ``pack`` and ``join`` are the matrix storage interface (see
+    :mod:`.tmatrix`): ``pack`` turns rows of ``Scalar`` entries into
+    packed integer numerators over a ``Packed`` record, and ``join``
+    decodes one of them into the reduced ``Scalar``.
     """
 
     name = "Q(q)"
@@ -450,8 +699,23 @@ class _ScalarField:
         return Scalar.from_int(n)
 
     @staticmethod
-    def join(num, den):
-        return Scalar(num, den)
+    def pack(rows):
+        """(packed rows, record) for rows {column: nonzero Scalar}."""
+        data, den = _over_lcm(rows, _L_ONE)
+        nums = [p for row in data for p in row.values()]
+        shift = -min((p.low for p in nums), default=0)
+        bound = max((abs(c) for p in nums for c in p.c), default=0)
+        deg = max((p.low + shift + len(p.c) - 1 for p in nums), default=0)
+        bits = BITS
+        while bound.bit_length() >= bits:
+            bits *= 2
+        return ([{j: _encode(p, bits, shift) for j, p in row.items()}
+                 for row in data], Packed(den, bits, shift, bound, deg))
+
+    @staticmethod
+    def join(x, frame):
+        return Scalar(IntLaurent(-frame.shift, _decode(x, frame.bits)),
+                      frame.den)
 
     @staticmethod
     def render(x):
@@ -555,6 +819,28 @@ class Poly:
     def lcm(self, other):
         """Monic lcm of two monic polynomials."""
         return self * other.divexact(Poly.gcd(self, other))
+
+    # The matrix denominator protocol (see ``Packed``): numerators are
+    # ``Poly`` and need no frame, so only the denominators change.
+
+    def product(self, other, a, b, terms):
+        return a, b, self * other
+
+    def common(self, other, a, b):
+        if self == other:
+            return a, b, self
+        return _times(a, other), _times(b, self), self * other
+
+    def summed(self, rows, k):
+        return rows, self
+
+    def put(self, rows, x):
+        if not x or x.den == self:
+            return rows, self, x.num
+        den = self.lcm(x.den)
+        if den != self:
+            rows = _times(rows, den.divexact(self))
+        return rows, den, x.num * den.divexact(x.den)
 
     @staticmethod
     def gcd(a, b):
@@ -779,6 +1065,10 @@ class FracField:
 
     def from_int(self, n):
         return self.from_coeff(self.coeff.from_int(n))
+
+    def pack(self, rows):
+        """(numerator rows, den) for rows {column: nonzero element}."""
+        return _over_lcm(rows, self.poly_one)
 
     def join(self, num, den):
         """The normalised element num/den (den a nonzero polynomial)."""

@@ -92,6 +92,9 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.ns or any(n < 1 for n in self.ns):
             raise ConfigError(f"matrix sizes must be positive: {self.ns}")
+        for n in self.ns:
+            if self.ns.count(n) > 1:
+                raise ConfigError(f"matrix size {n} is repeated in {self.ns}")
         if self.N_max < 1:
             raise ConfigError(f"N-max must be positive, got {self.N_max}")
         if self.m_max < 1:

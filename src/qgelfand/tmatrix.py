@@ -2,28 +2,36 @@
 
 Every ``TMatrix`` stores each row as a dict ``{column: numerator}``
 holding only the nonzero entries, plus one common denominator ``den``:
-an entry x is kept as ``x.num`` scaled to ``den``, the lcm of the
-entries' ``x.den``.  Over Q(q) (``SCALARS``) the numerators and ``den``
-are ``IntLaurent``, in Z[q, q^-1]; over Q(q)(u) and Q(q)(x)
-(``FracField``) they are ``Poly``.  This module knows no ring: it uses
-the field descriptor's ``zero``, ``one``, ``join`` (the normalised
-element num/den), ``name`` and ``render``, and a ``den``'s ``lcm``,
-``divexact``, ``*``, ``==`` and hash.  An exact zero is never stored:
-every kernel drops the entries that cancel, so a matrix is falsy
-exactly when no row holds an entry.
+an entry x is kept as its numerator over ``den``, the lcm of the
+entries' ``x.den``.  Over Q(q) (``SCALARS``) each numerator is one
+integer, the Laurent polynomial packed by Kronecker substitution, and
+``den`` is a packing record (``scalars.Packed``) that holds the
+``IntLaurent`` denominator with the digit width, shift and coefficient
+bound the packing needs; it states the bound rules and why decoding
+and zero tests are exact.  Over Q(q)(u) and Q(q)(x) (``FracField``)
+the numerators and ``den`` are ``Poly``.  This module knows no ring.
+From the field descriptor it uses ``zero``, ``one``, ``pack`` (rows of
+field elements to numerator rows and ``den``), ``join`` (one numerator
+over ``den`` to the normalised element), ``name`` and ``render``; from
+a ``den`` it uses the protocol that brings operands into one frame:
+``product`` (products and ``kron``), ``common`` (sums and equality),
+``summed`` (traces) and ``put`` (``set``).  An exact zero is never
+stored: every kernel drops the entries that cancel, so a matrix is
+falsy exactly when no row holds an entry.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
-the denominators, so they are ring arithmetic and run no gcd.  Equality
-cross-multiplies, comparing a_ij d_b with b_ij d_a, and names the same
-row-major first differing entry as entrywise comparison of the reduced
-values would.  An entry is normalised to a canonical field element only
-when it is read (``m[i, j]``, ``nonzero()``, ``.e``, ``trace()``,
-``map_entries`` and the values of ``first_difference``), so every
-rendering is the same as if each entry had been reduced all along.
-Constructors and ``set`` take field elements and pack them over the lcm
-of their denominators.  ``.e`` is a read-only dense view, a fresh
-row-major list built on each access; no kernel uses it.
+the denominators, so they are ring arithmetic and run no gcd; over
+Q(q) they are integer arithmetic.  Equality cross-multiplies, comparing
+a_ij d_b with b_ij d_a, and names the same row-major first differing
+entry as entrywise comparison of the reduced values would.  An entry is
+normalised to a canonical field element only when it is read
+(``m[i, j]``, ``nonzero()``, ``.e``, ``trace()``, ``map_entries`` and
+the values of ``first_difference``), so every rendering is the same as
+if each entry had been reduced all along.  Constructors and ``set`` take
+field elements and pack them over the lcm of their denominators.
+``.e`` is a read-only dense view, a fresh row-major list built on each
+access; no kernel uses it.
 
 Square matrices may carry a ``shape`` tuple recording a tensor
 factorisation of their index space, which drives the subscript
@@ -53,48 +61,26 @@ def _size(x):
     return hint() if hint is not None else 1
 
 
-def _packed(field, rows):
-    """(numerator rows, den) for rows of field elements: ``den`` is the
-    lcm of the entry denominators and each numerator is scaled by the
-    exact quotient lcm / denominator, found once per distinct
-    denominator.  The rows must hold no zero."""
-    parts = [[(j, x.num, x.den) for j, x in row.items()] for row in rows]
-    dens = {d: None for row in parts for _, _, d in row}
-    if len(dens) <= 1:
-        den = next(iter(dens)) if dens else field.one.den
-        return [{j: x for j, x, _ in row} for row in parts], den
-    it = iter(dens)
-    den = next(it)
-    for d in it:
-        den = den.lcm(d)
-    for d in dens:
-        dens[d] = den.divexact(d)
-    return [{j: x * dens[d] for j, x, d in row} for row in parts], den
-
-
-def _times(data, f):
-    """Rows with every numerator multiplied by ``f``."""
-    return [{j: x * f for j, x in row.items()} for row in data]
-
-
 class TMatrix:
     """Sparse-row matrix over an exact field, optionally tensor-shaped.
 
     ``TMatrix(field, rows, cols, entries, shape)`` takes the entries as
     one flat row-major list of field elements; zeros in it are dropped
-    and each other entry x is stored as ``x.num`` over the lcm ``den``
-    of the ``x.den``.  Kernels build their results from numerator rows
-    through ``_of``.  Values rely on the ring having no zero divisors: a
-    product of two stored numerators is never tested for zero, a sum is.
-    Reads return normalised field elements; equality cross-multiplies
-    and runs no gcd.
+    and ``field.pack`` stores the others as numerators over the lcm
+    ``den`` of the ``x.den`` (over Q(q), packed integers over a
+    ``Packed`` record).  Kernels first ask ``den`` to bring their
+    operands into one frame, then build their results from numerator
+    rows through ``_of``.  Values rely on the ring having no zero
+    divisors: a product of two stored numerators is never tested for
+    zero, a sum is.  Reads return normalised field elements; equality
+    cross-multiplies and runs no gcd.
     """
 
     __slots__ = ("field", "rows", "cols", "_data", "den", "shape")
 
     def __init__(self, field, rows, cols, entries, shape=None):
         assert len(entries) == rows * cols
-        data, den = _packed(field, [
+        data, den = field.pack([
             {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
             for i in range(rows)])
         self._init(field, rows, cols, data, den, shape)
@@ -123,14 +109,13 @@ class TMatrix:
 
     @classmethod
     def zeros(cls, field, rows, cols, shape=None):
-        return cls._of(field, rows, cols, [{} for _ in range(rows)],
-                       field.one.den, shape)
+        data, den = field.pack([{} for _ in range(rows)])
+        return cls._of(field, rows, cols, data, den, shape)
 
     @classmethod
     def identity(cls, field, n, shape=None):
-        one = field.one
-        return cls._of(field, n, n, [{i: one.num} for i in range(n)], one.den,
-                       shape)
+        data, den = field.pack([{i: field.one} for i in range(n)])
+        return cls._of(field, n, n, data, den, shape)
 
     @classmethod
     def unit(cls, field, n, i, j, coeff=None, shape=None):
@@ -142,8 +127,8 @@ class TMatrix:
     @classmethod
     def diag(cls, field, entries, shape=None):
         n = len(entries)
-        data, den = _packed(field, [{i: x} if x else {}
-                                    for i, x in enumerate(entries)])
+        data, den = field.pack([{i: x} if x else {}
+                                for i, x in enumerate(entries)])
         return cls._of(field, n, n, data, den, shape)
 
     @classmethod
@@ -172,19 +157,11 @@ class TMatrix:
         matrix moves to the lcm of ``den`` and ``x.den`` (its rows are
         rescaled only when ``x.den`` does not divide ``den``).  Never call
         it on a matrix another caller may hold (a memoised one)."""
-        row = self._data[i]
-        if not x:
-            row.pop(j, None)
-            return
-        num, d = x.num, x.den
-        if d != self.den:
-            den = self.den.lcm(d)
-            if den != self.den:
-                self._data = _times(self._data, den.divexact(self.den))
-                self.den = den
-                row = self._data[i]
-            num = num * den.divexact(d)
-        row[j] = num
+        self._data, self.den, num = self.den.put(self._data, x)
+        if x:
+            self._data[i][j] = num
+        else:
+            self._data[i].pop(j, None)
 
     @property
     def e(self):
@@ -221,9 +198,10 @@ class TMatrix:
                             for row in self._data], self.den, self.shape)
 
     def _merged(self, other, negate):
-        """``self + other`` (``self - other`` when ``negate``).  Equal
-        denominators add the numerators; a zero operand takes the other's
-        denominator; otherwise both sides are cross-multiplied."""
+        """``self + other`` (``self - other`` when ``negate``).  A zero
+        operand takes the other's denominator; otherwise ``den.common``
+        brings both sides into one frame (cross-multiplying where the
+        denominators differ) and the numerators add."""
         assert self.rows == other.rows and self.cols == other.cols
         if not other:
             return self.with_shape(self.shape)
@@ -232,9 +210,7 @@ class TMatrix:
                     for row in other._data]
             return TMatrix._of(self.field, self.rows, self.cols, data,
                                other.den, self.shape)
-        a, b, den = self._data, other._data, self.den
-        if other.den != den:
-            a, b, den = _times(a, other.den), _times(b, den), den * other.den
+        a, b, den = self.den.common(other.den, self._data, other._data)
         out = []
         for ra, rb in zip(a, b):
             row = dict(ra)
@@ -259,24 +235,30 @@ class TMatrix:
         return self._merged(other, True)
 
     def scaled(self, s):
-        """Every entry times the field element ``s``: the numerators take
-        s's numerator and ``den`` takes its denominator."""
+        """Every entry times the field element ``s``: a product with the
+        1x1 matrix (s), so the numerators take s's numerator and ``den``
+        takes its denominator."""
         if not s:
             return TMatrix.zeros(self.field, self.rows, self.cols, self.shape)
-        num, den = s.num, s.den
+        srows, sden = self.field.pack([{0: s}])
+        data, srows, den = self.den.product(sden, self._data, srows, 1)
+        num = srows[0][0]
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: num * x for j, x in row.items()}
-                            for row in self._data], self.den * den, self.shape)
+                            for row in data], den, self.shape)
 
     def __mul__(self, other):
         """Matrix product over the stored numerators of both sides; the
-        denominators multiply."""
+        denominators multiply.  An output entry sums at most as many
+        products as the longest row of ``self`` holds entries."""
         assert isinstance(other, TMatrix)
         assert self.cols == other.rows, "inner dimensions differ"
         rows, cols = self.rows, other.cols
-        brows = other._data
+        terms = max(map(len, self._data), default=0)
+        arows, brows, den = self.den.product(other.den, self._data,
+                                             other._data, terms)
         out = []
-        for arow in self._data:
+        for arow in arows:
             acc = {}
             for k, a in arow.items():
                 for j, b in brows[k].items():
@@ -288,8 +270,7 @@ class TMatrix:
         shape = self.shape if self.shape is not None else other.shape
         if shape is not None and (rows != cols or math.prod(shape) != rows):
             shape = None
-        return TMatrix._of(self.field, rows, cols, out, self.den * other.den,
-                           shape)
+        return TMatrix._of(self.field, rows, cols, out, den, shape)
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
@@ -302,14 +283,15 @@ class TMatrix:
     def trace(self):
         """The sum of the diagonal numerators, normalised once."""
         assert self.rows == self.cols
+        data, den = self.den.summed(self._data, self.rows)
         acc = None
-        for i, row in enumerate(self._data):
+        for i, row in enumerate(data):
             x = row.get(i)
             if x is not None:
                 acc = x if acc is None else acc + x
         if not acc:
             return self.field.zero
-        return self.field.join(acc, self.den)
+        return self.field.join(acc, den)
 
     def map_entries(self, func, field=None):
         """Apply ``func`` to the normalised stored entries, dropping zero
@@ -327,7 +309,7 @@ class TMatrix:
         for row in self._data:
             mapped = ((j, func(join(x, den))) for j, x in row.items())
             out.append({j: y for j, y in mapped if y})
-        data, den = _packed(field, out)
+        data, den = field.pack(out)
         return TMatrix._of(field, self.rows, self.cols, data, den, self.shape)
 
     def nonzero(self):
@@ -366,8 +348,9 @@ class TMatrix:
         m = math.prod(rest) if rest else 1
         sa, da = _strides(dims)[a], dims[a]
         block = sa * da
+        data, den = self.den.summed(self._data, da)
         out = [{} for _ in range(m)]
-        for r, row in enumerate(self._data):
+        for r, row in enumerate(data):
             ra = (r // sa) % da
             target = out[(r // block) * sa + r % sa]
             for c, x in row.items():
@@ -376,8 +359,7 @@ class TMatrix:
                     y = target.get(k)
                     target[k] = x if y is None else y + x
         out = [{k: x for k, x in row.items() if x} for row in out]
-        return TMatrix._of(self.field, m, m, out, self.den,
-                           rest if rest else None)
+        return TMatrix._of(self.field, m, m, out, den, rest if rest else None)
 
     # -- elimination -------------------------------------------------------
 
@@ -453,7 +435,7 @@ class TMatrix:
         if len(pivots) < n:
             raise SingularMatrixError(
                 f"singular matrix: rank {len(pivots)} < {n}")
-        data, den = _packed(self.field, [
+        data, den = self.field.pack([
             {j - n: x for j, x in row.items() if j >= n} for row in work])
         return TMatrix._of(self.field, n, aug.cols, data, den, shape)
 
@@ -528,15 +510,16 @@ def kron(a, b):
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     bc = b.cols
+    adata, bdata, den = a.den.product(b.den, a._data, b._data, 1)
     out = []
-    for ra in a._data:
-        for rb in b._data:
+    for ra in adata:
+        for rb in bdata:
             out.append({j * bc + l: x * y
                         for j, x in ra.items() for l, y in rb.items()})
     sa = a.shape if a.shape is not None else ((a.rows,) if a.rows == a.cols else None)
     sb = b.shape if b.shape is not None else ((b.rows,) if b.rows == b.cols else None)
     shape = sa + sb if (sa is not None and sb is not None) else None
-    return TMatrix._of(a.field, rows, cols, out, a.den * b.den, shape)
+    return TMatrix._of(a.field, rows, cols, out, den, shape)
 
 
 def embed(op, sites, dims):
@@ -589,21 +572,14 @@ def lift(mat, field):
 
 def _differing(a, b):
     """(row, col) of the first entry, in row-major order, where ``a`` and
-    ``b`` differ, or None.  Numerators over equal denominators compare
-    directly; otherwise a_ij d_b is compared with b_ij d_a, so no gcd
-    runs either way."""
-    da, db = a.den, b.den
-    same = da == db
-    for i, (ra, rb) in enumerate(zip(a._data, b._data)):
-        if same:
-            if ra != rb:
-                return i, min(j for j in ra.keys() | rb.keys()
-                              if ra.get(j) != rb.get(j))
-            continue
-        for j in sorted(ra.keys() | rb.keys()):
-            x, y = ra.get(j), rb.get(j)
-            if x is None or y is None or x * db != y * da:
-                return i, j
+    ``b`` differ, or None.  ``den.common`` brings both into one frame,
+    comparing a_ij d_b with b_ij d_a where the denominators differ, so no
+    gcd runs."""
+    x, y, _ = a.den.common(b.den, a._data, b._data)
+    for i, (ra, rb) in enumerate(zip(x, y)):
+        if ra != rb:
+            return i, min(j for j in ra.keys() | rb.keys()
+                          if ra.get(j) != rb.get(j))
     return None
 
 

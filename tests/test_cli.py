@@ -312,3 +312,13 @@ def test_verify_refuses_oversized_antisymmetrizer():
     SuiteConfig(ns=(6,), N_max=1, exclude=("antisymmetrizer",))
     SuiteConfig(ns=(6,), N_max=1, include=("ybe", "crossing"))
     SuiteConfig(ns=(5,), N_max=1)  # 5^5 = 3125
+
+
+def test_verify_refuses_a_repeated_size():
+    # a repeated size would run every task twice and report duplicate
+    # (name, context) rows
+    with pytest.raises(ConfigError, match="matrix size 2 is repeated"):
+        SuiteConfig(ns=(2, 3, 2))
+    res = run_cli("verify", "--n", "2,2", "--N-max", "1", timeout=30)
+    assert res.returncode == 2
+    assert "repeated" in res.stderr and not res.stdout

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgelfand import scalars
 from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, ONE, ZERO,
                               Q, qnum, Poly)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
@@ -585,6 +586,12 @@ def rand_den(rng, field):
     return p * u if rng.random() < 0.3 else p
 
 
+def den_of(m):
+    """The common denominator of ``m``; over Q(q) it is read through the
+    packing record."""
+    return m.den.den if m.field is SCALARS else m.den
+
+
 def rand_invertible(rng, field, n):
     while True:
         a = rand_sparse(rng, field, n, n, density=0.4) + TMatrix.diag(
@@ -607,7 +614,7 @@ def rand_fraction_matrix(rng, field, rows, cols, density=0.4, shape=None):
                     rand_den(rng, field).inverse())
         else:
             m = m * rand_invertible(rng, field, cols).inverse()
-        if m and not m.den.is_one():
+        if m and not den_of(m).is_one():
             return m.with_shape(shape)
 
 
@@ -677,7 +684,7 @@ def test_equality_across_denominators():
         a = rand_fraction_matrix(rng, field, 3, 3, density=0.6)
         p = rand_den(rng, field)
         b = a.scaled(p).scaled(p.inverse())
-        assert b.den != a.den
+        assert den_of(b) != den_of(a)
         assert a == b and b == a
         assert first_difference(a, b) is None
         assert a.e == b.e
@@ -705,12 +712,12 @@ def test_set_rescales_when_the_denominator_does_not_divide():
         before = m.e
         x = (g + field.from_int(2)).inverse()
         m.set(1, 2, x)
-        assert m.den == ((g - one) * (g + field.from_int(2))).num
+        assert den_of(m) == ((g - one) * (g + field.from_int(2))).num
         assert m.e == before[:5] + [x]
         # a denominator dividing den is absorbed without rescaling
         y = (g - one).inverse()
         m.set(0, 0, y)
-        assert m.den == ((g - one) * (g + field.from_int(2))).num
+        assert den_of(m) == ((g - one) * (g + field.from_int(2))).num
         assert m[0, 0] == y
         m.set(0, 0, field.zero)
         assert m[0, 0] == field.zero and (0, 0) not in [
@@ -723,15 +730,15 @@ def test_constructor_packs_over_the_lcm():
         a, b = g - one, g + one
         entries = [a.inverse(), (a * b).inverse(), g, field.zero]
         m = TMatrix(field, 2, 2, entries)
-        assert m.den == (a * b).num
+        assert den_of(m) == (a * b).num
         assert m.e == entries
         assert m[0, 0] == a.inverse() and m[1, 1] == field.zero
         d = TMatrix.diag(field, [a.inverse(), b.inverse()])
-        assert d.den == (a * b).num and d.e == [a.inverse(), field.zero,
-                                                field.zero, b.inverse()]
+        assert den_of(d) == (a * b).num and d.e == [a.inverse(), field.zero,
+                                                    field.zero, b.inverse()]
         # polynomial entries keep the denominator 1
-        assert TMatrix(field, 1, 2, [g, one]).den.is_one()
-        assert TMatrix.identity(SCALARS, 2).den.is_one()
+        assert den_of(TMatrix(field, 1, 2, [g, one])).is_one()
+        assert den_of(TMatrix.identity(SCALARS, 2)).is_one()
 
 
 def test_kernels_run_no_gcd(monkeypatch):
@@ -746,7 +753,7 @@ def test_kernels_run_no_gcd(monkeypatch):
         p = rand_den(rng, field)
         s = p.inverse() * rand_field_entry(rng, field)
         twin = a.scaled(p).scaled(p.inverse())
-        assert a.den != b.den and twin.den != a.den
+        assert den_of(a) != den_of(b) and den_of(twin) != den_of(a)
         calls = []
         real = ring.gcd
 
@@ -799,3 +806,212 @@ def test_kernels_match_entrywise_frac_arithmetic(a, a2, b, m):
     assert kron(a, b).e == oracle_kron(a, b).e
     for site in (1, 2):
         assert m.partial_trace(site).e == oracle_partial_trace(m, site).e
+
+
+def test_packed_kernels_run_no_laurent_arithmetic(monkeypatch):
+    """Over Q(q) the kernels multiply and add packed integers: they make
+    no ``IntLaurent`` product or sum, not even for the denominators.
+    Reads decode entries, and entrywise arithmetic on them does count."""
+    rng = random.Random(146)
+    a = rand_fraction_matrix(rng, SCALARS, 4, 4, density=0.5, shape=(2, 2))
+    b = rand_fraction_matrix(rng, SCALARS, 4, 4, density=0.5, shape=(2, 2))
+    p = rand_den(rng, SCALARS)
+    s = p.inverse() * rand_field_entry(rng, SCALARS)
+    twin = a.scaled(p).scaled(p.inverse())
+    assert den_of(a) != den_of(b) and den_of(twin) != den_of(a)
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "__add__"):
+            real = getattr(IntLaurent, name)
+
+            def counting(x, y, real=real, name=name):
+                calls.append(name)
+                return real(x, y)
+
+            patch.setattr(IntLaurent, name, counting)
+        a * b
+        a + b
+        a - b
+        a - a
+        a.scaled(s)
+        kron(a, b)
+        embed(a, (3, 1), (2, 3, 2))
+        a.partial_trace(1)
+        a.partial_transpose(2)
+        assert a == twin and a != b and not first_difference(a, twin)
+        assert not calls
+        a.nonzero()  # reads may make some
+        a[1, 1]
+        oracle_mul(a, b)  # entrywise Scalar arithmetic does
+        assert calls
+
+
+# ---------------------------------------------------------------------------
+# packed Q(q) numerators
+# ---------------------------------------------------------------------------
+# A Q(q) matrix stores each numerator as one integer P(2^B).  These
+# oracles use coefficients next to 2^(B-1), where a kernel must re-measure
+# or widen, negative q-powers, q-denominators and cancellations.
+
+HALF = 1 << (scalars.BITS - 1)
+EDGE = (HALF - 1, HALF, HALF + 1, 2 * HALF - 1)
+Q_DENS = (IntLaurent(0, (1,)), IntLaurent(0, (1, 1)), IntLaurent(0, (1, 0, 1)),
+          IntLaurent(0, (3, -1, 2)))
+
+coefficients = st.one_of(st.integers(-3, 3), st.sampled_from(EDGE),
+                         st.sampled_from(EDGE).map(lambda c: -c))
+
+
+@st.composite
+def packed_entries(draw):
+    """Zero, or num/den with num a Laurent polynomial whose coefficients
+    may sit next to 2^(B-1) and den a polynomial in q."""
+    if draw(st.integers(0, 3)) == 0:
+        return ZERO
+    num = IntLaurent(draw(st.integers(-3, 2)),
+                     draw(st.lists(coefficients, min_size=1, max_size=3)))
+    return Scalar(num, draw(st.sampled_from(Q_DENS))) if num else ZERO
+
+
+def q_matrices(rows, cols, shape=None):
+    return st.lists(packed_entries(), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda e: TMatrix(SCALARS, rows, cols, e, shape))
+
+
+def first_differing(x, y, cols):
+    """Row-major (row, col, left, right) of the first differing entry."""
+    for k, (u, v) in enumerate(zip(x, y)):
+        if u != v:
+            return (*divmod(k, cols), u, v)
+    return None
+
+
+@settings(ORACLE, max_examples=20)
+@given(q_matrices(2, 3), q_matrices(2, 3), q_matrices(3, 2),
+       q_matrices(4, 4, shape=(2, 2)), packed_entries())
+def test_packed_kernels_match_entrywise_scalar_arithmetic(a, a2, b, m, s):
+    ae, a2e = a.e, a2.e
+    assert TMatrix(SCALARS, 2, 3, ae).e == ae
+    assert assert_sparse(a * b).e == oracle_mul(a, b).e
+    assert assert_sparse(a + a2).e == [x + y for x, y in zip(ae, a2e)]
+    assert assert_sparse(a - a2).e == [x - y for x, y in zip(ae, a2e)]
+    assert not assert_sparse(a - a)
+    assert assert_sparse(a.scaled(s)).e == [s * x for x in ae]
+    assert assert_sparse(kron(a, b)).e == oracle_kron(a, b).e
+    assert assert_sparse(embed(m, (3, 1), (2, 3, 2))).e == oracle_embed(
+        m, (3, 1), (2, 3, 2)).e
+    for site in (1, 2):
+        assert assert_sparse(m.partial_trace(site)).e == \
+            oracle_partial_trace(m, site).e
+        assert assert_sparse(m.partial_transpose(site)).e == \
+            oracle_partial_transpose(m, site).e
+    assert m.trace() == sum((m[i, i] for i in range(4)), ZERO)
+    c = a.copy()
+    c.set(1, 2, s)
+    assert assert_sparse(c).e == ae[:5] + [s]
+    assert a.e == ae  # the copy's frame is its own
+    assert (a == a2) == (ae == a2e) and (a == c) == (ae == c.e)
+    assert first_difference(a, a2) == first_differing(ae, a2e, 3)
+    assert first_difference(c, a) == first_differing(c.e, ae, 3)
+
+
+def test_loose_bound_is_re_measured_not_widened(monkeypatch):
+    """Monomials of degrees 0..20 make the product rule grow by 21 per
+    factor while every coefficient stays 1: the chain re-measures and
+    never widens."""
+    measured = []
+    real = scalars._measure
+    monkeypatch.setattr(scalars, "_measure",
+                        lambda f, rows: measured.append(1) or real(f, rows))
+    n = 4
+    perm = TMatrix.zeros(SCALARS, n, n)
+    for i in range(n):
+        perm.set(i, (i + 1) % n, Scalar.q_power(7 * i - 1))
+    acc = perm
+    for _ in range(20):
+        acc = acc * perm
+    assert measured and acc.den.bits == scalars.BITS
+    # perm^4 = q^38 I, the product of the four monomials
+    assert acc == perm.scaled(Scalar.q_power(5 * 38))
+
+
+def test_each_bound_rule_widens_at_the_edge():
+    """Operands below 2^(B-1) whose exact results reach it, one case per
+    bound rule; a kernel that kept width B would decode them wrongly."""
+    root = Scalar.from_int(1 << (scalars.BITS // 2 - 1))  # root^2 = HALF / 2
+    h, edge = Scalar.from_int(HALF // 2), Scalar.from_int(HALF)
+    # product: two inner terms, and two coefficients per operand
+    row, col = TMatrix(SCALARS, 1, 2, [root, root]), TMatrix(
+        SCALARS, 2, 1, [root, root])
+    assert (row * col)[0, 0] == edge
+    binomial = TMatrix(SCALARS, 1, 1, [root + root * Q])
+    assert (binomial * binomial)[0, 0] == (root + root * Q) * (root + root * Q)
+    assert binomial.scaled(root + root * Q) == binomial * binomial
+    assert kron(binomial, binomial) == binomial * binomial
+    # sums over one denominator, and over two
+    one = TMatrix(SCALARS, 1, 1, [h])
+    assert (one + one)[0, 0] == edge and one - one.scaled(-ONE) == one + one
+    other = TMatrix(SCALARS, 1, 1, [(Q + Scalar.from_int(2)).inverse()])
+    assert (one + other)[0, 0] == h + (Q + Scalar.from_int(2)).inverse()
+    assert one != other and first_difference(other, one)[2:] == (
+        (Q + Scalar.from_int(2)).inverse(), h)
+    # trace and partial trace: two terms
+    diag = TMatrix.diag(SCALARS, [h, ZERO, h, ZERO], shape=(2, 2))
+    assert diag.trace() == edge and diag.partial_trace(1)[0, 0] == edge
+
+
+def test_removing_an_entry_keeps_a_copy_exact():
+    """A copy shares its record with the original; removing the largest
+    entry from the copy and re-measuring it must not tighten the bound
+    the original relies on."""
+    big = Scalar.from_int(HALF - 1)
+    a = TMatrix(SCALARS, 2, 2, [big, ONE, ONE, ONE])
+    c = a.copy()
+    c.set(0, 0, ZERO)
+    assert c * c == oracle_mul(c, c)  # re-measures c
+    assert a * a == oracle_mul(a, a) and (a * a).e == oracle_mul(a, a).e
+
+
+def test_widening_keeps_products_exact():
+    big = Scalar.from_int(HALF - 1)
+    a = TMatrix(SCALARS, 2, 2, [big, Q, -big, ONE])
+    assert a.den.bits == scalars.BITS
+    sq = assert_sparse(a * a)
+    assert sq.den.bits > scalars.BITS
+    assert sq.e == oracle_mul(a, a).e
+    assert (sq - sq) == TMatrix.zeros(SCALARS, 2, 2) and sq == oracle_mul(a, a)
+
+
+def test_operands_at_different_widths_and_shifts():
+    wide = TMatrix(SCALARS, 2, 2, [Scalar.from_int(HALF), ZERO,
+                                   Q, Scalar.from_int(-HALF - 1)])
+    low = TMatrix(SCALARS, 2, 2, [Scalar.q_power(-3), qnum(2).inverse(),
+                                  ZERO, Scalar.q_power(-1) + ONE])
+    assert wide.den.bits > low.den.bits and wide.den.shift != low.den.shift
+    for x, y in ((wide, low), (low, wide)):
+        assert assert_sparse(x * y).e == oracle_mul(x, y).e
+        assert assert_sparse(x + y).e == [u + v for u, v in zip(x.e, y.e)]
+        assert assert_sparse(kron(x, y)).e == oracle_kron(x, y).e
+        assert x != y and first_difference(x, y)[:2] == (0, 0)
+    assert low == low.scaled(Q).scaled(Scalar.q_power(-1))
+
+
+def laurent_matmul(x, y):
+    n = len(x)
+    return [[sum((x[i][k] * y[k][j] for k in range(n)), IntLaurent(0, ()))
+             for j in range(n)] for i in range(n)]
+
+
+def test_power_chain_matches_laurent_products():
+    """A^k for k up to 40, whose coefficients pass 2^(B-1) on the way,
+    against the same powers taken with ``IntLaurent`` entries."""
+    ref = [[IntLaurent(-1, (1, 2, 1)), IntLaurent(0, (3,))],
+           [IntLaurent(-2, (-1, 0, 1)), IntLaurent(1, (2, -1))]]
+    a = TMatrix.from_rows(SCALARS, [[Scalar(x) for x in row] for row in ref])
+    acc, want = a, ref
+    for k in range(2, 41):
+        acc, want = acc * a, laurent_matmul(want, ref)
+        assert acc.e == [Scalar(x) for row in want for x in row], k
+    assert max(abs(c) for row in want for x in row for c in x.c) >= HALF
+    assert acc.den.bits > scalars.BITS
