@@ -12,13 +12,14 @@ classical limit and the alternate central families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from .scalars import (SCALARS, IntLaurent, Scalar, UFIELD, qnum, limit_q1,
                       expand, ONE, Q_MINUS_QINV)
-from .tmatrix import TMatrix, embed, kron, lift
+from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse
 from .verdict import Verdict, matrix_verdict
 from .reps import (WeightError, highest_weight_vector, scalar_on_vector,
                    lift_vector, evaluated_L, memo, _image_scalar)
@@ -372,31 +373,35 @@ def comatrix_transposed_check(rep, sign):
 # ---------------------------------------------------------------------------
 
 @memo
-def _lu_eval(rep, sign):
-    """(L(u), L(uq^{2n})) at the generator u."""
-    u = UFIELD.gen
-    shift = u * UFIELD.from_coeff(Scalar.q_power(2 * rep.n))
-    return evaluated_L(rep, sign, u), evaluated_L(rep, sign, shift)
+def _l_shifted(rep, sign):
+    """L(uq^{2n}) at the generator u."""
+    shift = UFIELD.gen * UFIELD.from_coeff(Scalar.q_power(2 * rep.n))
+    return evaluated_L(rep, sign, shift)
 
 
 @memo
 def _lu_inverse(rep, sign):
-    """Full L(u)^-1 over the rational-function field, by Gauss-Jordan on
-    the polynomial entries of L(u).  The result is stored as numerators
-    over the lcm of its entry denominators, which stays small (u-degree
-    3 at n=3, N=2, where the 87 entries have 3 distinct denominators,
-    each dividing the next), so the products through it in ``z_matrix``
-    and the z-identities are polynomial.  The elimination itself still
-    normalises every fraction; the highest weight paths go through the
-    comatrix instead of this inverse."""
-    return _lu_eval(rep, sign)[0].inverse()
+    """L(u)^-1 over Q(q)(u), by ``pencil_inverse`` over Q(q): L+(u) =
+    L+ - uL- is the pencil with K = (L+)^-1 L-, and L-(u) = L- - u^-1 L+
+    the reversed one with K = (L-)^-1 L+, their powers the memoised
+    ``_family_power``.  The result is numerators over one monic
+    denominator whose u-degree is that of the minimal polynomial of K
+    (3 at n=3, N=2), so the products through it in ``z_matrix`` and the
+    z-identities are polynomial.  The two signs
+    are inverted on their own, not one from the other through
+    L-(u) = -u^-1 L+(u), so the "z sign transport" row compares two
+    computations."""
+    which = "pm" if sign == "+" else "mp"
+    return pencil_inverse(_l_inverse(rep, sign),
+                          functools.partial(_family_power, rep, which),
+                          UFIELD, reverse=sign == "-")
 
 
 @memo
 def z_matrix(rep, sign):
     """z(u) as an operator on W:
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
-    lu, lshift = _lu_eval(rep, sign)
+    lshift = _l_shifted(rep, sign)
     prod = _aux_diag(rep, UFIELD) * lshift * _lu_inverse(rep, sign)
     return prod.partial_trace(1).scaled(
         UFIELD.from_coeff(qnum(rep.n).inverse()))
@@ -443,7 +448,7 @@ def z_identity_checks(rep, sign):
       opposite      (L(u)^-1)^t D^-1 L(uq^2n)^t = D^-1 (x) z(u)
     """
     field = UFIELD
-    lu, lshift = _lu_eval(rep, sign)
+    lshift = _l_shifted(rep, sign)
     linv = _lu_inverse(rep, sign)
     z = z_matrix(rep, sign)
     inv_n = field.from_coeff(qnum(rep.n).inverse())
@@ -545,32 +550,15 @@ def centrality_check(rep, mat, label):
     return Verdict(True, lhs=f"[{label}, all generators]", rhs="0")
 
 
-def z_coefficient_matrices(rep, sign, order):
-    """u-expansion coefficients of z(u) by expanding the rational entries
-    of the full z operator.  z(u) is formed from numerators over one
-    common denominator, so its products cost polynomial arithmetic; the
-    time goes to the inverse of L(u) (see ``_lu_inverse``) and to the
-    reduction of each entry read here.  Used by the tests only; the
-    series route below avoids the rational-function inverse."""
-    z = z_matrix(rep, sign)
-    d = rep.d
-    series = [(i, j, expand(x, order)) for i, j, x in z.nonzero()]
-    out = []
-    for m in range(order + 1):
-        cm = TMatrix.zeros(SCALARS, d, d)
-        for i, j, s in series:
-            cm.set(i, j, s.coeff(m))
-        out.append(cm)
-    return out
-
-
 @memo
 def z_series_coefficient(rep, m):
     """u^m coefficient of z+(u) on W by the K-power route: expanding
     (L+ - uL-)^-1 as a geometric series in K = (L+)^-1 L- gives
-    L+ K^m (L+)^-1 - q^2n L- K^m-1 (L+)^-1.  The cross-check side of
-    series_operator_check, also used by centrality row m = 0 and tests;
-    the suite's other z coefficients are derived from tr_q M^m."""
+    L+ K^m (L+)^-1 - q^2n L- K^m-1 (L+)^-1.  The one K-power route in
+    the package: it is the side ``series_operator_check`` cross-checks
+    against the M-power route of ``gelfand_invariant``, and it also
+    serves centrality row m = 0.  The suite's other z coefficients are
+    derived from tr_q M^m."""
     d1 = _aux_diag(rep)
     inv_n = qnum(rep.n).inverse()
     if m == 0:
@@ -651,9 +639,12 @@ def series_expansion_check(rep, lam, order):
 def series_operator_check(rep, order):
     """Operator-level expansion: the u^m coefficient of z+(u) equals
     (q^{n-1} - q^{n+1}) tr_q M^m for m >= 1 and the identity at m = 0.
-    Left: the K-power route of ``z_series_coefficient``; right: the
-    M-powers of ``gelfand_invariant``.  Independent products, so this is
-    not a tautology; it is the one row comparing the two routes."""
+    Left, the cross-check: the K-power route of ``z_series_coefficient``,
+    with K = (L+)^-1 L-.  Right: the M-powers of ``gelfand_invariant``,
+    with M = L- (L+)^-1.  Independent products, so this is not a
+    tautology; it is the one row comparing the two routes.  (Expanding
+    the entries of ``z_matrix`` would not be a third route: its inverse
+    is built from the same powers of K.)"""
     cs = [z_series_coefficient(rep, m) for m in range(order + 1)]
     if cs[0] != TMatrix.identity(SCALARS, rep.d):
         return Verdict(False, witness=f"constant z coefficient is not the "

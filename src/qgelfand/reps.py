@@ -82,12 +82,7 @@ class Representation:
         """The d x d matrix of pi(l+_ij) or pi(l-_ij), 1-based indices."""
         big = self.Lp if sign == "+" else self.Lm
         d = self.d
-        r0, c0 = (i - 1) * d, (j - 1) * d
-        blk = TMatrix.zeros(SCALARS, d, d)
-        for r, c, x in big.nonzero():
-            if r0 <= r < r0 + d and c0 <= c < c0 + d:
-                blk.set(r - r0, c - c0, x)
-        return blk
+        return big.block((i - 1) * d, (j - 1) * d, d, d)
 
     @memo
     def weights(self):

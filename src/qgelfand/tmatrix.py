@@ -12,7 +12,9 @@ and zero tests are exact.  Over Q(q)(u) and Q(q)(x) (``FracField``)
 the numerators and ``den`` are ``Poly``.  This module knows no ring.
 From the field descriptor it uses ``zero``, ``one``, ``pack`` (rows of
 field elements to numerator rows and ``den``), ``join`` (one numerator
-over ``den`` to the normalised element), ``name`` and ``render``; from
+over ``den`` to the normalised element), ``name`` and ``render``, and
+``pencil_inverse`` uses ``poly`` (a polynomial from its coefficients,
+whose numerator has ``lcm`` and the coefficients ``c``); from
 a ``den`` it uses the protocol that brings operands into one frame:
 ``product`` (products and ``kron``), ``common`` (sums and equality),
 ``summed`` (traces) and ``put`` (``set``).  An exact zero is never
@@ -45,10 +47,16 @@ entries.  Pivots are chosen to minimise an entry-size hint, and
 elimination touches only stored entries, so block-decomposable systems
 (such as weight-graded operators) never mix their blocks.  Inverse and
 solve pack their result over the lcm of its entry denominators.
+
+No check eliminates over a function field.  A pencil A - tB over Q(q)
+is inverted over Q(q)(t) by ``pencil_inverse``, from A^-1 and the
+minimal polynomial of A^-1 B, both found over Q(q); Gauss-Jordan over
+a function field serves the tests alone, as that kernel's oracle.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 
@@ -182,6 +190,15 @@ class TMatrix:
 
     def copy(self):
         return self.with_shape(self.shape)
+
+    def block(self, i0, j0, rows, cols):
+        """The rows x cols submatrix whose top left entry is (i0, j0), its
+        numerators copied as stored.  It gets its own copy of ``den``: a
+        kernel may tighten a packing record in place to the entries of
+        one matrix (``scalars._fit``), and the block's are fewer."""
+        data = [{j - j0: x for j, x in row.items() if j0 <= j < j0 + cols}
+                for row in self._data[i0:i0 + rows]]
+        return TMatrix._of(self.field, rows, cols, data, copy.copy(self.den))
 
     def __bool__(self):
         return any(self._data)
@@ -407,20 +424,9 @@ class TMatrix:
             prow = work[pr] = {j: x * pinv for j, x in work[pr].items()}
             for r in range(rows):
                 if r != pr:
-                    row = work[r]
-                    f = row.pop(c, None)
+                    f = work[r].get(c)
                     if f is not None:
-                        for j, y in prow.items():
-                            if j != c:
-                                x = row.get(j)
-                                if x is None:
-                                    row[j] = -(f * y)
-                                else:
-                                    x = x - f * y
-                                    if x:
-                                        row[j] = x
-                                    else:
-                                        del row[j]
+                        _subtract(work[r], f, prow)
             pivots.append(c)
             values.append(p)
             pr += 1
@@ -486,6 +492,111 @@ class TMatrix:
 
     def __repr__(self):
         return f"TMatrix({self.rows}x{self.cols} over {self.field.name})"
+
+
+# ---------------------------------------------------------------------------
+# pencil inverses
+# ---------------------------------------------------------------------------
+
+def pencil_inverse(ainv, power, field, reverse=False):
+    """(A - tB)^-1 over ``field``, the rational functions in its generator
+    t over the field of ``ainv`` = A^-1, where ``power(j)`` is K^j for
+    K = A^-1 B; with ``reverse``, (A - t^-1 B)^-1.
+
+    Let p(t) = t^r + a_1 t^(r-1) + ... + a_r be the minimal polynomial
+    of K (``_annihilator``), p~(t) = t^r p(1/t) = 1 + a_1 t + ... + a_r t^r
+    and B_j = a_0 K^j + a_1 K^(j-1) + ... + a_j (a_0 = 1).  Then
+
+        (I - tK) (B_0 + t B_1 + ... + t^(r-1) B_(r-1)) = p~(t) I - t^r p(K),
+
+    so once p(K) = 0 is checked exactly, (A - tB)^-1 = (I - tK)^-1 A^-1
+    has the numerators sum_j t^j B_j A^-1 over the denominator p~(t).
+    Reversed, B_j A^-1 stands at t^(r-j) over p(t).  The inverse is
+    unique, so this is the matrix elimination over ``field`` would give,
+    but the elimination and the products run over the coefficient field.
+    Raises ``ArithmeticError`` when p(K) is not 0.
+    """
+    a = [ainv.field.one] + _annihilator(power, field)
+    r = len(a) - 1
+    if _combination([power(r - i) for i in range(r + 1)], a):
+        raise ArithmeticError(f"pencil inverse: the degree-{r} annihilator "
+                              f"found for K does not annihilate it")
+    parts = [ainv] + [power(m) * ainv for m in range(1, r)]
+    zero = ainv.field.zero
+    rows = [{} for _ in range(ainv.rows)]
+    for j in range(r):
+        for i, c, x in _combination(parts[j::-1], a).nonzero():
+            rows[i].setdefault(c, [zero] * r)[j] = x
+    if reverse:
+        rows = [{c: [zero] + cs[::-1] for c, cs in row.items()}
+                for row in rows]
+    data, den = field.pack([{c: field.poly(cs) for c, cs in row.items()}
+                            for row in rows])
+    inv = TMatrix._of(field, ainv.rows, ainv.cols, data, den, ainv.shape)
+    return inv.scaled(field.poly(a[::-1] if reverse else a).inverse())
+
+
+def _combination(mats, coeffs):
+    """sum_i coeffs[i] mats[i], as a sum of scaled matrices."""
+    acc = mats[0].scaled(coeffs[0])
+    for m, c in zip(mats[1:], coeffs[1:]):
+        acc = acc + m.scaled(c)
+    return acc
+
+
+def _annihilator(power, field):
+    """[a_1, ..., a_r] for the minimal polynomial
+    p(t) = t^r + a_1 t^(r-1) + ... + a_r of K = ``power(1)``; the lcm is
+    taken over the polynomials of ``field``, whose ``lcm`` is monic.
+
+    p(K) = 0 exactly when row i of p(K) is 0 for every i, so p is the lcm
+    over the rows i of the least monic f for which row i of f(K) is 0.
+    Each f comes from a Krylov sequence (A. N. Krylov, 1931): its degree
+    is the first j at which row i of K^j is a combination of rows i of
+    K^0, ..., K^(j-1).  Each power's row is reduced once against the
+    echelon basis of the earlier ones, carrying its combination of the
+    powers along, and a row that reduces to zero gives the polynomial.
+    Row by row, the eliminations stay as small as the rows, and the
+    polynomials of different rows never mix until their lcm."""
+    scalars = power(0).field
+    polys = {}
+    for i in range(power(0).rows):
+        basis = []
+        j = 0
+        while True:
+            m = power(j)
+            vec = {c: m[i, c] for c in m._data[i]}
+            comb = {j: scalars.one}
+            for key, bvec, bcomb in basis:
+                f = vec.get(key)
+                if f is not None:
+                    _subtract(vec, f, bvec)
+                    _subtract(comb, f, bcomb)
+            if not vec:
+                break
+            key = min(vec, key=lambda k: _size(vec[k]))
+            inv = scalars.one / vec[key]
+            basis.append((key, {k: x * inv for k, x in vec.items()},
+                          {k: x * inv for k, x in comb.items()}))
+            j += 1
+        polys[field.poly([comb.get(k, scalars.zero)
+                          for k in range(j + 1)]).num] = None
+    p, *rest = polys
+    for q in rest:
+        p = p.lcm(q)
+    return list(p.c[-2::-1])
+
+
+def _subtract(vec, f, other):
+    """vec -= f * other for sparse dict vectors, dropping zeros: the row
+    operation of both eliminations."""
+    for k, y in other.items():
+        x = vec.get(k)
+        x = -(f * y) if x is None else x - f * y
+        if x:
+            vec[k] = x
+        else:
+            vec.pop(k, None)
 
 
 # ---------------------------------------------------------------------------

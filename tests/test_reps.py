@@ -2,7 +2,9 @@
 
 import pytest
 
-from qgelfand.scalars import Scalar, SCALARS, UFIELD, ONE, QINV, Q, Q_MINUS_QINV
+from qgelfand import scalars
+from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, ONE, QINV, Q,
+                              Q_MINUS_QINV)
 from qgelfand.tmatrix import TMatrix, lift
 from qgelfand.reps import (Representation, WeightError, NotEigenvectorError,
                            vector_rep, trivial_rep, tensor_product,
@@ -31,6 +33,53 @@ def test_vector_rep_generator_images():
     # triangularity of the blocks themselves
     assert not rep.op("+", 3, 1)
     assert not rep.op("-", 1, 3)
+
+
+def scanned_block(rep, sign, i, j):
+    """pi(l_ij) by scanning every entry of L+ or L- and setting the ones
+    inside the block."""
+    big = rep.Lp if sign == "+" else rep.Lm
+    d = rep.d
+    r0, c0 = (i - 1) * d, (j - 1) * d
+    blk = TMatrix.zeros(SCALARS, d, d)
+    for r, c, x in big.nonzero():
+        if r0 <= r < r0 + d and c0 <= c < c0 + d:
+            blk.set(r - r0, c - c0, x)
+    return blk
+
+
+def test_op_blocks_match_entry_scan():
+    for rep in (vector_rep(3), tensor_power(vector_rep(2), 2),
+                tensor_power(vector_rep(3), 2)):
+        for sign in "+-":
+            for i in range(1, rep.n + 1):
+                for j in range(1, rep.n + 1):
+                    got = rep.op(sign, i, j)
+                    want = scanned_block(rep, sign, i, j)
+                    assert (got.rows, got.cols) == (rep.d, rep.d)
+                    assert got == want and got.nonzero() == want.nonzero()
+
+
+def test_re_measuring_a_block_keeps_l_products_exact():
+    # L+ holds coefficients near 2^40 outside its (1,1) block.  A kernel
+    # tightens a packing record in place to the entries of the matrix it
+    # holds (``scalars._measure``); the block's record must be its own,
+    # or L+'s record would claim that block's small bound, and the
+    # product below would overflow 64-bit digits without being widened.
+    big = Scalar(IntLaurent(-1, (1 << 40, 3, -(1 << 40))))
+    lp = TMatrix.from_rows(SCALARS, [[QINV, ONE, big, big],
+                                     [ONE, QINV, ONE, big],
+                                     [big, ONE, big, -big],
+                                     [big, big, ONE, big]])
+    lm = lp.transpose().scaled(Q)
+    want = [sum((lp[i, k] * lm[k, j] for k in range(4)), SCALARS.zero)
+            for i in range(4) for j in range(4)]
+    rep = Representation(2, 2, lp, lm, "probe")
+    blk = rep.op("+", 1, 1)
+    assert blk == TMatrix.from_rows(SCALARS, [[QINV, ONE], [ONE, QINV]])
+    scalars._measure(blk.den, blk._data)
+    assert blk.den.bound == 1 < rep.Lp.den.bound
+    assert (rep.Lp * rep.Lm).e == want
 
 
 def test_defining_relations_small():

@@ -8,7 +8,8 @@ from qgelfand import faults
 from qgelfand.scalars import (Scalar, SCALARS, UFIELD, XFIELD, Poly, qnum, ONE,
                               ZERO, Q, QINV, Q_MINUS_QINV)
 from qgelfand.tmatrix import TMatrix, embed, lift
-from qgelfand.rmatrix import (build_rmatrix_set, r0, check_yang_baxter,
+from qgelfand.rmatrix import (build_rmatrix_set, r0, r0_inverse,
+                              check_yang_baxter,
                               crossing_scalar, predicted_crossing_scalar,
                               f_series, f_series_residual, f1_closed_form_check,
                               antisymmetrizer, antisymmetrizer_r0_check,
@@ -162,6 +163,22 @@ def test_crossing_n1_n2():
         res = crossing_scalar(n)
         assert res.proportional, res.proportional.witness
         assert res.matches_predicted, res.matches_predicted.witness
+
+
+def test_r0_inverse_matches_gauss_jordan():
+    # the pencil kernel against elimination over Q(q)(x), clean and
+    # under every fault kind (the rmatrix fault raises the degree to 3)
+    for kind in (None,) + faults.KINDS:
+        with faults.inject(kind):
+            for n in (2, 3, 4):
+                got = r0_inverse(n)
+                assert got == r0(n, XFIELD.gen).inverse(), (kind, n)
+                assert got.shape == (n, n)
+    # clean, R^-1 R~ is annihilated by (t - q^2)(t - q^-2)
+    x, qf = XFIELD.gen, XFIELD.from_coeff
+    den = (XFIELD.one - qf(Q * Q) * x) * (XFIELD.one - qf(QINV * QINV) * x)
+    for n in (2, 3, 4):
+        assert r0_inverse(n).den == den.num
 
 
 def test_crossing_predicted_scalar_at_n1():

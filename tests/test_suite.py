@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from qgelfand import invariants, suite
+from qgelfand import invariants, suite, tmatrix
+from qgelfand.scalars import ONE, FracField
+from qgelfand.tmatrix import TMatrix
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
                             dominant_partitions, run_suite)
 
@@ -153,3 +155,38 @@ def test_task_partition_at_default_config():
         "alternate-families": 12, "shift-covariance": 7}
     assert ({category for category, _, _ in suite._check_table()}
             == set(CHECK_NAMES))
+
+
+def test_no_elimination_over_a_function_field(monkeypatch):
+    # every inverse over Q(q)(u) or Q(q)(x) goes through the pencil kernel
+    fields = []
+    real = TMatrix._gauss_jordan
+
+    def counting(self, aug=None):
+        fields.append(self.field)
+        return real(self, aug)
+
+    monkeypatch.setattr(TMatrix, "_gauss_jordan", counting)
+    report = run_suite(SuiteConfig(ns=(2, 3), N_max=2))
+    assert report["summary"]["fail"] == 0
+    assert fields
+    assert not [f for f in fields if isinstance(f, FracField)]
+
+
+def test_wrong_annihilator_gives_failed_rows(monkeypatch):
+    # an annihilator that does not annihilate K must raise, so every row
+    # built on a pencil inverse fails with a witness
+    real = tmatrix._annihilator
+
+    def wrong(power, field):
+        a = real(power, field)
+        return a[:-1] + [a[-1] + ONE]
+
+    monkeypatch.setattr(tmatrix, "_annihilator", wrong)
+    report = run_suite(SuiteConfig(ns=(2,), N_max=2,
+                                   include=("crossing", "z-identities")))
+    rows = report["checks"]
+    assert {r["name"] for r in rows} == {"crossing", "z-identities"}
+    for row in rows:
+        assert row["verdict"] == "fail", row
+        assert row["witness"].startswith("ArithmeticError: pencil inverse"), row

@@ -5,13 +5,13 @@ Q(q)(u), each with trivial and nontrivial common denominators."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qgelfand import scalars
 from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, ONE, ZERO,
                               Q, qnum, Poly)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
-                              first_difference)
+                              first_difference, pencil_inverse)
 from qgelfand.verdict import matrix_verdict
 from test_scalars import ORACLE
 
@@ -1015,3 +1015,75 @@ def test_power_chain_matches_laurent_products():
         assert acc.e == [Scalar(x) for row in want for x in row], k
     assert max(abs(c) for row in want for x in row for c in x.c) >= HALF
     assert acc.den.bits > scalars.BITS
+
+
+# ---------------------------------------------------------------------------
+# pencil inverses
+# ---------------------------------------------------------------------------
+# ``pencil_inverse`` inverts A - tB through the annihilator of
+# K = A^-1 B over Q(q); Gauss-Jordan over Q(q)(u) is the oracle.
+
+def powers_of(k):
+    """j -> K^j, each power taken once."""
+    out = [TMatrix.identity(k.field, k.rows)]
+
+    def power(j):
+        while len(out) <= j:
+            out.append(out[-1] * k)
+        return out[j]
+
+    return power
+
+
+def check_pencil(a, b, reverse):
+    """The kernel against Gauss-Jordan for A - uB, or A - u^-1 B."""
+    ainv = a.inverse()
+    got = pencil_inverse(ainv, powers_of(ainv * b), UFIELD, reverse)
+    u = UFIELD.gen
+    t = u.inverse() if reverse else u
+    assert got == (lift(a, UFIELD) - lift(b, UFIELD).scaled(t)).inverse()
+    assert got.den.c[-1] == ONE
+
+
+@st.composite
+def pencil_entries(draw):
+    """Zero, or a Laurent polynomial with a negative q-power allowed, over
+    a polynomial in q."""
+    if draw(st.integers(0, 2)) == 0:
+        return ZERO
+    num = IntLaurent(draw(st.integers(-2, 1)),
+                     draw(st.lists(st.integers(-3, 3), min_size=1, max_size=2)))
+    return Scalar(num, draw(st.sampled_from(Q_DENS))) if num else ZERO
+
+
+@st.composite
+def pencils(draw):
+    """(A, B) over Q(q), 2 x 2, A invertible (the oracle's elimination
+    over Q(q)(u) can take seconds on 3 x 3 ones)."""
+    entries = st.lists(pencil_entries(), min_size=4, max_size=4)
+    a, b = (TMatrix(SCALARS, 2, 2, draw(entries)) for _ in range(2))
+    assume(a.rank() == 2)
+    return a, b
+
+
+@settings(ORACLE, max_examples=20)
+@given(pencils(), st.booleans())
+def test_pencil_inverse_matches_gauss_jordan(pencil, reverse):
+    check_pencil(*pencil, reverse)
+
+
+def test_pencil_inverse_of_constant_and_nilpotent_pencils():
+    # K = 0 gives p(t) = t; K nilpotent of order 2 gives p(t) = t^2
+    a = TMatrix.diag(SCALARS, [Q, qnum(2)])
+    for b in (TMatrix.zeros(SCALARS, 2, 2), TMatrix.unit(SCALARS, 2, 1, 2)):
+        for reverse in (False, True):
+            check_pencil(a, b, reverse)
+
+
+def test_pencil_inverse_matches_gauss_jordan_3x3():
+    rng = random.Random(1013)
+    for _ in range(2):
+        a = rand_invertible(rng, SCALARS, 3)
+        b = rand_matrix(rng, 3, 3)
+        for reverse in (False, True):
+            check_pencil(a, b, reverse)
