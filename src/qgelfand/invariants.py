@@ -224,24 +224,16 @@ def _aux_diag(rep, field=SCALARS, inverse=False):
 
 
 @memo
-def _op_lift(rep, sign, i, j, field):
-    return lift(rep.op(sign, i, j), field)
-
-
-@memo
 def _l_inverse(rep, sign):
     """(L+)^-1 or (L-)^-1 over the coefficient field."""
     return (rep.Lp if sign == "+" else rep.Lm).inverse()
 
 
 def _xblock(rep, sign, a, b, w):
-    """pi of the evaluated entry: l+_ab - w l-_ab or l-_ab - w^-1 l+_ab."""
-    field = w.field
-    if sign == "+":
-        return (_op_lift(rep, "+", a, b, field)
-                - _op_lift(rep, "-", a, b, field).scaled(w))
-    return (_op_lift(rep, "-", a, b, field)
-            - _op_lift(rep, "+", a, b, field).scaled(w.inverse()))
+    """pi of the evaluated entry: l+_ab - w l-_ab or l-_ab - w^-1 l+_ab,
+    the (a, b) block of the memoised L(w)."""
+    d = rep.d
+    return evaluated_L(rep, sign, w).block((a - 1) * d, (b - 1) * d, d, d)
 
 
 def _minor_terms(k, u):
@@ -372,9 +364,9 @@ def comatrix_transposed_check(rep, sign):
 # the central series z(u)
 # ---------------------------------------------------------------------------
 
-@memo
 def _l_shifted(rep, sign):
-    """L(uq^{2n}) at the generator u."""
+    """L(uq^{2n}) at the generator u: the memoised ``evaluated_L`` entry
+    that the last factor of ``z_scalar`` also reads."""
     shift = UFIELD.gen * UFIELD.from_coeff(Scalar.q_power(2 * rep.n))
     return evaluated_L(rep, sign, shift)
 

@@ -14,7 +14,9 @@ eigenvalues) is cached by one mechanism, :func:`memo`, in that
 representation's own ``_cache``.  Nothing is cached across
 representations, so a freshly built module never sees a value computed
 under another fault-probe setting.  Memoised matrices and vectors are
-shared between callers and must never be mutated in place.
+shared between callers and must never be mutated in place.  The
+evaluated operator L(w) is one such entry per (sign, w): quantum minors
+read their d x d blocks from it rather than forming l+-_ab - w l-+_ab.
 """
 
 from __future__ import annotations
@@ -92,16 +94,18 @@ class Representation:
         diag = []
         for i in range(1, self.n + 1):
             blk = self.op("-", i, i)
-            assert all(r == c for r, c, _ in blk.nonzero()), \
-                f"l-_{i}{i} is not diagonal on {self.label}"
+            if any(r != c for r, c, _ in blk.nonzero()):
+                raise AssertionError(
+                    f"l-_{i}{i} is not diagonal on {self.label}")
             diag.append([blk[r, r] for r in range(self.d)])
         out = []
         for b in range(self.d):
             wt = []
             for i in range(self.n):
                 e = _q_exponent(diag[i][b])
-                assert e is not None, \
-                    f"non-monomial weight entry on {self.label}"
+                if e is None:
+                    raise AssertionError(
+                        f"non-monomial weight entry on {self.label}")
                 wt.append(e)
             out.append(tuple(wt))
         return tuple(out)
@@ -172,8 +176,7 @@ def tensor_power(rep, N):
     out = rep
     for _ in range(N - 1):
         out = tensor_product(out, rep)
-    out.label = f"{rep.label}^(x){N}"
-    return out
+    return Representation(rep.n, out.d, out.Lp, out.Lm, f"{rep.label}^(x){N}")
 
 
 @memo
@@ -182,9 +185,13 @@ def _lifted_L(rep, field):
     return lift(rep.Lp, field), lift(rep.Lm, field)
 
 
+@memo
 def evaluated_L(rep, sign, u):
     """The evaluated operator on C^n (x) W over the field of ``u``:
-    L+(u) = L+ - u L-  or  L-(u) = L- - u^-1 L+."""
+    L+(u) = L+ - u L-  or  L-(u) = L- - u^-1 L+.  The one place either
+    is formed; quantum minors read their d x d blocks from it.  The
+    result is memoised per (sign, u) and shared by every caller, so it
+    must never be mutated."""
     lp, lm = _lifted_L(rep, u.field)
     if sign == "+":
         return lp - lm.scaled(u)
@@ -288,17 +295,11 @@ def highest_weight_vector(rep, lam):
     for k, c in enumerate(cols):
         vec.set(c, 0, coords[k, 0])
     for i in range(1, n + 1):
-        assert not _apply(rep.op("+", i, i), vec, scale=Scalar.q_power(lam[i - 1])), \
-            "highest weight vector fails the diagonal eigenvalue test"
+        # pi(l+_ii) acts on the vector as q^-lambda_i
+        if rep.op("+", i, i) * vec != vec.scaled(Scalar.q_power(-lam[i - 1])):
+            raise AssertionError(
+                "highest weight vector fails the diagonal eigenvalue test")
     return vec
-
-
-def _apply(mat, vec, scale=None):
-    """mat . vec - scale^-1 . vec (or mat . vec); returns a column."""
-    out = mat * vec
-    if scale is not None:
-        out = out - vec.scaled(scale.inverse())
-    return out
 
 
 def scalar_on_vector(mat, vec):

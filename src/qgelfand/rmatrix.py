@@ -366,7 +366,8 @@ def reduced_word_independence(k, n):
     for perm in itertools.permutations(range(1, k + 1)):
         w1 = reduced_word(perm)
         w2 = reduced_word(perm, from_right=True)
-        assert len(w1) == len(w2) == perm_length(perm)
+        if not len(w1) == len(w2) == perm_length(perm):
+            raise AssertionError
         if q_perm(perm, n, rset, w1) != q_perm(perm, n, rset, w2):
             return Verdict(False, witness=f"reduced words disagree for {perm}: "
                                           f"{w1} vs {w2}")

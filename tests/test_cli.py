@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -179,6 +180,24 @@ def test_verify_deterministic_across_jobs():
         report.pop("runtime_ms")
         report["config"].pop("jobs")
         reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_verify_report_is_the_same_under_optimize():
+    # python -O strips assert statements; the package's checks raise
+    # explicitly, so the rows and witnesses of a fault probe stay the same
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    reports = []
+    for flags in ((), ("-O",)):
+        res = subprocess.run(
+            [sys.executable, *flags, "-m", "qgelfand", "verify", "--n", "2",
+             "--N-max", "1", "--inject-fault", "rep", "--format", "json"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert res.returncode == 1, res.stderr
+        report = json.loads(res.stdout)
+        report.pop("runtime_ms")
+        reports.append(report)
+    assert reports[0]["summary"]["fail"] > 0
     assert reports[0] == reports[1]
 
 

@@ -1,5 +1,6 @@
 """Gelfand invariants, quantum determinants and the central series z(u)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from qgelfand.scalars import (Scalar, SCALARS, UFIELD, qnum, expand,
                               ONE, Q, QINV)
-from qgelfand.tmatrix import TMatrix
+from qgelfand.tmatrix import TMatrix, lift
 from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
                            lift_vector, evaluated_L)
@@ -229,6 +230,60 @@ def test_qdet_n1_is_l11():
     rep = v(1)
     got = inv.qdet_matrix(rep, "+")
     assert got == inv._xblock(rep, "+", 1, 1, UFIELD.gen)
+
+
+def xblock_oracle(rep, sign, a, b, w):
+    """The evaluated entry formed from two lifted generator blocks:
+    l+_ab - w l-_ab or l-_ab - w^-1 l+_ab."""
+    lp, lm = (lift(rep.op(s, a, b), w.field) for s in "+-")
+    if sign == "+":
+        return lp - lm.scaled(w)
+    return lm - lp.scaled(w.inverse())
+
+
+@pytest.mark.parametrize("kind", (None,) + faults.KINDS)
+def test_xblock_reads_the_evaluated_operator(kind):
+    # every (a, b) block of L(w) against the two-block formula, at the
+    # parameters the minors, comatrices and z(u) use
+    u = UFIELD.gen
+    with faults.inject(kind):
+        for rep in (v(1), v(2), vv(2, 2), v(3), vv(3, 2)):
+            n = rep.n
+            ws = [u * UFIELD.from_coeff(Scalar.q_power(k)) for k in (0, 2, 2 * n)]
+            for w, sign in itertools.product(ws, "+-"):
+                for a, b in itertools.product(range(1, n + 1), repeat=2):
+                    assert inv._xblock(rep, sign, a, b, w) == \
+                        xblock_oracle(rep, sign, a, b, w), \
+                        (rep.label, sign, a, b, w)
+
+
+def test_evaluated_l_is_one_entry_per_argument():
+    rep = v(2)
+    u = UFIELD.gen
+    q4 = UFIELD.from_coeff(Scalar.q_power(4))
+    w1, w2 = u * q4, q4 * u
+    assert w1 is not w2 and w1 == w2
+    assert evaluated_L(rep, "+", w1) is evaluated_L(rep, "+", w2)
+    # L(uq^2n) of z_matrix is the entry z_scalar's last factor reads
+    assert inv._l_shifted(rep, "-") is evaluated_L(rep, "-", w2)
+
+
+def test_qdet_matrix_forms_each_evaluated_operator_once(monkeypatch):
+    # at n = 3: one scaling in each of L(u), L(uq^2) and L(uq^4), and
+    # one coefficient (-q)^-l(sigma) for each of the 6 permutation terms
+    calls = []
+    scaled = TMatrix.scaled
+
+    def counting(self, s):
+        calls.append(s)
+        return scaled(self, s)
+
+    monkeypatch.setattr(TMatrix, "scaled", counting)
+    rep = vv(3, 2)
+    for sign in "+-":
+        calls.clear()
+        inv.qdet_matrix(rep, sign)
+        assert len(calls) <= 9, (sign, len(calls))
 
 
 def test_column_rule():

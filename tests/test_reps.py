@@ -110,6 +110,15 @@ def test_tensor_product_structure():
     assert tensor_power(vector_rep(2), 0).d == 1
 
 
+def test_tensor_power_leaves_its_argument_alone():
+    rep = vector_rep(2)
+    once = tensor_power(rep, 1)
+    assert once is not rep and rep.label == "vector(2)"
+    assert once.label == tensor_power(rep, 1).label == "vector(2)^(x)1"
+    assert once.Lp == rep.Lp and once.Lm == rep.Lm
+    assert tensor_power(rep, 2).label == "vector(2)^(x)2"
+
+
 # ---------------------------------------------------------------------------
 # highest weight vectors
 # ---------------------------------------------------------------------------
