@@ -14,9 +14,10 @@ eigenvalues) is cached by one mechanism, :func:`memo`, in that
 representation's own ``_cache``.  Nothing is cached across
 representations, so a freshly built module never sees a value computed
 under another fault-probe setting.  Memoised matrices and vectors are
-shared between callers and must never be mutated in place.  The
-evaluated operator L(w) is one such entry per (sign, w): quantum minors
-read their d x d blocks from it rather than forming l+-_ab - w l-+_ab.
+returned to every caller as is; a ``TMatrix`` is immutable, so sharing
+them is safe.  The evaluated operator L(w) is one such entry per
+(sign, w): quantum minors read their d x d blocks from it rather than
+forming l+-_ab - w l-+_ab.
 """
 
 from __future__ import annotations
@@ -131,11 +132,11 @@ def vector_rep(n):
     pi(l-_ij) = (q - q^-1) e_ij         (i > j).
     """
     a = Q_MINUS_QINV
-    lp = TMatrix.zeros(SCALARS, n * n, n * n)
-    lm = TMatrix.zeros(SCALARS, n * n, n * n)
+    lp = [SCALARS.zero] * n ** 4
+    lm = [SCALARS.zero] * n ** 4
 
-    def put(m, i, j, r, c, x):
-        m.set((i - 1) * n + (r - 1), (j - 1) * n + (c - 1), x)
+    def put(entries, i, j, r, c, x):
+        entries[((i - 1) * n + r - 1) * n * n + (j - 1) * n + c - 1] = x
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -148,13 +149,14 @@ def vector_rep(n):
     if faults.active("rep"):
         # test hook: drop the q^-1 twist in pi(l+_11)
         put(lp, 1, 1, 1, 1, ONE)
-    return Representation(n, n, lp, lm, f"vector({n})")
+    return Representation(n, n, TMatrix(SCALARS, n * n, n * n, lp),
+                          TMatrix(SCALARS, n * n, n * n, lm), f"vector({n})")
 
 
 def trivial_rep(n):
     """The one-dimensional module where every l+-_ii acts as 1."""
     eye = TMatrix.identity(SCALARS, n)
-    return Representation(n, 1, eye, eye.copy(), f"trivial({n})")
+    return Representation(n, 1, eye, eye, f"trivial({n})")
 
 
 def tensor_product(a, b):
@@ -190,8 +192,7 @@ def evaluated_L(rep, sign, u):
     """The evaluated operator on C^n (x) W over the field of ``u``:
     L+(u) = L+ - u L-  or  L-(u) = L- - u^-1 L+.  The one place either
     is formed; quantum minors read their d x d blocks from it.  The
-    result is memoised per (sign, u) and shared by every caller, so it
-    must never be mutated."""
+    result is memoised per (sign, u) and shared by every caller."""
     lp, lm = _lifted_L(rep, u.field)
     if sign == "+":
         return lp - lm.scaled(u)
@@ -291,9 +292,10 @@ def highest_weight_vector(rep, lam):
         raise WeightError(f"no highest weight vector of weight {lam} "
                           f"in {rep.label}")
     coords = basis[0]
-    vec = TMatrix.zeros(SCALARS, d, 1)
+    entries = [SCALARS.zero] * d
     for k, c in enumerate(cols):
-        vec.set(c, 0, coords[k, 0])
+        entries[c] = coords[k, 0]
+    vec = TMatrix.column(SCALARS, entries)
     for i in range(1, n + 1):
         # pi(l+_ii) acts on the vector as q^-lambda_i
         if rep.op("+", i, i) * vec != vec.scaled(Scalar.q_power(-lam[i - 1])):

@@ -42,10 +42,10 @@ class RMatrixSet:
 
 def _two_site(n, entries):
     """n^2 x n^2 matrix from {((a,b),(c,d)): scalar} with 1-based indices."""
-    m = TMatrix.zeros(SCALARS, n * n, n * n, shape=(n, n))
+    flat = [SCALARS.zero] * n ** 4
     for ((a, b), (c, d)), x in entries.items():
-        m.set((a - 1) * n + (b - 1), (c - 1) * n + (d - 1), x)
-    return m
+        flat[((a - 1) * n + b - 1) * n * n + (c - 1) * n + d - 1] = x
+    return TMatrix(SCALARS, n * n, n * n, flat, shape=(n, n))
 
 
 def build_rmatrix_set(n):

@@ -587,19 +587,20 @@ class Packed:
       side by the other's ``den`` where the dens differ and shifting the
       side with the smaller ``shift`` up to the other's;
     * partial trace and trace: bound times the number of terms summed;
-    * copies, transposes, embeddings and negation keep the record.
+    * reshapes, transposes, embeddings and negation keep the record.
 
     A denominator has lowest exponent 0 (the ``Scalar`` normal form, kept
     by lcm and products), so cross-multiplying by one leaves the shift
     alone.  Before a kernel whose bound could reach 2^(B-1), ``_fit``
-    re-measures the operands and widens B only if that does not suffice.  A record is
-    shared only by matrices holding the same coefficients up to sign (the
-    copying kernels), so tightening it in place is true of all of them;
-    ``put`` always makes a new one.
+    re-measures the operands and widens B only if that does not suffice.
+    A record is shared only by matrices holding the same coefficients up
+    to sign (the kernels that move or negate entries), and no matrix is
+    written after it is built, so tightening a record in place is true of
+    every matrix that holds it.
 
-    ``product``, ``common``, ``summed`` and ``put`` are the denominator
-    protocol of :mod:`.tmatrix`; ``Poly`` implements them for Q(q)(u)
-    and Q(q)(x) with no packing.
+    ``product``, ``common`` and ``summed`` are the denominator protocol
+    of :mod:`.tmatrix`; ``Poly`` implements them for Q(q)(u) and Q(q)(x)
+    with no packing.
     """
 
     __slots__ = ("den", "bits", "shift", "bound", "deg")
@@ -649,32 +650,6 @@ class Packed:
         (rows,), bits = _fit(lambda x: x.bound * k, (self, rows))
         return rows, Packed(self.den, bits, self.shift, self.bound * k,
                             self.deg)
-
-    def put(self, rows, x):
-        """(rows, frame, numerator) to write the ``Scalar`` x into rows
-        in this frame: the frame moves to the lcm of ``den`` and x.den,
-        rescaling the rows only when x.den does not divide ``den``, and to
-        a larger shift when x has a lower power of q.  The frame is a new
-        record even when x is zero (the entry is removed): the matrix's
-        coefficients change, so it may no longer share this one."""
-        if not x:
-            return rows, Packed(self.den, self.bits, self.shift, self.bound,
-                                self.deg), None
-        den = self.den.lcm(x.den)
-        f = _L_ONE if den == self.den else den.divexact(self.den)
-        num = x.num if den == x.den else x.num * den.divexact(x.den)
-        shift = max(self.shift, -num.low)
-        top = max(map(abs, num.c))
-
-        def need(y):
-            return max(_grown(y, f), top)
-
-        (rows,), bits = _fit(need, (self, rows))
-        deg = max(self.deg + shift - self.shift + len(f.c) - 1,
-                  num.low + shift + len(num.c) - 1)
-        return (_times(rows, _encode(f, bits, shift - self.shift)),
-                Packed(den, bits, shift, need(self), deg),
-                _encode(num, bits, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -833,14 +808,6 @@ class Poly:
 
     def summed(self, rows, k):
         return rows, self
-
-    def put(self, rows, x):
-        if not x or x.den == self:
-            return rows, self, x.num
-        den = self.lcm(x.den)
-        if den != self:
-            rows = _times(rows, den.divexact(self))
-        return rows, den, x.num * den.divexact(x.den)
 
     @staticmethod
     def gcd(a, b):

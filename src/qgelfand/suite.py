@@ -77,7 +77,8 @@ class SuiteConfig:
     power, ``m_max`` the invariant degree and ``order`` the u-series
     order.  ``include``/``exclude`` select categories by name.
     ``jobs`` is validated and reported but changes nothing: the checks
-    always run serially.
+    always run serially.  A selection that leaves no task to run is
+    refused.
     """
 
     ns: tuple = (2, 3)
@@ -112,6 +113,14 @@ class SuiteConfig:
             _check_dim(n, n, "n^n (antisymmetrizer)")
         if self.fault is not None and self.fault not in faults.KINDS:
             raise ConfigError(f"unknown fault kind: {self.fault!r}")
+        # a run without tasks would report nothing and still exit 0
+        if not _tasks(self, None):
+            sel = self.selected()
+            what = (f"{', '.join(sel)} cover no context" if sel
+                    else "every category is excluded")
+            raise ConfigError(
+                f"no check to run at n={','.join(map(str, self.ns))} "
+                f"N-max {self.N_max}: {what}")
 
     def selected(self):
         return tuple(c for c in CHECK_NAMES

@@ -16,10 +16,18 @@ over ``den`` to the normalised element), ``name`` and ``render``, and
 ``pencil_inverse`` uses ``poly`` (a polynomial from its coefficients,
 whose numerator has ``lcm`` and the coefficients ``c``); from
 a ``den`` it uses the protocol that brings operands into one frame:
-``product`` (products and ``kron``), ``common`` (sums and equality),
-``summed`` (traces) and ``put`` (``set``).  An exact zero is never
-stored: every kernel drops the entries that cancel, so a matrix is
-falsy exactly when no row holds an entry.
+``product`` (products and ``kron``), ``common`` (sums and equality)
+and ``summed`` (traces).  An exact zero is never stored: every kernel
+drops the entries that cancel, so a matrix is falsy exactly when no row
+holds an entry.
+
+A matrix is immutable: it is built once, from its entries or by a
+kernel, and no method writes an entry.  Kernels therefore share rather
+than copy: ``with_shape`` and a sum with a zero operand keep the
+operand's rows, and negation, transposes and embeddings keep its
+record.  ``block`` alone copies its record, because a kernel may
+tighten a record in place (``scalars._fit``) to the entries of one
+matrix.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
@@ -30,8 +38,8 @@ entry as entrywise comparison of the reduced values would.  An entry is
 normalised to a canonical field element only when it is read
 (``m[i, j]``, ``nonzero()``, ``.e``, ``trace()``, ``map_entries`` and
 the values of ``first_difference``), so every rendering is the same as
-if each entry had been reduced all along.  Constructors and ``set`` take
-field elements and pack them over the lcm of their denominators.
+if each entry had been reduced all along.  Constructors take field
+elements and pack them over the lcm of their denominators.
 ``.e`` is a read-only dense view, a fresh row-major list built on each
 access; no kernel uses it.
 
@@ -78,10 +86,11 @@ class TMatrix:
     ``den`` of the ``x.den`` (over Q(q), packed integers over a
     ``Packed`` record).  Kernels first ask ``den`` to bring their
     operands into one frame, then build their results from numerator
-    rows through ``_of``.  Values rely on the ring having no zero
-    divisors: a product of two stored numerators is never tested for
-    zero, a sum is.  Reads return normalised field elements; equality
-    cross-multiplies and runs no gcd.
+    rows through ``_of``.  No method writes to a built matrix.  Values
+    rely on the ring having no zero divisors: a product of two stored
+    numerators is never tested for zero, a sum is.  Reads return
+    normalised field elements; equality cross-multiplies and runs no
+    gcd.
     """
 
     __slots__ = ("field", "rows", "cols", "_data", "den", "shape")
@@ -96,8 +105,8 @@ class TMatrix:
     @classmethod
     def _of(cls, field, rows, cols, data, den, shape=None):
         """The matrix whose row ``i`` holds the numerators ``data[i]``
-        over ``den``, taken over as is: the rows must hold no zero and be
-        shared with no one."""
+        over ``den``, taken over as is: the rows must hold no zero, and
+        may be shared with other matrices, since none is written."""
         m = cls.__new__(cls)
         m._init(field, rows, cols, data, den, shape)
         return m
@@ -128,9 +137,9 @@ class TMatrix:
     @classmethod
     def unit(cls, field, n, i, j, coeff=None, shape=None):
         """Matrix unit e_ij (1-based indices)."""
-        m = cls.zeros(field, n, n, shape)
-        m.set(i - 1, j - 1, coeff if coeff is not None else field.one)
-        return m
+        entries = [field.zero] * (n * n)
+        entries[(i - 1) * n + j - 1] = coeff if coeff is not None else field.one
+        return cls(field, n, n, entries, shape)
 
     @classmethod
     def diag(cls, field, entries, shape=None):
@@ -160,17 +169,6 @@ class TMatrix:
         x = self._data[i].get(j)
         return self.field.zero if x is None else self.field.join(x, self.den)
 
-    def set(self, i, j, x):
-        """Write entry (i, j) in place; writing zero removes it.  The
-        matrix moves to the lcm of ``den`` and ``x.den`` (its rows are
-        rescaled only when ``x.den`` does not divide ``den``).  Never call
-        it on a matrix another caller may hold (a memoised one)."""
-        self._data, self.den, num = self.den.put(self._data, x)
-        if x:
-            self._data[i][j] = num
-        else:
-            self._data[i].pop(j, None)
-
     @property
     def e(self):
         """A fresh dense row-major list of all entries, each normalised;
@@ -185,11 +183,10 @@ class TMatrix:
         return out
 
     def with_shape(self, shape):
-        return TMatrix._of(self.field, self.rows, self.cols,
-                           [dict(row) for row in self._data], self.den, shape)
-
-    def copy(self):
-        return self.with_shape(self.shape)
+        """The same matrix, sharing its rows and record, with another
+        tensor-factor shape."""
+        return TMatrix._of(self.field, self.rows, self.cols, self._data,
+                           self.den, shape)
 
     def block(self, i0, j0, rows, cols):
         """The rows x cols submatrix whose top left entry is (i0, j0), its
@@ -221,7 +218,7 @@ class TMatrix:
         denominators differ) and the numerators add."""
         assert self.rows == other.rows and self.cols == other.cols
         if not other:
-            return self.with_shape(self.shape)
+            return self
         if not self:
             data = [{j: -y if negate else y for j, y in row.items()}
                     for row in other._data]

@@ -9,7 +9,7 @@ import pytest
 
 from qgelfand import cli
 from qgelfand.invariants import shifted_weights
-from qgelfand.suite import SuiteConfig, ConfigError
+from qgelfand.suite import CHECK_NAMES, SuiteConfig, ConfigError
 
 
 def run_cli(*args, timeout=120):
@@ -341,3 +341,20 @@ def test_verify_refuses_a_repeated_size():
     res = run_cli("verify", "--n", "2,2", "--N-max", "1", timeout=30)
     assert res.returncode == 2
     assert "repeated" in res.stderr and not res.stdout
+
+
+def test_verify_refuses_a_selection_without_rows():
+    # the operator categories cover n = 2, 3 only, so at n = 4 these two
+    # would report "0 passed, 0 failed" and exit 0 having checked nothing
+    res = run_cli("verify", "--n", "4", "--N-max", "1", "--checks",
+                  "comatrix,liouville", timeout=30)
+    assert res.returncode == 2 and not res.stdout
+    assert "comatrix, liouville cover no context" in res.stderr
+    assert "n=4" in res.stderr
+    with pytest.raises(ConfigError, match="every category is excluded"):
+        SuiteConfig(exclude=CHECK_NAMES)
+    with pytest.raises(ConfigError, match="n=4,5 N-max 2: centrality"):
+        SuiteConfig(ns=(4, 5), N_max=2, include=("centrality",))
+    # one size or one category with a context is enough
+    SuiteConfig(ns=(3, 4), N_max=1, include=("comatrix", "liouville"))
+    SuiteConfig(ns=(4,), N_max=1, include=("comatrix", "shift-covariance"))

@@ -375,10 +375,10 @@ def z_coefficient_matrices(rep, sign, order):
               for i, j, x in inv.z_matrix(rep, sign).nonzero()]
     out = []
     for m in range(order + 1):
-        cm = TMatrix.zeros(SCALARS, rep.d, rep.d)
+        entries = [SCALARS.zero] * (rep.d * rep.d)
         for i, j, s in series:
-            cm.set(i, j, s.coeff(m))
-        out.append(cm)
+            entries[i * rep.d + j] = s.coeff(m)
+        out.append(TMatrix(SCALARS, rep.d, rep.d, entries))
     return out
 
 

@@ -36,16 +36,16 @@ def test_vector_rep_generator_images():
 
 
 def scanned_block(rep, sign, i, j):
-    """pi(l_ij) by scanning every entry of L+ or L- and setting the ones
+    """pi(l_ij) by scanning every entry of L+ or L- and keeping the ones
     inside the block."""
     big = rep.Lp if sign == "+" else rep.Lm
     d = rep.d
     r0, c0 = (i - 1) * d, (j - 1) * d
-    blk = TMatrix.zeros(SCALARS, d, d)
+    entries = [SCALARS.zero] * (d * d)
     for r, c, x in big.nonzero():
         if r0 <= r < r0 + d and c0 <= c < c0 + d:
-            blk.set(r - r0, c - c0, x)
-    return blk
+            entries[(r - r0) * d + c - c0] = x
+    return TMatrix(SCALARS, d, d, entries)
 
 
 def test_op_blocks_match_entry_scan():

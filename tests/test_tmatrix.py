@@ -256,7 +256,7 @@ def test_lift_and_first_difference():
     la = lift(a, UFIELD)
     assert la.field is UFIELD
     assert la[1, 2] == UFIELD.from_coeff(a[1, 2])
-    b = a.copy()
+    b = TMatrix(SCALARS, 2, 3, a.e)
     assert first_difference(a, b) is None
     e = list(b.e)
     e[4] = e[4] + ONE
@@ -395,18 +395,16 @@ def cancelling_pair(rng, field, rows, inner, cols):
     """(B, C) where columns 0 and 1 of B are equal and row 1 of C is
     minus row 0, so those two terms of every product entry cancel; the
     other terms are sparse, so many entries of B C cancel to zero."""
-    b = rand_sparse(rng, field, rows, inner, density=0.2)
-    c = rand_sparse(rng, field, inner, cols, density=0.2)
-    for i in range(rows):
-        b.set(i, 1, b[i, 0] if rng.random() < 0.8 else field.one)
-        if not b[i, 0]:
-            b.set(i, 0, field.one)
-            b.set(i, 1, field.one)
+    b = rand_sparse(rng, field, rows, inner, density=0.2).e
+    c = rand_sparse(rng, field, inner, cols, density=0.2).e
+    for k in range(0, rows * inner, inner):
+        b[k + 1] = b[k] if rng.random() < 0.8 else field.one
+        if not b[k]:
+            b[k] = b[k + 1] = field.one
     for j in range(cols):
-        x = c[0, j] if c[0, j] else rand_field_entry(rng, field)
-        c.set(0, j, x)
-        c.set(1, j, -x)
-    return b, c
+        x = c[j] or rand_field_entry(rng, field)
+        c[j], c[cols + j] = x, -x
+    return TMatrix(field, rows, inner, b), TMatrix(field, inner, cols, c)
 
 
 FIELDS = [pytest.param(SCALARS, id="Qq"), pytest.param(UFIELD, id="Qq(u)")]
@@ -434,7 +432,7 @@ def test_ring_ops_match_dense_oracle(field):
         t = a.transpose()
         assert assert_sparse(t) == TMatrix(
             field, k, r, [a.e[i * k + j] for j in range(k) for i in range(r)])
-        assert_sparse(a.copy())
+        assert_sparse(a.with_shape(None))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -504,7 +502,7 @@ def test_inverse_and_solve_match_dense_oracle(field):
 def test_dense_view_is_a_copy():
     rng = random.Random(38)
     a = rand_sparse(rng, SCALARS, 3, 3, density=0.5)
-    before = a.copy()
+    before = TMatrix(SCALARS, 3, 3, a.e)
     view = a.e
     view[0] = view[0] + ONE
     view[4] = ZERO
@@ -513,31 +511,30 @@ def test_dense_view_is_a_copy():
         a.e = view
 
 
-def test_set_and_getitem():
-    m = TMatrix.zeros(SCALARS, 2, 3)
-    m.set(1, 2, Q)
+def test_getitem_reads_stored_and_absent_entries():
+    m = TMatrix(SCALARS, 2, 3, [ZERO] * 5 + [Q])
     assert m[1, 2] == Q and m[0, 0] == ZERO
-    m.set(1, 2, ZERO)
-    assert not m and m.nonzero() == []
+    assert m.nonzero() == [(1, 2, Q)]
 
 
 def test_first_difference_is_row_major_with_absent_entries():
     # in row 1, column 3 differs in value and was stored first; column 1
     # is stored on one side only and comes first in row-major order
-    a = TMatrix.zeros(SCALARS, 3, 5)
-    b = TMatrix.zeros(SCALARS, 3, 5)
-    a.set(0, 4, ONE)
-    b.set(0, 4, ONE)
-    a.set(1, 3, Q)
-    b.set(1, 3, qnum(2))
-    a.set(1, 1, ONE)
-    a.set(2, 0, Q)
+    O = ZERO
+    picked = TMatrix.from_rows(SCALARS, [[O, O, O, O, ONE], [O, O, O, Q, O],
+                                         [O, ONE, O, O, O], [Q, O, O, O, O]])
+    # row 1 of a = row 1 + row 2 of picked: column 3 arrives first
+    a = TMatrix.from_rows(SCALARS, [[ONE, O, O, O], [O, ONE, ONE, O],
+                                    [O, O, O, ONE]]) * picked
+    assert list(a._data[1]) == [3, 1]
+    b = TMatrix.from_rows(SCALARS, [[O, O, O, O, ONE], [O, O, O, qnum(2), O],
+                                    [O, O, O, O, O]])
     assert first_difference(a, b) == (1, 1, ONE, ZERO)
     assert first_difference(b, a) == (1, 1, ZERO, ONE)
     v = matrix_verdict(a, b, label="probe")
     assert not v and v.witness == "probe: entry (1,1): 1 != 0"
     assert matrix_verdict(b, a).witness == "entry (1,1): 0 != 1"
-    a.set(1, 1, ZERO)
+    a = a - TMatrix.from_rows(SCALARS, [[O] * 5, [O, ONE, O, O, O], [O] * 5])
     assert first_difference(a, b) == (1, 3, Q, qnum(2))
 
 
@@ -690,38 +687,18 @@ def test_equality_across_denominators():
         assert a.e == b.e
         # change one entry: the same entry is named, with the same rendering
         i, j, x = a.nonzero()[-1]
-        c = b.copy()
-        c.set(i, j, x + field.one)
-        assert c != a
+        one_at = [field.zero] * 9
+        one_at[i * 3 + j] = field.one
+        c = b + TMatrix(field, 3, 3, one_at)
+        assert den_of(c) == den_of(b) and c != a
         assert first_difference(a, c) == (i, j, x, x + field.one)
         assert (matrix_verdict(a, c).witness
                 == f"entry ({i},{j}): {field.render(x)} != "
                    f"{field.render(x + field.one)}")
         # an entry stored on one side only comes first in row-major order
-        d = b.copy()
-        d.set(0, 0, field.zero if a[0, 0] else field.one)
+        d = b - TMatrix(field, 3, 3, [a[0, 0] or -field.one] + [field.zero] * 8)
+        assert bool(d[0, 0]) != bool(a[0, 0])
         assert first_difference(a, d)[:2] == (0, 0)
-
-
-def test_set_rescales_when_the_denominator_does_not_divide():
-    for field in DEN_FIELDS:
-        rng = random.Random(44 if field is UFIELD else 144)
-        g, one = gen(field), field.one
-        m = rand_sparse(rng, field, 2, 3, density=0.8).scaled(
-            (g - one).inverse())
-        before = m.e
-        x = (g + field.from_int(2)).inverse()
-        m.set(1, 2, x)
-        assert den_of(m) == ((g - one) * (g + field.from_int(2))).num
-        assert m.e == before[:5] + [x]
-        # a denominator dividing den is absorbed without rescaling
-        y = (g - one).inverse()
-        m.set(0, 0, y)
-        assert den_of(m) == ((g - one) * (g + field.from_int(2))).num
-        assert m[0, 0] == y
-        m.set(0, 0, field.zero)
-        assert m[0, 0] == field.zero and (0, 0) not in [
-            (i, j) for i, j, _ in m.nonzero()]
 
 
 def test_constructor_packs_over_the_lcm():
@@ -907,10 +884,8 @@ def test_packed_kernels_match_entrywise_scalar_arithmetic(a, a2, b, m, s):
         assert assert_sparse(m.partial_transpose(site)).e == \
             oracle_partial_transpose(m, site).e
     assert m.trace() == sum((m[i, i] for i in range(4)), ZERO)
-    c = a.copy()
-    c.set(1, 2, s)
+    c = a + TMatrix(SCALARS, 2, 3, [ZERO] * 5 + [s - ae[5]])
     assert assert_sparse(c).e == ae[:5] + [s]
-    assert a.e == ae  # the copy's frame is its own
     assert (a == a2) == (ae == a2e) and (a == c) == (ae == c.e)
     assert first_difference(a, a2) == first_differing(ae, a2e, 3)
     assert first_difference(c, a) == first_differing(c.e, ae, 3)
@@ -925,9 +900,10 @@ def test_loose_bound_is_re_measured_not_widened(monkeypatch):
     monkeypatch.setattr(scalars, "_measure",
                         lambda f, rows: measured.append(1) or real(f, rows))
     n = 4
-    perm = TMatrix.zeros(SCALARS, n, n)
+    entries = [ZERO] * (n * n)
     for i in range(n):
-        perm.set(i, (i + 1) % n, Scalar.q_power(7 * i - 1))
+        entries[i * n + (i + 1) % n] = Scalar.q_power(7 * i - 1)
+    perm = TMatrix(SCALARS, n, n, entries)
     acc = perm
     for _ in range(20):
         acc = acc * perm
@@ -959,18 +935,6 @@ def test_each_bound_rule_widens_at_the_edge():
     # trace and partial trace: two terms
     diag = TMatrix.diag(SCALARS, [h, ZERO, h, ZERO], shape=(2, 2))
     assert diag.trace() == edge and diag.partial_trace(1)[0, 0] == edge
-
-
-def test_removing_an_entry_keeps_a_copy_exact():
-    """A copy shares its record with the original; removing the largest
-    entry from the copy and re-measuring it must not tighten the bound
-    the original relies on."""
-    big = Scalar.from_int(HALF - 1)
-    a = TMatrix(SCALARS, 2, 2, [big, ONE, ONE, ONE])
-    c = a.copy()
-    c.set(0, 0, ZERO)
-    assert c * c == oracle_mul(c, c)  # re-measures c
-    assert a * a == oracle_mul(a, a) and (a * a).e == oracle_mul(a, a).e
 
 
 def test_widening_keeps_products_exact():
@@ -1087,3 +1051,80 @@ def test_pencil_inverse_matches_gauss_jordan_3x3():
         b = rand_matrix(rng, 3, 3)
         for reverse in (False, True):
             check_pencil(a, b, reverse)
+
+
+# ---------------------------------------------------------------------------
+# matrices are immutable
+# ---------------------------------------------------------------------------
+# Kernels share rows and packing records with their operands, so none
+# may write to one: each case snapshots every operand's dense view and
+# compares it after each kernel.
+
+def assert_operands_unchanged(a, a2, b, m, s):
+    """Run every kernel on a, a2 of size 2x3, b of size 3x2, m of size 4x4
+    and shape (2, 2) and a field element s, comparing each operand's
+    dense view with its snapshot after each kernel."""
+    zero = TMatrix.zeros(a.field, a.rows, a.cols)
+    kernels = [
+        ("*", lambda: a * b),
+        ("+", lambda: a + a2),
+        ("+ zero", lambda: a + zero),
+        ("zero -", lambda: zero - a),
+        ("-", lambda: a - a2),
+        ("scaled", lambda: a.scaled(s)),
+        ("kron", lambda: kron(a, b)),
+        ("embed", lambda: embed(m, (3, 1), (2, 3, 2))),
+        ("partial_trace", lambda: m.partial_trace(1)),
+        ("partial_transpose", lambda: m.partial_transpose(2)),
+        ("block", lambda: m.block(1, 1, 2, 3)),
+        ("with_shape", lambda: m.with_shape(None) * m),
+        ("==", lambda: a == a2),
+        ("first_difference", lambda: first_difference(a, a2)),
+    ]
+    operands = (a, a2, b, m)
+    before = [x.e for x in operands]
+    for name, run in kernels:
+        run()
+        assert [x.e for x in operands] == before, name
+
+
+@settings(ORACLE, max_examples=15)
+@given(q_matrices(2, 3), q_matrices(2, 3), q_matrices(3, 2),
+       q_matrices(4, 4, shape=(2, 2)), packed_entries())
+def test_kernels_leave_packed_operands_unchanged(a, a2, b, m, s):
+    assert_operands_unchanged(a, a2, b, m, s)
+
+
+def fraction_u_matrices(rows, cols, shape=None):
+    return u_matrices(rows, cols, shape).filter(lambda x: not x.den.is_one())
+
+
+@settings(ORACLE, max_examples=10)
+@given(fraction_u_matrices(2, 3), fraction_u_matrices(2, 3),
+       fraction_u_matrices(3, 2), fraction_u_matrices(4, 4, shape=(2, 2)),
+       u_fractions())
+def test_kernels_leave_fraction_operands_unchanged(a, a2, b, m, s):
+    assert_operands_unchanged(a, a2, b, m, s)
+
+
+def test_measuring_a_shared_record_keeps_both_matrices_exact():
+    """A ``with_shape`` twin shares its rows and packing record.  A
+    cancelling sum leaves a loose bound, so squaring the twin re-measures
+    the shared record in place; the original still reads the same values
+    and multiplies exactly."""
+    h = Scalar.from_int(HALF // 4)
+    m = TMatrix(SCALARS, 2, 2, [h, Q, ZERO, h]) - TMatrix(
+        SCALARS, 2, 2, [h - ONE, ZERO, ZERO, h + Q])
+    twin = m.with_shape((2,))
+    assert twin.den is m.den
+    before, loose = m.e, m.den.bound
+    square = twin * twin
+    assert m.den.bound < loose and square.den.bits == scalars.BITS
+    assert m.e == before == [ONE, Q, ZERO, -Q]
+    assert square.e == oracle_mul(m, m).e and m * m == square
+
+
+def test_matrices_have_no_writer():
+    for cls in (TMatrix, scalars.Packed, Poly):
+        for name in ("set", "put", "copy"):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
