@@ -7,6 +7,7 @@ Exit codes: 0 all requested checks pass, 1 a verification failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -146,14 +147,17 @@ def cmd_verify(args):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_suite(config)
-    rendered = (render_json(report) if args.format == "json"
-                else render_text(report))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    try:  # an unwritable --out is refused before the run, not after it
+        out = (open(args.out, "w") if args.out
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        print(f"error: cannot write the report to {args.out}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
+    with out as fh:
+        report = run_suite(config)
+        fh.write(render_json(report) if args.format == "json"
+                 else render_text(report))
     return 0 if report["summary"]["fail"] == 0 else 1
 
 

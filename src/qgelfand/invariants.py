@@ -22,7 +22,7 @@ from .scalars import (SCALARS, IntLaurent, Scalar, UFIELD, qnum, limit_q1,
 from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse
 from .verdict import Verdict, matrix_verdict
 from .reps import (WeightError, highest_weight_vector, scalar_on_vector,
-                   lift_vector, evaluated_L, memo, _image_scalar)
+                   evaluated_L, memo, _image_scalar)
 from .rmatrix import build_rmatrix_set, perm_length
 
 
@@ -282,7 +282,7 @@ def qdet_matrix(rep, sign):
 
 def _qdet_image(rep, sign, lam, u):
     """qdet L(u) applied to the lambda vector lifted into u's field."""
-    vec = lift_vector(highest_weight_vector(rep, lam), u.field)
+    vec = lift(highest_weight_vector(rep, lam), u.field)
     idx = tuple(range(1, rep.n + 1))
     return minor_on_vector(rep, sign, u, idx, idx, vec), vec
 
@@ -376,8 +376,8 @@ def _lu_inverse(rep, sign):
     """L(u)^-1 over Q(q)(u), by ``pencil_inverse`` over Q(q): L+(u) =
     L+ - uL- is the pencil with K = (L+)^-1 L-, and L-(u) = L- - u^-1 L+
     the reversed one with K = (L-)^-1 L+, their powers the memoised
-    ``_family_power``.  The result is numerators over one monic
-    denominator whose u-degree is that of the minimal polynomial of K
+    ``_family_power``.  The result is numerators over one denominator
+    in Z[q, q^-1][u] whose u-degree is that of the minimal polynomial of K
     (3 at n=3, N=2), so the products through it in ``z_matrix`` and the
     z-identities are polynomial.  The two signs
     are inverted on their own, not one from the other through
@@ -408,7 +408,7 @@ def z_scalar(rep, sign, lam):
     field = UFIELD
     n, d = rep.n, rep.d
     lam = tuple(lam)
-    vec = lift_vector(highest_weight_vector(rep, lam), field)
+    vec = lift(highest_weight_vector(rep, lam), field)
     u = field.gen
     uq2 = u * field.from_coeff(Scalar.q_power(2))
     ushift = u * field.from_coeff(Scalar.q_power(2 * n))

@@ -323,8 +323,3 @@ def _image_scalar(image, vec, what="operator"):
             f"{what} does not act as a scalar "
             f"(candidate {image.field.render(c)})")
     return c
-
-
-def lift_vector(vec, field):
-    """Column over Q(q) lifted into a rational-function field."""
-    return vec.map_entries(field.from_coeff, field=field)

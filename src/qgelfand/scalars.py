@@ -6,22 +6,20 @@ integer-coefficient Laurent polynomials.  Identities verified over this
 field hold for every generic (non-root-of-unity) value of q, so no
 floating-point tolerances enter anywhere.
 
-On top of Q(q) sits a generic fraction-field construction ``FracField``
-over a polynomial ring in one variable.  It is instantiated twice:
+On top of Q(q) sits the rational-function field ``FracField`` in one
+variable, instantiated twice:
 
 * ``UFIELD`` = Q(q)(u) -- spectral-parameter rational functions,
 * ``XFIELD`` = Q(q)(x) -- crossing-symmetry and Yang-Baxter checks.
 
-A ``Frac`` is normalised by dividing out ``Poly.gcd`` of its numerator
-and denominator.  Over Q(q) that gcd is fraction-free: the denominators
-of both inputs are cleared into Z[q, q^-1][u], a primitive PRS (each
-pseudo-remainder divided by its content, Knuth TAOCP 2, 4.6.1) runs over
-``IntLaurent`` coefficients, and the result is made monic over Q(q).
-Euclid over Q(q) would give the same monic gcd, but every step of it
-normalises ``Scalar`` coefficients of growing size; it survives only in
-the tests, as the reference the fraction-free gcd is checked against.
-One PRS loop, ``_prs``, serves both rings: ``IntLaurent.gcd`` runs it on
-integer coefficient lists, ``Poly.gcd`` on ``IntLaurent`` ones.
+Their elements hold no ``Scalar``: a ``Frac`` is a reduced pair of
+polynomials over Z[q, q^-1] (``Poly``), reduced by ``Poly.gcd``, a
+primitive PRS (Knuth TAOCP 2, 4.6.1) times the gcd of the contents.
+Euclid over Q(q) finds that gcd up to a unit of Q(q) through ``Scalar``
+coefficients of growing size; it survives only in the tests, as the
+reference.  ``Scalar`` coefficients are formed only on the way out.
+One loop per job serves both rings: ``_prs`` both gcds, ``_divexact``
+both exact divisions.
 
 Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
 out of numerator and denominator with ``IntLaurent.divexact`` until one
@@ -189,26 +187,12 @@ class IntLaurent:
     def divexact(self, other):
         """The quotient self/other in Z[q, q^-1]; raises ArithmeticError
         when ``other`` does not divide ``self``."""
-        b = other.c
-        if not b:
+        if not other.c:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.c:
             return _L_ZERO
-        a = list(self.c)
-        db = len(b) - 1
-        lb = b[-1]
-        quot = [0] * max(len(a) - db, 0)
-        for k in range(len(quot) - 1, -1, -1):
-            f, m = divmod(a[db + k], lb)
-            if m:
-                raise ArithmeticError("inexact Laurent division")
-            quot[k] = f
-            if f:
-                for i in range(db):
-                    a[i + k] -= f * b[i]
-        if not quot or any(a[:db]):
-            raise ArithmeticError("inexact Laurent division")
-        return IntLaurent(self.low - other.low, quot)
+        return IntLaurent(self.low - other.low,
+                          _divexact(self.c, other.c, _int_quotient))
 
     @staticmethod
     def gcd(a, b):
@@ -254,6 +238,37 @@ class IntLaurent:
 
 _L_ZERO = IntLaurent(0, ())
 _L_ONE = IntLaurent(0, (1,))
+
+
+def _int_quotient(a, b):
+    """a / b for integers b | a; raises ArithmeticError otherwise."""
+    f, m = divmod(a, b)
+    if m:
+        raise ArithmeticError("inexact division")
+    return f
+
+
+def _divexact(a, b, quotient):
+    """a / b for coefficient lists over an integral domain (lowest power
+    first), by long division with the exact coefficient division
+    ``quotient``: ``_int_quotient`` for ``IntLaurent.divexact``,
+    ``IntLaurent.divexact`` for ``Poly.divexact``.  Raises
+    ArithmeticError when b does not divide a."""
+    db = len(b) - 1
+    lb = b[-1]
+    low = [(i, x) for i, x in enumerate(b[:db]) if x]
+    a = list(a)
+    quot = []
+    for k in range(len(a) - db - 1, -1, -1):
+        f = quotient(a[db + k], lb)
+        quot.append(f)
+        if f:
+            for i, x in low:
+                a[i + k] = a[i + k] - f * x
+    if not quot or any(a[:db]):
+        raise ArithmeticError("inexact division")
+    quot.reverse()
+    return quot
 
 
 def render_laurent(p, var="q"):
@@ -653,7 +668,7 @@ class Packed:
 
 
 # ---------------------------------------------------------------------------
-# Scalar field descriptor (so matrices and polynomials stay ring-generic)
+# Scalar field descriptor (so matrices stay ring-generic)
 # ---------------------------------------------------------------------------
 
 class _ScalarField:
@@ -668,10 +683,6 @@ class _ScalarField:
     name = "Q(q)"
     zero = None  # filled below
     one = None
-
-    @staticmethod
-    def from_int(n):
-        return Scalar.from_int(n)
 
     @staticmethod
     def pack(rows):
@@ -703,21 +714,23 @@ _ScalarField.one = ONE
 
 
 # ---------------------------------------------------------------------------
-# Generic dense polynomials and fractions over a coefficient field
+# Polynomials over Z[q, q^-1] and the function fields Q(q)(u), Q(q)(x)
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Dense univariate polynomial over a coefficient field descriptor;
-    ``lcm`` and ``divexact`` are the matrix denominator protocol (see
-    :mod:`.tmatrix`), as on ``IntLaurent``."""
+    """Dense polynomial in one variable over Z[q, q^-1] (``IntLaurent``
+    coefficients, lowest power first); ``lcm`` and ``divexact`` are the
+    matrix denominator protocol (see :mod:`.tmatrix`), as on
+    ``IntLaurent``.  It is *unit-normal* when its lowest q-exponent is 0
+    and its leading integer positive, the ``Scalar`` denominator normal
+    form one level up; products and exact quotients keep that form."""
 
-    __slots__ = ("f", "c")
+    __slots__ = ("c",)
 
-    def __init__(self, field, coeffs):
+    def __init__(self, coeffs):
         c = list(coeffs)
         while c and not c[-1]:
             c.pop()
-        self.f = field
         self.c = tuple(c)
 
     def __bool__(self):
@@ -734,10 +747,10 @@ class Poly:
         return len(self.c) - 1
 
     def is_one(self):
-        return len(self.c) == 1 and self.c[0] == self.f.one
+        return len(self.c) == 1 and self.c[0].is_one()
 
     def __neg__(self):
-        return Poly(self.f, tuple(-a for a in self.c))
+        return Poly(-a for a in self.c)
 
     def __add__(self, other):
         a, b = self.c, other.c
@@ -746,53 +759,43 @@ class Poly:
         c = list(a)
         for i, x in enumerate(b):
             c[i] = c[i] + x
-        return Poly(self.f, c)
+        return Poly(c)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if not self.c or not other.c:
-            return Poly(self.f, ())
-        zero = self.f.zero
-        c = [zero] * (len(self.c) + len(other.c) - 1)
+            return _P_ZERO
+        c = [_L_ZERO] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
             if a:
                 for j, b in enumerate(other.c):
                     if b:
                         c[i + j] = c[i + j] + a * b
-        return Poly(self.f, c)
+        return Poly(c)
 
     def scale(self, s):
-        return Poly(self.f, tuple(a * s for a in self.c))
+        """Every coefficient times the ``IntLaurent`` ``s``."""
+        return Poly(a * s for a in self.c)
 
-    def divmod(self, other):
-        if not other.c:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        db = other.degree
-        lead_inv = self.f.one / other.c[-1]
-        if len(rem) - 1 < db:
-            return Poly(self.f, ()), self
-        quot = [self.f.zero] * (len(rem) - db)
-        for k in range(len(rem) - db - 1, -1, -1):
-            f = rem[db + k] * lead_inv
-            quot[k] = f
-            if f:
-                for i in range(db + 1):
-                    rem[i + k] = rem[i + k] - f * other.c[i]
-        return Poly(self.f, quot), Poly(self.f, rem)
+    def unit(self):
+        """The unit +-q^k of Z[q, q^-1] whose product with this nonzero
+        polynomial is unit-normal."""
+        low = min(a.low for a in self.c if a)
+        return IntLaurent.q_power(-low, 1 if self.c[-1].c[-1] > 0 else -1)
 
     def divexact(self, other):
         """The quotient self/other; raises ArithmeticError when ``other``
-        does not divide ``self``."""
-        quot, rem = self.divmod(other)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        return quot
+        does not divide ``self`` in Z[q, q^-1][u]."""
+        if not other.c:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.c:
+            return self
+        return Poly(_divexact(self.c, other.c, IntLaurent.divexact))
 
     def lcm(self, other):
-        """Monic lcm of two monic polynomials."""
+        """The unit-normal lcm of two unit-normal polynomials."""
         return self * other.divexact(Poly.gcd(self, other))
 
     # The matrix denominator protocol (see ``Packed``): numerators are
@@ -811,63 +814,45 @@ class Poly:
 
     @staticmethod
     def gcd(a, b):
-        """Monic gcd over Q(q), fraction-free.
-
-        Both inputs are cleared of their ``Scalar`` denominators, a
-        primitive PRS (``_prs``) over Z[q, q^-1] finds a primitive gcd,
-        and that is made monic over Q(q).  The monic gcd is unique, so this is the
-        polynomial Euclid returns, without Euclid's coefficient swell.
-        gcd(0, 0) is 0 and gcd(a, 0) is a made monic.
-        """
+        """A unit-normal gcd in Z[q, q^-1][u]: the gcd of the contents
+        times the last remainder of ``_prs`` on the primitive parts.
+        gcd(0, 0) is 0 and gcd(a, 0) is a made unit-normal."""
         if not b:
             a, b = b, a
         if not a:
-            return b.scale(ONE / b.c[-1]) if b else b
+            return b.scale(b.unit()) if b else b
         if a.degree == 0 or b.degree == 0:
-            return Poly(SCALARS, (ONE,))
-        p, r = _cleared(a), _cleared(b)
+            return Poly((_content(a.c + b.c),))
+        ca, cb = _content(a.c), _content(b.c)
+        p, r = _primitive(a.c, ca), _primitive(b.c, cb)
         if len(p) < len(r):
             p, r = r, p
-        g = _prs(p, r, _primitive)
-        if len(g) == 1:
-            return Poly(SCALARS, (ONE,))
-        lead = g[-1]
-        return Poly(SCALARS, [Scalar(c, lead) for c in g[:-1]] + [ONE])
+        g = Poly(_prs(p, r, _primitive))
+        n = IntLaurent.gcd(ca, cb)
+        return g.scale(g.unit() * n) if g.degree else Poly((n,))
 
 
-# A polynomial over Z[q, q^-1] in u is a list of ``IntLaurent``
-# coefficients in ascending powers of u, with a nonzero last entry.
-
-def _cleared(p):
-    """Primitive part in Z[q][u] of a nonzero polynomial over Q(q).
-
-    Multiplies by the lcm of the ``Scalar`` denominators, so every
-    coefficient becomes a Laurent polynomial, then removes the content.
-    """
-    lcm = _L_ONE
-    for s in p.c:
-        lcm = IntLaurent.lcm(lcm, s.den)
-    if lcm.is_one():
-        return _primitive([s.num for s in p.c])
-    return _primitive([s.num if s.den == lcm else s.num * lcm.divexact(s.den)
-                       for s in p.c])
+_P_ZERO = Poly(())
+_P_ONE = Poly((_L_ONE,))
 
 
-def _primitive(coeffs):
-    """Divide by the content in Z[q, q^-1] and shift q-powers so the
-    lowest exponent among the coefficients is 0."""
-    nonzero = sorted((c for c in coeffs if c), key=lambda c: len(c.c))
-    g = nonzero[0]
-    for c in nonzero[1:]:
-        if len(g.c) == 1:
-            break
+def _content(coeffs):
+    """The gcd in Z[q, q^-1] of coefficients not all zero, normalised as
+    ``IntLaurent.gcd`` normalises.  The shortest go first, so the gcd is
+    soon a monomial, whose gcds with the rest are integer gcds."""
+    g = _L_ZERO
+    for c in sorted(coeffs, key=lambda c: len(c.c)):
         g = IntLaurent.gcd(g, c)
-    if len(g.c) == 1:
-        # a monomial content: only its integer part is not a unit
-        n = 0
-        for c in nonzero:
-            n = math.gcd(n, c.content())
-        g = IntLaurent.from_int(n)
+        if g.is_one():
+            break
+    return g
+
+
+def _primitive(coeffs, content=None):
+    """Divide by the content in Z[q, q^-1] (``_content`` unless given)
+    and shift q-powers so the lowest exponent among the coefficients is
+    0."""
+    g = _content(coeffs) if content is None else content
     if not g.is_one():
         coeffs = [c.divexact(g) for c in coeffs]
     low = min(c.low for c in coeffs if c)
@@ -922,30 +907,27 @@ def _prem(a, b):
 
 
 class Frac:
-    """Element of the fraction field of ``Poly``: reduced, monic denominator."""
+    """Element of Q(q)(u) or Q(q)(x): ``Poly`` num and den with no common
+    factor in Z[q, q^-1][u], den unit-normal.  That ring has unique
+    factorisation, so the pair is unique and equality is structural."""
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, num, den=None, _reduced=False):
-        if den is None:
-            den = field.poly_one
+    def __init__(self, field, num, den=_P_ONE, _reduced=False):
         if not den:
             raise ZeroDivisionError(f"zero denominator in {field.name}")
         if not num:
             self.field = field
-            self.num = field.poly_zero
-            self.den = field.poly_one
+            self.num = _P_ZERO
+            self.den = _P_ONE
             return
         if not (_reduced or den.is_one()):
             g = Poly.gcd(num, den)
-            if g.degree > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-            lead = den.c[-1]
-            if not lead == field.coeff.one:
-                inv = field.coeff.one / lead
-                num = num.scale(inv)
-                den = den.scale(inv)
+            if not g.is_one():
+                num, den = num.divexact(g), den.divexact(g)
+            unit = den.unit()
+            if not unit.is_one():
+                num, den = num.scale(unit), den.scale(unit)
         self.field = field
         self.num = num
         self.den = den
@@ -999,9 +981,7 @@ class Frac:
         return out
 
     def size_hint(self):
-        n = sum(a.size_hint() for a in self.num.c if a)
-        d = sum(a.size_hint() for a in self.den.c if a)
-        return n + d
+        return sum(len(a.c) for a in self.num.c + self.den.c)
 
     def render(self):
         return self.field.render(self)
@@ -1014,55 +994,65 @@ class Frac:
 
 
 class FracField:
-    """The field of rational functions in one variable over ``coeff``.
+    """The field Q(q)(var).  ``pack`` and ``join`` are the matrix storage
+    interface (see :mod:`.tmatrix`).  ``Scalar`` coefficients come in
+    through ``from_coeff`` and ``poly``, which clear their denominators,
+    and are formed again only by ``monic``, ``render`` and ``expand``."""
 
-    ``join`` is the matrix storage interface (see :mod:`.tmatrix`): it
-    turns a ``Poly`` numerator and denominator into the reduced ``Frac``.
-    """
-
-    def __init__(self, coeff, var):
-        self.coeff = coeff
+    def __init__(self, var):
         self.var = var
-        self.name = f"{coeff.name}({var})"
-        self.poly_zero = Poly(coeff, ())
-        self.poly_one = Poly(coeff, (coeff.one,))
-        self.zero = Frac(self, self.poly_zero, _reduced=True)
-        self.one = Frac(self, self.poly_one, _reduced=True)
-        self.gen = Frac(self, Poly(coeff, (coeff.zero, coeff.one)), _reduced=True)
-
-    def from_int(self, n):
-        return self.from_coeff(self.coeff.from_int(n))
+        self.name = f"Q(q)({var})"
+        self.zero = Frac(self, _P_ZERO, _reduced=True)
+        self.one = Frac(self, _P_ONE, _reduced=True)
+        self.gen = Frac(self, Poly((_L_ZERO, _L_ONE)), _reduced=True)
 
     def pack(self, rows):
         """(numerator rows, den) for rows {column: nonzero element}."""
-        return _over_lcm(rows, self.poly_one)
+        return _over_lcm(rows, _P_ONE)
 
     def join(self, num, den):
         """The normalised element num/den (den a nonzero polynomial)."""
         return Frac(self, num, den)
 
     def from_coeff(self, c):
-        return Frac(self, Poly(self.coeff, (c,)))
+        """The constant ``c`` of Q(q): a reduced ``Scalar`` is a reduced
+        pair already."""
+        return Frac(self, Poly((c.num,)), Poly((c.den,)), _reduced=True)
 
     def poly(self, coeffs):
-        """Polynomial from ascending coefficient list, as a field element."""
-        return Frac(self, Poly(self.coeff, coeffs))
+        """The polynomial with these ``Scalar`` coefficients (lowest power
+        first), as a field element: the numerators over the lcm of the
+        denominators (``_over_lcm``).  That pair is reduced already: a
+        prime that divides the lcm e times divides the denominator of some
+        coefficient e times, and so not its scaled numerator."""
+        (row,), den = _over_lcm([{i: c for i, c in enumerate(coeffs) if c}],
+                                _L_ONE)
+        num = Poly(row.get(i, _L_ZERO) for i in range(len(coeffs)))
+        return Frac(self, num, Poly((den,)), _reduced=True)
 
-    def render_poly(self, p):
-        if not p.c:
+    @staticmethod
+    def monic(p):
+        """The coefficients over Q(q) of the nonzero polynomial ``p``,
+        each divided by the leading one."""
+        return [Scalar(a, p.c[-1]) for a in p.c]
+
+    def render_poly(self, coeffs):
+        """Text form of the polynomial with these ``Scalar`` coefficients,
+        in ascending powers."""
+        if not coeffs:
             return "0"
         parts = []
-        for e, a in enumerate(p.c):
+        for e, a in enumerate(coeffs):
             if not a:
                 continue
             if e == 0:
-                body = self.coeff.render(a)
+                body = a.render()
                 neg = body.startswith("-")
                 if neg:
                     body = body[1:]
             else:
                 pow_txt = self.var if e == 1 else f"{self.var}^{e}"
-                ca = self.coeff.render(a)
+                ca = a.render()
                 neg = False
                 if ca == "1":
                     body = pow_txt
@@ -1082,18 +1072,20 @@ class FracField:
         return " ".join(parts)
 
     def render(self, x):
-        num, den = x.num, x.den
-        if den.is_one():
-            return self.render_poly(num)
-        # display form: scale so the lowest nonzero denominator coeff is 1
-        pivot = next(a for a in den.c if a)
-        inv = self.coeff.one / pivot
-        num, den = num.scale(inv), den.scale(inv)
-        return f"({self.render_poly(num)})/({self.render_poly(den)})"
+        """Text form with ``Scalar`` coefficients: num and den are divided
+        by the lowest nonzero coefficient of den, so that one reads 1, and
+        a constant den is left out."""
+        den = x.den.c
+        pivot = next(a for a in den if a)
+        num = self.render_poly([Scalar(a, pivot) for a in x.num.c])
+        if len(den) == 1:
+            return num
+        den = self.render_poly([Scalar(a, pivot) for a in den])
+        return f"({num})/({den})"
 
 
-UFIELD = FracField(SCALARS, "u")
-XFIELD = FracField(SCALARS, "x")
+UFIELD = FracField("u")
+XFIELD = FracField("x")
 
 
 # ---------------------------------------------------------------------------
@@ -1119,15 +1111,14 @@ def expand(r, order):
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    field = r.field.coeff
-    den = r.den.c
-    if not den or not den[0]:
+    if not r.den.c[0]:
         raise NoSeriesError("no series at u=0: denominator vanishes there")
-    num = r.num.c
-    inv0 = field.one / den[0]
+    num = [Scalar(a) for a in r.num.c]
+    den = [Scalar(a) for a in r.den.c]
+    inv0 = ONE / den[0]
     out = []
     for m in range(order + 1):
-        acc = num[m] if m < len(num) else field.zero
+        acc = num[m] if m < len(num) else ZERO
         for j in range(1, min(m, len(den) - 1) + 1):
             if den[j] and out[m - j]:
                 acc = acc - den[j] * out[m - j]

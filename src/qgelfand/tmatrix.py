@@ -9,12 +9,14 @@ integer, the Laurent polynomial packed by Kronecker substitution, and
 ``IntLaurent`` denominator with the digit width, shift and coefficient
 bound the packing needs; it states the bound rules and why decoding
 and zero tests are exact.  Over Q(q)(u) and Q(q)(x) (``FracField``)
-the numerators and ``den`` are ``Poly``.  This module knows no ring.
+the numerators and ``den`` are ``Poly``, polynomials over
+Z[q, q^-1] that hold no ``Scalar``.  This module knows no ring.
 From the field descriptor it uses ``zero``, ``one``, ``pack`` (rows of
 field elements to numerator rows and ``den``), ``join`` (one numerator
 over ``den`` to the normalised element), ``name`` and ``render``, and
-``pencil_inverse`` uses ``poly`` (a polynomial from its coefficients,
-whose numerator has ``lcm`` and the coefficients ``c``); from
+``pencil_inverse`` uses ``poly`` (a polynomial from its Q(q)
+coefficients, whose numerator has ``lcm``) and ``monic`` (the
+coefficients over Q(q) of such a numerator, made monic); from
 a ``den`` it uses the protocol that brings operands into one frame:
 ``product`` (products and ``kron``), ``common`` (sums and equality)
 and ``summed`` (traces).  An exact zero is never stored: every kernel
@@ -70,11 +72,6 @@ import math
 
 class SingularMatrixError(ValueError):
     """Raised when inverting or solving against a singular matrix."""
-
-
-def _size(x):
-    hint = getattr(x, "size_hint", None)
-    return hint() if hint is not None else 1
 
 
 class TMatrix:
@@ -408,7 +405,7 @@ class TMatrix:
             for r in range(pr, rows):
                 x = work[r].get(c)
                 if x is not None:
-                    s = _size(x)
+                    s = x.size_hint()
                     if best is None or s < best_size:
                         best, best_size = r, s
             if best is None:
@@ -544,7 +541,9 @@ def _combination(mats, coeffs):
 def _annihilator(power, field):
     """[a_1, ..., a_r] for the minimal polynomial
     p(t) = t^r + a_1 t^(r-1) + ... + a_r of K = ``power(1)``; the lcm is
-    taken over the polynomials of ``field``, whose ``lcm`` is monic.
+    taken over the numerators of ``field``, which clear the denominators
+    of the coefficients, so ``field.monic`` divides it by its leading
+    coefficient at the end.
 
     p(K) = 0 exactly when row i of p(K) is 0 for every i, so p is the lcm
     over the rows i of the least monic f for which row i of f(K) is 0.
@@ -571,7 +570,7 @@ def _annihilator(power, field):
                     _subtract(comb, f, bcomb)
             if not vec:
                 break
-            key = min(vec, key=lambda k: _size(vec[k]))
+            key = min(vec, key=lambda k: vec[k].size_hint())
             inv = scalars.one / vec[key]
             basis.append((key, {k: x * inv for k, x in vec.items()},
                           {k: x * inv for k, x in comb.items()}))
@@ -581,7 +580,7 @@ def _annihilator(power, field):
     p, *rest = polys
     for q in rest:
         p = p.lcm(q)
-    return list(p.c[-2::-1])
+    return field.monic(p)[-2::-1]
 
 
 def _subtract(vec, f, other):
@@ -674,7 +673,8 @@ def embed(op, sites, dims):
 
 
 def lift(mat, field):
-    """Lift a matrix over ``field.coeff`` into ``field`` entrywise."""
+    """Lift a matrix over Q(q) into the function field ``field``
+    entrywise."""
     return mat.map_entries(field.from_coeff, field)
 
 

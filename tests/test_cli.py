@@ -343,6 +343,18 @@ def test_verify_refuses_a_repeated_size():
     assert "repeated" in res.stderr and not res.stdout
 
 
+def test_verify_refuses_an_unwritable_out_path(tmp_path):
+    # the path is checked before the suite runs, and refused with exit 2
+    # (exit 1 is kept for a failed verification), without a traceback
+    for path in (tmp_path / "missing" / "r.txt", tmp_path):
+        res = run_cli("verify", "--n", "2", "--N-max", "1", "--out",
+                      str(path), timeout=30)
+        assert res.returncode == 2 and not res.stdout
+        assert res.stderr.startswith("error: cannot write the report to ")
+        assert "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_refuses_a_selection_without_rows():
     # the operator categories cover n = 2, 3 only, so at n = 4 these two
     # would report "0 passed, 0 failed" and exit 0 having checked nothing

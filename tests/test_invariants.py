@@ -11,7 +11,7 @@ from qgelfand.scalars import (Scalar, SCALARS, UFIELD, qnum, expand,
 from qgelfand.tmatrix import TMatrix, lift
 from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
-                           lift_vector, evaluated_L)
+                           evaluated_L)
 from qgelfand import faults, invariants as inv
 
 
@@ -308,7 +308,7 @@ def test_z_scalar_against_full_operator():
     # independent paths: full rational-function inverse vs comatrix route
     for rep, lam in ((v(2), (1, 0)), (vv(2, 2), (2, 0)), (vv(2, 2), (1, 1))):
         z = inv.z_matrix(rep, "+")
-        vec = lift_vector(highest_weight_vector(rep, lam), UFIELD)
+        vec = lift(highest_weight_vector(rep, lam), UFIELD)
         assert scalar_on_vector(z, vec) == inv.z_scalar(rep, "+", lam)
 
 

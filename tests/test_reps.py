@@ -10,7 +10,7 @@ from qgelfand.reps import (Representation, WeightError, NotEigenvectorError,
                            vector_rep, trivial_rep, tensor_product,
                            tensor_power, evaluated_L, verify_defining_relations,
                            weight_subspace, highest_weight_vector,
-                           scalar_on_vector, lift_vector, _image_scalar)
+                           scalar_on_vector, _image_scalar)
 
 
 def all_pass(rows):
@@ -205,5 +205,5 @@ def test_evaluated_l():
 def test_lift_vector():
     rep = vector_rep(2)
     v = highest_weight_vector(rep, (1, 0))
-    lv = lift_vector(v, UFIELD)
+    lv = lift(v, UFIELD)
     assert lv.field is UFIELD and lv.e[0] == UFIELD.one

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from qgelfand.scalars import (IntLaurent, Scalar, Poly, Frac, SCALARS, UFIELD,
+from qgelfand.scalars import (IntLaurent, Scalar, Poly, Frac, UFIELD,
                               qnum, limit_q1, expand,
                               DivergentLimitError, NoSeriesError,
                               ONE, ZERO, Q, QINV, Q_MINUS_QINV)
@@ -221,16 +221,16 @@ laurents = st.builds(IntLaurent, st.integers(-3, 3),
 nonzero_laurents = laurents.filter(bool)
 # Q(q) elements with denominators and negative q-powers
 scalars = st.builds(Scalar, laurents, nonzero_laurents)
-nonzero_scalars = scalars.filter(bool)
 
 
 @st.composite
 def upolys(draw, degree):
-    """A polynomial of exactly the given degree in Q(q)[u]."""
+    """A polynomial of exactly the given degree in Z[q, q^-1][u], with
+    negative q-powers and contents other than 1."""
     if degree < 0:
-        return Poly(SCALARS, ())
-    coeffs = [draw(scalars) for _ in range(degree)]
-    return Poly(SCALARS, coeffs + [draw(nonzero_scalars)])
+        return Poly(())
+    coeffs = [draw(laurents) for _ in range(degree)]
+    return Poly(coeffs + [draw(nonzero_laurents)])
 
 
 def any_upolys(max_degree):
@@ -252,12 +252,8 @@ def laurent_expr(p):
                sympy.Integer(0))
 
 
-def scalar_expr(s):
-    return laurent_expr(s.num) / laurent_expr(s.den)
-
-
 def poly_expr(p):
-    return sum((scalar_expr(c) * SU ** i for i, c in enumerate(p.c)),
+    return sum((laurent_expr(c) * SU ** i for i, c in enumerate(p.c)),
                sympy.Integer(0))
 
 
@@ -265,20 +261,57 @@ def sympy_upoly(p):
     return sympy.Poly(poly_expr(p), SU, domain=SYMPY_QQ_Q)
 
 
+def sympy_zpoly(p):
+    """``p`` over ZZ[q, u], shifted to lowest q-exponent 0."""
+    low = min((c.low for c in p.c if c), default=0)
+    return sympy.Poly(sympy.expand(poly_expr(p) * SQ ** -low), SQ, SU,
+                      domain=sympy.ZZ)
+
+
+def over_qq(p):
+    """The coefficients of ``p`` as elements of Q(q)."""
+    return [Scalar(c) for c in p.c]
+
+
+def monic(p):
+    """The coefficients of ``p`` over Q(q), divided by the leading one."""
+    return [Scalar(c, p.c[-1]) for c in p.c]
+
+
+def _trimmed(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
 def _euclid_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over the coefficient field:
-    the reference the fraction-free ``Poly.gcd`` is checked against."""
+    """Monic gcd of two coefficient lists over Q(q), lowest power first,
+    by the Euclidean algorithm: the reference ``Poly.gcd`` is checked
+    against, up to a unit of Q(q)."""
+    a, b = _trimmed(list(a)), _trimmed(list(b))
     while b:
-        _, r = a.divmod(b)
+        r, inv = list(a), ONE / b[-1]
+        while len(r) >= len(b):
+            f, k = r[-1] * inv, len(r) - len(b)
+            for i, y in enumerate(b):
+                r[i + k] = r[i + k] - f * y
+            _trimmed(r)
         a, b = b, r
-    if a and not a.c[-1] == a.f.one:
-        a = a.scale(a.f.one / a.c[-1])
-    return a
+    return [x / a[-1] for x in a]
 
 
-def assert_divides(g, p):
-    _, r = p.divmod(g)
-    assert not r
+def assert_unit_normal(p):
+    """Lowest q-exponent 0 and a positive leading integer."""
+    assert min(c.low for c in p.c if c) == 0 and p.c[-1].c[-1] > 0
+
+
+def unit_normal(p):
+    """The associate +-q^k p with lowest q-exponent 0 and a positive
+    leading integer, or 0."""
+    if not p:
+        return p
+    return p.scale(IntLaurent.q_power(-min(c.low for c in p.c if c),
+                                      1 if p.c[-1].c[-1] > 0 else -1))
 
 
 @ORACLE
@@ -286,21 +319,25 @@ def assert_divides(g, p):
 def test_poly_gcd_matches_euclid_and_divides(pair):
     a, b, common = pair
     g = Poly.gcd(a, b)
-    assert g == _euclid_gcd(a, b)
-    assert g.c[-1] == ONE
-    assert_divides(g, a)
-    assert_divides(g, b)
-    assert_divides(common, g)
+    assert_unit_normal(g)
+    assert monic(g) == _euclid_gcd(over_qq(a), over_qq(b))
+    # a gcd in Z[q, q^-1][u]: it divides both sides, with quotients of
+    # joint content 1, and the planted factor divides it
+    qa, qb = a.divexact(g), b.divexact(g)
+    assert qa * g == a and qb * g == b
+    content = IntLaurent.from_int(0)
+    for c in qa.c + qb.c:
+        content = IntLaurent.gcd(content, c)
+    assert content.is_one()
+    assert g.divexact(common) * common == g
     assert Poly.gcd(b, a) == g
-    # lcm * gcd is a * b up to a unit of Q(q)
-    m, ab = Poly.lcm(a, b) * g, a * b
-    assert m.scale(ab.c[-1]) == ab.scale(m.c[-1]) if ab else not m
-    # divexact returns the quotient when the division is exact ...
-    assert ab.divexact(b) == a and a.divexact(g) * g == a
-    # ... and raises when a remainder is planted
+    # lcm * gcd is a * b up to a unit of Z[q, q^-1]
+    if a:
+        assert unit_normal(Poly.lcm(a, b) * g) == unit_normal(a * b)
+    # divexact raises when a remainder is planted
     if b.degree > 0:
         with pytest.raises(ArithmeticError):
-            (ab + Poly(SCALARS, (ONE,))).divexact(b)
+            (a * b + Poly((IntLaurent.from_int(1),))).divexact(b)
 
 
 @settings(ORACLE, max_examples=10)
@@ -308,23 +345,45 @@ def test_poly_gcd_matches_euclid_and_divides(pair):
 def test_poly_gcd_matches_sympy(pair):
     a, b, _ = pair
     g = Poly.gcd(a, b)
+    # up to a unit of Q(q), sympy's gcd over Q(q)[u] ...
     expect = sympy.gcd(sympy_upoly(a), sympy_upoly(b)).monic()
     assert g.degree == expect.degree()
-    assert sympy_upoly(g) == expect
+    assert sympy_upoly(g).monic() == expect
+    # ... and up to sign, its gcd over Z[q, u], content included
+    zg = sympy.gcd(sympy_zpoly(a), sympy_zpoly(b))
+    assert sympy_zpoly(g) in (zg, -zg)
 
 
 def test_poly_gcd_edge_cases():
-    u = Poly(SCALARS, (ZERO, ONE))
-    zero = Poly(SCALARS, ())
-    two = Poly(SCALARS, (Scalar.from_int(2),))
-    a = Poly(SCALARS, (qnum(2), Q_MINUS_QINV.inverse())) * u
-    monic_a = Poly(SCALARS, (qnum(2) * Q_MINUS_QINV, ONE)) * u
+    L = IntLaurent
+    zero, one = Poly(()), Poly((L.from_int(1),))
+    u = Poly((L(0, ()), L.from_int(1)))
+    two = Poly((L.from_int(2),))
+    # a = (2q^-1 + 2q) u - 4 u^2, content 2
+    a = Poly((L(-1, (2, 0, 2)), L.from_int(-4))) * u
+    normal_a = Poly((L(0, ()), L(0, (-2, 0, -2)), L(1, (4,))))
     assert Poly.gcd(zero, zero) == zero
-    assert Poly.gcd(a, zero) == Poly.gcd(zero, a) == monic_a
-    assert Poly.gcd(a, two).c == (ONE,)
-    assert Poly.gcd(a, a) == monic_a
+    assert Poly.gcd(a, zero) == Poly.gcd(zero, a) == normal_a
+    assert Poly.gcd(a, a) == normal_a
+    assert Poly.gcd(a, two) == two
+    assert Poly.gcd(a, Poly((L.from_int(3),))) == one
+    # a common content with no power of u
+    assert (Poly.gcd(Poly((L(0, ()), L(0, (2, 2)))), Poly((L(3, (4, 4)),)))
+            == Poly((L(0, (2, 2)),)))
     # coprime: u and u - q
-    assert Poly.gcd(u, u - Poly(SCALARS, (Q,))).c == (ONE,)
+    assert Poly.gcd(u, u - Poly((L.q_power(1),))) == one
+    # one division loop: an inexact coefficient quotient raises too
+    with pytest.raises(ArithmeticError):
+        (u * two).divexact(Poly((L.from_int(4),)))
+
+
+def assert_frac_normal_form(x):
+    """den unit-normal, and num and den of joint content 1."""
+    assert_unit_normal(x.den)
+    content = IntLaurent.from_int(0)
+    for c in x.num.c + x.den.c:
+        content = IntLaurent.gcd(content, c)
+    assert content.is_one()
 
 
 @settings(ORACLE, max_examples=10)
@@ -332,7 +391,7 @@ def test_poly_gcd_edge_cases():
 def test_frac_normal_form_matches_sympy_cancel(pair):
     num, den, _ = pair
     x = Frac(UFIELD, num, den)
-    assert x.den.c[-1] == ONE
+    assert_frac_normal_form(x)
     # same value, and as reduced in u as sympy's cancellation over Z[q, u]
     assert x.num * den == num * x.den
     top, bottom = sympy.fraction(
@@ -342,35 +401,67 @@ def test_frac_normal_form_matches_sympy_cancel(pair):
 
 
 @ORACLE
-@given(any_upolys(2), any_upolys(2), any_upolys(2))
-def test_frac_two_routes_agree(a, b, h):
-    # a/b built directly, through a shared factor, and through a sum
+@given(any_upolys(2), any_upolys(2), any_upolys(1), st.integers(-3, 3),
+       st.integers(-6, 6).filter(bool))
+def test_frac_normal_form_unique(a, b, h, k, n):
+    # one value reached by six routes gives one (num, den) and rendering
     x = Frac(UFIELD, a, b)
+    hf = Frac(UFIELD, h)
+    unit = IntLaurent.q_power(k, n)
     routes = [Frac(UFIELD, a * h, b * h),
-              UFIELD.poly(a.c) / UFIELD.poly(b.c),
-              (x + UFIELD.poly(h.c)) - UFIELD.poly(h.c)]
+              Frac(UFIELD, a.scale(unit), b.scale(unit)),
+              UFIELD.poly(over_qq(a)) / UFIELD.poly(over_qq(b)),
+              (x + hf) - hf,
+              (x * hf) / hf,
+              x.inverse().inverse() if x else x]
+    assert_frac_normal_form(x)
     for y in routes:
+        assert_frac_normal_form(y)
         assert (y.num, y.den) == (x.num, x.den)
         assert y.render() == x.render()
+        assert hash(y) == hash(x)
+
+
+@ORACLE
+@given(st.lists(scalars, max_size=4))
+def test_poly_from_scalar_coefficients(coeffs):
+    # ``FracField.poly`` stores its cleared pair without a gcd; it is the
+    # normal form all the same, and the value is sum c_i u^i
+    x = UFIELD.poly(coeffs)
+    assert_frac_normal_form(x)
+    expect = UFIELD.zero
+    for i, c in enumerate(coeffs):
+        expect = expect + UFIELD.from_coeff(c) * UFIELD.gen ** i
+    assert (x.num, x.den) == (expect.num, expect.den)
+    if x:
+        assert UFIELD.monic(x.num) == _euclid_gcd(_trimmed(list(coeffs)), [])
 
 
 def test_frac_normal_form_edge_cases():
     u = UFIELD.gen
     q = UFIELD.from_coeff(Q)
-    zero = Frac(UFIELD, UFIELD.poly_zero, Poly(SCALARS, (QINV, ONE)))
+    zero = Frac(UFIELD, Poly(()), Poly((QINV.num, ONE.num)))
     assert zero == UFIELD.zero and zero.render() == "0"
-    const = Frac(UFIELD, Poly(SCALARS, (qnum(3),)), Poly(SCALARS, (qnum(2),)))
+    const = Frac(UFIELD, Poly((qnum(3).num,)), Poly((qnum(2).num,)))
     assert const == UFIELD.from_coeff(qnum(3) / qnum(2))
-    # already coprime: nothing cancels, the denominator is made monic
+    # already coprime: nothing cancels, and the pair is scaled by q so the
+    # denominator is unit-normal: (q u - q^2)/(q + (q^2 + 1) u)
     x = (u - q) / (UFIELD.from_coeff(qnum(2)) * u + UFIELD.one)
-    assert x.den.c[-1] == ONE and x.num.degree == 1 and x.den.degree == 1
+    assert x.num == Poly((IntLaurent.q_power(2, -1), IntLaurent.q_power(1)))
+    assert x.den == Poly((IntLaurent.q_power(1), IntLaurent(0, (1, 0, 1))))
     assert x.render() == "(-q + u)/(1 + (q + q^-1)*u)"
     # a common factor (u - q)^2 cancels completely
     y = (x * (u - q) ** 2) / ((u - q) ** 2)
     assert (y.num, y.den) == (x.num, x.den)
+    # contents cancel and the unit -q^-1 moves into the numerator:
+    # 2u / (-4q) = -q^-1 u / 2
+    z = Frac(UFIELD, Poly((IntLaurent(0, ()), IntLaurent.from_int(2))),
+             Poly((IntLaurent.q_power(1, -4),)))
+    assert z.num == Poly((IntLaurent(0, ()), IntLaurent.q_power(-1, -1)))
+    assert z.den == Poly((IntLaurent.from_int(2),))
 
 
-fracs = st.builds(lambda a, b: UFIELD.poly(a.c) / UFIELD.poly(b.c),
+fracs = st.builds(lambda a, b: Frac(UFIELD, a) / Frac(UFIELD, b),
                   any_upolys(1), any_upolys(1))
 
 

@@ -1006,7 +1006,9 @@ def check_pencil(a, b, reverse):
     u = UFIELD.gen
     t = u.inverse() if reverse else u
     assert got == (lift(a, UFIELD) - lift(b, UFIELD).scaled(t)).inverse()
-    assert got.den.c[-1] == ONE
+    # the denominator is in normal form: lowest q-exponent 0, positive
+    # leading integer
+    assert min(c.low for c in got.den.c if c) == 0 and got.den.c[-1].c[-1] > 0
 
 
 @st.composite
