@@ -28,13 +28,16 @@ of them no longer vanishes there.
 Matrices over Q(q) do not store ``Scalar`` or ``IntLaurent`` entries.
 ``_ScalarField.pack`` puts their numerators over one denominator and
 packs each into one integer by Kronecker substitution (Schoenhage 1982):
-P = q^shift * num in Z[q] is stored as P(2^B).  The ``Packed`` record
-that travels with the matrix holds the denominator, B, the shift and
-bounds on the coefficients and degrees.  Matrix products, sums and
-equality are then integer products, sums and equality; each kernel
-widens B before a coefficient could reach 2^(B-1), which keeps every
-decode and every zero test exact (the argument is on ``Packed``).
-Entries are decoded only when they are read.
+P = q^shift * num in Z[q] is stored as P(2^B), B = 32 to start.  The
+``Packed`` record that travels with the matrix holds the denominator,
+B, the shift and bounds on the coefficients, on their sum of absolute
+values (l1) and on the degrees.  Matrix products, sums and equality are
+then integer products, sums and equality.  One l1 rule bounds every
+kernel's result; a kernel whose bound would reach 2^(B-1) first
+re-measures the loose records of its operands, once each, and then
+widens B, which keeps every decode and every zero test exact (the
+argument is on ``Packed``).  Entries are decoded only when they are
+read.
 
 Rendering is deterministic: Laurent polynomials in q print in descending
 powers ("q^2 + 1 + q^-2"); polynomials in u print in ascending powers
@@ -45,6 +48,7 @@ with the denominator display-normalised so its lowest coefficient is 1
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -489,10 +493,16 @@ def _times(rows, f):
 
 # Q(q) matrices pack each numerator into one integer (Kronecker
 # substitution).  BITS is the width B of a base-2^B digit that a matrix
-# built from field elements starts with: 64 bits hold every product
-# chain of the verify suite's default and large configurations between
-# two re-measures, so those runs never widen.
-BITS = 64
+# built from field elements starts with.  Under the l1 rule on
+# ``Packed`` the bounds stay close to the true coefficients, so a narrow
+# B holds every product chain of the verify suite's default and large
+# configurations; a kernel whose bound would reach 2^(B-1) re-measures,
+# then doubles B.
+BITS = 32
+
+# memoryview formats of unsigned machine words, by their size in bytes:
+# digits of 2, 4 and 8 bytes are read as such words
+_WORDS = {struct.calcsize(f): f for f in "HIQ"}
 
 
 def _encode(p, bits, shift):
@@ -510,16 +520,33 @@ def _decode(x, bits):
     P has at most n = bitlength(x) // bits + 1 coefficients: when the
     top one sits at q^k, |x| > 2^(bits*k) / 2.  Adding 2^(bits-1) to
     each of the n digits puts them all in [0, 2^bits), so the digits of
-    the sum are unsigned: machine words at 64 bits, else byte slices."""
+    the sum are unsigned: machine words at 16, 32 and 64 bits on a
+    little-endian machine, else byte slices."""
     w = bits >> 3
     n = x.bit_length() // bits + 1
     half = 1 << (bits - 1)
     offset = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
     raw = (x + offset).to_bytes(w * n, "little")
-    if w == 8 and sys.byteorder == "little":
-        return [d - half for d in memoryview(raw).cast("Q").tolist()]
+    word = _WORDS.get(w)
+    if word is not None and sys.byteorder == "little":
+        return [d - half for d in memoryview(raw).cast(word).tolist()]
     return [int.from_bytes(raw[i:i + w], "little") - half
             for i in range(0, w * n, w)]
+
+
+def _norms(p):
+    """(max |coefficient|, sum of |coefficients|) of a nonzero
+    ``IntLaurent``."""
+    c = [abs(a) for a in p.c]
+    return max(c), sum(c)
+
+
+def _ell1(x, y, terms=1):
+    """The one bound rule (see ``Packed``): (bound, l1) of a sum of at
+    most ``terms`` products ab, where x = (bound, l1) bounds a and
+    y = (bound, l1) bounds b."""
+    (bound_a, l1_a), (bound_b, l1_b) = x, y
+    return terms * min(l1_a * bound_b, bound_a * l1_b), terms * l1_a * l1_b
 
 
 def _lmul(a, b):
@@ -528,31 +555,32 @@ def _lmul(a, b):
         return b
     if b.is_one():
         return a
-    bound = max(map(abs, a.c)) * max(map(abs, b.c)) * min(len(a.c), len(b.c))
+    bound = _ell1(_norms(a), _norms(b))[0]
     bits = (bound.bit_length() // 8 + 1) * 8
     x = _encode(a, bits, -a.low) * _encode(b, bits, -b.low)
     return IntLaurent(a.low + b.low, _decode(x, bits))
 
 
 def _grown(frame, f):
-    """The coefficient bound of a frame's numerators times ``f``."""
-    return (frame.bound * max(map(abs, f.c))
-            * (min(frame.deg, len(f.c) - 1) + 1))
+    """(bound, l1) of a frame's numerators times ``f``."""
+    return _ell1(frame.norms, _norms(f))
 
 
 def _fit(need, *ops):
     """Bring (frame, rows) operands to one digit width B with
     ``need(*frames) < 2^(B-1)``; returns (the rows, B).
 
-    When ``need`` reaches 2^(B-1) at the widest operand B, the operands'
-    frames are first re-measured in place from their actual digits; only
-    if that still does not fit is B doubled.  An operand at another B is
-    repacked for this kernel alone: its own matrix keeps its rows."""
+    When ``need`` reaches 2^(B-1) at the widest operand B, the frames
+    that are not tight yet are first re-measured in place from their
+    actual digits, each once in its life; only if that still does not
+    fit is B doubled.  An operand at another B is repacked for this
+    kernel alone: its own matrix keeps its rows."""
     frames = [f for f, _ in ops]
     bits = max(f.bits for f in frames)
     if need(*frames).bit_length() >= bits:
         for f, rows in ops:
-            _measure(f, rows)
+            if not f.tight:
+                _measure(f, rows)
         while need(*frames).bit_length() >= bits:
             bits *= 2
     return [rows if f.bits == bits else _repacked(rows, f, bits)
@@ -560,14 +588,19 @@ def _fit(need, *ops):
 
 
 def _measure(frame, rows):
-    """Tighten ``frame``'s bound and degree to the digits of ``rows``."""
-    bound = deg = 0
+    """Tighten ``frame``'s bound, l1 and degree to the digits of
+    ``rows``, and mark it tight."""
+    bound = l1 = deg = 0
     for row in rows:
         for x in row.values():
             c = _decode(x, frame.bits)
-            bound = max(bound, max(map(abs, c)))
-            deg = max(deg, max(i for i, a in enumerate(c) if a))
-    frame.bound, frame.deg = bound, deg
+            while not c[-1]:
+                c.pop()
+            a = [abs(v) for v in c]
+            bound = max(bound, max(a))
+            l1 = max(l1, sum(a))
+            deg = max(deg, len(c) - 1)
+    frame.bound, frame.l1, frame.deg, frame.tight = bound, l1, deg, True
 
 
 def _repacked(rows, frame, bits):
@@ -582,61 +615,80 @@ class Packed:
     A Q(q) ``TMatrix`` stores an entry num/den as the integer P(2^B),
     where P = q^shift * num lies in Z[q].  The record holds ``den`` (an
     ``IntLaurent``), the digit width B (``bits``, a multiple of 8),
-    ``shift``, and ``bound`` and ``deg``, upper bounds on every |coefficient|
-    and on the degree of every stored P.  Evaluation at 2^B is a ring map
-    Z[q] -> Z, so products, sums and equality of the numerators are
-    products, sums and equality of the integers.
+    ``shift``, and upper bounds over every stored P: ``bound`` on each
+    |coefficient|, ``l1`` on the sum of the |coefficients| and ``deg`` on
+    the degree.  Evaluation at 2^B is a ring map Z[q] -> Z, so products,
+    sums and equality of the numerators are products, sums and equality
+    of the integers.
 
     **Exactness.**  While every |coefficient| is below 2^(B-1), P is
     recovered from P(2^B) digit by digit (balanced base 2^B), so decoding
     is exact.  So is every zero test: if P != 0 but P(2^B) = 0, write
     P = q^k R with R(0) != 0; the integer root 2^B of R divides R(0), so
     |R(0)| >= 2^B.  Every kernel therefore keeps ``bound`` below
-    2^(B-1), by these rules:
+    2^(B-1), by one rule, the l1 rule: each coefficient of ab is a sum
+    of products a_i b_j with every a_i and every b_j used at most once,
+    so
 
-    * product: bound_a * bound_b * (min(deg_a, deg_b) + 1, the shorter
-      length) * (the most inner terms per output entry); shifts and
+        ||ab||_inf <= min(||a||_1 ||b||_inf, ||a||_inf ||b||_1),
+        ||ab||_1 <= ||a||_1 ||b||_1,
+
+    and a sum of at most t such products gets t times both (``_ell1``):
+
+    * product: t is the most inner terms per output entry; shifts and
       degrees add;
-    * ``kron`` and ``scaled``: the product rule with one inner term;
-    * sum and equality: bound_a + bound_b, after cross-multiplying each
-      side by the other's ``den`` where the dens differ and shifting the
-      side with the smaller ``shift`` up to the other's;
-    * partial trace and trace: bound times the number of terms summed;
-    * reshapes, transposes, embeddings and negation keep the record.
+    * ``kron`` and ``scaled``: a product with one inner term;
+    * sum and equality: each side is first multiplied by the other's
+      ``den`` where the dens differ (a product with one inner term) and
+      shifted up to the larger ``shift``; then bounds and l1 add;
+    * partial trace and trace: bound and l1 times the number of terms
+      summed;
+    * reshapes, transposes, embeddings and negation keep the record;
+    * a block gets its own record, measured from its entries
+      (``trimmed``).
 
     A denominator has lowest exponent 0 (the ``Scalar`` normal form, kept
     by lcm and products), so cross-multiplying by one leaves the shift
     alone.  Before a kernel whose bound could reach 2^(B-1), ``_fit``
-    re-measures the operands and widens B only if that does not suffice.
-    A record is shared only by matrices holding the same coefficients up
-    to sign (the kernels that move or negate entries), and no matrix is
-    written after it is built, so tightening a record in place is true of
-    every matrix that holds it.
+    re-measures the operands whose records are not ``tight`` and widens
+    B only if that does not suffice.  A record is tight when its bounds
+    were measured from its matrix's digits (by ``pack`` or ``_measure``),
+    so none is measured twice.  A record is shared only by matrices
+    holding the same coefficients up to sign (the kernels that move or
+    negate entries), and no matrix is written after it is built, so
+    tightening a record in place is true of every matrix that holds it.
 
-    ``product``, ``common`` and ``summed`` are the denominator protocol
-    of :mod:`.tmatrix`; ``Poly`` implements them for Q(q)(u) and Q(q)(x)
-    with no packing.
+    ``product``, ``common``, ``summed`` and ``trimmed`` are the
+    denominator protocol of :mod:`.tmatrix`; ``Poly`` implements them
+    for Q(q)(u) and Q(q)(x) with no packing.
     """
 
-    __slots__ = ("den", "bits", "shift", "bound", "deg")
+    __slots__ = ("den", "bits", "shift", "bound", "l1", "deg", "tight")
 
-    def __init__(self, den, bits, shift, bound, deg):
+    def __init__(self, den, bits, shift, bound, l1, deg, tight=False):
         self.den = den
         self.bits = bits
         self.shift = shift
         self.bound = bound
+        self.l1 = l1
         self.deg = deg
+        self.tight = tight
+
+    @property
+    def norms(self):
+        return self.bound, self.l1
 
     def product(self, other, a, b, terms):
         """(a, b, frame of the products) for rows ``a`` in this frame and
         ``b`` in ``other``, where an output entry sums at most ``terms``
         products."""
         def need(x, y):
-            return x.bound * y.bound * (min(x.deg, y.deg) + 1) * terms
+            return _ell1(x.norms, y.norms, terms)[0]
 
         (a, b), bits = _fit(need, (self, a), (other, b))
         return a, b, Packed(_lmul(self.den, other.den), bits,
-                            self.shift + other.shift, need(self, other),
+                            self.shift + other.shift,
+                            *_ell1(self.norms, other.norms, terms),
                             self.deg + other.deg)
 
     def common(self, other, a, b):
@@ -651,20 +703,36 @@ class Packed:
         shift = max(self.shift, other.shift)
 
         def need(x, y):
-            return _grown(x, fa) + _grown(y, fb)
+            return _grown(x, fa)[0] + _grown(y, fb)[0]
 
         (a, b), bits = _fit(need, (self, a), (other, b))
+        (bound_a, l1_a), (bound_b, l1_b) = _grown(self, fa), _grown(other, fb)
         deg = max(f.deg + shift - f.shift + len(g.c) - 1
                   for f, g in ((self, fa), (other, fb)))
         return (_times(a, _encode(fa, bits, shift - self.shift)),
                 _times(b, _encode(fb, bits, shift - other.shift)),
-                Packed(den, bits, shift, need(self, other), deg))
+                Packed(den, bits, shift, bound_a + bound_b, l1_a + l1_b, deg))
 
     def summed(self, rows, k):
         """(rows, frame of sums of up to ``k`` of their entries)."""
         (rows,), bits = _fit(lambda x: x.bound * k, (self, rows))
         return rows, Packed(self.den, bits, self.shift, self.bound * k,
-                            self.deg)
+                            self.l1 * k, self.deg)
+
+    def trimmed(self, rows):
+        """(rows, a record of their own) for ``rows``, some of the entries
+        of a matrix in this frame: the low zero digits that all of them
+        share are shifted out (x >> B*k is exact, and divides every P by
+        q^k), and the record is measured from these entries alone."""
+        bits = self.bits
+        k = min((((x & -x).bit_length() - 1) // bits
+                 for row in rows for x in row.values()), default=0)
+        if k:
+            rows = [{j: x >> bits * k for j, x in row.items()}
+                    for row in rows]
+        frame = Packed(self.den, bits, self.shift - k, 0, 0, 0)
+        _measure(frame, rows)
+        return rows, frame
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +758,16 @@ class _ScalarField:
         data, den = _over_lcm(rows, _L_ONE)
         nums = [p for row in data for p in row.values()]
         shift = -min((p.low for p in nums), default=0)
-        bound = max((abs(c) for p in nums for c in p.c), default=0)
+        norms = [_norms(p) for p in nums]
+        bound = max((b for b, _ in norms), default=0)
+        l1 = max((n for _, n in norms), default=0)
         deg = max((p.low + shift + len(p.c) - 1 for p in nums), default=0)
         bits = BITS
         while bound.bit_length() >= bits:
             bits *= 2
         return ([{j: _encode(p, bits, shift) for j, p in row.items()}
-                 for row in data], Packed(den, bits, shift, bound, deg))
+                 for row in data],
+                Packed(den, bits, shift, bound, l1, deg, tight=True))
 
     @staticmethod
     def join(x, frame):
@@ -810,6 +881,9 @@ class Poly:
         return _times(a, other), _times(b, self), self * other
 
     def summed(self, rows, k):
+        return rows, self
+
+    def trimmed(self, rows):
         return rows, self
 
     @staticmethod

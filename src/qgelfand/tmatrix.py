@@ -19,17 +19,19 @@ coefficients, whose numerator has ``lcm``) and ``monic`` (the
 coefficients over Q(q) of such a numerator, made monic); from
 a ``den`` it uses the protocol that brings operands into one frame:
 ``product`` (products and ``kron``), ``common`` (sums and equality)
-and ``summed`` (traces).  An exact zero is never stored: every kernel
-drops the entries that cancel, so a matrix is falsy exactly when no row
-holds an entry.
+and ``summed`` (traces), and ``trimmed``, the record of a block.  An
+exact zero is never stored: every kernel drops the entries that cancel,
+so a matrix is falsy exactly when no row holds an entry.
 
 A matrix is immutable: it is built once, from its entries or by a
 kernel, and no method writes an entry.  Kernels therefore share rather
 than copy: ``with_shape`` and a sum with a zero operand keep the
 operand's rows, and negation, transposes and embeddings keep its
-record.  ``block`` alone copies its record, because a kernel may
-tighten a record in place (``scalars._fit``) to the entries of one
-matrix.
+record.  ``block`` alone builds a record of its own, from its entries
+(``den.trimmed``): over Q(q) it shifts out the low zero digits they
+share and measures their bounds, so a block neither carries the bounds
+of the whole matrix nor shares a record that a kernel may tighten in
+place (``scalars._fit``) to the entries of one matrix.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
@@ -66,7 +68,6 @@ a function field serves the tests alone, as that kernel's oracle.
 
 from __future__ import annotations
 
-import copy
 import math
 
 
@@ -186,13 +187,15 @@ class TMatrix:
                            self.den, shape)
 
     def block(self, i0, j0, rows, cols):
-        """The rows x cols submatrix whose top left entry is (i0, j0), its
-        numerators copied as stored.  It gets its own copy of ``den``: a
-        kernel may tighten a packing record in place to the entries of
-        one matrix (``scalars._fit``), and the block's are fewer."""
+        """The rows x cols submatrix whose top left entry is (i0, j0).  It
+        builds its own ``den`` with ``den.trimmed``, from the block's
+        entries alone: over Q(q) that shifts out the low zero digits they
+        all share and measures its record from them, so a block never
+        carries the bounds and degree of the whole matrix."""
         data = [{j - j0: x for j, x in row.items() if j0 <= j < j0 + cols}
                 for row in self._data[i0:i0 + rows]]
-        return TMatrix._of(self.field, rows, cols, data, copy.copy(self.den))
+        data, den = self.den.trimmed(data)
+        return TMatrix._of(self.field, rows, cols, data, den)
 
     def __bool__(self):
         return any(self._data)

@@ -1,5 +1,7 @@
 """Evaluation modules: defining relations, weights, highest weight vectors."""
 
+import copy
+
 import pytest
 
 from qgelfand import scalars
@@ -80,6 +82,40 @@ def test_re_measuring_a_block_keeps_l_products_exact():
     scalars._measure(blk.den, blk._data)
     assert blk.den.bound == 1 < rep.Lp.den.bound
     assert (rep.Lp * rep.Lm).e == want
+
+
+def test_blocks_trim_their_records():
+    # At (n, N) = (2, 4), l-_ii acts by q^0..q^4: its block's record is
+    # trimmed to shift 0 and bound 1, while L-'s own record, shared by no
+    # block, keeps its shift 4.  Products of the trimmed blocks equal
+    # products of the same blocks cut with L+-'s record (the old blocks).
+    rep = tensor_power(vector_rep(2), 4)
+    d = rep.d
+    records = {sign: big.den for sign, big in (("+", rep.Lp), ("-", rep.Lm))}
+    before = {sign: [getattr(f, k) for k in f.__slots__]
+              for sign, f in records.items()}
+    untrimmed, trimmed = [], []
+    for sign, big in (("+", rep.Lp), ("-", rep.Lm)):
+        for i in (1, 2):
+            for j in (1, 2):
+                trimmed.append(rep.op(sign, i, j))
+                data = [{c - (j - 1) * d: x for c, x in row.items()
+                         if (j - 1) * d <= c < j * d}
+                        for row in big._data[(i - 1) * d:i * d]]
+                untrimmed.append(TMatrix._of(SCALARS, d, d, data,
+                                             copy.copy(big.den)))
+    for i in (1, 2):
+        blk = rep.op("-", i, i)
+        assert (blk.den.shift, blk.den.bound) == (0, 1)
+        assert blk.den is not rep.Lm.den
+    assert records["-"].shift == 4
+    for x, xt in zip(untrimmed, trimmed):
+        for y, yt in zip(untrimmed, trimmed):
+            prod = xt * yt
+            assert prod == x * y and prod.e == (x * y).e
+    assert rep.Lp.den is records["+"] and rep.Lm.den is records["-"]
+    assert {sign: [getattr(f, k) for k in f.__slots__]
+            for sign, f in records.items()} == before
 
 
 def test_defining_relations_small():

@@ -1,6 +1,8 @@
 """Suite configuration and report assembly."""
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +192,29 @@ def test_wrong_annihilator_gives_failed_rows(monkeypatch):
     for row in rows:
         assert row["verdict"] == "fail", row
         assert row["witness"].startswith("ArithmeticError: pencil inverse"), row
+
+
+# the configurations of the benchmark's verify workloads, whose reference
+# reports bench/reference/ keeps
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+BENCH_CONFIGS = {
+    "verify-default": SuiteConfig(),
+    "verify-large": SuiteConfig(ns=(2, 3), N_max=4,
+                                include=("defining-relations", "centrality")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+def test_reports_match_the_benchmark_references(name):
+    """Every row, keyed by (name, context), has the verdict and the
+    renderings of the reference report, and no row is missing, extra or
+    repeated."""
+    with open(REFERENCE / f"{name}.json") as fh:
+        reference = json.load(fh)
+    report = run_suite(BENCH_CONFIGS[name])
+    want = {(r[0], r[1]): tuple(r[2:]) for r in reference["rows"]}
+    got = {(c["name"], c["context"]): (c["verdict"], c["lhs"], c["rhs"])
+           for c in report["checks"]}
+    assert len(got) == len(report["checks"]) == len(reference["rows"])
+    assert got == want
+    assert (report["summary"]["fail"] > 0) == (reference["exit_code"] != 0)

@@ -2,7 +2,9 @@
 checked against dense entrywise oracles over ``.e``, over Q(q) and over
 Q(q)(u), each with trivial and nontrivial common denominators."""
 
+import copy
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -892,24 +894,37 @@ def test_packed_kernels_match_entrywise_scalar_arithmetic(a, a2, b, m, s):
 
 
 def test_loose_bound_is_re_measured_not_widened(monkeypatch):
-    """Monomials of degrees 0..20 make the product rule grow by 21 per
-    factor while every coefficient stays 1: the chain re-measures and
-    never widens."""
+    """A cancelling sum leaves a record whose bound is near 2^(B-2) over
+    monomial entries.  Squaring it re-measures that record and does not
+    widen; the record is then tight, and no later product measures it
+    again."""
     measured = []
     real = scalars._measure
     monkeypatch.setattr(scalars, "_measure",
-                        lambda f, rows: measured.append(1) or real(f, rows))
+                        lambda f, rows: measured.append(f) or real(f, rows))
     n = 4
     entries = [ZERO] * (n * n)
     for i in range(n):
         entries[i * n + (i + 1) % n] = Scalar.q_power(7 * i - 1)
-    perm = TMatrix(SCALARS, n, n, entries)
+    loose = TMatrix(SCALARS, n, n, [Scalar.from_int(HALF // 4)] * (n * n))
+    perm = (TMatrix(SCALARS, n, n, entries) + loose) - loose
+    assert not measured and perm.den.bound > HALF // 4
     acc = perm
     for _ in range(20):
         acc = acc * perm
     assert measured and acc.den.bits == scalars.BITS
+    assert perm.den.tight and perm.den.bound == perm.den.l1 == 1
+    assert [f is perm.den for f in measured] == [True]
     # perm^4 = q^38 I, the product of the four monomials
     assert acc == perm.scaled(Scalar.q_power(5 * 38))
+    # a record that still widens once measured is not measured again
+    one = TMatrix(SCALARS, 1, 1, [ONE])
+    root = TMatrix(SCALARS, 1, 1, [Scalar.from_int(1 << scalars.BITS // 2)])
+    wide = (root + one) - one
+    measured.clear()
+    for _ in range(3):
+        assert (wide * wide).den.bits > scalars.BITS
+    assert [f is wide.den for f in measured] == [True]
 
 
 def test_each_bound_rule_widens_at_the_edge():
@@ -979,6 +994,65 @@ def test_power_chain_matches_laurent_products():
         assert acc.e == [Scalar(x) for row in want for x in row], k
     assert max(abs(c) for row in want for x in row for c in x.c) >= HALF
     assert acc.den.bits > scalars.BITS
+
+
+def assert_record_sound(frame, *rows):
+    """A fresh measure of the digits of ``rows`` finds a bound, l1 and
+    degree no larger than ``frame`` claims."""
+    fresh = copy.copy(frame)
+    for r in rows:
+        scalars._measure(fresh, r)
+        assert fresh.bound <= frame.bound and fresh.l1 <= frame.l1
+        assert fresh.deg <= frame.deg
+
+
+def entrywise_sums(x, y):
+    return [{j: rx.get(j, 0) + ry.get(j, 0) for j in rx.keys() | ry.keys()
+             if rx.get(j, 0) + ry.get(j, 0)} for rx, ry in zip(x, y)]
+
+
+@settings(ORACLE, max_examples=20)
+@given(q_matrices(2, 3), q_matrices(2, 3), q_matrices(3, 2),
+       q_matrices(4, 4, shape=(2, 2)), packed_entries())
+def test_every_kernel_record_bounds_its_digits(a, a2, b, m, s):
+    """The records the Q(q) kernels build are sound: no bound, l1 or
+    degree below what the digits they describe hold, also after a
+    cancelling sum has left an operand's record loose."""
+    loose = (a + a2) - a2
+    results = [a * b, a + a2, a - a2, loose * b, a.scaled(s), kron(a, b),
+               kron(loose, b), embed(m, (3, 1), (2, 3, 2)),
+               m.block(1, 1, 2, 3), loose.block(0, 1, 2, 2),
+               ((m + m) - m).block(1, 0, 3, 3)]
+    results += [m.partial_trace(site) for site in (1, 2)]
+    for r in results:
+        assert_record_sound(r.den, r._data)
+    # trace: the sum of the diagonal in the frame ``summed`` returns
+    rows, frame = m.den.summed(m._data, m.rows)
+    diagonal = sum(row.get(i, 0) for i, row in enumerate(rows))
+    assert_record_sound(frame, [{0: diagonal}] if diagonal else [{}])
+    # equality and sums: both sides and their sums in the common frame
+    for x, y in ((a, a2), (loose, a), (a, a.scaled(s))):
+        xr, yr, frame = x.den.common(y.den, x._data, y._data)
+        assert_record_sound(frame, xr, yr, entrywise_sums(xr, yr))
+
+
+@settings(ORACLE, max_examples=30)
+@given(st.sampled_from((16, 32, 64)), st.data())
+def test_decode_matches_the_byte_slice_path(bits, data):
+    """``_decode`` reads machine words at 16, 32 and 64 bits; on a
+    big-endian byte order it takes the byte slices, and both give the
+    coefficients that were packed."""
+    top = (1 << (bits - 1)) - 1
+    c = data.draw(st.lists(st.one_of(st.integers(-top, top),
+                                     st.sampled_from((top, -top, 0))),
+                           min_size=1, max_size=6))
+    p = IntLaurent(0, c)
+    x = scalars._encode(p, bits, 0)
+    words = scalars._decode(x, bits)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "byteorder", "big")
+        assert scalars._decode(x, bits) == words
+    assert IntLaurent(0, words) == p
 
 
 # ---------------------------------------------------------------------------
