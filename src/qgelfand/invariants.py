@@ -212,7 +212,7 @@ def _neg_q_power(l):
 
 
 @memo
-def _aux_diag(rep, field=SCALARS, inverse=False):
+def _aux_diag(rep, field, inverse):
     """D (x) 1_W, or D^-1 (x) 1_W, over ``field``."""
     d = build_rmatrix_set(rep.n).D
     if inverse:
@@ -351,9 +351,9 @@ def comatrix_transposed_check(rep, sign):
     field = UFIELD
     u = field.gen
     shift = u * field.from_coeff(Scalar.q_power(2 * rep.n - 2))
-    lhs = (_aux_diag(rep, field)
+    lhs = (_aux_diag(rep, field, False)
            * comatrix(rep, sign, u).partial_transpose(1)
-           * _aux_diag(rep, field, inverse=True)
+           * _aux_diag(rep, field, True)
            * evaluated_L(rep, sign, shift).partial_transpose(1))
     rhs = kron(TMatrix.identity(field, rep.n), qdet_matrix(rep, sign))
     return matrix_verdict(lhs, rhs,
@@ -394,7 +394,7 @@ def z_matrix(rep, sign):
     """z(u) as an operator on W:
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
     lshift = _l_shifted(rep, sign)
-    prod = _aux_diag(rep, UFIELD) * lshift * _lu_inverse(rep, sign)
+    prod = _aux_diag(rep, UFIELD, False) * lshift * _lu_inverse(rep, sign)
     return prod.partial_trace(1).scaled(
         UFIELD.from_coeff(qnum(rep.n).inverse()))
 
@@ -446,20 +446,20 @@ def z_identity_checks(rep, sign):
     inv_n = field.from_coeff(qnum(rep.n).inverse())
     out = []
 
-    alt = (_aux_diag(rep, field, inverse=True) * linv
+    alt = (_aux_diag(rep, field, True) * linv
            * lshift).partial_trace(1).scaled(inv_n)
     out.append(("trace forms agree",
                 matrix_verdict(z, alt, label=f"z trace forms sign={sign}")))
 
     dmat = build_rmatrix_set(rep.n).D
-    lhs = (lshift.partial_transpose(1) * _aux_diag(rep, field)
+    lhs = (lshift.partial_transpose(1) * _aux_diag(rep, field, False)
            * linv.partial_transpose(1))
     rhs = kron(lift(dmat, field), z)
     out.append(("transposed product",
                 matrix_verdict(lhs, rhs, label=f"z transposed sign={sign}")))
 
     dinv = TMatrix.diag(SCALARS, [dmat[i, i].inverse() for i in range(rep.n)])
-    lhs = (linv.partial_transpose(1) * _aux_diag(rep, field, inverse=True)
+    lhs = (linv.partial_transpose(1) * _aux_diag(rep, field, True)
            * lshift.partial_transpose(1))
     rhs = kron(lift(dinv, field), z)
     out.append(("opposite transposed product",
@@ -518,7 +518,8 @@ def _family_power(rep, which, m):
 @memo
 def gelfand_invariant(rep, m):
     """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W."""
-    return (_aux_diag(rep) * _family_power(rep, "M", m)).partial_trace(1)
+    return (_aux_diag(rep, SCALARS, False)
+            * _family_power(rep, "M", m)).partial_trace(1)
 
 
 def generator_images(rep):
@@ -551,7 +552,7 @@ def z_series_coefficient(rep, m):
     against the M-power route of ``gelfand_invariant``, and it also
     serves centrality row m = 0.  The suite's other z coefficients are
     derived from tr_q M^m."""
-    d1 = _aux_diag(rep)
+    d1 = _aux_diag(rep, SCALARS, False)
     inv_n = qnum(rep.n).inverse()
     if m == 0:
         return d1.partial_trace(1).scaled(inv_n)
@@ -592,14 +593,12 @@ def liouville_scalar_check(rep, lam):
     out = []
     ratio = qs_shift / qs
     out.append(("z equals qdet ratio",
-                Verdict(zs == ratio, lhs=field.render(zs),
-                        rhs=field.render(ratio),
+                Verdict(zs == ratio, lhs=zs.render(), rhs=ratio.render(),
                         witness=None if zs == ratio else
                         f"Liouville scalar lambda={tuple(lam)} {rep.label}")))
     closed = qdet_scalar_closed_form(n, lam)
     out.append(("qdet closed form",
-                Verdict(qs == closed, lhs=field.render(qs),
-                        rhs=field.render(closed),
+                Verdict(qs == closed, lhs=qs.render(), rhs=closed.render(),
                         witness=None if qs == closed else
                         f"qdet closed form lambda={tuple(lam)} {rep.label}")))
     return out
@@ -668,14 +667,14 @@ def partial_fraction_check(rep, lam):
         rhs = rhs + field.from_coeff(a[k]) / den
     ok = zs == rhs
     if not ok:
-        return Verdict(False, lhs=field.render(zs), rhs=field.render(rhs),
+        return Verdict(False, lhs=zs.render(), rhs=rhs.render(),
                        witness=f"partial fractions lambda={tuple(lam)} "
                                f"{rep.label}")
     if c != Scalar.q_power(2 * n):
         return Verdict(False,
                        witness=f"constant term {c.render()} != q^{2 * n} "
                                f"(lambda={tuple(lam)})")
-    return Verdict(True, lhs=field.render(zs), rhs="C + sum a_k/(1-q^2l u)")
+    return Verdict(True, lhs=zs.render(), rhs="C + sum a_k/(1-q^2l u)")
 
 
 def eigenvalue_check(rep, lam, m):
@@ -714,8 +713,8 @@ def alternate_family_checks(rep, m):
       (a)  tr_1 D^-1 ((L+)^-1 L-)^m = tr_q M^m
       (b)  tr_1 D^-1 ((L-)^-1 L+)^m = tr_1 D (L+ (L-)^-1)^m
     """
-    dinv = _aux_diag(rep, inverse=True)
-    dmat = _aux_diag(rep)
+    dinv = _aux_diag(rep, SCALARS, True)
+    dmat = _aux_diag(rep, SCALARS, False)
     out = []
     got = (dinv * _family_power(rep, "pm", m)).partial_trace(1)
     out.append(("family (a)",
@@ -732,7 +731,8 @@ def alternate_family_checks(rep, m):
 def alternate_eigenvalue_check(rep, lam, m):
     """(c): the hwv scalar of tr_1 D (L+ (L-)^-1)^m is the q -> q^-1
     image of the tr_q M^m eigenvalue."""
-    op = (_aux_diag(rep) * _family_power(rep, "rev", m)).partial_trace(1)
+    op = (_aux_diag(rep, SCALARS, False)
+          * _family_power(rep, "rev", m)).partial_trace(1)
     got = scalar_on_vector(op, highest_weight_vector(rep, lam))
     expect = closed_form_eigenvalue(rep.n, lam, m).subs_qinv()
     return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),

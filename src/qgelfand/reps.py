@@ -23,7 +23,6 @@ forming l+-_ab - w l-+_ab.
 from __future__ import annotations
 
 import functools
-import inspect
 
 from . import faults
 from .scalars import SCALARS, Scalar, ONE, Q, QINV, Q_MINUS_QINV
@@ -42,23 +41,20 @@ class NotEigenvectorError(ArithmeticError):
 def memo(fn):
     """Cache ``fn(rep, *args)`` in ``rep._cache``.
 
-    The key is ``fn`` with its remaining arguments after defaults are
-    applied, so an explicit default and an omitted one share an entry;
-    list arguments key as tuples.  A call that raises caches nothing.
-    The cached value is returned to every later caller as is.
+    The arguments are positional, and the key is ``(fn, *args)`` with
+    list arguments as tuples, so a memoised function takes no defaults:
+    each call names every argument, and one value has one key.  A call
+    that raises caches nothing.  The cached value is returned to every
+    later caller as is.
     """
-    sig = inspect.signature(fn)
-
     @functools.wraps(fn)
-    def cached(rep, *args, **kwargs):
-        bound = sig.bind(rep, *args, **kwargs)
-        bound.apply_defaults()
+    def cached(rep, *args):
         key = (fn,) + tuple(tuple(a) if isinstance(a, list) else a
-                            for a in bound.args[1:])
+                            for a in args)
         try:
             return rep._cache[key]
         except KeyError:
-            value = rep._cache[key] = fn(rep, *args, **kwargs)
+            value = rep._cache[key] = fn(rep, *args)
             return value
 
     return cached
@@ -321,5 +317,5 @@ def _image_scalar(image, vec, what="operator"):
     if image != vec.scaled(c):
         raise NotEigenvectorError(
             f"{what} does not act as a scalar "
-            f"(candidate {image.field.render(c)})")
+            f"(candidate {c.render()})")
     return c

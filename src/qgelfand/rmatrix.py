@@ -170,9 +170,9 @@ def crossing_scalar(n):
     c = lhs[0, 0] / d2[0, 0]
     prop = matrix_verdict(lhs, d2.scaled(c), label=f"crossing n={n}")
     pred = predicted_crossing_scalar(n, x)
-    match = Verdict(c == pred, lhs=XFIELD.render(c), rhs=XFIELD.render(pred),
+    match = Verdict(c == pred, lhs=c.render(), rhs=pred.render(),
                     witness=None if c == pred else
-                    f"crossing scalar n={n}: {XFIELD.render(c)} != {XFIELD.render(pred)}")
+                    f"crossing scalar n={n}: {c.render()} != {pred.render()}")
     return CrossingResult(prop, c, match)
 
 

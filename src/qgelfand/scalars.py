@@ -12,14 +12,18 @@ variable, instantiated twice:
 * ``UFIELD`` = Q(q)(u) -- spectral-parameter rational functions,
 * ``XFIELD`` = Q(q)(x) -- crossing-symmetry and Yang-Baxter checks.
 
-Their elements hold no ``Scalar``: a ``Frac`` is a reduced pair of
-polynomials over Z[q, q^-1] (``Poly``), reduced by ``Poly.gcd``, a
-primitive PRS (Knuth TAOCP 2, 4.6.1) times the gcd of the contents.
-Euclid over Q(q) finds that gcd up to a unit of Q(q) through ``Scalar``
-coefficients of growing size; it survives only in the tests, as the
-reference.  ``Scalar`` coefficients are formed only on the way out.
-One loop per job serves both rings: ``_prs`` both gcds, ``_divexact``
-both exact divisions.
+One fraction type, ``_Fraction``, serves all three fields, over two
+rings: a ``Scalar`` is a pair num/den in Z[q, q^-1] (``IntLaurent``), a
+``Frac`` a pair in Z[q, q^-1][u] (``Poly``) that holds no ``Scalar``.
+Their arithmetic is written once, and one rule, ``_lowest_terms``,
+brings both to lowest terms: divide num and den by the ring's gcd, then
+multiply both by the unit +-q^k that gives den lowest q-exponent 0 and a
+positive leading integer.  ``Poly.gcd`` is a primitive PRS (Knuth TAOCP
+2, 4.6.1) times the gcd of the contents.  Euclid over Q(q) finds that gcd up to a
+unit of Q(q) through ``Scalar`` coefficients of growing size; it
+survives only in the tests, as the reference.  ``Scalar`` coefficients
+are formed only on the way out.  One loop per job serves both rings:
+``_prs`` both gcds, ``_divexact`` both exact divisions.
 
 Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
 out of numerator and denominator with ``IntLaurent.divexact`` until one
@@ -30,8 +34,8 @@ Matrices over Q(q) do not store ``Scalar`` or ``IntLaurent`` entries.
 packs each into one integer by Kronecker substitution (Schoenhage 1982):
 P = q^shift * num in Z[q] is stored as P(2^B), B = 32 to start.  The
 ``Packed`` record that travels with the matrix holds the denominator,
-B, the shift and bounds on the coefficients, on their sum of absolute
-values (l1) and on the degrees.  Matrix products, sums and equality are
+B, the shift and bounds on the coefficients and on their sum of
+absolute values (l1).  Matrix products, sums and equality are
 then integer products, sums and equality.  One l1 rule bounds every
 kernel's result; a kernel whose bound would reach 2^(B-1) first
 re-measures the loose records of its operands, once each, and then
@@ -175,6 +179,11 @@ class IntLaurent:
     def content(self):
         return math.gcd(*self.c)
 
+    def unit(self):
+        """The unit +-q^k whose product with this nonzero polynomial has
+        lowest exponent 0 and a positive leading coefficient."""
+        return IntLaurent.q_power(-self.low, 1 if self.c[-1] > 0 else -1)
+
     def at_one(self):
         return sum(self.c)
 
@@ -298,41 +307,116 @@ def render_laurent(p, var="q"):
 
 
 # ---------------------------------------------------------------------------
-# The field Q(q)
+# Fractions: Q(q) over Z[q, q^-1], Q(q)(u) and Q(q)(x) over Z[q, q^-1][u]
 # ---------------------------------------------------------------------------
 
-class Scalar:
-    """Element of Q(q): reduced ratio of integer Laurent polynomials.
+def _lowest_terms(num, den):
+    """The normal form of num/den, for nonzero num and den of one ring
+    (``IntLaurent`` or ``Poly``): both divided by the ring's gcd, then
+    multiplied by ``den.unit()``, the unit +-q^k that puts den at lowest
+    q-exponent 0 with a positive leading integer."""
+    g = type(num).gcd(num, den)
+    if not g.is_one():
+        num, den = num.divexact(g), den.divexact(g)
+    unit = den.unit()
+    if not unit.is_one():
+        num, den = num * unit, den * unit
+    return num, den
 
-    Canonical form: the denominator has lowest exponent 0 and positive
-    leading coefficient, the polynomial gcd of numerator and denominator
-    is trivial, and the integer contents are coprime.  Equality is
-    structural on this normal form.
-    """
+
+class _Fraction:
+    """An element num/den of a field of fractions, kept in the normal
+    form of ``_lowest_terms``: num and den share no factor, and den has
+    lowest q-exponent 0 and a positive leading integer.  The ring has
+    unique factorisation and its units are +-q^k, so the pair is unique
+    and equality is structural.
+
+    The arithmetic is written once for both rings.  A subclass provides
+    ``num``, ``den`` and ``field``, makes new elements of its field with
+    ``_of(num, den, reduced)`` (``reduced`` skips the normalisation) and
+    renders them.  A sum over a shared denominator adds the numerators,
+    a product of two unit denominators multiplies the numerators, and a
+    quotient is normalised once."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        return (isinstance(other, _Fraction) and self.field is other.field
+                and self.num == other.num and self.den == other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __neg__(self):
+        return self._of(-self.num, self.den, True)
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return self._of(self.num + other.num, self.den)
+        return self._of(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.den.is_one() and other.den.is_one():
+            return self._of(self.num * other.num, self.den)
+        return self._of(self.num * other.num, self.den * other.den)
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError(f"inverse of zero in {self.field.name}")
+        return self._of(self.den, self.num)
+
+    def __truediv__(self, other):
+        if not other.num:
+            raise ZeroDivisionError(f"division by zero in {self.field.name}")
+        return self._of(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self.field.one
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __str__(self):
+        return self.render()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
+
+
+class Scalar(_Fraction):
+    """Element of Q(q): a ratio of integer Laurent polynomials in lowest
+    terms (``_Fraction``)."""
 
     __slots__ = ("num", "den")
+
+    field = None  # SCALARS, set below
 
     def __init__(self, num, den=_L_ONE, _reduced=False):
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not num:
-            self.num = _L_ZERO
-            self.den = _L_ONE
-            return
-        if _reduced or den.is_one():
-            self.num, self.den = num, den
-            return
-        # shift all q powers into the numerator
-        num = num.shifted(-den.low)
-        den = den.shifted(-den.low)
-        g = IntLaurent.gcd(num, den)
-        if not g.is_one():
-            num = num.divexact(g)
-            den = den.divexact(g)
-        if den.c[-1] < 0:
-            num, den = -num, -den
-        self.num = num.shifted(-den.low)
-        self.den = den.shifted(-den.low)
+            num, den = _L_ZERO, _L_ONE
+        elif not (_reduced or den.is_one()):
+            num, den = _lowest_terms(num, den)
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def _of(num, den, reduced=False):
+        return Scalar(num, den, reduced)
 
     @classmethod
     def from_int(cls, n):
@@ -347,45 +431,6 @@ class Scalar:
     @classmethod
     def q_power(cls, k):
         return cls(IntLaurent.q_power(k))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, Scalar)
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        return Scalar(-self.num, self.den, _reduced=True)
-
-    def __add__(self, other):
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num + other.num)
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.den.is_one() and other.den.is_one():
-            return Scalar(self.num * other.num)
-        return Scalar(self.num * other.num, self.den * other.den)
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero in Q(q)")
-        return Scalar(self.den, self.num)
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by zero in Q(q)")
-        return Scalar(self.num * other.den, self.den * other.num)
 
     def subs_qinv(self):
         """Substitute q -> q^-1."""
@@ -406,12 +451,6 @@ class Scalar:
         if self.den.is_one():
             return render_laurent(self.num)
         return f"({render_laurent(self.num)})/({render_laurent(self.den)})"
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"Scalar({self.render()})"
 
 
 ZERO = Scalar(_L_ZERO)
@@ -588,9 +627,9 @@ def _fit(need, *ops):
 
 
 def _measure(frame, rows):
-    """Tighten ``frame``'s bound, l1 and degree to the digits of
-    ``rows``, and mark it tight."""
-    bound = l1 = deg = 0
+    """Tighten ``frame``'s bound and l1 to the digits of ``rows``, and
+    mark it tight."""
+    bound = l1 = 0
     for row in rows:
         for x in row.values():
             c = _decode(x, frame.bits)
@@ -599,8 +638,7 @@ def _measure(frame, rows):
             a = [abs(v) for v in c]
             bound = max(bound, max(a))
             l1 = max(l1, sum(a))
-            deg = max(deg, len(c) - 1)
-    frame.bound, frame.l1, frame.deg, frame.tight = bound, l1, deg, True
+    frame.bound, frame.l1, frame.tight = bound, l1, True
 
 
 def _repacked(rows, frame, bits):
@@ -616,10 +654,10 @@ class Packed:
     where P = q^shift * num lies in Z[q].  The record holds ``den`` (an
     ``IntLaurent``), the digit width B (``bits``, a multiple of 8),
     ``shift``, and upper bounds over every stored P: ``bound`` on each
-    |coefficient|, ``l1`` on the sum of the |coefficients| and ``deg`` on
-    the degree.  Evaluation at 2^B is a ring map Z[q] -> Z, so products,
-    sums and equality of the numerators are products, sums and equality
-    of the integers.
+    |coefficient| and ``l1`` on the sum of the |coefficients|.
+    Evaluation at 2^B is a ring map Z[q] -> Z, so products, sums and
+    equality of the numerators are products, sums and equality of the
+    integers.
 
     **Exactness.**  While every |coefficient| is below 2^(B-1), P is
     recovered from P(2^B) digit by digit (balanced base 2^B), so decoding
@@ -635,8 +673,7 @@ class Packed:
 
     and a sum of at most t such products gets t times both (``_ell1``):
 
-    * product: t is the most inner terms per output entry; shifts and
-      degrees add;
+    * product: t is the most inner terms per output entry; shifts add;
     * ``kron`` and ``scaled``: a product with one inner term;
     * sum and equality: each side is first multiplied by the other's
       ``den`` where the dens differ (a product with one inner term) and
@@ -663,15 +700,14 @@ class Packed:
     for Q(q)(u) and Q(q)(x) with no packing.
     """
 
-    __slots__ = ("den", "bits", "shift", "bound", "l1", "deg", "tight")
+    __slots__ = ("den", "bits", "shift", "bound", "l1", "tight")
 
-    def __init__(self, den, bits, shift, bound, l1, deg, tight=False):
+    def __init__(self, den, bits, shift, bound, l1, tight=False):
         self.den = den
         self.bits = bits
         self.shift = shift
         self.bound = bound
         self.l1 = l1
-        self.deg = deg
         self.tight = tight
 
     @property
@@ -688,8 +724,7 @@ class Packed:
         (a, b), bits = _fit(need, (self, a), (other, b))
         return a, b, Packed(_lmul(self.den, other.den), bits,
                             self.shift + other.shift,
-                            *_ell1(self.norms, other.norms, terms),
-                            self.deg + other.deg)
+                            *_ell1(self.norms, other.norms, terms))
 
     def common(self, other, a, b):
         """(a, b, frame of their sums): rows ``a`` in this frame and ``b``
@@ -707,17 +742,15 @@ class Packed:
 
         (a, b), bits = _fit(need, (self, a), (other, b))
         (bound_a, l1_a), (bound_b, l1_b) = _grown(self, fa), _grown(other, fb)
-        deg = max(f.deg + shift - f.shift + len(g.c) - 1
-                  for f, g in ((self, fa), (other, fb)))
         return (_times(a, _encode(fa, bits, shift - self.shift)),
                 _times(b, _encode(fb, bits, shift - other.shift)),
-                Packed(den, bits, shift, bound_a + bound_b, l1_a + l1_b, deg))
+                Packed(den, bits, shift, bound_a + bound_b, l1_a + l1_b))
 
     def summed(self, rows, k):
         """(rows, frame of sums of up to ``k`` of their entries)."""
         (rows,), bits = _fit(lambda x: x.bound * k, (self, rows))
         return rows, Packed(self.den, bits, self.shift, self.bound * k,
-                            self.l1 * k, self.deg)
+                            self.l1 * k)
 
     def trimmed(self, rows):
         """(rows, a record of their own) for ``rows``, some of the entries
@@ -730,7 +763,7 @@ class Packed:
         if k:
             rows = [{j: x >> bits * k for j, x in row.items()}
                     for row in rows]
-        frame = Packed(self.den, bits, self.shift - k, 0, 0, 0)
+        frame = Packed(self.den, bits, self.shift - k, 0, 0)
         _measure(frame, rows)
         return rows, frame
 
@@ -761,27 +794,23 @@ class _ScalarField:
         norms = [_norms(p) for p in nums]
         bound = max((b for b, _ in norms), default=0)
         l1 = max((n for _, n in norms), default=0)
-        deg = max((p.low + shift + len(p.c) - 1 for p in nums), default=0)
         bits = BITS
         while bound.bit_length() >= bits:
             bits *= 2
         return ([{j: _encode(p, bits, shift) for j, p in row.items()}
                  for row in data],
-                Packed(den, bits, shift, bound, l1, deg, tight=True))
+                Packed(den, bits, shift, bound, l1, tight=True))
 
     @staticmethod
     def join(x, frame):
         return Scalar(IntLaurent(-frame.shift, _decode(x, frame.bits)),
                       frame.den)
 
-    @staticmethod
-    def render(x):
-        return x.render()
-
 
 SCALARS = _ScalarField()
 _ScalarField.zero = ZERO
 _ScalarField.one = ONE
+Scalar.field = SCALARS
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +880,11 @@ class Poly:
         return Poly(a * s for a in self.c)
 
     def unit(self):
-        """The unit +-q^k of Z[q, q^-1] whose product with this nonzero
-        polynomial is unit-normal."""
+        """The unit +-q^k of Z[q, q^-1], as a constant polynomial, whose
+        product with this nonzero polynomial is unit-normal."""
         low = min(a.low for a in self.c if a)
-        return IntLaurent.q_power(-low, 1 if self.c[-1].c[-1] > 0 else -1)
+        return Poly((IntLaurent.q_power(-low, 1 if self.c[-1].c[-1] > 0
+                                        else -1),))
 
     def divexact(self, other):
         """The quotient self/other; raises ArithmeticError when ``other``
@@ -894,7 +924,7 @@ class Poly:
         if not b:
             a, b = b, a
         if not a:
-            return b.scale(b.unit()) if b else b
+            return b * b.unit() if b else b
         if a.degree == 0 or b.degree == 0:
             return Poly((_content(a.c + b.c),))
         ca, cb = _content(a.c), _content(b.c)
@@ -903,7 +933,7 @@ class Poly:
             p, r = r, p
         g = Poly(_prs(p, r, _primitive))
         n = IntLaurent.gcd(ca, cb)
-        return g.scale(g.unit() * n) if g.degree else Poly((n,))
+        return g.scale(g.unit().c[0] * n) if g.degree else Poly((n,))
 
 
 _P_ZERO = Poly(())
@@ -980,10 +1010,9 @@ def _prem(a, b):
     return r
 
 
-class Frac:
-    """Element of Q(q)(u) or Q(q)(x): ``Poly`` num and den with no common
-    factor in Z[q, q^-1][u], den unit-normal.  That ring has unique
-    factorisation, so the pair is unique and equality is structural."""
+class Frac(_Fraction):
+    """Element of Q(q)(u) or Q(q)(x): a ratio of ``Poly`` in lowest
+    terms (``_Fraction``), in the Z[q, q^-1][u] that ``field`` names."""
 
     __slots__ = ("field", "num", "den")
 
@@ -991,80 +1020,21 @@ class Frac:
         if not den:
             raise ZeroDivisionError(f"zero denominator in {field.name}")
         if not num:
-            self.field = field
-            self.num = _P_ZERO
-            self.den = _P_ONE
-            return
-        if not (_reduced or den.is_one()):
-            g = Poly.gcd(num, den)
-            if not g.is_one():
-                num, den = num.divexact(g), den.divexact(g)
-            unit = den.unit()
-            if not unit.is_one():
-                num, den = num.scale(unit), den.scale(unit)
+            num, den = _P_ZERO, _P_ONE
+        elif not (_reduced or den.is_one()):
+            num, den = _lowest_terms(num, den)
         self.field = field
         self.num = num
         self.den = den
 
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        return (isinstance(other, Frac) and self.field is other.field
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((id(self.field), self.num, self.den))
-
-    def __neg__(self):
-        return Frac(self.field, -self.num, self.den, _reduced=True)
-
-    def __add__(self, other):
-        if self.den == other.den:
-            return Frac(self.field, self.num + other.num, self.den)
-        return Frac(self.field,
-                    self.num * other.den + other.num * self.den,
-                    self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.den.is_one() and other.den.is_one():
-            return Frac(self.field, self.num * other.num)
-        return Frac(self.field, self.num * other.num, self.den * other.den)
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError(f"inverse of zero in {self.field.name}")
-        return Frac(self.field, self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    def _of(self, num, den, reduced=False):
+        return Frac(self.field, num, den, reduced)
 
     def size_hint(self):
         return sum(len(a.c) for a in self.num.c + self.den.c)
 
     def render(self):
         return self.field.render(self)
-
-    def __str__(self):
-        return self.render()
-
-    def __repr__(self):
-        return f"Frac({self.render()})"
 
 
 class FracField:

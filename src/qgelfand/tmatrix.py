@@ -13,11 +13,11 @@ the numerators and ``den`` are ``Poly``, polynomials over
 Z[q, q^-1] that hold no ``Scalar``.  This module knows no ring.
 From the field descriptor it uses ``zero``, ``one``, ``pack`` (rows of
 field elements to numerator rows and ``den``), ``join`` (one numerator
-over ``den`` to the normalised element), ``name`` and ``render``, and
-``pencil_inverse`` uses ``poly`` (a polynomial from its Q(q)
-coefficients, whose numerator has ``lcm``) and ``monic`` (the
-coefficients over Q(q) of such a numerator, made monic); from
-a ``den`` it uses the protocol that brings operands into one frame:
+over ``den`` to the normalised element) and ``name``; the elements
+render themselves.  ``pencil_inverse`` uses ``poly`` (a polynomial
+from its Q(q) coefficients, whose numerator has ``lcm``) and ``monic``
+(the coefficients over Q(q) of such a numerator, made monic); from a
+``den`` it uses the protocol that brings operands into one frame:
 ``product`` (products and ``kron``), ``common`` (sums and equality)
 and ``summed`` (traces), and ``trimmed``, the record of a block.  An
 exact zero is never stored: every kernel drops the entries that cancel,
@@ -216,7 +216,7 @@ class TMatrix:
         operand takes the other's denominator; otherwise ``den.common``
         brings both sides into one frame (cross-multiplying where the
         denominators differ) and the numerators add."""
-        assert self.rows == other.rows and self.cols == other.cols
+        _same_shape(self, other)
         if not other:
             return self
         if not self:
@@ -266,7 +266,9 @@ class TMatrix:
         denominators multiply.  An output entry sums at most as many
         products as the longest row of ``self`` holds entries."""
         assert isinstance(other, TMatrix)
-        assert self.cols == other.rows, "inner dimensions differ"
+        if self.cols != other.rows:
+            raise ValueError(f"inner dimensions differ: {self.rows}x"
+                             f"{self.cols} times {other.rows}x{other.cols}")
         rows, cols = self.rows, other.cols
         terms = max(map(len, self._data), default=0)
         arows, brows, den = self.den.product(other.den, self._data,
@@ -681,6 +683,14 @@ def lift(mat, field):
     return mat.map_entries(field.from_coeff, field)
 
 
+def _same_shape(a, b):
+    """Raise ValueError unless ``a`` and ``b`` have one shape: the
+    kernels that walk two matrices row by row would truncate."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError(f"shapes differ: {a.rows}x{a.cols} and "
+                         f"{b.rows}x{b.cols}")
+
+
 def _differing(a, b):
     """(row, col) of the first entry, in row-major order, where ``a`` and
     ``b`` differ, or None.  ``den.common`` brings both into one frame,
@@ -697,7 +707,7 @@ def _differing(a, b):
 def first_difference(a, b):
     """(row, col, left, right) of the first differing entry in row-major
     order, with both values normalised, or None."""
-    assert a.rows == b.rows and a.cols == b.cols
+    _same_shape(a, b)
     where = _differing(a, b)
     if where is None:
         return None

@@ -36,5 +36,5 @@ def matrix_verdict(lhs, rhs, label=""):
     if label:
         where = f"{label}: {where}"
     return Verdict(False,
-                   witness=f"{where}: {lhs.field.render(a)} != {lhs.field.render(b)}",
+                   witness=f"{where}: {a.render()} != {b.render()}",
                    lhs=summary, rhs=summary)

@@ -201,6 +201,29 @@ def test_verify_report_is_the_same_under_optimize():
     assert reports[0] == reports[1]
 
 
+SHAPE_MISMATCHES = """
+from qgelfand import SCALARS, TMatrix, matrix_verdict
+a, b = TMatrix.identity(SCALARS, 2), TMatrix.identity(SCALARS, 3)
+for op in (lambda: matrix_verdict(a, b), lambda: a + b, lambda: a - b,
+           lambda: a * b):
+    try:
+        print(op())
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_shape_mismatches_raise_under_optimize():
+    # python -O strips assert statements: a shape check written as one
+    # lets matrix_verdict pass two unequal matrices and lets +, - and *
+    # return truncated ones
+    res = subprocess.run([sys.executable, "-O", "-c", SHAPE_MISMATCHES],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["ValueError"] * 4
+
+
 def test_verify_fault_injection_fails():
     res = run_cli("verify", *SMALL, "--inject-fault", "rmatrix")
     assert res.returncode == 1

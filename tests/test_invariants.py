@@ -314,7 +314,8 @@ def test_z_scalar_against_full_operator():
 
 def test_memoised_z_shares_defaults_and_list_weights():
     rep = v(2)
-    assert inv._aux_diag(rep) is inv._aux_diag(rep, SCALARS, False)
+    assert inv._aux_diag(rep, SCALARS, False) is inv._aux_diag(
+        rep, SCALARS, False)
     zs = inv.z_scalar(rep, "+", (1, 0))
     assert inv.z_scalar(rep, "+", [1, 0]) is zs
 

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import Phase, example, given, settings, strategies as st
 
+from qgelfand import scalars as scalars_module
 from qgelfand.scalars import (IntLaurent, Scalar, Poly, Frac, UFIELD,
                               qnum, limit_q1, expand,
                               DivergentLimitError, NoSeriesError,
@@ -463,6 +464,35 @@ def test_frac_normal_form_edge_cases():
 
 fracs = st.builds(lambda a, b: Frac(UFIELD, a) / Frac(UFIELD, b),
                   any_upolys(1), any_upolys(1))
+
+
+@ORACLE
+@given(scalars, scalars.filter(bool), st.integers(-3, 3))
+def test_from_coeff_commutes_with_the_arithmetic(a, b, k):
+    # Scalar and Frac share one arithmetic and one lowest-terms rule, so
+    # a constant of Q(q)(u) stores the very pair of its Scalar
+    lift = UFIELD.from_coeff
+    for s, x in ((a + b, lift(a) + lift(b)), (a - b, lift(a) - lift(b)),
+                 (a * b, lift(a) * lift(b)), (a / b, lift(a) / lift(b)),
+                 (b.inverse(), lift(b).inverse()), (b ** k, lift(b) ** k)):
+        assert x.num == Poly((s.num,)) and x.den == Poly((s.den,))
+        assert x == lift(s) and x.render() == s.render()
+
+
+def test_both_fraction_types_use_one_lowest_terms_rule(monkeypatch):
+    calls = []
+    real = scalars_module._lowest_terms
+
+    def counting(num, den):
+        calls.append(type(num))
+        return real(num, den)
+
+    monkeypatch.setattr(scalars_module, "_lowest_terms", counting)
+    two, four = IntLaurent.from_int(2), IntLaurent.q_power(1, -4)
+    x = Scalar(two, four)
+    y = Frac(UFIELD, Poly((two,)), Poly((four,)))
+    assert calls == [IntLaurent, Poly]
+    assert x == -QINV / Scalar.from_int(2) and y == UFIELD.from_coeff(x)
 
 
 @settings(ORACLE, max_examples=15)
