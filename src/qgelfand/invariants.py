@@ -20,7 +20,7 @@ from fractions import Fraction
 from .scalars import (SCALARS, IntLaurent, Scalar, UFIELD, qnum, limit_q1,
                       expand, ONE, Q_MINUS_QINV)
 from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse
-from .verdict import Verdict, matrix_verdict
+from .verdict import Verdict, equal_verdict, matrix_verdict
 from .reps import (WeightError, highest_weight_vector, scalar_on_vector,
                    evaluated_L, memo, _image_scalar)
 from .rmatrix import build_rmatrix_set, perm_length
@@ -151,11 +151,9 @@ def classical_limit_checks(n, lam, ms):
     out = []
     for m, got in zip(ms, classical_limit_values(n, lam, ms)):
         expect = classical_eigenvalue(n, lam, m)
-        out.append((f"m={m}",
-                    Verdict(got == expect, lhs=str(got), rhs=str(expect),
-                            witness=None if got == expect else
-                            f"classical limit n={n} lambda={tuple(lam)} "
-                            f"m={m}: {got} != {expect}")))
+        out.append((f"m={m}", equal_verdict(
+            got, expect, f"classical limit n={n} lambda={tuple(lam)} m={m}",
+            show_values=True)))
     return out
 
 
@@ -196,9 +194,8 @@ def shift_covariance_formula_check(n, lam, m, s):
     shifted = tuple(x + s for x in lam)
     got = closed_form_eigenvalue(n, shifted, m)
     expect = Scalar.q_power(2 * s * m) * closed_form_eigenvalue(n, lam, m)
-    return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),
-                   witness=None if got == expect else
-                   f"shift covariance n={n} lambda={tuple(lam)} m={m} s={s}")
+    return equal_verdict(
+        got, expect, f"shift covariance n={n} lambda={tuple(lam)} m={m} s={s}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,9 @@ def minor_on_vector(rep, sign, u, rows, cols, vec):
     operator when ``vec`` is a column: each term is a chain of products
     taken right to left."""
     k = len(rows)
-    assert k == len(cols) and k >= 1
+    if not k == len(cols) >= 1:
+        raise ValueError(f"quantum minor on rows {tuple(rows)} and "
+                         f"columns {tuple(cols)}")
     acc = TMatrix.zeros(u.field, rep.d, vec.cols)
     for perm, coeff, shifts in _minor_terms(k, u):
         w = vec
@@ -318,7 +317,7 @@ def comatrix(rep, sign, u):
     {1..n}\\{i}, all at parameter u."""
     n, d = rep.n, rep.d
     field = u.field
-    big = TMatrix.zeros(field, n * d, n * d, shape=(n, d))
+    big = TMatrix.zeros(field, n * d, n * d)
     full = tuple(range(1, n + 1))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -351,10 +350,11 @@ def comatrix_transposed_check(rep, sign):
     field = UFIELD
     u = field.gen
     shift = u * field.from_coeff(Scalar.q_power(2 * rep.n - 2))
+    dims = (rep.n, rep.d)
     lhs = (_aux_diag(rep, field, False)
-           * comatrix(rep, sign, u).partial_transpose(1)
+           * comatrix(rep, sign, u).partial_transpose(1, dims)
            * _aux_diag(rep, field, True)
-           * evaluated_L(rep, sign, shift).partial_transpose(1))
+           * evaluated_L(rep, sign, shift).partial_transpose(1, dims))
     rhs = kron(TMatrix.identity(field, rep.n), qdet_matrix(rep, sign))
     return matrix_verdict(lhs, rhs,
                           label=f"transposed comatrix sign={sign} {rep.label}")
@@ -395,7 +395,7 @@ def z_matrix(rep, sign):
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
     lshift = _l_shifted(rep, sign)
     prod = _aux_diag(rep, UFIELD, False) * lshift * _lu_inverse(rep, sign)
-    return prod.partial_trace(1).scaled(
+    return prod.partial_trace(1, (rep.n, rep.d)).scaled(
         UFIELD.from_coeff(qnum(rep.n).inverse()))
 
 
@@ -444,23 +444,24 @@ def z_identity_checks(rep, sign):
     linv = _lu_inverse(rep, sign)
     z = z_matrix(rep, sign)
     inv_n = field.from_coeff(qnum(rep.n).inverse())
+    dims = (rep.n, rep.d)
     out = []
 
     alt = (_aux_diag(rep, field, True) * linv
-           * lshift).partial_trace(1).scaled(inv_n)
+           * lshift).partial_trace(1, dims).scaled(inv_n)
     out.append(("trace forms agree",
                 matrix_verdict(z, alt, label=f"z trace forms sign={sign}")))
 
     dmat = build_rmatrix_set(rep.n).D
-    lhs = (lshift.partial_transpose(1) * _aux_diag(rep, field, False)
-           * linv.partial_transpose(1))
+    lhs = (lshift.partial_transpose(1, dims) * _aux_diag(rep, field, False)
+           * linv.partial_transpose(1, dims))
     rhs = kron(lift(dmat, field), z)
     out.append(("transposed product",
                 matrix_verdict(lhs, rhs, label=f"z transposed sign={sign}")))
 
     dinv = TMatrix.diag(SCALARS, [dmat[i, i].inverse() for i in range(rep.n)])
-    lhs = (linv.partial_transpose(1) * _aux_diag(rep, field, True)
-           * lshift.partial_transpose(1))
+    lhs = (linv.partial_transpose(1, dims) * _aux_diag(rep, field, True)
+           * lshift.partial_transpose(1, dims))
     rhs = kron(lift(dinv, field), z)
     out.append(("opposite transposed product",
                 matrix_verdict(lhs, rhs, label=f"z opposite sign={sign}")))
@@ -503,7 +504,7 @@ def _family_power(rep, which, m):
     """Powers of M = L- (L+)^-1 ("M"), (L+)^-1 L- ("pm"), (L-)^-1 L+
     ("mp") and L+ (L-)^-1 ("rev")."""
     if m == 0:
-        return TMatrix.identity(SCALARS, rep.n * rep.d, shape=(rep.n, rep.d))
+        return TMatrix.identity(SCALARS, rep.n * rep.d)
     if m == 1:
         if which == "M":
             return rep.Lm * _l_inverse(rep, "+")
@@ -519,7 +520,7 @@ def _family_power(rep, which, m):
 def gelfand_invariant(rep, m):
     """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W."""
     return (_aux_diag(rep, SCALARS, False)
-            * _family_power(rep, "M", m)).partial_trace(1)
+            * _family_power(rep, "M", m)).partial_trace(1, (rep.n, rep.d))
 
 
 def generator_images(rep):
@@ -555,12 +556,12 @@ def z_series_coefficient(rep, m):
     d1 = _aux_diag(rep, SCALARS, False)
     inv_n = qnum(rep.n).inverse()
     if m == 0:
-        return d1.partial_trace(1).scaled(inv_n)
+        return d1.partial_trace(1, (rep.n, rep.d)).scaled(inv_n)
     lpinv = _l_inverse(rep, "+")
     term = rep.Lp * (_family_power(rep, "pm", m) * lpinv) \
         - (rep.Lm * (_family_power(rep, "pm", m - 1) * lpinv)).scaled(
             Scalar.q_power(2 * rep.n))
-    return (d1 * term).partial_trace(1).scaled(inv_n)
+    return (d1 * term).partial_trace(1, (rep.n, rep.d)).scaled(inv_n)
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +593,11 @@ def liouville_scalar_check(rep, lam):
         image, vec, f"qdet(uq^2) on the {tuple(lam)} vector of {rep.label}")
     out = []
     ratio = qs_shift / qs
-    out.append(("z equals qdet ratio",
-                Verdict(zs == ratio, lhs=zs.render(), rhs=ratio.render(),
-                        witness=None if zs == ratio else
-                        f"Liouville scalar lambda={tuple(lam)} {rep.label}")))
+    out.append(("z equals qdet ratio", equal_verdict(
+        zs, ratio, f"Liouville scalar lambda={tuple(lam)} {rep.label}")))
     closed = qdet_scalar_closed_form(n, lam)
-    out.append(("qdet closed form",
-                Verdict(qs == closed, lhs=qs.render(), rhs=closed.render(),
-                        witness=None if qs == closed else
-                        f"qdet closed form lambda={tuple(lam)} {rep.label}")))
+    out.append(("qdet closed form", equal_verdict(
+        qs, closed, f"qdet closed form lambda={tuple(lam)} {rep.label}")))
     return out
 
 
@@ -682,10 +679,9 @@ def eigenvalue_check(rep, lam, m):
     vec = highest_weight_vector(rep, lam)
     got = scalar_on_vector(gelfand_invariant(rep, m), vec)
     expect = closed_form_eigenvalue(rep.n, lam, m)
-    return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),
-                   witness=None if got == expect else
-                   f"tr_q M^{m} on lambda={tuple(lam)} of {rep.label}: "
-                   f"{got.render()} != {expect.render()}")
+    return equal_verdict(got, expect,
+                         f"tr_q M^{m} on lambda={tuple(lam)} of {rep.label}",
+                         show_values=True)
 
 
 def shift_covariance_rep_check(rep, lam, m, s):
@@ -697,10 +693,9 @@ def shift_covariance_rep_check(rep, lam, m, s):
     vec = highest_weight_vector(rep, shifted)
     got = scalar_on_vector(gelfand_invariant(rep, m), vec)
     expect = Scalar.q_power(2 * s * m) * closed_form_eigenvalue(rep.n, lam, m)
-    return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),
-                   witness=None if got == expect else
-                   f"shift covariance lambda={tuple(lam)}+{s} m={m} "
-                   f"on {rep.label}")
+    return equal_verdict(got, expect,
+                         f"shift covariance lambda={tuple(lam)}+{s} m={m} "
+                         f"on {rep.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -715,13 +710,14 @@ def alternate_family_checks(rep, m):
     """
     dinv = _aux_diag(rep, SCALARS, True)
     dmat = _aux_diag(rep, SCALARS, False)
+    dims = (rep.n, rep.d)
     out = []
-    got = (dinv * _family_power(rep, "pm", m)).partial_trace(1)
+    got = (dinv * _family_power(rep, "pm", m)).partial_trace(1, dims)
     out.append(("family (a)",
                 matrix_verdict(got, gelfand_invariant(rep, m),
                                label=f"family (a) m={m} {rep.label}")))
-    lhs = (dinv * _family_power(rep, "mp", m)).partial_trace(1)
-    rhs = (dmat * _family_power(rep, "rev", m)).partial_trace(1)
+    lhs = (dinv * _family_power(rep, "mp", m)).partial_trace(1, dims)
+    rhs = (dmat * _family_power(rep, "rev", m)).partial_trace(1, dims)
     out.append(("family (b)",
                 matrix_verdict(lhs, rhs,
                                label=f"family (b) m={m} {rep.label}")))
@@ -732,9 +728,8 @@ def alternate_eigenvalue_check(rep, lam, m):
     """(c): the hwv scalar of tr_1 D (L+ (L-)^-1)^m is the q -> q^-1
     image of the tr_q M^m eigenvalue."""
     op = (_aux_diag(rep, SCALARS, False)
-          * _family_power(rep, "rev", m)).partial_trace(1)
+          * _family_power(rep, "rev", m)).partial_trace(1, (rep.n, rep.d))
     got = scalar_on_vector(op, highest_weight_vector(rep, lam))
     expect = closed_form_eigenvalue(rep.n, lam, m).subs_qinv()
-    return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),
-                   witness=None if got == expect else
-                   f"q->1/q family on lambda={tuple(lam)} m={m} {rep.label}")
+    return equal_verdict(
+        got, expect, f"q->1/q family on lambda={tuple(lam)} m={m} {rep.label}")

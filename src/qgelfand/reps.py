@@ -64,12 +64,14 @@ class Representation:
     """A finite-dimensional module, presented by its big L-operators."""
 
     def __init__(self, n, d, Lp, Lm, label):
-        assert Lp.rows == Lp.cols == n * d
-        assert Lm.rows == Lm.cols == n * d
+        for big in (Lp, Lm):
+            if not big.rows == big.cols == n * d:
+                raise ValueError(f"L-operator of {label} is {big.rows}x"
+                                 f"{big.cols}, not {n * d}x{n * d}")
         self.n = n
         self.d = d
-        self.Lp = Lp.with_shape((n, d))
-        self.Lm = Lm.with_shape((n, d))
+        self.Lp = Lp
+        self.Lm = Lm
         self.label = label
         self._cache = {}
 
@@ -158,7 +160,8 @@ def trivial_rep(n):
 def tensor_product(a, b):
     """Module on W_a (x) W_b via the coproduct
     l+-_ij |-> sum_k l+-_ik (x) l+-_kj (first slot to first factor)."""
-    assert a.n == b.n
+    if a.n != b.n:
+        raise ValueError(f"tensor product of gl_{a.n} and gl_{b.n} modules")
     n, d = a.n, a.d * b.d
     dims = (n, a.d, b.d)
     lp = embed(a.Lp, (1, 2), dims) * embed(b.Lp, (1, 3), dims)
@@ -168,7 +171,8 @@ def tensor_product(a, b):
 
 def tensor_power(rep, N):
     """N-fold tensor power; N = 0 gives the trivial module."""
-    assert N >= 0
+    if N < 0:
+        raise ValueError(f"negative tensor power {N}")
     if N == 0:
         return trivial_rep(rep.n)
     out = rep

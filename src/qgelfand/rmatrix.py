@@ -20,7 +20,7 @@ from . import faults
 from .scalars import (SCALARS, Scalar, UFIELD, XFIELD, qnum,
                       Q, QINV, ONE, Q_MINUS_QINV)
 from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse
-from .verdict import Verdict, matrix_verdict
+from .verdict import Verdict, equal_verdict, matrix_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def _two_site(n, entries):
     flat = [SCALARS.zero] * n ** 4
     for ((a, b), (c, d)), x in entries.items():
         flat[((a - 1) * n + b - 1) * n * n + (c - 1) * n + d - 1] = x
-    return TMatrix(SCALARS, n * n, n * n, flat, shape=(n, n))
+    return TMatrix(SCALARS, n * n, n * n, flat)
 
 
 def build_rmatrix_set(n):
@@ -163,16 +163,14 @@ def crossing_scalar(n):
     x = XFIELD.gen
     q2n = XFIELD.from_coeff(Scalar.q_power(2 * n))
     d2 = kron(TMatrix.identity(XFIELD, n), lift(rset.D, XFIELD))
-    lhs = (r0_inverse(n, rset).partial_transpose(2)
+    lhs = (r0_inverse(n, rset).partial_transpose(2, (n, n))
            * d2
-           * r0(n, x * q2n, rset).partial_transpose(2))
+           * r0(n, x * q2n, rset).partial_transpose(2, (n, n)))
     # observed scalar from the first nonzero diagonal position of D_2
     c = lhs[0, 0] / d2[0, 0]
     prop = matrix_verdict(lhs, d2.scaled(c), label=f"crossing n={n}")
     pred = predicted_crossing_scalar(n, x)
-    match = Verdict(c == pred, lhs=c.render(), rhs=pred.render(),
-                    witness=None if c == pred else
-                    f"crossing scalar n={n}: {c.render()} != {pred.render()}")
+    match = equal_verdict(c, pred, f"crossing scalar n={n}", show_values=True)
     return CrossingResult(prop, c, match)
 
 
@@ -234,9 +232,7 @@ def f1_closed_form_check(n):
     """First coefficient: f_1 = (q - q^-1)[n-1]_q / [n]_q."""
     got = f_series(n, 1).coeffs[1]
     expect = Q_MINUS_QINV * qnum(n - 1) / qnum(n)
-    return Verdict(got == expect, lhs=got.render(), rhs=expect.render(),
-                   witness=None if got == expect else
-                   f"f_1 mismatch n={n}: {got.render()} != {expect.render()}")
+    return equal_verdict(got, expect, f"f_1 mismatch n={n}", show_values=True)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +291,7 @@ def q_perm(perm, n, rset=None, word=None):
         word = reduced_word(perm)
     dims = (n,) * k
     total = n ** k
-    out = TMatrix.identity(SCALARS, total, shape=dims)
+    out = TMatrix.identity(SCALARS, total)
     for a in word:
         out = out * embed(rset.Pq, (a, a + 1), dims)
     return out
@@ -307,7 +303,7 @@ def antisymmetrizer(k, n, rset=None):
         rset = build_rmatrix_set(n)
     dims = (n,) * k
     total = n ** k
-    acc = TMatrix.zeros(SCALARS, total, total, shape=dims)
+    acc = TMatrix.zeros(SCALARS, total, total)
     for perm in itertools.permutations(range(1, k + 1)):
         term = q_perm(perm, n, rset)
         acc = acc + (term if perm_sign(perm) > 0 else -term)
@@ -395,7 +391,7 @@ def check_fusion(rep, k, sign):
     lhs = asym
     for f in factors:
         lhs = lhs * f
-    rhs = TMatrix.identity(UFIELD, n ** k * d, shape=dims)
+    rhs = TMatrix.identity(UFIELD, n ** k * d)
     for f in reversed(factors):
         rhs = rhs * f
     rhs = rhs * asym

@@ -680,7 +680,7 @@ class Packed:
       shifted up to the larger ``shift``; then bounds and l1 add;
     * partial trace and trace: bound and l1 times the number of terms
       summed;
-    * reshapes, transposes, embeddings and negation keep the record;
+    * transposes, embeddings and negation keep the record;
     * a block gets its own record, measured from its entries
       (``trimmed``).
 

@@ -7,8 +7,8 @@ serially and their rows are collected into an order-stable report (rows
 sorted by check name, then context).  A check returning one Verdict
 gives the row named by its context; one returning (name, Verdict) pairs
 gives rows named "context name".  Every exception inside a task becomes
-one failed row with the exception text as witness, so a crashing
-identity can never masquerade as a pass.
+one failed row, named "context (raised)", with the exception text as
+witness, so a crashing identity can never masquerade as a pass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 from . import __version__, faults
 from . import rmatrix, reps, invariants
-from .verdict import Verdict
+from .verdict import Verdict, equal_verdict
 
 CHECK_NAMES = (
     "ybe",
@@ -178,11 +178,8 @@ def _fseries_rows(n, order):
 
 def _rank(n, k):
     a = rmatrix.antisymmetrizer(k, n)
-    want = math.comb(n, k)
-    got = a.rank()
-    return Verdict(got == want, lhs=str(got), rhs=str(want),
-                   witness=None if got == want else
-                   f"rank A^({k}) at n={n}: {got} != {want}")
+    return equal_verdict(a.rank(), math.comb(n, k),
+                         f"rank A^({k}) at n={n}", show_values=True)
 
 
 def _vanishing(n):
@@ -222,10 +219,10 @@ def _family_rows(rep, m_max):
             for name, v in invariants.alternate_family_checks(rep, m)]
 
 
-def _inverted_rows(rep, lams, m_max):
-    return [(f"lambda={_lam_str(lam)} m={m} inverted q",
+def _inverted_rows(rep, lam, m_max):
+    return [(f"m={m} inverted q",
              invariants.alternate_eigenvalue_check(rep, lam, m))
-            for lam in lams for m in range(1, m_max + 1)]
+            for m in range(1, m_max + 1)]
 
 
 def _formula_rows(n, lams, m_max):
@@ -326,10 +323,7 @@ def _check_table():
          invariants.classical_limit_checks),
         ("alternate-families", lambda c: _powers(
             _small(c), min(c.N_max, 3), c.m_max), _family_rows),
-        ("alternate-families", lambda c: (
-            (f"n={n}", (n, N), (dominant_partitions(N, n), c.m_max))
-            for n in _small(c) for N in range(1, min(c.N_max, 3) + 1)),
-         _inverted_rows),
+        ("alternate-families", lambda c: _weights(c, c.m_max), _inverted_rows),
         ("shift-covariance", lambda c: (
             (f"n={n}", None,
              (n, dominant_partitions(min(c.N_max, 2), n), c.m_max))
@@ -346,11 +340,17 @@ def _check_table():
 
 
 def _task_rows(power, check, context, key, args):
-    """Run one task and name its rows by the table's rule."""
-    out = check(*args) if key is None else check(power(*key), *args)
-    if isinstance(out, Verdict):
-        return [(context, out)]
-    return [(f"{context} {name}", v) for name, v in out]
+    """Run one task and name its rows by the table's rule.  A task that
+    raises gives one failed row, "<context> (raised)", with the
+    exception as witness."""
+    try:
+        out = check(*args) if key is None else check(power(*key), *args)
+        if isinstance(out, Verdict):
+            return [(context, out)]
+        return [(f"{context} {name}", v) for name, v in out]
+    except Exception as exc:      # any crash is a failed check, not a crash
+        return [(f"{context} (raised)",
+                 Verdict(False, witness=f"{type(exc).__name__}: {exc}"))]
 
 
 def _tasks(config, power):
@@ -366,12 +366,8 @@ def _tasks(config, power):
 # ---------------------------------------------------------------------------
 
 def _run_task(category, fn):
-    try:
-        rows = fn()
-    except Exception as exc:      # any crash is a failed check, not a crash
-        rows = [("(raised)", Verdict(False,
-                                     witness=f"{type(exc).__name__}: {exc}"))]
-    return [(category, ctx, v) for ctx, v in rows]
+    """The rows of one task, each tagged with its category."""
+    return [(category, ctx, v) for ctx, v in fn()]
 
 
 def run_suite(config):

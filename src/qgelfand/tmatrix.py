@@ -1,4 +1,4 @@
-"""Exact sparse matrices over a coefficient field, with tensor-factor shape.
+"""Exact sparse matrices over a coefficient field, with a tensor-site calculus.
 
 Every ``TMatrix`` stores each row as a dict ``{column: numerator}``
 holding only the nonzero entries, plus one common denominator ``den``:
@@ -25,13 +25,13 @@ so a matrix is falsy exactly when no row holds an entry.
 
 A matrix is immutable: it is built once, from its entries or by a
 kernel, and no method writes an entry.  Kernels therefore share rather
-than copy: ``with_shape`` and a sum with a zero operand keep the
-operand's rows, and negation, transposes and embeddings keep its
-record.  ``block`` alone builds a record of its own, from its entries
-(``den.trimmed``): over Q(q) it shifts out the low zero digits they
-share and measures their bounds, so a block neither carries the bounds
-of the whole matrix nor shares a record that a kernel may tighten in
-place (``scalars._fit``) to the entries of one matrix.
+than copy: a sum with a zero operand keeps the operand's rows, and
+negation, transposes and embeddings keep its record.  ``block`` alone
+builds a record of its own, from its entries (``den.trimmed``): over
+Q(q) it shifts out the low zero digits they share and measures their
+bounds, so a block neither carries the bounds of the whole matrix nor
+shares a record that a kernel may tighten in place (``scalars._fit``)
+to the entries of one matrix.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
@@ -47,11 +47,11 @@ elements and pack them over the lcm of their denominators.
 ``.e`` is a read-only dense view, a fresh row-major list built on each
 access; no kernel uses it.
 
-Square matrices may carry a ``shape`` tuple recording a tensor
-factorisation of their index space, which drives the subscript
-calculus: ``kron``, ``embed`` (place operators at chosen tensor sites),
-partial transpose and partial trace over a site.  Every one of them,
-like the ring operations, walks only the stored entries.
+No matrix records a tensor factorisation of its index space: ``embed``,
+``partial_transpose`` and ``partial_trace`` take the factor dimensions
+``dims`` and 1-based sites as arguments, and raise ``ValueError`` when
+the matrix does not factor so.  They and ``kron``, like the ring
+operations, walk only the stored entries.
 
 Inverse, solve, rank, determinant and nullspace all run one kernel,
 fraction-field Gauss-Jordan elimination on sparse rows of normalised
@@ -76,9 +76,10 @@ class SingularMatrixError(ValueError):
 
 
 class TMatrix:
-    """Sparse-row matrix over an exact field, optionally tensor-shaped.
+    """Sparse-row matrix over an exact field; it records no tensor
+    factorisation, so the site calculus takes ``dims`` as an argument.
 
-    ``TMatrix(field, rows, cols, entries, shape)`` takes the entries as
+    ``TMatrix(field, rows, cols, entries)`` takes the entries as
     one flat row-major list of field elements; zeros in it are dropped
     and ``field.pack`` stores the others as numerators over the lcm
     ``den`` of the ``x.den`` (over Q(q), packed integers over a
@@ -91,70 +92,65 @@ class TMatrix:
     gcd.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "den", "shape")
+    __slots__ = ("field", "rows", "cols", "_data", "den")
 
-    def __init__(self, field, rows, cols, entries, shape=None):
-        assert len(entries) == rows * cols
+    def __init__(self, field, rows, cols, entries):
+        if len(entries) != rows * cols:
+            raise ValueError(f"{len(entries)} entries for {rows}x{cols}")
         data, den = field.pack([
             {j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols]) if x}
             for i in range(rows)])
-        self._init(field, rows, cols, data, den, shape)
+        self._init(field, rows, cols, data, den)
 
     @classmethod
-    def _of(cls, field, rows, cols, data, den, shape=None):
+    def _of(cls, field, rows, cols, data, den):
         """The matrix whose row ``i`` holds the numerators ``data[i]``
         over ``den``, taken over as is: the rows must hold no zero, and
         may be shared with other matrices, since none is written."""
         m = cls.__new__(cls)
-        m._init(field, rows, cols, data, den, shape)
+        m._init(field, rows, cols, data, den)
         return m
 
-    def _init(self, field, rows, cols, data, den, shape):
-        if shape is not None:
-            assert math.prod(shape) == rows == cols
-            shape = tuple(shape)
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self._data = data
-        self.den = den
-        self.shape = shape
+    def _init(self, field, rows, cols, data, den):
+        self.field, self.rows, self.cols = field, rows, cols
+        self._data, self.den = data, den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, field, rows, cols, shape=None):
+    def zeros(cls, field, rows, cols):
         data, den = field.pack([{} for _ in range(rows)])
-        return cls._of(field, rows, cols, data, den, shape)
+        return cls._of(field, rows, cols, data, den)
 
     @classmethod
-    def identity(cls, field, n, shape=None):
+    def identity(cls, field, n):
         data, den = field.pack([{i: field.one} for i in range(n)])
-        return cls._of(field, n, n, data, den, shape)
+        return cls._of(field, n, n, data, den)
 
     @classmethod
-    def unit(cls, field, n, i, j, coeff=None, shape=None):
+    def unit(cls, field, n, i, j, coeff=None):
         """Matrix unit e_ij (1-based indices)."""
         entries = [field.zero] * (n * n)
         entries[(i - 1) * n + j - 1] = coeff if coeff is not None else field.one
-        return cls(field, n, n, entries, shape)
+        return cls(field, n, n, entries)
 
     @classmethod
-    def diag(cls, field, entries, shape=None):
+    def diag(cls, field, entries):
         n = len(entries)
         data, den = field.pack([{i: x} if x else {}
                                 for i, x in enumerate(entries)])
-        return cls._of(field, n, n, data, den, shape)
+        return cls._of(field, n, n, data, den)
 
     @classmethod
-    def from_rows(cls, field, rows, shape=None):
+    def from_rows(cls, field, rows):
         r = len(rows)
         c = len(rows[0]) if r else 0
         flat = []
         for row in rows:
-            assert len(row) == c
+            if len(row) != c:
+                raise ValueError(f"ragged rows: {len(row)} entries, not {c}")
             flat.extend(row)
-        return cls(field, r, c, flat, shape)
+        return cls(field, r, c, flat)
 
     @classmethod
     def column(cls, field, entries):
@@ -180,18 +176,12 @@ class TMatrix:
                 out[base + j] = join(x, den)
         return out
 
-    def with_shape(self, shape):
-        """The same matrix, sharing its rows and record, with another
-        tensor-factor shape."""
-        return TMatrix._of(self.field, self.rows, self.cols, self._data,
-                           self.den, shape)
-
     def block(self, i0, j0, rows, cols):
         """The rows x cols submatrix whose top left entry is (i0, j0).  It
         builds its own ``den`` with ``den.trimmed``, from the block's
         entries alone: over Q(q) that shifts out the low zero digits they
         all share and measures its record from them, so a block never
-        carries the bounds and degree of the whole matrix."""
+        carries the bounds of the whole matrix."""
         data = [{j - j0: x for j, x in row.items() if j0 <= j < j0 + cols}
                 for row in self._data[i0:i0 + rows]]
         data, den = self.den.trimmed(data)
@@ -202,14 +192,14 @@ class TMatrix:
 
     def __eq__(self, other):
         """Entrywise equality, by cross-multiplying when the denominators
-        differ; tensor-shape metadata is ignored."""
+        differ."""
         return (isinstance(other, TMatrix) and self.rows == other.rows
                 and self.cols == other.cols and _differing(self, other) is None)
 
     def __neg__(self):
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: -x for j, x in row.items()}
-                            for row in self._data], self.den, self.shape)
+                            for row in self._data], self.den)
 
     def _merged(self, other, negate):
         """``self + other`` (``self - other`` when ``negate``).  A zero
@@ -223,7 +213,7 @@ class TMatrix:
             data = [{j: -y if negate else y for j, y in row.items()}
                     for row in other._data]
             return TMatrix._of(self.field, self.rows, self.cols, data,
-                               other.den, self.shape)
+                               other.den)
         a, b, den = self.den.common(other.den, self._data, other._data)
         out = []
         for ra, rb in zip(a, b):
@@ -239,8 +229,7 @@ class TMatrix:
                     else:
                         del row[j]
             out.append(row)
-        return TMatrix._of(self.field, self.rows, self.cols, out, den,
-                           self.shape)
+        return TMatrix._of(self.field, self.rows, self.cols, out, den)
 
     def __add__(self, other):
         return self._merged(other, False)
@@ -253,19 +242,20 @@ class TMatrix:
         1x1 matrix (s), so the numerators take s's numerator and ``den``
         takes its denominator."""
         if not s:
-            return TMatrix.zeros(self.field, self.rows, self.cols, self.shape)
+            return TMatrix.zeros(self.field, self.rows, self.cols)
         srows, sden = self.field.pack([{0: s}])
         data, srows, den = self.den.product(sden, self._data, srows, 1)
         num = srows[0][0]
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: num * x for j, x in row.items()}
-                            for row in data], den, self.shape)
+                            for row in data], den)
 
     def __mul__(self, other):
         """Matrix product over the stored numerators of both sides; the
         denominators multiply.  An output entry sums at most as many
         products as the longest row of ``self`` holds entries."""
-        assert isinstance(other, TMatrix)
+        if not isinstance(other, TMatrix):
+            raise TypeError(f"matrix times {type(other).__name__}")
         if self.cols != other.rows:
             raise ValueError(f"inner dimensions differ: {self.rows}x"
                              f"{self.cols} times {other.rows}x{other.cols}")
@@ -283,22 +273,19 @@ class TMatrix:
                     else:
                         acc[j] = a * b
             out.append({j: x for j, x in acc.items() if x})
-        shape = self.shape if self.shape is not None else other.shape
-        if shape is not None and (rows != cols or math.prod(shape) != rows):
-            shape = None
-        return TMatrix._of(self.field, rows, cols, out, den, shape)
+        return TMatrix._of(self.field, rows, cols, out, den)
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._data):
             for j, x in row.items():
                 out[j][i] = x
-        return TMatrix._of(self.field, self.cols, self.rows, out, self.den,
-                           self.shape)
+        return TMatrix._of(self.field, self.cols, self.rows, out, self.den)
 
     def trace(self):
         """The sum of the diagonal numerators, normalised once."""
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError(f"trace of a {self.rows}x{self.cols} matrix")
         data, den = self.den.summed(self._data, self.rows)
         acc = None
         for i, row in enumerate(data):
@@ -326,7 +313,7 @@ class TMatrix:
             mapped = ((j, func(join(x, den))) for j, x in row.items())
             out.append({j: y for j, y in mapped if y})
         data, den = field.pack(out)
-        return TMatrix._of(field, self.rows, self.cols, data, den, self.shape)
+        return TMatrix._of(field, self.rows, self.cols, data, den)
 
     def nonzero(self):
         """(row, col, entry) of every stored entry, normalised, in
@@ -337,14 +324,9 @@ class TMatrix:
 
     # -- tensor-site calculus ---------------------------------------------
 
-    def _need_shape(self):
-        if self.shape is None:
-            raise ValueError("matrix carries no tensor-factor shape")
-        return self.shape
-
-    def partial_transpose(self, site):
-        """Transpose in one tensor factor (1-based site index)."""
-        dims = self._need_shape()
+    def partial_transpose(self, site, dims):
+        """Transpose in one tensor factor (1-based site) of ``dims``."""
+        dims = _factored(self.rows, self.cols, dims, (site,))
         a = site - 1
         sa, da = _strides(dims)[a], dims[a]
         n = self.rows
@@ -354,14 +336,14 @@ class TMatrix:
             for c, x in row.items():
                 shift = ((c // sa) % da - ra) * sa
                 out[r + shift][c - shift] = x
-        return TMatrix._of(self.field, n, n, out, self.den, dims)
+        return TMatrix._of(self.field, n, n, out, self.den)
 
-    def partial_trace(self, site):
-        """Trace out one tensor factor (1-based site index)."""
-        dims = self._need_shape()
+    def partial_trace(self, site, dims):
+        """Trace out one tensor factor (1-based site) of ``dims``."""
+        dims = _factored(self.rows, self.cols, dims, (site,))
         a = site - 1
         rest = dims[:a] + dims[a + 1:]
-        m = math.prod(rest) if rest else 1
+        m = math.prod(rest)
         sa, da = _strides(dims)[a], dims[a]
         block = sa * da
         data, den = self.den.summed(self._data, da)
@@ -375,7 +357,7 @@ class TMatrix:
                     y = target.get(k)
                     target[k] = x if y is None else y + x
         out = [{k: x for k, x in row.items() if x} for row in out]
-        return TMatrix._of(self.field, m, m, out, den, rest if rest else None)
+        return TMatrix._of(self.field, m, m, out, den)
 
     # -- elimination -------------------------------------------------------
 
@@ -431,10 +413,11 @@ class TMatrix:
             pr += 1
         return work, pivots, sign, values
 
-    def _solved(self, aug, shape=None):
+    def _solved(self, aug):
         """The solution X of self @ X = aug for a square ``self``, packed
         over the lcm of its entry denominators."""
-        assert self.rows == self.cols == aug.rows, "not a square system"
+        if not self.rows == self.cols == aug.rows:
+            raise ValueError(f"not a square system: {self.rows}x{self.cols}")
         n = self.rows
         work, pivots, _, _ = self._gauss_jordan(aug)
         if len(pivots) < n:
@@ -442,11 +425,10 @@ class TMatrix:
                 f"singular matrix: rank {len(pivots)} < {n}")
         data, den = self.field.pack([
             {j - n: x for j, x in row.items() if j >= n} for row in work])
-        return TMatrix._of(self.field, n, aug.cols, data, den, shape)
+        return TMatrix._of(self.field, n, aug.cols, data, den)
 
     def inverse(self):
-        return self._solved(TMatrix.identity(self.field, self.rows),
-                            self.shape)
+        return self._solved(TMatrix.identity(self.field, self.rows))
 
     def solve(self, rhs):
         """Solve self @ X = rhs for X (rhs a TMatrix of columns)."""
@@ -459,7 +441,8 @@ class TMatrix:
         """Signed product of the pivots; the product is taken here, not
         inside the kernel, so inverse and solve never pay for it.
         API for the tests and the benchmark tracer; no check calls it."""
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ValueError(f"det of a {self.rows}x{self.cols} matrix")
         _, pivots, sign, values = self._gauss_jordan()
         if len(pivots) < self.rows:
             return self.field.zero
@@ -531,7 +514,7 @@ def pencil_inverse(ainv, power, field, reverse=False):
                 for row in rows]
     data, den = field.pack([{c: field.poly(cs) for c, cs in row.items()}
                             for row in rows])
-    inv = TMatrix._of(field, ainv.rows, ainv.cols, data, den, ainv.shape)
+    inv = TMatrix._of(field, ainv.rows, ainv.cols, data, den)
     return inv.scaled(field.poly(a[::-1] if reverse else a).inverse())
 
 
@@ -601,7 +584,7 @@ def _subtract(vec, f, other):
 
 
 # ---------------------------------------------------------------------------
-# shape helpers
+# the tensor-site calculus
 # ---------------------------------------------------------------------------
 
 def _strides(dims):
@@ -616,9 +599,10 @@ def _unflatten(pos, dims, strides):
 
 
 def kron(a, b):
-    """Kronecker product; concatenates tensor-factor shapes when known.
-    The denominators multiply."""
-    assert a.field is b.field
+    """Kronecker product; the denominators multiply."""
+    if a.field is not b.field:
+        raise ValueError(f"kron across fields: {a.field.name} and "
+                         f"{b.field.name}")
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     bc = b.cols
@@ -628,35 +612,27 @@ def kron(a, b):
         for rb in bdata:
             out.append({j * bc + l: x * y
                         for j, x in ra.items() for l, y in rb.items()})
-    sa = a.shape if a.shape is not None else ((a.rows,) if a.rows == a.cols else None)
-    sb = b.shape if b.shape is not None else ((b.rows,) if b.rows == b.cols else None)
-    shape = sa + sb if (sa is not None and sb is not None) else None
-    return TMatrix._of(a.field, rows, cols, out, den, shape)
+    return TMatrix._of(a.field, rows, cols, out, den)
 
 
 def embed(op, sites, dims):
     """Embed ``op`` into the tensor product with factor dimensions ``dims``.
 
-    ``sites`` are 1-based factor indices, in the order matching the
-    tensor factorisation of ``op`` (whose shape must agree with the
-    selected dimensions); identity acts elsewhere.
+    ``sites`` are distinct 1-based factor indices, and ``op`` acts on
+    the factors ``dims[s - 1]`` of its sites ``s``, in that order, so it
+    must be square of their product; identity acts elsewhere.
     """
-    dims = tuple(dims)
-    op_shape = op.shape if op.shape is not None else (op.rows,)
-    assert len(op_shape) == len(sites), "site list does not match operator shape"
-    for s, d in zip(sites, op_shape):
-        assert dims[s - 1] == d, f"dimension mismatch at site {s}"
-    assert len(set(sites)) == len(sites)
-
     total = math.prod(dims)
+    dims = _factored(total, total, dims, sites)
+    op_dims = _factored(op.rows, op.cols, [dims[s - 1] for s in sites], ())
     strides = _strides(dims)
-    op_strides = _strides(op_shape)
+    op_strides = _strides(op_dims)
     site_strides = [strides[s - 1] for s in sites]
 
     # flat offsets of the embedded operator's row/col indices
     offsets = []
     for flat in range(op.rows):
-        parts = _unflatten(flat, op_shape, op_strides)
+        parts = _unflatten(flat, op_dims, op_strides)
         offsets.append(sum(p * st for p, st in zip(parts, site_strides)))
 
     skip = {s - 1 for s in sites}
@@ -674,7 +650,20 @@ def embed(op, sites, dims):
             target = out[base_r + p]
             for base_c, x in shifted:
                 target[base_c + p] = x
-    return TMatrix._of(op.field, total, total, out, op.den, dims)
+    return TMatrix._of(op.field, total, total, out, op.den)
+
+
+def _factored(rows, cols, dims, sites):
+    """``dims`` as a tuple; raises ValueError unless a rows x cols matrix
+    is square of dimension prod(dims) and ``sites`` are distinct 1-based
+    indices of its factors."""
+    dims = tuple(dims)
+    if not math.prod(dims) == rows == cols:
+        raise ValueError(f"a {rows}x{cols} matrix does not factor as {dims}")
+    if len(set(sites)) != len(sites) or not all(
+            1 <= s <= len(dims) for s in sites):
+        raise ValueError(f"sites {sites} not distinct in 1..{len(dims)}")
+    return dims
 
 
 def lift(mat, field):

@@ -23,6 +23,18 @@ class Verdict:
         return self.ok
 
 
+def equal_verdict(lhs, rhs, label, show_values=False):
+    """Compare two values once, rendering both with ``str``.  On a
+    mismatch the witness is ``label``, followed by ": <lhs> != <rhs>"
+    when ``show_values``."""
+    left, right = str(lhs), str(rhs)
+    if lhs == rhs:
+        return Verdict(True, lhs=left, rhs=right)
+    return Verdict(False, lhs=left, rhs=right,
+                   witness=f"{label}: {left} != {right}" if show_values
+                   else label)
+
+
 def matrix_verdict(lhs, rhs, label=""):
     """Compare two matrices entrywise, reporting the first difference."""
     from .tmatrix import first_difference

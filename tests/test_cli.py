@@ -202,26 +202,49 @@ def test_verify_report_is_the_same_under_optimize():
 
 
 SHAPE_MISMATCHES = """
-from qgelfand import SCALARS, TMatrix, matrix_verdict
+from qgelfand import SCALARS, UFIELD, TMatrix, matrix_verdict
+from qgelfand.invariants import quantum_minor
+from qgelfand.reps import (Representation, tensor_power, tensor_product,
+                           vector_rep)
+from qgelfand.scalars import ONE
+from qgelfand.tmatrix import embed, kron
 a, b = TMatrix.identity(SCALARS, 2), TMatrix.identity(SCALARS, 3)
+wide, four = TMatrix(SCALARS, 2, 3, [ONE] * 6), TMatrix.identity(SCALARS, 4)
+v2 = vector_rep(2)
 for op in (lambda: matrix_verdict(a, b), lambda: a + b, lambda: a - b,
-           lambda: a * b):
+           lambda: a * b, lambda: TMatrix(SCALARS, 2, 2, [ONE] * 3),
+           lambda: TMatrix.from_rows(SCALARS, [[ONE, ONE], [ONE]]),
+           lambda: wide.trace(), lambda: wide.det(),
+           lambda: wide.solve(TMatrix.column(SCALARS, [ONE, ONE])),
+           lambda: kron(a, TMatrix.identity(UFIELD, 2)),
+           lambda: embed(a, (3,), (2, 2)), lambda: embed(a, (1,), (3, 2)),
+           lambda: embed(four, (1, 1), (2, 2)),
+           lambda: four.partial_trace(1, (2, 3)),
+           lambda: four.partial_transpose(3, (2, 2)),
+           lambda: Representation(2, 2, b, b, "bad"),
+           lambda: tensor_product(v2, vector_rep(3)),
+           lambda: tensor_power(v2, -1),
+           lambda: quantum_minor(v2, "+", UFIELD.gen, (1, 2), (1,)),
+           lambda: a * ONE):
     try:
         print(op())
-    except ValueError:
-        print("ValueError")
+    except Exception as exc:
+        print(type(exc).__name__)
 """
 
 
 def test_shape_mismatches_raise_under_optimize():
-    # python -O strips assert statements: a shape check written as one
-    # lets matrix_verdict pass two unequal matrices and lets +, - and *
-    # return truncated ones
+    # python -O strips assert statements: a check written as one lets
+    # matrix_verdict pass two unequal matrices, lets +, -, * and the
+    # constructors build truncated or padded matrices, lets trace, det,
+    # solve and the site calculus read a wrong factorisation, and lets a
+    # module be built from operators of the wrong size; each must raise
+    # instead
     res = subprocess.run([sys.executable, "-O", "-c", SHAPE_MISMATCHES],
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["ValueError"] * 4
+    assert res.stdout.split() == ["ValueError"] * 19 + ["TypeError"]
 
 
 def test_verify_fault_injection_fails():

@@ -339,7 +339,6 @@ def test_lu_inverse_matches_gauss_jordan(n, N):
     for sign in "+-":
         got = inv._lu_inverse(rep, sign)
         assert got == evaluated_L(rep, sign, UFIELD.gen).inverse(), sign
-        assert got.shape == (n, rep.d)
 
 
 @pytest.mark.parametrize("kind", faults.KINDS)

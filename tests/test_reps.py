@@ -146,6 +146,19 @@ def test_tensor_product_structure():
     assert tensor_power(vector_rep(2), 0).d == 1
 
 
+def test_modules_refuse_operators_of_the_wrong_size():
+    eye = TMatrix.identity(SCALARS, 3)
+    for lp, lm in ((eye, TMatrix.identity(SCALARS, 4)),
+                   (TMatrix.identity(SCALARS, 4), eye),
+                   (TMatrix.zeros(SCALARS, 4, 2), TMatrix.zeros(SCALARS, 4, 2))):
+        with pytest.raises(ValueError):
+            Representation(2, 2, lp, lm, "bad")
+    with pytest.raises(ValueError):
+        tensor_product(vector_rep(2), vector_rep(3))
+    with pytest.raises(ValueError):
+        tensor_power(vector_rep(2), -1)
+
+
 def test_tensor_power_leaves_its_argument_alone():
     rep = vector_rep(2)
     once = tensor_power(rep, 1)

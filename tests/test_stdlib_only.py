@@ -57,6 +57,17 @@ def _imported_modules(path, package="qgelfand"):
                 yield node.lineno, f"{module}.{alias.name}"
 
 
+def test_package_has_no_assert_statement():
+    """``python -O`` strips ``assert``, so a check the package relies on
+    must raise explicitly instead."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(),
+                                            filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
 def test_tmatrix_imports_nothing_from_scalars():
     """The matrix kernels know no ring: the field descriptors and the
     ``den`` types carry it, so ``tmatrix`` must not import ``scalars``."""

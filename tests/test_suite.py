@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qgelfand import invariants, suite, tmatrix
+from qgelfand import faults, invariants, suite, tmatrix
 from qgelfand.scalars import ONE, FracField
 from qgelfand.tmatrix import TMatrix
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
@@ -125,19 +125,74 @@ def test_centrality_rows_at_n2_3_N2():
 def test_crashing_check_becomes_failed_rows(monkeypatch):
     # the table reads each check from its module when the run starts, so
     # a patched check is the one the run calls; every task it serves
-    # fails alone with the exception as witness
+    # fails alone, in a row named by its context, with the exception as
+    # witness
     def boom(rep):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(invariants, "transport_checks", boom)
     report = run_suite(SuiteConfig(ns=(2, 3), N_max=2,
                                    include=("z-identities",)))
-    raised = [r for r in report["checks"] if r["context"] == "(raised)"]
-    assert len(raised) == 4
+    raised = [r for r in report["checks"]
+              if r["context"].endswith(" (raised)")]
+    assert [r["context"] for r in raised] == [
+        "n=2 N=1 (raised)", "n=2 N=2 (raised)",
+        "n=3 N=1 (raised)", "n=3 N=2 (raised)"]
     assert all(r["name"] == "z-identities" and r["verdict"] == "fail"
                and r["witness"] == "RuntimeError: boom" for r in raised)
-    rest = [r for r in report["checks"] if r["context"] != "(raised)"]
+    rest = [r for r in report["checks"] if r not in raised]
     assert rest and all(r["verdict"] == "pass" for r in rest)
+
+
+@pytest.mark.parametrize("kind", faults.KINDS)
+def test_report_keys_are_unique_under_faults(kind):
+    # a crashing task names its row by its own context, so no two rows
+    # of a report share (name, context), crashed or not
+    report = run_suite(SuiteConfig(ns=(2,), N_max=2, fault=kind))
+    keys = [(r["name"], r["context"]) for r in report["checks"]]
+    assert len(keys) == len(set(keys))
+    assert report["summary"]["fail"]
+
+
+# failing scalar rows of `verify --n 2 --N-max 1 --m-max 1 --order 2
+# --inject-fault qnum`, one per check that builds its verdict with
+# `equal_verdict`, as (witness, lhs, rhs): the witness is the label
+# alone or the label with both sides, and both sides render with str
+QNUM_FAULT_SCALAR_ROWS = {
+    ("alternate-families", "n=2 lambda=(1,0) m=1 inverted q"): (
+        "q->1/q family on lambda=(1, 0) m=1 vector(2)^(x)1", "q + q^-3",
+        "(q^5 + q^3 + q + 2*q^-1 + q^-3)/(q^4 + q^2 + 1)"),
+    ("classical-limit", "n=2 lambda=(1,0) m=1"): (
+        "classical limit n=2 lambda=(1, 0) m=1: 4/3 != 1", "4/3", "1"),
+    ("eigenvalue-match", "n=2 lambda=(1,0) m=1"): (
+        "tr_q M^1 on lambda=(1, 0) of vector(2)^(x)1: q^3 + q^-1 != "
+        "(q^7 + 2*q^5 + q^3 + q + q^-1)/(q^4 + q^2 + 1)", "q^3 + q^-1",
+        "(q^7 + 2*q^5 + q^3 + q + q^-1)/(q^4 + q^2 + 1)"),
+    ("f-series", "n=2 first coefficient"): (
+        "f_1 mismatch n=2: (q^3 - q)/(q^4 + q^2 + 1) != "
+        "(q^4 - 1)/(q^4 + q^2 + 1)", "(q^3 - q)/(q^4 + q^2 + 1)",
+        "(q^4 - 1)/(q^4 + q^2 + 1)"),
+    ("liouville", "n=2 lambda=(1,0) z equals qdet ratio"): (
+        "Liouville scalar lambda=(1, 0) vector(2)^(x)1",
+        "((q^3 + q)/(q^4 + q^2 + 1) + ((-q^9 - q^7 - q^5 - q^3)/"
+        "(q^4 + q^2 + 1))*u + ((q^11 + q^9)/(q^4 + q^2 + 1))*u^2)/"
+        "(1 + (-q^4 - 1)*u + q^4*u^2)",
+        "(1 + (-q^6 - q^2)*u + q^8*u^2)/(1 + (-q^4 - 1)*u + q^4*u^2)"),
+    ("shift-covariance", "n=2 lambda=(0,-1) s=1 m=1 operator"): (
+        "shift covariance lambda=(0, -1)+1 m=1 on vector(2)^(x)1",
+        "q^3 + q^-1", "(q^7 + 2*q^5 + q^3 + q + q^-1)/(q^4 + q^2 + 1)"),
+}
+
+
+def test_scalar_rows_keep_their_witness_formats():
+    report = run_suite(SuiteConfig(
+        ns=(2,), N_max=1, m_max=1, order=2, fault="qnum",
+        include=tuple({name for name, _ in QNUM_FAULT_SCALAR_ROWS})))
+    rows = {(r["name"], r["context"]): r for r in report["checks"]}
+    for key, (witness, lhs, rhs) in QNUM_FAULT_SCALAR_ROWS.items():
+        row = rows[key]
+        assert row["verdict"] == "fail", key
+        assert (row["witness"], row["lhs"], row["rhs"]) == (witness, lhs, rhs)
 
 
 def test_task_partition_at_default_config():
@@ -154,7 +209,7 @@ def test_task_partition_at_default_config():
         "z-identities": 8, "centrality": 6, "liouville": 15,
         "series-expansion": 17, "eigenvalue-match": 11,
         "partial-fractions": 11, "classical-limit": 13,
-        "alternate-families": 12, "shift-covariance": 7}
+        "alternate-families": 17, "shift-covariance": 7}
     assert ({category for category, _, _ in suite._check_table()}
             == set(CHECK_NAMES))
 
