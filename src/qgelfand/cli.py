@@ -49,6 +49,10 @@ def _parse_checks(text):
 
 
 def build_parser():
+    """The argument parser of all three verbs.  ``main`` builds it once
+    per process, on its first call, and reuses it: ``parse_args`` reads
+    the parser and writes only the namespace it returns, and every
+    default is immutable, so no query sees state from an earlier one."""
     top = argparse.ArgumentParser(
         prog="qgelfand",
         description="Exact verification of quantum Gelfand invariants "
@@ -196,8 +200,14 @@ def _check_weight(n, lam):
     return tuple(lam)
 
 
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     handler = {"verify": cmd_verify, "eigenvalue": cmd_eigenvalue,
                "limit": cmd_limit}[args.command]
     try:

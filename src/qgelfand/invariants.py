@@ -15,10 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
-from .scalars import (SCALARS, IntLaurent, Scalar, UFIELD, qnum, limit_q1,
-                      expand, ONE, Q_MINUS_QINV)
+from .scalars import (SCALARS, IntLaurent, Scalar, UFIELD, qnum, expand, ONE,
+                      ZERO, Q_MINUS_QINV, _limit_pair, _phi2, _phi2_product,
+                      _qint_factors)
 from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse
 from .verdict import Verdict, equal_verdict, matrix_verdict
 from .reps import (WeightError, highest_weight_vector, scalar_on_vector,
@@ -54,38 +56,90 @@ def require_dominant(n, lam):
     return ell
 
 
-def _pp_weights(n, lam):
-    """(l, [c_1..c_n]) with the Perelomov-Popov weights
+def _pp_exponents(n, lam):
+    """(l, [w_1..w_n]) with each Perelomov-Popov weight
 
-        c_k = prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q,
+        c_k = prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q
 
-    each formed as one product of q-integers (Laurent polynomials) over
-    another and normalised once.  c_k = 0 when l_k - l_i = 1 for some
-    i > k."""
+    as w_k = (e, {d: x_d}), c_k = q^e prod_d Phi_d(q^2)^x_d, from the
+    factorisations of ``_qint_factors`` (so under its fault probe): the
+    exponents of the numerator factors add, those of the denominator
+    factors subtract.  The signs cancel: l_i - l_k + 1 and l_i - l_k
+    are both positive for i < k and both negative for i > k.  w_k is
+    None when c_k = 0, that is when l_k - l_i = 1 for some i > k."""
     ell = require_dominant(n, lam)
     weights = []
     for k in range(n):
-        num = den = IntLaurent.from_int(1)
+        e, exps = 0, Counter()
         for i in range(n):
-            if i != k:
-                num = num * qnum(ell[i] - ell[k] + 1).num
-                den = den * qnum(ell[i] - ell[k]).num
-        weights.append(Scalar(num, den))
+            if i == k:
+                continue
+            top = _qint_factors(ell[i] - ell[k] + 1)
+            if top is None:
+                weights.append(None)
+                break
+            bottom = _qint_factors(ell[i] - ell[k])
+            e += top[1] - bottom[1]
+            exps.update(top[2])
+            exps.subtract(bottom[2])
+        else:
+            weights.append((e, exps))
     return ell, weights
+
+
+def _pp_weights(n, lam):
+    """(l, [c_1..c_n]) with the weights of ``_pp_exponents`` as reduced
+    ``Scalar``s: q^e and the positive exponents make the numerator, the
+    negative ones the denominator."""
+    ell, weights = _pp_exponents(n, lam)
+    out = []
+    for w in weights:
+        if w is None:
+            out.append(ZERO)
+            continue
+        e, exps = w
+        num = _phi2_product({d: x for d, x in exps.items() if x > 0}, e)
+        den = _phi2_product({d: -x for d, x in exps.items() if x < 0})
+        out.append(Scalar(num, den, True))
+    return ell, out
+
+
+def _eigen_parts(n, lam, ms):
+    """({d: x_d}, [numerator of E_m for m in ms]) with E_m = num_m / L
+    for the lcm L = prod_d Phi_d(q^2)^x_d of the weights' denominators:
+    x_d is the largest exponent of Phi_d(q^2) in one of them, and each
+    N_k = c_k L is one product, over the exponents of c_k plus x_d."""
+    ell, weights = _pp_exponents(n, lam)
+    lcd = Counter()
+    for w in weights:
+        if w is not None:
+            lcd |= -w[1]        # -w keeps the denominator's exponents
+    parts = [(2 * l, _phi2_product(w[1] + lcd, w[0]))
+             for l, w in zip(ell, weights) if w is not None]
+    return lcd, [_laurent_sum([(part, step * m, 1) for step, part in parts])
+                 for m in ms]
+
+
+def _laurent_sum(terms):
+    """sum of f q^s p over the (p, s, f) in ``terms``, for ``IntLaurent``
+    p and integers s and f, added in one coefficient list."""
+    terms = [t for t in terms if t[0].c and t[2]]
+    if not terms:
+        return IntLaurent(0, ())
+    low = min(p.low + s for p, s, _ in terms)
+    high = max(p.low + s + len(p.c) for p, s, _ in terms)
+    c = [0] * (high - low)
+    for p, s, f in terms:
+        for i, a in enumerate(p.c, p.low + s - low):
+            c[i] += f * a
+    return IntLaurent(low, c)
 
 
 def _eigen_numerators(n, lam, ms):
     """(L, [numerator of E_m for m in ms]): the weights c_k = N_k / L over
-    their lcm L, and E_m = sum_k q^{2 l_k m} N_k / L."""
-    ell, weights = _pp_weights(n, lam)
-    lcd = IntLaurent.from_int(1)
-    for c in weights:
-        lcd = IntLaurent.lcm(lcd, c.den)
-    parts = [(2 * l, c.num * lcd.divexact(c.den))
-             for l, c in zip(ell, weights) if c]
-    zero = IntLaurent.from_int(0)
-    return lcd, [sum((part.shifted(step * m) for step, part in parts), zero)
-                 for m in ms]
+    their lcm L, and E_m = sum_k q^{2 l_k m} N_k / L (``_eigen_parts``)."""
+    lcd, nums = _eigen_parts(n, lam, ms)
+    return _phi2_product(lcd), nums
 
 
 def closed_form_eigenvalues(n, lam, ms):
@@ -94,10 +148,35 @@ def closed_form_eigenvalues(n, lam, ms):
 
         E_m = sum_k q^{2 l_k m} prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q.
 
-    The weights are formed once and put over one common denominator, so
-    each E_m costs one normalisation."""
-    lcd, nums = _eigen_numerators(n, lam, ms)
-    return [Scalar(num, lcd) for num in nums]
+    The weights are put over their lcm L = prod_d Phi_d(q^2)^x_d once
+    (``_eigen_parts``).  Each E_m is brought to lowest terms with no gcd:
+    its numerator is divided exactly by each Phi_d(q^2) of L while one
+    divides, and the Phi_d(q^2) left over make the denominator.  That
+    removes the whole common factor.  The Phi_d(q^2) are coprime, and
+    each is irreducible or, for odd d, Phi_d(q) Phi_d(-q).  Substituting
+    q -> -q multiplies every [j]_q by (-1)^(j-1), so every weight,
+    probed or not, by (-1)^(n-1), and leaves L and q^{2 l_k m} alone:
+    the numerator is even or odd in q, so Phi_d(q) and Phi_d(-q) divide
+    it equally often."""
+    lcd, nums = _eigen_parts(n, lam, ms)
+    out = []
+    for num in nums:
+        if not num:
+            out.append(ZERO)
+            continue
+        left = {}
+        for d, x in lcd.items():
+            phi = _phi2(d)
+            while x:
+                try:
+                    num = num.divexact(phi)
+                except ArithmeticError:
+                    break
+                x -= 1
+            if x:
+                left[d] = x
+        out.append(Scalar(num, _phi2_product(left), True))
+    return out
 
 
 def closed_form_eigenvalue(n, lam, m):
@@ -108,23 +187,28 @@ def closed_form_eigenvalue(n, lam, m):
 def classical_eigenvalue(n, lam, m):
     """Perelomov-Popov eigenvalue of tr E^m, directly over Q:
 
-        sum_k l_k^m prod_{i != k} (l_i - l_k + 1) / (l_i - l_k).
-    """
+        sum_k l_k^m prod_{i != k} (l_i - l_k + 1) / (l_i - l_k),
+
+    each term's numerator and denominator an integer product, made one
+    ``Fraction``."""
     ell = require_dominant(n, lam)
     acc = Fraction(0)
     for k in range(n):
-        term = Fraction(ell[k]) ** m
+        num, den = ell[k] ** m, 1
         for i in range(n):
             if i != k:
-                term *= Fraction(ell[i] - ell[k] + 1, ell[i] - ell[k])
-        acc += term
+                num *= ell[i] - ell[k] + 1
+                den *= ell[i] - ell[k]
+        acc += Fraction(num, den)
     return acc
 
 
 def classical_limit_values(n, lam, ms):
     """q -> 1 limits of (q - q^-1)^-m sum_r C(m,r) (-1)^(m-r) E_r, one per
-    degree m in ``ms``; E_0..E_max(ms) come from one batch over their
-    common denominator L, so each limit costs one normalisation."""
+    degree m in ``ms``.  E_0..E_max(ms) come from one batch over their
+    common denominator L, and each limit is taken on the pair
+    (sum_r C(m,r) (-1)^(m-r) N_r, L (q - q^-1)^m) as it stands, with no
+    reduction (``_limit_pair``)."""
     ms = tuple(ms)
     top = max(ms, default=-1)
     lcd, nums = _eigen_numerators(n, lam, range(top + 1))
@@ -133,9 +217,9 @@ def classical_limit_values(n, lam, ms):
         dens.append(dens[-1] * Q_MINUS_QINV.num)
     out = []
     for m in ms:
-        acc = sum((nums[r].scale(math.comb(m, r) * (-1) ** (m - r))
-                   for r in range(m + 1)), IntLaurent.from_int(0))
-        out.append(limit_q1(Scalar(acc, dens[m])))
+        acc = _laurent_sum([(nums[r], 0, math.comb(m, r) * (-1) ** (m - r))
+                            for r in range(m + 1)])
+        out.append(_limit_pair(acc, dens[m]))
     return out
 
 

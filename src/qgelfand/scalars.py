@@ -25,9 +25,15 @@ survives only in the tests, as the reference.  ``Scalar`` coefficients
 are formed only on the way out.  One loop per job serves both rings:
 ``_prs`` both gcds, ``_divexact`` both exact divisions.
 
+Every q-integer comes from one factorisation site, ``_qint_factors``:
+[k]_q = +-q^(1-k) prod_{d | k, d > 1} Phi_d(q^2), whose cyclotomic
+factors are pairwise coprime.  Products and quotients of q-integers are
+therefore exponent vectors over the Phi_d(q^2), and :mod:`.invariants`
+puts its eigenvalue formulas in lowest terms with no gcd.
+
 Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
-out of numerator and denominator with ``IntLaurent.divexact`` until one
-of them no longer vanishes there.
+out of numerator and denominator until one of them no longer vanishes
+there.
 
 Matrices over Q(q) do not store ``Scalar`` or ``IntLaurent`` entries.
 ``_ScalarField.pack`` puts their numerators over one denominator and
@@ -51,6 +57,8 @@ with the denominator display-normalised so its lowest coefficient is 1
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import struct
 import sys
@@ -188,14 +196,24 @@ class IntLaurent:
         return sum(self.c)
 
     def eval_fraction(self, q0):
-        """Exact evaluation at a nonzero rational q0."""
+        """Exact evaluation at a nonzero rational q0 = p/r, as one
+        ``Fraction``: integer Horner gives sum_i c_i p^i r^(N-i), N the
+        top index, and q0^low / r^N is folded in before the one
+        normalisation."""
+        q0 = Fraction(q0)
         if q0 == 0:
             raise ZeroDivisionError("cannot evaluate Laurent polynomial at q=0")
-        acc = Fraction(0)
-        for i, a in enumerate(self.c):
-            if a:
-                acc += a * q0 ** (self.low + i)
-        return acc
+        if not self.c:
+            return Fraction(0)
+        p, r = q0.numerator, q0.denominator
+        acc, rpow = 0, 1
+        for a in reversed(self.c):
+            acc = acc * p + a * rpow
+            rpow *= r
+        rpow //= r                      # r^N
+        if self.low >= 0:
+            return Fraction(acc * p ** self.low, rpow * r ** self.low)
+        return Fraction(acc * r ** -self.low, rpow * p ** -self.low)
 
     def divexact(self, other):
         """The quotient self/other in Z[q, q^-1]; raises ArithmeticError
@@ -269,11 +287,12 @@ def _divexact(a, b, quotient):
     ArithmeticError when b does not divide a."""
     db = len(b) - 1
     lb = b[-1]
+    monic = lb == 1             # the integer 1: no quotient to take
     low = [(i, x) for i, x in enumerate(b[:db]) if x]
     a = list(a)
     quot = []
     for k in range(len(a) - db - 1, -1, -1):
-        f = quotient(a[db + k], lb)
+        f = a[db + k] if monic else quotient(a[db + k], lb)
         quot.append(f)
         if f:
             for i, x in low:
@@ -460,39 +479,106 @@ QINV = Scalar.q_power(-1)
 Q_MINUS_QINV = Q - QINV
 
 
-def qnum(k):
-    """The q-integer (q^k - q^-k)/(q - q^-1) as an element of Q(q)."""
+# ---------------------------------------------------------------------------
+# q-integers and their cyclotomic factors
+# ---------------------------------------------------------------------------
+
+# the two caches below hold values of their key alone, never of the
+# fault setting
+
+@functools.cache
+def _phi2(d):
+    """Phi_d(q^2): q^(2d) - 1 divided by Phi_e(q^2) for each proper
+    divisor e of d.  Monic with constant term +-1, so every product of
+    them has lowest exponent 0 and leading coefficient 1."""
+    p = IntLaurent(0, [-1] + [0] * (2 * d - 1) + [1])
+    for e in range(1, d):
+        if d % e == 0:
+            p = p.divexact(_phi2(e))
+    return p
+
+
+@functools.cache
+def _divisors(k):
+    """The divisors d > 1 of k > 0."""
+    return tuple(d for d in range(2, k + 1) if k % d == 0)
+
+
+def _qint_factors(k):
+    """(sign, e, ds) with [k]_q = sign q^e prod_{d in ds} Phi_d(q^2) over
+    the divisors d > 1 of |k|, or None when k = 0.  The Phi_d(q^2) of
+    distinct d are coprime: all divide the squarefree q^(2M) - 1 for a
+    common multiple M.  Every q-integer is formed from this one site,
+    ``qnum`` and the weights of :mod:`.invariants` alike, so the
+    ``qnum`` fault probe (every nonzero |k| one too large) acts here."""
     if k == 0:
-        return ZERO
+        return None
+    sign = 1
     if k < 0:
-        return -qnum(-k)
+        sign, k = -1, -k
     if faults.active("qnum"):
         # test hook: off-by-one in every nonzero q-integer
         k = k + 1
-    coeffs = [0] * (2 * k - 1)
-    for i in range(0, 2 * k - 1, 2):
-        coeffs[i] = 1
-    return Scalar(IntLaurent(-(k - 1), coeffs))
+    return sign, 1 - k, _divisors(k)
+
+
+def _phi2_product(exps, e=0, sign=1):
+    """sign * q^e * prod_d Phi_d(q^2)^exps[d] in Z[q, q^-1], for
+    nonnegative exponents, as one product of packed integers: the sum of
+    the |coefficients| of a product is at most the product of theirs
+    (the l1 rule of ``Packed``), so digits of that width decode it
+    exactly."""
+    l1 = 1
+    for d, x in exps.items():
+        l1 *= sum(map(abs, _phi2(d).c)) ** x
+    bits = (l1.bit_length() // 8 + 1) * 8
+    packed = 1
+    for d, x in exps.items():
+        packed *= _encode(_phi2(d), bits, 0) ** x
+    return IntLaurent(e, [sign * a for a in _decode(packed, bits)])
+
+
+def qnum(k):
+    """The q-integer (q^k - q^-k)/(q - q^-1) as an element of Q(q),
+    built from ``_qint_factors`` and so subject to its fault probe."""
+    f = _qint_factors(k)
+    if f is None:
+        return ZERO
+    sign, e, ds = f
+    return Scalar(_phi2_product(dict.fromkeys(ds, 1), e, sign))
 
 
 # ---------------------------------------------------------------------------
 # Limits at q = 1
 # ---------------------------------------------------------------------------
 
-_Q_MINUS_ONE = IntLaurent(0, (-1, 1))
+def _over_q_minus_one(p):
+    """p / (q - 1) for p vanishing at q = 1: the coefficient of q^j in
+    the quotient is the sum of the coefficients of p above q^j."""
+    if not p.c:
+        return p
+    tops = list(itertools.accumulate(reversed(p.c)))
+    tops.pop()                  # the sum of them all, p(1) = 0
+    tops.reverse()
+    return IntLaurent(p.low, tops)
 
 
 def limit_q1(s):
-    """Exact limit of a Scalar as q -> 1, as a Fraction.
+    """Exact limit of a Scalar as q -> 1, as a Fraction (``_limit_pair``
+    on its num and den).  A reduced ``Scalar`` has no common factor
+    (q - 1), so it is evaluated at once."""
+    return _limit_pair(s.num, s.den)
 
-    While numerator and denominator both vanish at q = 1, each is divided
-    by (q - 1) exactly; then both are evaluated at q = 1.  A reduced
-    ``Scalar`` has no common factor (q - 1), so it is evaluated at once.
-    """
-    num, den = s.num, s.den
+
+def _limit_pair(num, den):
+    """Exact limit of num/den as q -> 1, for any representative pair
+    (den nonzero): while both vanish at q = 1, each is divided by (q - 1)
+    exactly; then both are evaluated at q = 1.  Dividing both by a common
+    factor leaves the function, so the limit is the same for every
+    representative of one element of Q(q)."""
     while den.at_one() == 0 and num.at_one() == 0:
-        num = num.divexact(_Q_MINUS_ONE)
-        den = den.divexact(_Q_MINUS_ONE)
+        num = _over_q_minus_one(num)
+        den = _over_q_minus_one(den)
     d1 = den.at_one()
     if d1 == 0:
         raise DivergentLimitError("pole at q=1")

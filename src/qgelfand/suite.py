@@ -194,6 +194,13 @@ def _comatrix_rows(rep, sign):
             ("transposed", invariants.comatrix_transposed_check(rep, sign))]
 
 
+def _z_rows(rep):
+    """Both z-identity checks on one module, as one task: they share the
+    context "n=<n> N=<N>", so a crash in either gives one "(raised)" row."""
+    return (invariants.transport_checks(rep)
+            + invariants.z_identity_checks(rep, "+"))
+
+
 def _centrality_rows(rep, m_max, order):
     rows = [(f"tr_q M^{m}", invariants.centrality_check(
                 rep, invariants.gelfand_invariant(rep, m), f"tr_q M^{m}"))
@@ -294,10 +301,8 @@ def _check_table():
             (f"{ctx} sign={s}", key, (s,))
             for ctx, key, _ in _powers(_small(c), min(c.N_max, 2))
             for s in "+-"), _comatrix_rows),
-        ("z-identities", lambda c: _powers(_small(c), min(c.N_max, 2), "+"),
-         invariants.z_identity_checks),
         ("z-identities", lambda c: _powers(_small(c), min(c.N_max, 2)),
-         invariants.transport_checks),
+         _z_rows),
         ("centrality", lambda c: _powers(_small(c), c.N_max, c.m_max, c.order),
          _centrality_rows),
         ("liouville", lambda c: (

@@ -95,6 +95,43 @@ def test_eigen_queries_refuse_large_q_spans():
         assert f"q-exponent span {span}" in res.stderr and not res.stdout
 
 
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    # main builds its parser on the first call and keeps it; one query's
+    # flags and errors do not reach the next
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    query = ["eigenvalue", "--n", "2", "--lambda", "1,0", "--m", "1"]
+    assert cli.main(query + ["--eval-q", "3/2"]) == 0
+    assert capsys.readouterr().out == \
+        "E_1(1,0) = q^3 + q^-1   [q=3/2: 97/24]\n"
+    assert cli.main(query) == 0
+    assert capsys.readouterr().out == "E_1(1,0) = q^3 + q^-1\n"
+    assert cli.main(["eigenvalue", "--n", "2", "--lambda", "0,1"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["limit", "--n", "2", "--lambda", "1,x"])
+    assert exit_.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["limit", "--n", "2", "--lambda", "1,0",
+                     "--m-max", "2"]) == 0
+    assert capsys.readouterr().out == "m=0: 2\nm=1: 1\nm=2: 2\n"
+    assert len(built) == 1
+
+
+def test_import_builds_no_parser():
+    res = subprocess.run(
+        [sys.executable, "-c", "from qgelfand import cli; "
+         "print(cli._parser is None)"],
+        capture_output=True, text=True, timeout=60)
+    assert res.stdout == "True\n", res.stderr
+
+
 def dominant_weights(n, budget, cap=None):
     """Weakly decreasing integer weights with sum |lambda_i| <= budget."""
     if n == 0:

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qgelfand.scalars import (Scalar, SCALARS, UFIELD, qnum, expand,
-                              ONE, Q, QINV)
+from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, qnum,
+                              expand, ONE, Q, QINV)
 from qgelfand.tmatrix import TMatrix, lift
 from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
@@ -193,6 +194,87 @@ def test_closed_form_batch_matches_oracles(n, lam):
     assert inv.classical_limit_values(n, lam, (4,)) == [limits[4]]
     assert inv.partial_fraction_constants(n, lam) == \
         per_k_partial_fractions(n, lam)
+
+
+def coefficient_qint(k):
+    """[k]_q as q^(k-1) + q^(k-3) + ... + q^(1-k) for k > 0, 0 for
+    k = 0 and -[-k]_q for k < 0, with the qnum probe's off-by-one in
+    every nonzero |k|."""
+    if not k:
+        return IntLaurent(0, ())
+    sign = -1 if k < 0 else 1
+    k = abs(k) + faults.active("qnum")
+    return IntLaurent(1 - k, [sign * (1 - i % 2) for i in range(2 * k - 1)])
+
+
+def gcd_route_weights(n, lam):
+    """The Perelomov-Popov weights by the gcd route: each c_k one product
+    of q-integers over another, put in lowest terms by ``Scalar``, whose
+    normalisation divides by the PRS gcd."""
+    ell = inv.shifted_weights(n, lam)
+    out = []
+    for k in range(n):
+        num = den = IntLaurent.from_int(1)
+        for i in range(n):
+            if i != k:
+                num = num * coefficient_qint(ell[i] - ell[k] + 1)
+                den = den * coefficient_qint(ell[i] - ell[k])
+        out.append(Scalar(num, den))
+    return out
+
+
+def gcd_route_eigenvalues(n, lam, ms):
+    """E_m by the gcd route: the weights over the lcm of their
+    denominators, each E_m one gcd normalisation."""
+    ell = inv.shifted_weights(n, lam)
+    weights = gcd_route_weights(n, lam)
+    lcd = IntLaurent.from_int(1)
+    for c in weights:
+        lcd = lcd.lcm(c.den)
+    parts = [(2 * l, c.num * lcd.divexact(c.den))
+             for l, c in zip(ell, weights) if c]
+    out = []
+    for m in ms:
+        num = IntLaurent(0, ())
+        for step, part in parts:
+            num = num + part.shifted(step * m)
+        out.append(Scalar(num, lcd))
+    return out
+
+
+@st.composite
+def small_dominant_weights(draw):
+    """(n, lambda) with n <= 6 and sum |lambda_i| <= 16."""
+    n = draw(st.integers(1, 6))
+    budget = 16
+    lam = []
+    for _ in range(n):
+        x = draw(st.integers(-budget, budget))
+        lam.append(x)
+        budget -= abs(x)
+    return n, tuple(sorted(lam, reverse=True))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(small_dominant_weights())
+@example((6, (16, 0, 0, 0, 0, 0)))
+@example((6, (0, 0, 0, 0, 0, -16)))
+@example((5, (3, 3, 2, 0, -8)))
+@example((1, (-7,)))
+def test_cyclotomic_route_matches_the_gcd_route(weight):
+    # the exponent bookkeeping and trial division give the pairs the gcd
+    # gives, for the true q-integers and under the qnum probe
+    n, lam = weight
+    for fault in (None, "qnum"):
+        with faults.inject(fault):
+            got = inv._pp_weights(n, lam)[1]
+            expect = gcd_route_weights(n, lam)
+            assert [(c.num, c.den) for c in got] == \
+                [(c.num, c.den) for c in expect], fault
+            got = inv.closed_form_eigenvalues(n, lam, range(7))
+            expect = gcd_route_eigenvalues(n, lam, range(7))
+            assert [(e.num, e.den) for e in got] == \
+                [(e.num, e.den) for e in expect], fault
 
 
 def test_batch_empty_degrees():

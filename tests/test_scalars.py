@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from qgelfand import scalars as scalars_module
+from qgelfand import faults, scalars as scalars_module
 from qgelfand.scalars import (IntLaurent, Scalar, Poly, Frac, UFIELD,
                               qnum, limit_q1, expand,
                               DivergentLimitError, NoSeriesError,
@@ -645,6 +645,71 @@ def test_subs_qinv_is_an_involutive_homomorphism(a, b):
     if b:
         assert (a / b).subs_qinv() == a.subs_qinv() / b.subs_qinv()
     assert_normal_form(a.subs_qinv())
+
+
+def test_phi2_is_the_cyclotomic_polynomial_at_q_squared():
+    for d in range(1, 31):
+        expect = sympy.Poly(sympy.cyclotomic_poly(d, SQ ** 2), SQ)
+        assert scalars_module._phi2(d) == IntLaurent(
+            0, [int(c) for c in reversed(expect.all_coeffs())]), d
+
+
+@pytest.mark.parametrize("fault", (None, "qnum"))
+def test_qnum_is_built_from_the_factorisation_site(fault):
+    # [k] = (q^k - q^-k)/(q - q^-1), with every |k| one too large under
+    # the probe; the site's sign, q-power and Phi_d(q^2) multiply to it
+    with faults.inject(fault):
+        for k in range(-25, 26):
+            j = k + (k > 0) - (k < 0) if fault and k else k
+            assert qnum(k) == ((Scalar.q_power(j) - Scalar.q_power(-j))
+                               / Q_MINUS_QINV), k
+            site = scalars_module._qint_factors(k)
+            if not k:
+                assert site is None
+                continue
+            sign, e, ds = site
+            p = IntLaurent.q_power(e, sign)
+            for d in ds:
+                p = p * scalars_module._phi2(d)
+            assert Scalar(p) == qnum(k), k
+
+
+def test_pair_limit_is_the_limit_of_the_reduced_scalar():
+    # the pair limit takes any representative: a common factor, (q - 1)
+    # included, leaves the limit of the reduced Scalar
+    pair_limit = scalars_module._limit_pair
+    q1 = IntLaurent(0, (-1, 1))
+    common = IntLaurent(-2, (1, 1)) * q1 * q1 * IntLaurent(0, (1, 1, 1))
+    cases = (
+        (q1 * q1 * IntLaurent(0, (3, 1)), q1 * IntLaurent(0, (1, 1)), 0),
+        (q1 * IntLaurent(-1, (3, 0, 1)), q1 * IntLaurent(0, (1, 2)),
+         Fraction(4, 3)),
+        (IntLaurent(0, ()), q1 * IntLaurent(0, (1, 2)), 0),
+        (q1 * IntLaurent(0, (2, 1)), q1 * q1, None))
+    for num, den, expect in cases:
+        reduced = Scalar(num, den)
+        for f in (IntLaurent.from_int(1), q1, common):
+            if expect is None:
+                with pytest.raises(DivergentLimitError):
+                    pair_limit(num * f, den * f)
+                with pytest.raises(DivergentLimitError):
+                    limit_q1(reduced)
+            else:
+                assert pair_limit(num * f, den * f) == limit_q1(reduced) \
+                    == expect
+
+
+@pytest.mark.parametrize("p", (IntLaurent(0, ()), IntLaurent(-3, (2, 0, -1, 5)),
+                               IntLaurent(2, (1, -4, 0, 0, 7)),
+                               IntLaurent(-1, (-6,))))
+@pytest.mark.parametrize("q0", (Fraction(3, 2), Fraction(-3, 2), Fraction(-2),
+                                Fraction(1, 5), 2, -1))
+def test_horner_evaluation_is_the_termwise_sum(p, q0):
+    expect = Fraction(0)
+    for i, a in enumerate(p.c):
+        expect += a * Fraction(q0) ** (p.low + i)
+    got = p.eval_fraction(q0)
+    assert type(got) is Fraction and got == expect
 
 
 Q_MINUS_ONE = IntLaurent(0, (-1, 1))

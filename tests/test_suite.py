@@ -124,11 +124,15 @@ def test_centrality_rows_at_n2_3_N2():
 
 def test_crashing_check_becomes_failed_rows(monkeypatch):
     # the table reads each check from its module when the run starts, so
-    # a patched check is the one the run calls; every task it serves
-    # fails alone, in a row named by its context, with the exception as
-    # witness
+    # a patched check is the one the run calls; every task it crashes
+    # fails alone, in one row named by its context, with the exception as
+    # witness, and the tasks it does not crash keep their rows
+    real = invariants.transport_checks
+
     def boom(rep):
-        raise RuntimeError("boom")
+        if rep.n == 3:
+            raise RuntimeError("boom")
+        return real(rep)
 
     monkeypatch.setattr(invariants, "transport_checks", boom)
     report = run_suite(SuiteConfig(ns=(2, 3), N_max=2,
@@ -136,12 +140,42 @@ def test_crashing_check_becomes_failed_rows(monkeypatch):
     raised = [r for r in report["checks"]
               if r["context"].endswith(" (raised)")]
     assert [r["context"] for r in raised] == [
-        "n=2 N=1 (raised)", "n=2 N=2 (raised)",
         "n=3 N=1 (raised)", "n=3 N=2 (raised)"]
     assert all(r["name"] == "z-identities" and r["verdict"] == "fail"
                and r["witness"] == "RuntimeError: boom" for r in raised)
     rest = [r for r in report["checks"] if r not in raised]
-    assert rest and all(r["verdict"] == "pass" for r in rest)
+    assert [r["context"] for r in rest] == [
+        f"n=2 N={N} {name}" for N in (1, 2)
+        for name in ("opposite transposed product", "qdet sign transport",
+                     "trace forms agree", "transposed product",
+                     "z sign transport")]
+    assert all(r["verdict"] == "pass" for r in rest)
+
+
+def test_z_identity_crashes_give_one_row_per_module(monkeypatch):
+    # both z-identity checks name their rows "n=<n> N=<N> ..."; they run
+    # as one task per module, so crashing both gives one row per module
+    def boom(rep, *args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(invariants, "z_identity_checks", boom)
+    monkeypatch.setattr(invariants, "transport_checks", boom)
+    report = run_suite(SuiteConfig(ns=(2, 3), N_max=2,
+                                   include=("z-identities",)))
+    keys = [(r["name"], r["context"]) for r in report["checks"]]
+    assert len(keys) == len(set(keys)) == 4
+    assert all(context.endswith(" (raised)") for _, context in keys)
+
+
+def test_no_category_repeats_a_task_context():
+    # a context names the row a crashing task leaves, so within one
+    # category no two tasks share one
+    def power(n, N):
+        raise AssertionError("building the task list builds no rep")
+
+    keys = [(category, fn.args[2]) for category, fn in suite._tasks(
+        SuiteConfig(ns=(2, 3, 4), N_max=3), power)]
+    assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("kind", faults.KINDS)
@@ -206,7 +240,7 @@ def test_task_partition_at_default_config():
     assert counts == {
         "ybe": 2, "crossing": 2, "f-series": 2, "antisymmetrizer": 11,
         "fusion": 4, "defining-relations": 6, "comatrix": 8,
-        "z-identities": 8, "centrality": 6, "liouville": 15,
+        "z-identities": 4, "centrality": 6, "liouville": 15,
         "series-expansion": 17, "eigenvalue-match": 11,
         "partial-fractions": 11, "classical-limit": 13,
         "alternate-families": 17, "shift-covariance": 7}
