@@ -41,6 +41,7 @@ from .invariants import (  # noqa: F401
     closed_form_eigenvalue,
     closed_form_eigenvalues,
     classical_eigenvalue,
+    classical_eigenvalues,
     gelfand_invariant,
     qdet_scalar,
     z_scalar,

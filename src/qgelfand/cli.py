@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .invariants import (closed_form_eigenvalues, classical_eigenvalue,
+from .invariants import (closed_form_eigenvalues, classical_eigenvalues,
                          classical_limit_values, require_dominant,
                          shifted_weights)
 from .reps import WeightError
@@ -181,8 +181,9 @@ def cmd_limit(args):
     lam = _check_weight(args.n, args.lam)
     ms = _degrees(args, lam)
     code = 0
-    for m, via_limit in zip(ms, classical_limit_values(args.n, lam, ms)):
-        direct = classical_eigenvalue(args.n, lam, m)
+    for m, via_limit, direct in zip(ms,
+                                    classical_limit_values(args.n, lam, ms),
+                                    classical_eigenvalues(args.n, lam, ms)):
         line = f"m={m}: {direct}"
         if via_limit != direct:
             line += f"   MISMATCH: q->1 limit gives {via_limit}"

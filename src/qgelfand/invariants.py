@@ -184,23 +184,33 @@ def closed_form_eigenvalue(n, lam, m):
     return closed_form_eigenvalues(n, lam, (m,))[0]
 
 
-def classical_eigenvalue(n, lam, m):
-    """Perelomov-Popov eigenvalue of tr E^m, directly over Q:
+def classical_eigenvalues(n, lam, ms):
+    """Perelomov-Popov eigenvalues of tr E^m, directly over Q, one per
+    degree m in ``ms``:
 
-        sum_k l_k^m prod_{i != k} (l_i - l_k + 1) / (l_i - l_k),
+        sum_k l_k^m prod_{i != k} (l_i - l_k + 1) / (l_i - l_k).
 
-    each term's numerator and denominator an integer product, made one
-    ``Fraction``."""
+    The weights do not depend on m, so they are formed once, each as one
+    ``Fraction`` of two integer products, and put over their lcm L; each
+    degree then adds the integers l_k^m L c_k and makes one ``Fraction``."""
     ell = require_dominant(n, lam)
-    acc = Fraction(0)
+    weights = []
     for k in range(n):
-        num, den = ell[k] ** m, 1
+        num = den = 1
         for i in range(n):
             if i != k:
                 num *= ell[i] - ell[k] + 1
                 den *= ell[i] - ell[k]
-        acc += Fraction(num, den)
-    return acc
+        weights.append(Fraction(num, den))
+    lcd = math.lcm(*(w.denominator for w in weights))
+    parts = [(l, w.numerator * (lcd // w.denominator))
+             for l, w in zip(ell, weights)]
+    return [Fraction(sum(a * l ** m for l, a in parts), lcd) for m in ms]
+
+
+def classical_eigenvalue(n, lam, m):
+    """The single eigenvalue of ``classical_eigenvalues``."""
+    return classical_eigenvalues(n, lam, (m,))[0]
 
 
 def classical_limit_values(n, lam, ms):
@@ -233,8 +243,8 @@ def classical_limit_checks(n, lam, ms):
     closed form against the direct classical eigenvalue."""
     ms = tuple(ms)
     out = []
-    for m, got in zip(ms, classical_limit_values(n, lam, ms)):
-        expect = classical_eigenvalue(n, lam, m)
+    for m, got, expect in zip(ms, classical_limit_values(n, lam, ms),
+                              classical_eigenvalues(n, lam, ms)):
         out.append((f"m={m}", equal_verdict(
             got, expect, f"classical limit n={n} lambda={tuple(lam)} m={m}",
             show_values=True)))
@@ -342,11 +352,14 @@ def quantum_minor(rep, sign, u, rows, cols):
 def minor_on_vector(rep, sign, u, rows, cols, vec):
     """quantum_minor applied to ``vec`` (d x c), never forming the full
     operator when ``vec`` is a column: each term is a chain of products
-    taken right to left."""
+    taken right to left.  The empty minor (no rows and no columns, as
+    the (n-1)-minors of gl_1) is 1, so it returns ``vec``."""
     k = len(rows)
-    if not k == len(cols) >= 1:
+    if k != len(cols):
         raise ValueError(f"quantum minor on rows {tuple(rows)} and "
                          f"columns {tuple(cols)}")
+    if not k:
+        return vec
     acc = TMatrix.zeros(u.field, rep.d, vec.cols)
     for perm, coeff, shifts in _minor_terms(k, u):
         w = vec
@@ -407,11 +420,8 @@ def comatrix(rep, sign, u):
         for j in range(1, n + 1):
             rows = tuple(a for a in full if a != j)
             cols = tuple(b for b in full if b != i)
-            if rows:
-                blk = quantum_minor(rep, sign, u, rows, cols).scaled(
-                    field.from_coeff(_neg_q_power(j - i)))
-            else:
-                blk = TMatrix.identity(field, d)
+            blk = quantum_minor(rep, sign, u, rows, cols).scaled(
+                field.from_coeff(_neg_q_power(j - i)))
             big = big + kron(TMatrix.unit(field, n, i, j), blk)
     return big
 
@@ -609,7 +619,8 @@ def gelfand_invariant(rep, m):
 
 def generator_images(rep):
     """All 2n^2 generator images [(label, matrix)], including the ones
-    that are identically zero by triangularity."""
+    that are identically zero by triangularity.  The matrices are the
+    memoised blocks of ``rep.op``, so every call shares them."""
     out = []
     for sign in "+-":
         for i in range(1, rep.n + 1):
@@ -618,14 +629,30 @@ def generator_images(rep):
     return out
 
 
-def centrality_check(rep, mat, label):
-    """mat commutes with every generator image."""
+def noncommuting_generator(rep, mat):
+    """The label of the first generator image, in ``generator_images``
+    order, that ``mat`` does not commute with, or None.  Each test is
+    ``TMatrix.commutes``: entrywise for the diagonal l+-_ii and the
+    generators that vanish, by both products for the rest."""
     for gen_label, g in generator_images(rep):
-        if mat * g != g * mat:
-            return Verdict(False,
-                           witness=f"{label} does not commute with "
-                                   f"{gen_label} on {rep.label}")
+        if not mat.commutes(g):
+            return gen_label
+    return None
+
+
+def centrality_verdict(rep, label, gen_label):
+    """The row of ``centrality_check`` for the first noncommuting
+    generator ``gen_label`` (None when ``label`` commutes with all)."""
+    if gen_label is not None:
+        return Verdict(False, witness=f"{label} does not commute with "
+                                      f"{gen_label} on {rep.label}")
     return Verdict(True, lhs=f"[{label}, all generators]", rhs="0")
+
+
+def centrality_check(rep, mat, label):
+    """mat commutes with every generator image; the witness names the
+    first generator it does not commute with."""
+    return centrality_verdict(rep, label, noncommuting_generator(rep, mat))
 
 
 @memo

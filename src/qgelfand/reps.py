@@ -80,7 +80,10 @@ class Representation:
 
     @memo
     def op(self, sign, i, j):
-        """The d x d matrix of pi(l+_ij) or pi(l-_ij), 1-based indices."""
+        """The d x d matrix of pi(l+_ij) or pi(l-_ij), 1-based indices.
+        Memoised: the block and its packing record are built once per
+        generator, and every caller (centrality, the defining relations,
+        ``weights`` and ``highest_weight_vector``) shares them."""
         big = self.Lp if sign == "+" else self.Lm
         d = self.d
         return big.block((i - 1) * d, (j - 1) * d, d, d)

@@ -202,17 +202,29 @@ def _z_rows(rep):
 
 
 def _centrality_rows(rep, m_max, order):
-    rows = [(f"tr_q M^{m}", invariants.centrality_check(
-                rep, invariants.gelfand_invariant(rep, m), f"tr_q M^{m}"))
-            for m in range(1, m_max + 1)]
-    # z coefficients m >= 1 are derived from tr_q M^m;
-    # series-expansion cross-checks the K-power route
+    """Rows "tr_q M^m" for 1 <= m <= m_max and "z coefficient m" for
+    0 <= m <= order.  For m >= 1 the z coefficient is c tr_q M^m with
+    the nonzero constant c = ``series_factor(n)`` (series-expansion
+    cross-checks that against the K-power route), and [c X, g] = c [X, g],
+    so both rows have the same first noncommuting generator.  The z rows
+    with m <= m_max are therefore derived from the tr_q rows on purpose,
+    not recomputed; row m = 0 (the K-power route) and rows m > m_max
+    run in full."""
+    first = {m: invariants.noncommuting_generator(
+                 rep, invariants.gelfand_invariant(rep, m))
+             for m in range(1, m_max + 1)}
+    rows = [(f"tr_q M^{m}",
+             invariants.centrality_verdict(rep, f"tr_q M^{m}", gen))
+            for m, gen in first.items()]
     factor = invariants.series_factor(rep.n)
     for m in range(order + 1):
-        z = (invariants.gelfand_invariant(rep, m).scaled(factor)
-             if m else invariants.z_series_coefficient(rep, 0))
-        rows.append((f"z coefficient {m}", invariants.centrality_check(
-            rep, z, f"z coefficient {m}")))
+        if m not in first:
+            z = (invariants.gelfand_invariant(rep, m).scaled(factor)
+                 if m else invariants.z_series_coefficient(rep, 0))
+            first[m] = invariants.noncommuting_generator(rep, z)
+        label = f"z coefficient {m}"
+        rows.append((label,
+                     invariants.centrality_verdict(rep, label, first[m])))
     return rows
 
 

@@ -36,7 +36,8 @@ to the entries of one matrix.
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
 the denominators, so they are ring arithmetic and run no gcd; over
-Q(q) they are integer arithmetic.  Equality cross-multiplies, comparing
+Q(q) they are integer arithmetic.  ``commutes`` takes no product when
+its right operand is diagonal.  Equality cross-multiplies, comparing
 a_ij d_b with b_ij d_a, and names the same row-major first differing
 entry as entrywise comparison of the reduced values would.  An entry is
 normalised to a canonical field element only when it is read
@@ -274,6 +275,24 @@ class TMatrix:
                         acc[j] = a * b
             out.append({j: x for j, x in acc.items() if x})
         return TMatrix._of(self.field, rows, cols, out, den)
+
+    def commutes(self, other):
+        """Whether ``self * other == other * self``, for square matrices of
+        one size.  A diagonal ``other`` (every row holds at most its own
+        diagonal entry d_i) takes no product: the commutator's (i, j)
+        entry is x_ij (d_j - d_i), so it vanishes exactly when no stored
+        x_ij of ``self`` sits between d_i != d_j.  The d_i are numerators
+        over ``other``'s one ``den``, so they are equal exactly when the
+        entries are.  Every other ``other`` takes both products."""
+        if not self.rows == self.cols == other.rows == other.cols:
+            raise ValueError(f"commutator of {self.rows}x{self.cols} and "
+                             f"{other.rows}x{other.cols}")
+        diag = [row.get(i) for i, row in enumerate(other._data)]
+        if all(len(row) == (d is not None)
+               for row, d in zip(other._data, diag)):
+            return all(diag[i] == diag[j]
+                       for i, row in enumerate(self._data) for j in row)
+        return self * other == other * self
 
     def transpose(self):
         out = [{} for _ in range(self.cols)]

@@ -144,6 +144,20 @@ def fraction_eigenvalue(n, lam, m, q):
     return total
 
 
+def classical_oracle(n, lam, m):
+    """The classical eigenvalue term by term, one ``Fraction`` per k."""
+    ell = [lam[i] + n - 1 - i for i in range(n)]
+    total = Fraction(0)
+    for k in range(n):
+        num, den = ell[k] ** m, 1
+        for i in range(n):
+            if i != k:
+                num *= ell[i] - ell[k] + 1
+                den *= ell[i] - ell[k]
+        total += Fraction(num, den)
+    return total
+
+
 def random_dominant_weights(seed, count):
     """Seeded dominant weights with n = 1..6 and sum |lambda_i| <= 16,
     negative entries included, plus weights with a zero weight c_k
@@ -190,7 +204,11 @@ def test_closed_form_batch_matches_oracles(n, lam):
     assert inv.closed_form_eigenvalues(n, lam, (5, 0, 5)) == [
         batch[5], batch[0], batch[5]]
     limits = inv.classical_limit_values(n, lam, range(7))
-    assert limits == [inv.classical_eigenvalue(n, lam, m) for m in range(7)]
+    direct = inv.classical_eigenvalues(n, lam, range(7))
+    assert limits == direct == [classical_oracle(n, lam, m) for m in range(7)]
+    assert inv.classical_eigenvalues(n, lam, (5, 0, 5)) == [
+        direct[5], direct[0], direct[5]]
+    assert inv.classical_eigenvalue(n, lam, 3) == direct[3]
     assert inv.classical_limit_values(n, lam, (4,)) == [limits[4]]
     assert inv.partial_fraction_constants(n, lam) == \
         per_k_partial_fractions(n, lam)
@@ -516,6 +534,73 @@ def test_centrality_detects_noncentral():
     bad = TMatrix.unit(SCALARS, 2, 1, 2)
     verdict = inv.centrality_check(rep, bad, "e_12")
     assert not verdict and "does not commute" in verdict.witness
+
+
+@pytest.mark.parametrize("kind", (None,) + faults.KINDS)
+def test_commute_test_matches_both_products(kind):
+    # ``TMatrix.commutes`` against mat g == g mat for every generator image:
+    # a central mat (tr_q M^m), a generator image, and a matrix unit between
+    # two basis vectors of different weights, which the diagonal
+    # generators reject entrywise
+    with faults.inject(kind):
+        for n, N in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+            rep = vv(n, N)
+            wts = rep.weights()
+            b = next(b for b in range(rep.d) if wts[b] != wts[0])
+            unit = TMatrix(SCALARS, rep.d, rep.d,
+                           [ONE if k == b else SCALARS.zero
+                            for k in range(rep.d * rep.d)])
+            mats = [inv.gelfand_invariant(rep, m) for m in (1, 2)]
+            mats += [rep.op("+", 1, 2), unit]
+            rejected = 0
+            for mat in mats:
+                for label, g in inv.generator_images(rep):
+                    got = mat.commutes(g)
+                    assert got == (mat * g == g * mat), (kind, n, N, label)
+                    if mat is unit and label[-2] == label[-1] and not got:
+                        rejected += 1
+            assert rejected, (kind, n, N)
+
+
+def test_diagonal_generators_take_no_product(monkeypatch):
+    # the l+-_ii and the generators that vanish are tested entrywise
+    rep = vv(2, 2)
+    mat = inv.gelfand_invariant(rep, 2)
+    gens = [g for label, g in inv.generator_images(rep)
+            if label[-2] == label[-1] or not g]
+    assert len(gens) == 6
+
+    def no_product(self, other):
+        raise AssertionError("product taken")
+
+    monkeypatch.setattr(TMatrix, "__mul__", no_product)
+    assert all(mat.commutes(g) for g in gens)
+
+
+def test_empty_quantum_minor_is_one():
+    u = UFIELD.gen
+    rep = vv(1, 2)
+    vec = lift(highest_weight_vector(rep, (2,)), UFIELD)
+    assert inv.minor_on_vector(rep, "+", u, (), (), vec) is vec
+    assert inv.quantum_minor(rep, "-", u, (), ()) == \
+        TMatrix.identity(UFIELD, rep.d)
+    with pytest.raises(ValueError, match="quantum minor"):
+        inv.minor_on_vector(rep, "+", u, (1,), (), vec)
+
+
+def test_gl1_checks_through_the_empty_minor():
+    # the (n-1)-minors of gl_1 are empty: z(u) on V^(x)N, weight (N,)
+    for N in range(1, 4):
+        rep, lam = vv(1, N), (N,)
+        assert all(v for _, v in inv.liouville_scalar_check(rep, lam)), N
+        assert inv.partial_fraction_check(rep, lam), N
+        assert inv.series_expansion_check(rep, lam, 3), N
+        assert inv.series_operator_check(rep, 3), N
+        with faults.inject("qnum"):
+            rep = vv(1, N)
+            assert not all(v for _, v in inv.liouville_scalar_check(rep, lam))
+            assert not inv.partial_fraction_check(rep, lam)
+            assert not inv.series_expansion_check(rep, lam, 3)
 
 
 def test_eigenvalue_check_small():

@@ -37,6 +37,22 @@ def test_vector_rep_generator_images():
     assert not rep.op("-", 1, 3)
 
 
+def test_generator_blocks_are_built_once(monkeypatch):
+    # one block per generator, shared by every caller
+    from qgelfand import invariants
+    rep = tensor_power(vector_rep(2), 2)
+    calls = []
+    block = TMatrix.block
+    monkeypatch.setattr(TMatrix, "block",
+                        lambda *args: calls.append(args) or block(*args))
+    first = invariants.generator_images(rep)
+    verify_defining_relations(rep)
+    highest_weight_vector(rep, (2, 0))
+    again = invariants.generator_images(rep)
+    assert len(calls) == 8
+    assert all(a[1] is b[1] for a, b in zip(first, again))
+
+
 def scanned_block(rep, sign, i, j):
     """pi(l_ij) by scanning every entry of L+ or L- and keeping the ones
     inside the block."""

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qgelfand import faults, invariants, suite, tmatrix
+from qgelfand import faults, invariants, reps, suite, tmatrix
 from qgelfand.scalars import ONE, FracField
 from qgelfand.tmatrix import TMatrix
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
@@ -120,6 +120,39 @@ def test_centrality_rows_at_n2_3_N2():
             "n=3 N=2 z coefficient 0", "n=3 N=2 z coefficient 1",
             "n=3 N=2 z coefficient 2", "n=3 N=2 z coefficient 3")]
     assert all(r["verdict"] == "pass" for r in report["checks"])
+
+
+def test_derived_z_rows_match_the_full_check():
+    # under the rep probe, each z coefficient row derived from tr_q M^m
+    # has the verdict and witness of the full check on the scaled matrix
+    report = run_suite(SuiteConfig(ns=(2,), N_max=2, include=("centrality",),
+                                   fault="rep"))
+    rows = {r["context"]: r for r in report["checks"]}
+    with faults.inject("rep"):
+        rep = reps.tensor_power(reps.vector_rep(2), 2)
+        factor = invariants.series_factor(2)
+        for m in range(1, 4):
+            label = f"z coefficient {m}"
+            full = invariants.centrality_check(
+                rep, invariants.gelfand_invariant(rep, m).scaled(factor),
+                label)
+            row = rows[f"n=2 N=2 {label}"]
+            assert not full
+            assert row["verdict"] == "fail"
+            assert row["witness"] == full.witness
+
+
+def test_derived_z_rows_run_no_commute_test(monkeypatch):
+    # at m-max 2 and order 4: tr_q M^1 and M^2, then z rows 0, 3 and 4;
+    # z rows 1 and 2 reuse the tr_q answers
+    tested = []
+    full = invariants.noncommuting_generator
+    monkeypatch.setattr(invariants, "noncommuting_generator",
+                        lambda rep, mat: tested.append(mat) or full(rep, mat))
+    report = run_suite(SuiteConfig(ns=(2,), N_max=1, m_max=2, order=4,
+                                   include=("centrality",)))
+    assert report["summary"] == {"pass": 7, "fail": 0}
+    assert len(tested) == 5
 
 
 def test_crashing_check_becomes_failed_rows(monkeypatch):

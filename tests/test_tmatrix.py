@@ -670,6 +670,36 @@ def test_fraction_ring_ops_match_dense_oracle():
             assert sq.trace() == sum((sq[i, i] for i in range(k)), field.zero)
 
 
+def test_commutes_matches_both_products():
+    # diagonal right operands, with repeated and absent diagonal entries,
+    # over a den that is 1 or not, take the entrywise route; the left
+    # operand half the time stores entries only between equal diagonal
+    # entries, so both answers occur; dense right operands take products
+    rng = random.Random(31)
+    answers = set()
+    for field in DEN_FIELDS:
+        for _ in range(15):
+            n = rng.randint(1, 5)
+            pool = [field.zero] + [rand_field_entry(rng, field)
+                                   for _ in range(2)]
+            d = [rng.choice(pool) for _ in range(n)]
+            diag = TMatrix.diag(field, d)
+            if rng.random() < 0.5:
+                diag = diag.scaled(rand_den(rng, field).inverse())
+            a = rand_sparse(rng, field, n, n, density=0.5)
+            if rng.random() < 0.5:
+                a = TMatrix(field, n, n, [
+                    x if d[k // n] == d[k % n] else field.zero
+                    for k, x in enumerate(a.e)])
+            for other in (diag, rand_sparse(rng, field, n, n, density=0.5)):
+                got = a.commutes(other)
+                assert got == (a * other == other * a)
+                answers.add(got)
+    assert answers == {True, False}
+    with pytest.raises(ValueError, match="commutator"):
+        TMatrix.identity(SCALARS, 2).commutes(TMatrix.identity(SCALARS, 3))
+
+
 def test_fraction_tensor_ops_match_dense_oracle():
     for field in DEN_FIELDS:
         rng = random.Random(41 if field is UFIELD else 141)
