@@ -234,7 +234,10 @@ def classical_limit_values(n, lam, ms):
 
 
 def classical_limit_value(n, lam, m):
-    """The single limit of ``classical_limit_values``."""
+    """The single limit of ``classical_limit_values``.  API for the tests
+    and the benchmark (``bench/run.py`` names it as a per-layer metric,
+    ``bench/test_bench.py`` checks it); no suite row or CLI command calls
+    it."""
     return classical_limit_values(n, lam, (m,))[0]
 
 

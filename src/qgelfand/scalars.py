@@ -35,19 +35,23 @@ Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
 out of numerator and denominator until one of them no longer vanishes
 there.
 
-Matrices over Q(q) do not store ``Scalar`` or ``IntLaurent`` entries.
-``_ScalarField.pack`` puts their numerators over one denominator and
-packs each into one integer by Kronecker substitution (Schoenhage 1982):
-P = q^shift * num in Z[q] is stored as P(2^B), B = 32 to start.  The
-``Packed`` record that travels with the matrix holds the denominator,
-B, the shift and bounds on the coefficients and on their sum of
-absolute values (l1).  Matrix products, sums and equality are
-then integer products, sums and equality.  One l1 rule bounds every
-kernel's result; a kernel whose bound would reach 2^(B-1) first
-re-measures the loose records of its operands, once each, and then
-widens B, which keeps every decode and every zero test exact (the
-argument is on ``Packed``).  Entries are decoded only when they are
-read.
+Matrices store no field elements: one packed rule serves all three
+fields.  ``pack`` puts a matrix's numerators over one denominator and
+packs each into one integer by Kronecker substitution (Kronecker 1882;
+Schoenhage 1982): P = q^shift * num in Z[q] is stored as P(2^B), B = 32
+to start.  Over Q(q)(u) and Q(q)(x) the numerator is first sent to
+Z[q] by u -> q^E, the same substitution in the second variable, so each
+u-coefficient fills a slot of E digits, E = 64 to start.  The
+``Packed`` record that travels
+with the matrix holds the denominator, B, E, the shift and bounds on
+the coefficients, on their sum of absolute values (l1) and on the
+q-degree of a slot.  Matrix products, sums and equality are then
+integer products, sums and equality.  One l1 rule and one degree rule
+bound every kernel's result; a kernel whose bound would reach 2^(B-1),
+or whose q-degree would reach E, first re-measures the loose records of
+its operands, once each, and then widens B or E, which keeps every
+decode and every zero test exact (the argument is on ``Packed``).
+Entries are decoded only when they are read.
 
 Rendering is deterministic: Laurent polynomials in q print in descending
 powers ("q^2 + 1 + q^-2"); polynomials in u print in ascending powers
@@ -442,12 +446,6 @@ class Scalar(_Fraction):
         return cls(IntLaurent.from_int(n))
 
     @classmethod
-    def from_fraction(cls, f):
-        f = Fraction(f)
-        return cls(IntLaurent.from_int(f.numerator),
-                   IntLaurent.from_int(f.denominator))
-
-    @classmethod
     def q_power(cls, k):
         return cls(IntLaurent.q_power(k))
 
@@ -616,23 +614,32 @@ def _times(rows, f):
     return [{j: x * f for j, x in row.items()} for row in rows]
 
 
-# Q(q) matrices pack each numerator into one integer (Kronecker
-# substitution).  BITS is the width B of a base-2^B digit that a matrix
-# built from field elements starts with.  Under the l1 rule on
-# ``Packed`` the bounds stay close to the true coefficients, so a narrow
-# B holds every product chain of the verify suite's default and large
-# configurations; a kernel whose bound would reach 2^(B-1) re-measures,
-# then doubles B.
+# Matrices pack each numerator into one integer (Kronecker substitution).
+# BITS is the width B of a base-2^B digit that a matrix built from field
+# elements starts with.  Under the l1 rule on ``Packed`` the bounds stay
+# close to the true coefficients, so a narrow B holds every product chain
+# of the verify suite's default and large configurations; a kernel whose
+# bound would reach 2^(B-1) re-measures, then doubles B.  SLOT is the
+# width E, in digits, of one u-slot of a function-field numerator that
+# such a matrix starts with; a kernel whose q-degrees would reach E
+# re-measures, then doubles E, by the same rule.
 BITS = 32
+SLOT = 64
 
 # memoryview formats of unsigned machine words, by their size in bytes:
 # digits of 2, 4 and 8 bytes are read as such words
 _WORDS = {struct.calcsize(f): f for f in "HIQ"}
 
 
-def _encode(p, bits, shift):
-    """P(2^bits) for P = q^shift * p, which must lie in Z[q]."""
+def _encode(p, bits, shift, slot=None):
+    """P(2^bits) for P = q^shift * p, which must lie in Z[q].  A ``Poly``
+    p = sum_j p_j u^j is first sent to sum_j p_j q^(slot*j) (u -> q^E),
+    so the digits of its u^j coefficient start at digit slot*j."""
     x = 0
+    if slot is not None:
+        for a in reversed(p.c):
+            x = (x << bits * slot) + (_encode(a, bits, shift) if a else 0)
+        return x
     for c in reversed(p.c):
         x = (x << bits) + c
     return x << bits * (p.low + shift)
@@ -661,8 +668,12 @@ def _decode(x, bits):
 
 def _norms(p):
     """(max |coefficient|, sum of |coefficients|) of a nonzero
-    ``IntLaurent``."""
-    c = [abs(a) for a in p.c]
+    ``IntLaurent``, or of a ``Poly`` over the coefficients of all its
+    u-coefficients."""
+    if isinstance(p, Poly):
+        c = [abs(a) for s in p.c for a in s.c]
+    else:
+        c = [abs(a) for a in p.c]
     return max(c), sum(c)
 
 
@@ -675,15 +686,23 @@ def _ell1(x, y, terms=1):
 
 
 def _lmul(a, b):
-    """a * b in Z[q, q^-1], as one product of packed integers."""
+    """a * b for two denominators: in Z[q, q^-1] as one product of packed
+    integers, in Z[q, q^-1][u] as a ``Poly`` product."""
     if a.is_one():
         return b
     if b.is_one():
         return a
+    if isinstance(a, Poly):
+        return a * b
     bound = _ell1(_norms(a), _norms(b))[0]
     bits = (bound.bit_length() // 8 + 1) * 8
     x = _encode(a, bits, -a.low) * _encode(b, bits, -b.low)
     return IntLaurent(a.low + b.low, _decode(x, bits))
+
+
+def _qdeg(p):
+    """The largest q-exponent in the nonzero ``Poly`` ``p``."""
+    return max(a.low + len(a.c) for a in p.c if a) - 1
 
 
 def _grown(frame, f):
@@ -691,68 +710,138 @@ def _grown(frame, f):
     return _ell1(frame.norms, _norms(f))
 
 
-def _fit(need, *ops):
-    """Bring (frame, rows) operands to one digit width B with
-    ``need(*frames) < 2^(B-1)``; returns (the rows, B).
+def _degree_sum(x, y):
+    return x.deg + y.deg
 
-    When ``need`` reaches 2^(B-1) at the widest operand B, the frames
-    that are not tight yet are first re-measured in place from their
-    actual digits, each once in its life; only if that still does not
-    fit is B doubled.  An operand at another B is repacked for this
-    kernel alone: its own matrix keeps its rows."""
+
+def _fit(need, degree, *ops):
+    """Bring (frame, rows) operands to one digit width B with
+    ``need(*frames) < 2^(B-1)`` and, over a function field, to one slot
+    width E with ``degree(*frames) < E`` (None for a kernel that keeps
+    the q-degrees); returns (the rows, B, E).
+
+    When a need reaches its width at the widest operand, the frames that
+    are not tight yet are first re-measured in place from their actual
+    digits, each once in its life; only a width that still does not
+    suffice is doubled.  An operand at another B or E is repacked for
+    this kernel alone: its own matrix keeps its rows."""
     frames = [f for f, _ in ops]
     bits = max(f.bits for f in frames)
-    if need(*frames).bit_length() >= bits:
+    slot = frames[0].slot
+    if slot is not None:
+        slot = max(f.slot for f in frames)
+    deep = degree is not None and slot is not None
+    if (need(*frames).bit_length() >= bits
+            or deep and degree(*frames) >= slot):
         for f, rows in ops:
             if not f.tight:
                 _measure(f, rows)
         while need(*frames).bit_length() >= bits:
             bits *= 2
-    return [rows if f.bits == bits else _repacked(rows, f, bits)
-            for f, rows in ops], bits
+        while deep and degree(*frames) >= slot:
+            slot *= 2
+    return [rows if f.bits == bits and f.slot == slot
+            else _repacked(rows, f, bits, slot) for f, rows in ops], bits, slot
 
 
 def _measure(frame, rows):
-    """Tighten ``frame``'s bound and l1 to the digits of ``rows``, and
-    mark it tight."""
-    bound = l1 = 0
+    """Tighten ``frame``'s bound, l1 and, over a function field, deg to
+    the digits of ``rows``, and mark it tight.  A slot value P_j(2^B) is
+    below 2^(B*E-1) in absolute value, so the slot values are the
+    balanced base-2^(B*E) digits of a numerator, and each one's bit
+    length over B is its q-degree (``FracField.lifted``); the digits are
+    read slot by slot, which skips the zero digits above each P_j."""
+    bound = l1 = deg = 0
+    bits, slot = frame.bits, frame.slot
     for row in rows:
         for x in row.values():
-            c = _decode(x, frame.bits)
-            while not c[-1]:
-                c.pop()
-            a = [abs(v) for v in c]
-            bound = max(bound, max(a))
-            l1 = max(l1, sum(a))
+            if slot is None:
+                a = list(map(abs, _decode(x, bits)))
+                bound, l1 = max(bound, max(a)), max(l1, sum(a))
+                continue
+            total = 0
+            for v in _decode(x, bits * slot):
+                a = list(map(abs, _decode(v, bits)))
+                bound, total = max(bound, max(a)), total + sum(a)
+                deg = max(deg, v.bit_length() // bits)
+            l1 = max(l1, total)
     frame.bound, frame.l1, frame.tight = bound, l1, True
+    if slot is not None:
+        frame.deg = deg
 
 
-def _repacked(rows, frame, bits):
-    """``rows`` packed at width ``bits`` instead of ``frame.bits``."""
-    return [{j: _encode(IntLaurent(0, _decode(x, frame.bits)), bits, 0)
-             for j, x in row.items()} for row in rows]
+def _repacked(rows, frame, bits, slot):
+    """``rows`` packed at digit width ``bits`` and slot width ``slot``
+    instead of the frame's: every digit is decoded, and each u-slot of E
+    digits is padded with zero digits to the new E."""
+    old = frame.slot
+
+    def repack(x):
+        c = _decode(x, frame.bits)
+        if slot != old:
+            pad = [0] * (slot - old)
+            c = [v for k in range(0, len(c), old) for v in c[k:k + old] + pad]
+        return _encode(IntLaurent(0, c), bits, 0)
+
+    return [{j: repack(x) for j, x in row.items()} for row in rows]
+
+
+def _pack(rows, one, slot=None):
+    """(packed rows, tight record) for rows {column: nonzero element}:
+    the numerators over the lcm of the denominators (``_over_lcm``),
+    shifted so the lowest q-exponent is 0 and packed at the first B that
+    holds their coefficients.  Over a function field (``slot`` the first
+    E to try) they fill u-slots of the first E above their q-degrees."""
+    data, den = _over_lcm(rows, one)
+    nums = [p for row in data for p in row.values()]
+    coeffs = nums if slot is None else [a for p in nums for a in p.c if a]
+    shift = -min((a.low for a in coeffs), default=0)
+    norms = [_norms(p) for p in nums]
+    bound = max((b for b, _ in norms), default=0)
+    l1 = max((n for _, n in norms), default=0)
+    bits = BITS
+    while bound.bit_length() >= bits:
+        bits *= 2
+    deg = None
+    if slot is not None:
+        deg = max((a.low + len(a.c) for a in coeffs), default=1) - 1 + shift
+        while deg >= slot:
+            slot *= 2
+    return ([{j: _encode(p, bits, shift, slot) for j, p in row.items()}
+             for row in data],
+            Packed(den, bits, shift, bound, l1, True, slot, deg))
 
 
 class Packed:
-    """The denominator of a Q(q) matrix, and how its numerators are packed.
+    """The denominator of a matrix, and how its numerators are packed: one
+    record for Q(q), Q(q)(u) and Q(q)(x).
 
     A Q(q) ``TMatrix`` stores an entry num/den as the integer P(2^B),
-    where P = q^shift * num lies in Z[q].  The record holds ``den`` (an
-    ``IntLaurent``), the digit width B (``bits``, a multiple of 8),
-    ``shift``, and upper bounds over every stored P: ``bound`` on each
-    |coefficient| and ``l1`` on the sum of the |coefficients|.
-    Evaluation at 2^B is a ring map Z[q] -> Z, so products, sums and
-    equality of the numerators are products, sums and equality of the
-    integers.
+    where P = q^shift * num lies in Z[q].  A Q(q)(u) or Q(q)(x) matrix
+    stores num = sum_j N_j u^j, with each P_j = q^shift * N_j in Z[q], as
+    sum_j P_j(2^B) 2^(B*E*j): P = sum_j P_j q^(E*j), the image of
+    q^shift * num under u -> q^E, evaluated at q = 2^B.  The record holds
+    ``den`` (an ``IntLaurent`` over Q(q), a ``Poly`` over the function
+    fields), the digit width B (``bits``, a multiple of 8), ``shift``,
+    and upper bounds over every stored P: ``bound`` on each
+    |coefficient| and ``l1`` on the sum of the |coefficients|.  Over a
+    function field it also holds the slot width E (``slot``, in digits)
+    and ``deg``, a bound on the q-degree of every P_j; both are None over
+    Q(q).  Evaluation at 2^B is a ring map Z[q] -> Z, and so is
+    u -> q^E, so products, sums and equality of the numerators are
+    products, sums and equality of the integers.
 
-    **Exactness.**  While every |coefficient| is below 2^(B-1), P is
-    recovered from P(2^B) digit by digit (balanced base 2^B), so decoding
-    is exact.  So is every zero test: if P != 0 but P(2^B) = 0, write
-    P = q^k R with R(0) != 0; the integer root 2^B of R divides R(0), so
-    |R(0)| >= 2^B.  Every kernel therefore keeps ``bound`` below
-    2^(B-1), by one rule, the l1 rule: each coefficient of ab is a sum
-    of products a_i b_j with every a_i and every b_j used at most once,
-    so
+    **Exactness.**  While every P_j has q-degree below E, u -> q^E is
+    injective on them and P has exactly their coefficients, so the
+    argument below applies to P unchanged, and ``bound`` and ``l1`` need
+    no factor for the u-length.  While every |coefficient| is below
+    2^(B-1), P is recovered from P(2^B) digit by digit (balanced base
+    2^B), so decoding is exact.  So is every zero test: if P != 0 but
+    P(2^B) = 0, write P = q^k R with R(0) != 0; the integer root 2^B of
+    R divides R(0), so |R(0)| >= 2^B.  Every kernel therefore keeps
+    ``bound`` below 2^(B-1), by one rule, the l1 rule: each coefficient
+    of ab is a sum of products a_i b_j with every a_i and every b_j used
+    at most once, so
 
         ||ab||_inf <= min(||a||_1 ||b||_inf, ||a||_inf ||b||_1),
         ||ab||_1 <= ||a||_1 ||b||_1,
@@ -767,34 +856,44 @@ class Packed:
     * partial trace and trace: bound and l1 times the number of terms
       summed;
     * transposes, embeddings and negation keep the record;
-    * a block gets its own record, measured from its entries
-      (``trimmed``).
+    * a block gets its own record (``trimmed``).
 
-    A denominator has lowest exponent 0 (the ``Scalar`` normal form, kept
-    by lcm and products), so cross-multiplying by one leaves the shift
-    alone.  Before a kernel whose bound could reach 2^(B-1), ``_fit``
-    re-measures the operands whose records are not ``tight`` and widens
-    B only if that does not suffice.  A record is tight when its bounds
-    were measured from its matrix's digits (by ``pack`` or ``_measure``),
-    so none is measured twice.  A record is shared only by matrices
-    holding the same coefficients up to sign (the kernels that move or
-    negate entries), and no matrix is written after it is built, so
-    tightening a record in place is true of every matrix that holds it.
+    ``deg`` follows the same kernels:
 
-    ``product``, ``common``, ``summed`` and ``trimmed`` are the
-    denominator protocol of :mod:`.tmatrix`; ``Poly`` implements them
-    for Q(q)(u) and Q(q)(x) with no packing.
+    * product: the two bounds add;
+    * sum and equality: each side's bound plus the q-degree of the other
+      ``den`` it is multiplied by and plus its shift up; the larger;
+    * traces, transposes, embeddings and negation keep it.
+
+    A denominator has lowest q-exponent 0 (the ``_Fraction`` normal form,
+    kept by lcm and products), so cross-multiplying by one leaves the
+    shift alone.  Before a kernel whose bound could reach 2^(B-1), or
+    whose q-degree could reach E, ``_fit`` re-measures the operands
+    whose records are not ``tight`` and widens B or E only if that does
+    not suffice.  A record is tight when its bounds were measured from
+    its matrix's digits (by ``_pack`` or ``_measure``), so none is
+    measured twice.  A record is shared only by matrices holding the
+    same coefficients up to sign (the kernels that move or negate
+    entries), and no matrix is written after it is built, so tightening
+    a record in place is true of every matrix that holds it.
+
+    ``product``, ``common``, ``summed`` and ``trimmed`` are the frame
+    protocol of :mod:`.tmatrix`.
     """
 
-    __slots__ = ("den", "bits", "shift", "bound", "l1", "tight")
+    __slots__ = ("den", "bits", "shift", "bound", "l1", "tight", "slot",
+                 "deg")
 
-    def __init__(self, den, bits, shift, bound, l1, tight=False):
+    def __init__(self, den, bits, shift, bound, l1, tight=False, slot=None,
+                 deg=None):
         self.den = den
         self.bits = bits
         self.shift = shift
         self.bound = bound
         self.l1 = l1
         self.tight = tight
+        self.slot = slot
+        self.deg = deg
 
     @property
     def norms(self):
@@ -807,17 +906,19 @@ class Packed:
         def need(x, y):
             return _ell1(x.norms, y.norms, terms)[0]
 
-        (a, b), bits = _fit(need, (self, a), (other, b))
+        (a, b), bits, slot = _fit(need, _degree_sum, (self, a), (other, b))
+        deg = None if slot is None else _degree_sum(self, other)
         return a, b, Packed(_lmul(self.den, other.den), bits,
                             self.shift + other.shift,
-                            *_ell1(self.norms, other.norms, terms))
+                            *_ell1(self.norms, other.norms, terms),
+                            slot=slot, deg=deg)
 
     def common(self, other, a, b):
         """(a, b, frame of their sums): rows ``a`` in this frame and ``b``
         in ``other`` brought into one frame, where entries compare and add
         directly."""
         if self.den == other.den:
-            fa = fb = _L_ONE
+            fa = fb = _P_ONE if self.slot else _L_ONE
             den = self.den
         else:
             fa, fb, den = other.den, self.den, _lmul(self.den, other.den)
@@ -826,24 +927,40 @@ class Packed:
         def need(x, y):
             return _grown(x, fa)[0] + _grown(y, fb)[0]
 
-        (a, b), bits = _fit(need, (self, a), (other, b))
+        degree = None
+        if self.slot is not None:
+            up_a = _qdeg(fa) + shift - self.shift
+            up_b = _qdeg(fb) + shift - other.shift
+
+            def degree(x, y):
+                return max(x.deg + up_a, y.deg + up_b)
+
+        (a, b), bits, slot = _fit(need, degree, (self, a), (other, b))
         (bound_a, l1_a), (bound_b, l1_b) = _grown(self, fa), _grown(other, fb)
-        return (_times(a, _encode(fa, bits, shift - self.shift)),
-                _times(b, _encode(fb, bits, shift - other.shift)),
-                Packed(den, bits, shift, bound_a + bound_b, l1_a + l1_b))
+        return (_times(a, _encode(fa, bits, shift - self.shift, slot)),
+                _times(b, _encode(fb, bits, shift - other.shift, slot)),
+                Packed(den, bits, shift, bound_a + bound_b, l1_a + l1_b,
+                       slot=slot,
+                       deg=None if degree is None else degree(self, other)))
 
     def summed(self, rows, k):
         """(rows, frame of sums of up to ``k`` of their entries)."""
-        (rows,), bits = _fit(lambda x: x.bound * k, (self, rows))
+        (rows,), bits, slot = _fit(lambda x: x.bound * k, None, (self, rows))
         return rows, Packed(self.den, bits, self.shift, self.bound * k,
-                            self.l1 * k)
+                            self.l1 * k, slot=slot, deg=self.deg)
 
     def trimmed(self, rows):
         """(rows, a record of their own) for ``rows``, some of the entries
-        of a matrix in this frame: the low zero digits that all of them
-        share are shifted out (x >> B*k is exact, and divides every P by
-        q^k), and the record is measured from these entries alone."""
+        of a matrix in this frame.  Over Q(q) the low zero digits that all
+        of them share are shifted out (x >> B*k is exact, and divides every
+        P by q^k), and the record is measured from these entries alone.
+        Over a function field such a shift could cross a u-slot, so the
+        record is a fresh, loose copy of this one: this record itself may
+        be tightened in place to its own matrix's entries."""
         bits = self.bits
+        if self.slot is not None:
+            return rows, Packed(self.den, bits, self.shift, self.bound,
+                                self.l1, slot=self.slot, deg=self.deg)
         k = min((((x & -x).bit_length() - 1) // bits
                  for row in rows for x in row.values()), default=0)
         if k:
@@ -874,18 +991,7 @@ class _ScalarField:
     @staticmethod
     def pack(rows):
         """(packed rows, record) for rows {column: nonzero Scalar}."""
-        data, den = _over_lcm(rows, _L_ONE)
-        nums = [p for row in data for p in row.values()]
-        shift = -min((p.low for p in nums), default=0)
-        norms = [_norms(p) for p in nums]
-        bound = max((b for b, _ in norms), default=0)
-        l1 = max((n for _, n in norms), default=0)
-        bits = BITS
-        while bound.bit_length() >= bits:
-            bits *= 2
-        return ([{j: _encode(p, bits, shift) for j, p in row.items()}
-                 for row in data],
-                Packed(den, bits, shift, bound, l1, tight=True))
+        return _pack(rows, _L_ONE)
 
     @staticmethod
     def join(x, frame):
@@ -905,11 +1011,12 @@ Scalar.field = SCALARS
 
 class Poly:
     """Dense polynomial in one variable over Z[q, q^-1] (``IntLaurent``
-    coefficients, lowest power first); ``lcm`` and ``divexact`` are the
-    matrix denominator protocol (see :mod:`.tmatrix`), as on
-    ``IntLaurent``.  It is *unit-normal* when its lowest q-exponent is 0
-    and its leading integer positive, the ``Scalar`` denominator normal
-    form one level up; products and exact quotients keep that form."""
+    coefficients, lowest power first): the numerators and denominators
+    of ``Frac``, and the denominator of a function-field matrix's
+    ``Packed`` record, whose numerators it packs.  It is *unit-normal*
+    when its lowest q-exponent is 0 and its leading integer positive,
+    the ``Scalar`` denominator normal form one level up; products and
+    exact quotients keep that form."""
 
     __slots__ = ("c",)
 
@@ -984,23 +1091,6 @@ class Poly:
     def lcm(self, other):
         """The unit-normal lcm of two unit-normal polynomials."""
         return self * other.divexact(Poly.gcd(self, other))
-
-    # The matrix denominator protocol (see ``Packed``): numerators are
-    # ``Poly`` and need no frame, so only the denominators change.
-
-    def product(self, other, a, b, terms):
-        return a, b, self * other
-
-    def common(self, other, a, b):
-        if self == other:
-            return a, b, self
-        return _times(a, other), _times(b, self), self * other
-
-    def summed(self, rows, k):
-        return rows, self
-
-    def trimmed(self, rows):
-        return rows, self
 
     @staticmethod
     def gcd(a, b):
@@ -1125,7 +1215,11 @@ class Frac(_Fraction):
 
 class FracField:
     """The field Q(q)(var).  ``pack`` and ``join`` are the matrix storage
-    interface (see :mod:`.tmatrix`).  ``Scalar`` coefficients come in
+    interface (see :mod:`.tmatrix`): ``pack`` puts rows of elements over
+    one ``Poly`` denominator and packs each numerator into one integer
+    in u-slots (``Packed``), ``join`` decodes one into the reduced
+    ``Frac``, and ``lifted`` reads a Q(q) matrix's packed numerators as
+    constants in var.  ``Scalar`` coefficients come in
     through ``from_coeff`` and ``poly``, which clear their denominators,
     and are formed again only by ``monic``, ``render`` and ``expand``."""
 
@@ -1137,12 +1231,32 @@ class FracField:
         self.gen = Frac(self, Poly((_L_ZERO, _L_ONE)), _reduced=True)
 
     def pack(self, rows):
-        """(numerator rows, den) for rows {column: nonzero element}."""
-        return _over_lcm(rows, _P_ONE)
+        """(packed rows, record) for rows {column: nonzero element}."""
+        return _pack(rows, _P_ONE, SLOT)
 
-    def join(self, num, den):
-        """The normalised element num/den (den a nonzero polynomial)."""
-        return Frac(self, num, den)
+    def join(self, x, frame):
+        """The normalised element whose packed numerator is ``x``: its
+        digits, read E at a time, are the u-coefficients."""
+        c, e = _decode(x, frame.bits), frame.slot
+        num = Poly(IntLaurent(-frame.shift, c[k:k + e])
+                   for k in range(0, len(c), e))
+        return Frac(self, num, frame.den)
+
+    @staticmethod
+    def lifted(rows, frame):
+        """The record of Q(q) ``rows`` packed in ``frame`` when they are
+        read as numerators of u-degree 0: each integer fills one u-slot
+        unchanged.  A packed P(2^B) with top coefficient at q^k has bit
+        length from B*k to B*(k+1) - 1 (``_decode``), so that length
+        over B is the q-degree, and the record stays as tight as
+        ``frame``."""
+        deg = max((x.bit_length() for row in rows for x in row.values()),
+                  default=0) // frame.bits
+        slot = SLOT
+        while deg >= slot:
+            slot *= 2
+        return Packed(Poly((frame.den,)), frame.bits, frame.shift,
+                      frame.bound, frame.l1, frame.tight, slot, deg)
 
     def from_coeff(self, c):
         """The constant ``c`` of Q(q): a reduced ``Scalar`` is a reduced

@@ -3,41 +3,46 @@
 Every ``TMatrix`` stores each row as a dict ``{column: numerator}``
 holding only the nonzero entries, plus one common denominator ``den``:
 an entry x is kept as its numerator over ``den``, the lcm of the
-entries' ``x.den``.  Over Q(q) (``SCALARS``) each numerator is one
-integer, the Laurent polynomial packed by Kronecker substitution, and
-``den`` is a packing record (``scalars.Packed``) that holds the
-``IntLaurent`` denominator with the digit width, shift and coefficient
-bound the packing needs; it states the bound rules and why decoding
-and zero tests are exact.  Over Q(q)(u) and Q(q)(x) (``FracField``)
-the numerators and ``den`` are ``Poly``, polynomials over
-Z[q, q^-1] that hold no ``Scalar``.  This module knows no ring.
-From the field descriptor it uses ``zero``, ``one``, ``pack`` (rows of
-field elements to numerator rows and ``den``), ``join`` (one numerator
-over ``den`` to the normalised element) and ``name``; the elements
-render themselves.  ``pencil_inverse`` uses ``poly`` (a polynomial
-from its Q(q) coefficients, whose numerator has ``lcm``) and ``monic``
-(the coefficients over Q(q) of such a numerator, made monic); from a
-``den`` it uses the protocol that brings operands into one frame:
-``product`` (products and ``kron``), ``common`` (sums and equality)
-and ``summed`` (traces), and ``trimmed``, the record of a block.  An
-exact zero is never stored: every kernel drops the entries that cancel,
-so a matrix is falsy exactly when no row holds an entry.
+entries' ``x.den``.  Over every field each numerator is one integer,
+packed by Kronecker substitution, and ``den`` is a packing record
+(``scalars.Packed``) that holds the denominator with the digit width,
+shift and coefficient bounds the packing needs: over Q(q)
+(``SCALARS``) the numerator is a Laurent polynomial in q and the
+denominator an ``IntLaurent``; over Q(q)(u) and Q(q)(x)
+(``FracField``) the numerator is a polynomial in the variable whose
+coefficients fill slots of the integer, and the denominator a ``Poly``.
+The record states the bound and degree rules and why decoding and
+zero tests are exact.  This module knows no ring.  From the field
+descriptor it uses ``zero``, ``one``, ``pack`` (rows of field elements
+to numerator rows and ``den``), ``join`` (one numerator over ``den``
+to the normalised element) and ``name``; the elements render
+themselves.  ``lift`` uses ``lifted`` (the record of Q(q) numerators
+read as constants of a function field).  ``pencil_inverse`` uses
+``poly`` (a polynomial from its Q(q) coefficients, whose numerator has
+``lcm``) and ``monic`` (the coefficients over Q(q) of such a
+numerator, made monic); from a ``den`` it uses the protocol that
+brings operands into one frame: ``product`` (products and ``kron``),
+``common`` (sums and equality) and ``summed`` (traces), and
+``trimmed``, the record of a block.  An exact zero is never stored:
+every kernel drops the entries that cancel, so a matrix is falsy
+exactly when no row holds an entry.
 
 A matrix is immutable: it is built once, from its entries or by a
 kernel, and no method writes an entry.  Kernels therefore share rather
 than copy: a sum with a zero operand keeps the operand's rows, and
 negation, transposes and embeddings keep its record.  ``block`` alone
-builds a record of its own, from its entries (``den.trimmed``): over
-Q(q) it shifts out the low zero digits they share and measures their
-bounds, so a block neither carries the bounds of the whole matrix nor
-shares a record that a kernel may tighten in place (``scalars._fit``)
-to the entries of one matrix.
+builds a record of its own (``den.trimmed``): over Q(q) it shifts out
+the low zero digits the block's entries share and measures their
+bounds, so a block does not carry the bounds of the whole matrix; over
+a function field it takes a fresh, loose copy of the matrix's bounds.
+Either way it shares no record that a kernel may tighten in place
+(``scalars._fit``) to the entries of one matrix.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
-the denominators, so they are ring arithmetic and run no gcd; over
-Q(q) they are integer arithmetic.  ``commutes`` takes no product when
-its right operand is diagonal.  Equality cross-multiplies, comparing
+the denominators, so they are ring arithmetic and run no gcd; they are
+integer arithmetic over every field.  ``commutes`` takes no product
+when its right operand is diagonal.  Equality cross-multiplies, comparing
 a_ij d_b with b_ij d_a, and names the same row-major first differing
 entry as entrywise comparison of the reduced values would.  An entry is
 normalised to a canonical field element only when it is read
@@ -83,8 +88,8 @@ class TMatrix:
     ``TMatrix(field, rows, cols, entries)`` takes the entries as
     one flat row-major list of field elements; zeros in it are dropped
     and ``field.pack`` stores the others as numerators over the lcm
-    ``den`` of the ``x.den`` (over Q(q), packed integers over a
-    ``Packed`` record).  Kernels first ask ``den`` to bring their
+    ``den`` of the ``x.den`` (packed integers over a ``Packed``
+    record).  Kernels first ask ``den`` to bring their
     operands into one frame, then build their results from numerator
     rows through ``_of``.  No method writes to a built matrix.  Values
     rely on the ring having no zero divisors: a product of two stored
@@ -179,10 +184,11 @@ class TMatrix:
 
     def block(self, i0, j0, rows, cols):
         """The rows x cols submatrix whose top left entry is (i0, j0).  It
-        builds its own ``den`` with ``den.trimmed``, from the block's
-        entries alone: over Q(q) that shifts out the low zero digits they
-        all share and measures its record from them, so a block never
-        carries the bounds of the whole matrix."""
+        builds its own ``den`` with ``den.trimmed``: over Q(q) that shifts
+        out the low zero digits the block's entries all share and
+        measures its record from them, so a block never carries the
+        bounds of the whole matrix; over a function field it copies them
+        into a fresh, loose record."""
         data = [{j - j0: x for j, x in row.items() if j0 <= j < j0 + cols}
                 for row in self._data[i0:i0 + rows]]
         data, den = self.den.trimmed(data)
@@ -686,9 +692,11 @@ def _factored(rows, cols, dims, sites):
 
 
 def lift(mat, field):
-    """Lift a matrix over Q(q) into the function field ``field``
-    entrywise."""
-    return mat.map_entries(field.from_coeff, field)
+    """Lift a matrix over Q(q) into the function field ``field``: its
+    packed numerators are read as constants in the variable, so only the
+    record changes (``field.lifted``)."""
+    return TMatrix._of(field, mat.rows, mat.cols, mat._data,
+                       field.lifted(mat._data, mat.den))
 
 
 def _same_shape(a, b):

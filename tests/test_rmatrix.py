@@ -178,7 +178,7 @@ def test_r0_inverse_matches_gauss_jordan():
     den = (XFIELD.one - qf(Q * Q) * x) * (XFIELD.one - qf(QINV * QINV) * x)
     for n in (2, 3, 4):
         # the matrix denominator is the normal-form denominator of 1/den
-        assert r0_inverse(n).den == den.inverse().den
+        assert r0_inverse(n).den.den == den.inverse().den
 
 
 def test_crossing_predicted_scalar_at_n1():

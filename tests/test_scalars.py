@@ -81,11 +81,18 @@ def test_laurent_divexact_rejects_inexact():
 # Q(q) scalars
 # ---------------------------------------------------------------------------
 
+def from_fraction(f):
+    """The rational number ``f`` as an element of Q(q)."""
+    f = Fraction(f)
+    return Scalar(IntLaurent.from_int(f.numerator),
+                  IntLaurent.from_int(f.denominator))
+
+
 def test_scalar_canonical_form():
     # denominator starts at q^0 with positive leading coefficient
     s = Scalar(IntLaurent(0, (2,)), IntLaurent(-3, (-4,)))
     assert s.den.low == 0 and s.den.c[-1] > 0
-    assert s == Scalar.q_power(3) * Scalar.from_fraction(Fraction(-1, 2))
+    assert s == Scalar.q_power(3) * from_fraction(Fraction(-1, 2))
 
 
 def test_scalar_field_axioms_random():

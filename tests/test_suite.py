@@ -340,3 +340,38 @@ def test_reports_match_the_benchmark_references(name):
     assert len(got) == len(report["checks"]) == len(reference["rows"])
     assert got == want
     assert (report["summary"]["fail"] > 0) == (reference["exit_code"] != 0)
+
+
+# ---------------------------------------------------------------------------
+# operator checks beyond gl_2 and gl_3
+# ---------------------------------------------------------------------------
+# ``suite._small`` keeps the operator categories at n in {2, 3} in every
+# report.  With it widened here alone, the same checks run on gl_4 and
+# gl_5 modules, the largest function-field operands the code reaches.
+
+def _every_n(monkeypatch):
+    monkeypatch.setattr(suite, "_small", lambda c: list(c.ns))
+
+
+@pytest.mark.parametrize("n, N_max, rows", [(4, 3, 194), (5, 2, 137)])
+def test_operator_checks_pass_at_n4_and_n5(monkeypatch, n, N_max, rows):
+    _every_n(monkeypatch)
+    report = run_suite(SuiteConfig(ns=(n,), N_max=N_max))
+    assert len(report["checks"]) == rows
+    assert [r["context"] for r in report["checks"]
+            if r["verdict"] != "pass"] == []
+
+
+def _failing_categories(config):
+    return {r["name"] for r in run_suite(config)["checks"]
+            if r["verdict"] != "pass"}
+
+
+@pytest.mark.parametrize("kind, count", [("rep", 11), ("rmatrix", 4),
+                                         ("qnum", 9)])
+def test_faults_fail_the_same_categories_at_n4(monkeypatch, kind, count):
+    _every_n(monkeypatch)
+    at_n4 = _failing_categories(SuiteConfig(ns=(4,), N_max=2, fault=kind))
+    assert at_n4 == _failing_categories(
+        SuiteConfig(ns=(2, 3), N_max=2, fault=kind))
+    assert len(at_n4) == count

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qgelfand import scalars
-from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, ONE, ZERO,
-                              Q, qnum, Poly)
+from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, XFIELD,
+                              ONE, ZERO, Q, qnum, Poly, Frac)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
                               first_difference, pencil_inverse)
 from qgelfand.verdict import matrix_verdict
@@ -612,9 +612,8 @@ def rand_den(rng, field):
 
 
 def den_of(m):
-    """The common denominator of ``m``; over Q(q) it is read through the
-    packing record."""
-    return m.den.den if m.field is SCALARS else m.den
+    """The common denominator of ``m``, read through its packing record."""
+    return m.den.den
 
 
 def rand_invertible(rng, field, n):
@@ -725,7 +724,7 @@ def test_fraction_inverse_and_solve_match_dense_oracle():
     for _ in range(2):
         a = rand_invertible(rng, UFIELD, 2).scaled(
             rand_den(rng, UFIELD).inverse())
-        assert a.den.degree > 0
+        assert a.den.den.degree > 0
         inv = assert_sparse(a.inverse())
         assert oracle_mul(a, inv) == eye and oracle_mul(inv, a) == eye
         rhs = rand_fraction_matrix(rng, UFIELD, 2, 2, density=0.5)
@@ -1055,12 +1054,13 @@ def test_power_chain_matches_laurent_products():
 
 
 def assert_record_sound(frame, *rows):
-    """A fresh measure of the digits of ``rows`` finds a bound and l1 no
-    larger than ``frame`` claims."""
+    """A fresh measure of the digits of ``rows`` finds a bound and l1, and
+    over a function field a q-degree, no larger than ``frame`` claims."""
     fresh = copy.copy(frame)
     for r in rows:
         scalars._measure(fresh, r)
         assert fresh.bound <= frame.bound and fresh.l1 <= frame.l1
+        assert fresh.deg == frame.deg is None or fresh.deg <= frame.deg
 
 
 def entrywise_sums(x, y):
@@ -1113,6 +1113,173 @@ def test_decode_matches_the_byte_slice_path(bits, data):
 
 
 # ---------------------------------------------------------------------------
+# packed function-field numerators
+# ---------------------------------------------------------------------------
+# A Q(q)(u) or Q(q)(x) matrix stores each numerator sum_j N_j u^j as one
+# integer, the image under u -> q^E at q = 2^B.  The hypothesis oracle
+# uses negative q-powers, u-degrees up to 4 and denominators that differ;
+# the cases after it reach the slot width E and the digit width 2^(B-1).
+
+FFIELDS = (UFIELD, XFIELD)
+# unit-normal denominators in Z[q, q^-1][u]: 1, 1 + u, 2 + q u, 1 - q^2 u^2
+F_DENS = tuple(Poly(IntLaurent(0, c) for c in p) for p in (
+    ((1,),), ((1,), (1,)), ((2,), (0, 1)), ((1,), (), (0, 0, -1))))
+f_laurents = st.builds(IntLaurent, st.integers(-4, 3),
+                       st.lists(st.integers(-3, 3), min_size=1, max_size=2))
+
+
+@st.composite
+def f_entries(draw, field):
+    """Zero, or N/D with N of u-degree up to 4 over Laurent coefficients
+    with negative q-powers, and D one of ``F_DENS``.  The entries stay
+    small: the oracle normalises every sum and product by a gcd."""
+    if draw(st.integers(0, 1)) == 0:
+        return field.zero
+    coeffs = draw(st.lists(st.one_of(st.just(IntLaurent(0, ())), f_laurents),
+                           min_size=1, max_size=5))
+    if not coeffs[-1]:
+        return field.zero
+    return Frac(field, Poly(coeffs), draw(st.sampled_from(F_DENS)))
+
+
+def f_matrices(field, rows, cols):
+    return st.lists(f_entries(field), min_size=rows * cols,
+                    max_size=rows * cols).map(
+        lambda e: TMatrix(field, rows, cols, e))
+
+
+def assert_packed(m):
+    """Every stored numerator is one integer, and the matrix is sparse."""
+    assert all(type(x) is int for row in m._data for x in row.values())
+    return assert_sparse(m)
+
+
+@ORACLE
+@given(st.sampled_from(FFIELDS), st.data())
+def test_packed_function_field_kernels_match_entrywise_frac(field, data):
+    a, a2 = (data.draw(f_matrices(field, 2, 3)) for _ in range(2))
+    b = data.draw(f_matrices(field, 3, 2))
+    m, m2 = (data.draw(f_matrices(field, 4, 4)) for _ in range(2))
+    s = data.draw(f_entries(field))
+    ae, a2e, me = a.e, a2.e, m.e
+    loose = (a + a2) - a2
+    for r in (a * b, a + a2, loose * b, a.scaled(s), kron(loose, b),
+              m.partial_trace(1, (2, 2)), m.block(1, 1, 2, 3)):
+        assert_record_sound(r.den, r._data)
+    xr, yr, frame = loose.den.common(a.den, loose._data, a._data)
+    assert_record_sound(frame, xr, yr, entrywise_sums(xr, yr))
+    assert assert_packed(a * b).e == oracle_mul(a, b).e
+    assert assert_packed(a + a2).e == [x + y for x, y in zip(ae, a2e)]
+    assert assert_packed(a - a2).e == [x - y for x, y in zip(ae, a2e)]
+    assert not assert_packed(a - a)
+    assert assert_packed(a.scaled(s)).e == [s * x for x in ae]
+    assert assert_packed(kron(a, b)).e == oracle_kron(a, b).e
+    for site in (1, 2):
+        assert assert_packed(m.partial_trace(site, (2, 2))).e == \
+            oracle_partial_trace(m, site, (2, 2)).e
+    assert m.trace() == sum((m[i, i] for i in range(4)), field.zero)
+    # a block keeps a record of its own, and its entries multiply exactly;
+    # one of m * u has no u^0 coefficient in any entry
+    for big in (m, m.scaled(field.gen)):
+        blk = assert_packed(big.block(1, 1, 2, 3))
+        assert blk.e == [big[i, j] for i in (1, 2) for j in (1, 2, 3)]
+        assert assert_packed(blk * b).e == oracle_mul(blk, b).e
+    diag = TMatrix.diag(field, [me[0], me[5], me[0], field.zero])
+    for other in (diag, m2):
+        assert m.commutes(other) == (oracle_mul(m, other)
+                                     == oracle_mul(other, m))
+    c = a + TMatrix(field, 2, 3, [field.zero] * 5 + [s - ae[5]])
+    assert assert_packed(c).e == ae[:5] + [s]
+    assert (a == a2) == (ae == a2e) and (a == c) == (ae == c.e)
+    assert first_difference(a, a2) == first_differing(ae, a2e, 3)
+    assert first_difference(c, a) == first_differing(c.e, ae, 3)
+
+
+def f_poly(field, *terms):
+    """The polynomial sum c q^k u^j over the (c, k, j) in ``terms``."""
+    u = field.gen
+    return sum((field.from_coeff(Scalar.q_power(k) * Scalar.from_int(c))
+                * u ** j for c, k, j in terms), field.zero)
+
+
+def test_function_field_product_chain_widens_the_slot():
+    """A^k over a denominator, with q-exponents from -20 to 21, against
+    the same powers taken entrywise: the q-degree bound grows by 41 per
+    factor, so the chain widens E twice, and every decode after that
+    reads the wider slots."""
+    for field in FFIELDS:
+        a = TMatrix.from_rows(field, [
+            [f_poly(field, (1, -20, 0), (1, 21, 1)) / (field.one + field.gen),
+             f_poly(field, (1, 3, 2))],
+            [f_poly(field, (1, 0, 0), (1, 1, 1)), f_poly(field, (-3, -2, 0))]])
+        acc, want = a, a.e
+        slots = [a.den.slot]
+        for _ in range(3):
+            acc = assert_packed(acc * a)
+            want = oracle_mul(TMatrix(field, 2, 2, want), a).e
+            assert acc.e == want
+            slots.append(acc.den.slot)
+        assert slots == [scalars.SLOT, 2 * scalars.SLOT, 2 * scalars.SLOT,
+                         4 * scalars.SLOT]
+
+
+def test_a_shifted_sum_widens_the_slot():
+    """q^50 + u plus q^-20 u: the sum's frame shifts the left side up by
+    q^20, so its u^0 coefficient reaches q-degree 70, beyond E; the degree
+    rule must count that shift and widen."""
+    for field in FFIELDS:
+        left = TMatrix(field, 1, 1, [f_poly(field, (1, 50, 0), (1, 0, 1))])
+        right = TMatrix(field, 1, 1, [f_poly(field, (1, -20, 1))])
+        for x, y in ((left, right), (right, left)):
+            total = assert_packed(x + y)
+            assert total.den.slot > scalars.SLOT
+            assert total[0, 0] == left[0, 0] + right[0, 0]
+            assert x != y and first_difference(x, y)[2:] == (x[0, 0],
+                                                            y[0, 0])
+        assert left - left.scaled(field.one) == TMatrix.zeros(field, 1, 1)
+
+
+def test_a_re_measured_record_widens_the_slot_at_the_edge():
+    """A cancelling sum leaves q^40 u + 1 with a loose record; times
+    q^24 + u its degree need is exactly E, so the record is re-measured
+    and, at its true q-degree 40, the slot still widens: the product has
+    a u-coefficient of q-degree 64."""
+    for field in FFIELDS:
+        x = TMatrix(field, 1, 1, [f_poly(field, (1, 40, 1), (1, 0, 0))])
+        pad = TMatrix(field, 1, 1, [f_poly(field, (1, 40, 0))])
+        loose = (x + pad) - pad
+        y = TMatrix(field, 1, 1, [f_poly(field, (1, 24, 0), (1, 0, 1))])
+        assert not loose.den.tight and loose.den.deg + y.den.deg == 64
+        product = assert_packed(loose * y)
+        assert loose.den.tight and loose.den.deg == 40
+        assert product.den.slot > scalars.SLOT
+        assert product[0, 0] == x[0, 0] * y[0, 0]
+
+
+def test_function_field_product_widens_the_digits():
+    for field in FFIELDS:
+        big = f_poly(field, (HALF - 1, 0, 0), (1, 1, 1))
+        a = TMatrix(field, 2, 2, [big, field.gen, -big, field.one])
+        assert a.den.bits == scalars.BITS
+        sq = assert_packed(a * a)
+        assert sq.den.bits > scalars.BITS
+        assert sq.e == oracle_mul(a, a).e
+        assert kron(a, a).e == oracle_kron(a, a).e
+
+
+def test_lift_reads_the_packed_integers_as_one_slot():
+    rng = random.Random(46)
+    for field in FFIELDS:
+        m = rand_fraction_matrix(rng, SCALARS, 3, 3, density=0.6)
+        lifted = lift(m, field)
+        assert lifted._data is m._data and lifted.den.den == Poly((m.den.den,))
+        assert lifted.e == [field.from_coeff(x) for x in m.e]
+        s = field.gen + field.from_coeff(Q)
+        assert (lifted.scaled(s) * lifted).e == oracle_mul(
+            TMatrix(field, 3, 3, [x * s for x in lifted.e]), lifted).e
+
+
+# ---------------------------------------------------------------------------
 # pencil inverses
 # ---------------------------------------------------------------------------
 # ``pencil_inverse`` inverts A - tB through the annihilator of
@@ -1139,7 +1306,8 @@ def check_pencil(a, b, reverse):
     assert got == (lift(a, UFIELD) - lift(b, UFIELD).scaled(t)).inverse()
     # the denominator is in normal form: lowest q-exponent 0, positive
     # leading integer
-    assert min(c.low for c in got.den.c if c) == 0 and got.den.c[-1].c[-1] > 0
+    den = got.den.den
+    assert min(c.low for c in den.c if c) == 0 and den.c[-1].c[-1] > 0
 
 
 @st.composite
@@ -1229,7 +1397,7 @@ def test_kernels_leave_packed_operands_unchanged(a, a2, b, m, s):
 
 
 def fraction_u_matrices(rows, cols):
-    return u_matrices(rows, cols).filter(lambda x: not x.den.is_one())
+    return u_matrices(rows, cols).filter(lambda x: not x.den.den.is_one())
 
 
 @settings(ORACLE, max_examples=10)
