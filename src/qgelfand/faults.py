@@ -9,6 +9,11 @@ fail.  Each probe kind perturbs one construction site by a single entry:
 
 Probes are activated through ``inject`` (tests) or the hidden
 ``--inject-fault`` CLI flag, and are meant for single-threaded runs.
+
+A process-wide cache keys on every probe its value reads, so a probed
+run and a clean run never share a value: ``rmatrix._rmatrix_set`` keys
+on the ``rmatrix`` probe, and ``scalars._phi2`` and ``scalars._divisors``
+key on none.
 """
 
 from __future__ import annotations

@@ -308,9 +308,8 @@ def _neg_q_power(l):
 @memo
 def _aux_diag(rep, field, inverse):
     """D (x) 1_W, or D^-1 (x) 1_W, over ``field``."""
-    d = build_rmatrix_set(rep.n).D
-    if inverse:
-        d = TMatrix.diag(SCALARS, [d[i, i].inverse() for i in range(rep.n)])
+    rset = build_rmatrix_set(rep.n)
+    d = rset.Dinv if inverse else rset.D
     eye = TMatrix.identity(SCALARS, rep.d)
     if field is not SCALARS:
         d, eye = lift(d, field), lift(eye, field)
@@ -549,17 +548,16 @@ def z_identity_checks(rep, sign):
     out.append(("trace forms agree",
                 matrix_verdict(z, alt, label=f"z trace forms sign={sign}")))
 
-    dmat = build_rmatrix_set(rep.n).D
+    rset = build_rmatrix_set(rep.n)
     lhs = (lshift.partial_transpose(1, dims) * _aux_diag(rep, field, False)
            * linv.partial_transpose(1, dims))
-    rhs = kron(lift(dmat, field), z)
+    rhs = kron(lift(rset.D, field), z)
     out.append(("transposed product",
                 matrix_verdict(lhs, rhs, label=f"z transposed sign={sign}")))
 
-    dinv = TMatrix.diag(SCALARS, [dmat[i, i].inverse() for i in range(rep.n)])
     lhs = (linv.partial_transpose(1, dims) * _aux_diag(rep, field, True)
            * lshift.partial_transpose(1, dims))
-    rhs = kron(lift(dinv, field), z)
+    rhs = kron(lift(rset.Dinv, field), z)
     out.append(("opposite transposed product",
                 matrix_verdict(lhs, rhs, label=f"z opposite sign={sign}")))
     return out

@@ -38,6 +38,7 @@ class RMatrixSet:
     Pq: TMatrix       # q-weighted flip generating the symmetric group action
     Q: TMatrix        # partial transpose of the flip: sum e_ij (x) e_ij
     D: TMatrix        # diag(q^{n-1}, q^{n-3}, ..., q^{-n+1})
+    Dinv: TMatrix     # D^-1
 
 
 def _two_site(n, entries):
@@ -49,7 +50,14 @@ def _two_site(n, entries):
 
 
 def build_rmatrix_set(n):
-    """All constant R-matrix-family operators for gl_n."""
+    """All constant R-matrix-family operators for gl_n: one set per n
+    and ``rmatrix`` probe setting, built once in a process and shared by
+    every caller (the cache rule is in :mod:`.faults`)."""
+    return _rmatrix_set(n, faults.active("rmatrix"))
+
+
+@functools.cache
+def _rmatrix_set(n, faulty):
     a = Q_MINUS_QINV
     r = {}
     rt = {}
@@ -72,19 +80,21 @@ def build_rmatrix_set(n):
             elif i > j:
                 rt[((i, j), (j, i))] = -a
                 pq[((i, j), (j, i))] = Q
-    if faults.active("rmatrix"):
+    if faulty:
         # test hook: scale the top diagonal entry of R by q
         r[((1, 1), (1, 1))] = Q * Q
-    D = TMatrix.diag(SCALARS, [Scalar.q_power(n - 2 * i + 1)
-                               for i in range(1, n + 1)])
+    weights = [n - 2 * i + 1 for i in range(1, n + 1)]
     return RMatrixSet(n, _two_site(n, r), _two_site(n, rt), _two_site(n, p),
-                      _two_site(n, pq), _two_site(n, qmat), D)
+                      _two_site(n, pq), _two_site(n, qmat),
+                      TMatrix.diag(SCALARS, [Scalar.q_power(w)
+                                             for w in weights]),
+                      TMatrix.diag(SCALARS, [Scalar.q_power(-w)
+                                             for w in weights]))
 
 
-def r0(n, x, rset=None):
+def r0(n, x):
     """The spectral combination R - x*R~ over the field of ``x``."""
-    if rset is None:
-        rset = build_rmatrix_set(n)
+    rset = build_rmatrix_set(n)
     field = x.field
     return lift(rset.R, field) - lift(rset.Rtilde, field).scaled(x)
 
@@ -120,13 +130,12 @@ def check_yang_baxter(n):
     identity holds over Q(q)[x, y] exactly when it holds at y = x^3.
     Every entry stays a polynomial in x, so no gcd runs.
     """
-    rset = build_rmatrix_set(n)
     x = XFIELD.gen
     y = x ** 3
     dims = (n, n, n)
-    r12 = embed(r0(n, x, rset), (1, 2), dims)
-    r13 = embed(r0(n, x * y, rset), (1, 3), dims)
-    r23 = embed(r0(n, y, rset), (2, 3), dims)
+    r12 = embed(r0(n, x), (1, 2), dims)
+    r13 = embed(r0(n, x * y), (1, 3), dims)
+    r23 = embed(r0(n, y), (2, 3), dims)
     return matrix_verdict(r12 * (r13 * r23), (r23 * r13) * r12,
                           label=f"Yang-Baxter n={n} at y=x^3")
 
@@ -138,13 +147,12 @@ class CrossingResult:
     matches_predicted: Verdict
 
 
-def r0_inverse(n, rset=None):
+def r0_inverse(n):
     """R0(x)^-1 over Q(q)(x), x the generator of ``XFIELD``: the pencil
     R - xR~ inverted by ``pencil_inverse`` over Q(q), with K = R^-1 R~.
     For n >= 2, (t - q^2)(t - q^-2) annihilates K, so the result is
     (R^-1 - xR~^-1) over (1 - q^2 x)(1 - q^-2 x)."""
-    if rset is None:
-        rset = build_rmatrix_set(n)
+    rset = build_rmatrix_set(n)
     rinv = rset.R.inverse()
     k = rinv * rset.Rtilde
 
@@ -163,9 +171,9 @@ def crossing_scalar(n):
     x = XFIELD.gen
     q2n = XFIELD.from_coeff(Scalar.q_power(2 * n))
     d2 = kron(TMatrix.identity(XFIELD, n), lift(rset.D, XFIELD))
-    lhs = (r0_inverse(n, rset).partial_transpose(2, (n, n))
+    lhs = (r0_inverse(n).partial_transpose(2, (n, n))
            * d2
-           * r0(n, x * q2n, rset).partial_transpose(2, (n, n)))
+           * r0(n, x * q2n).partial_transpose(2, (n, n)))
     # observed scalar from the first nonzero diagonal position of D_2
     c = lhs[0, 0] / d2[0, 0]
     prop = matrix_verdict(lhs, d2.scaled(c), label=f"crossing n={n}")
@@ -278,34 +286,30 @@ def reduced_word(perm, from_right=False):
     return tuple(reversed(swaps))
 
 
-def q_perm(perm, n, rset=None, word=None):
+def q_perm(perm, n, word=None):
     """Operator of a permutation on (C^n)^(x)k via q-weighted flips.
 
     Any reduced word may be supplied; all give the same operator since
     the elementary flips square to one and satisfy the braid relations.
     """
     k = len(perm)
-    if rset is None:
-        rset = build_rmatrix_set(n)
+    pq = build_rmatrix_set(n).Pq
     if word is None:
         word = reduced_word(perm)
     dims = (n,) * k
     total = n ** k
     out = TMatrix.identity(SCALARS, total)
     for a in word:
-        out = out * embed(rset.Pq, (a, a + 1), dims)
+        out = out * embed(pq, (a, a + 1), dims)
     return out
 
 
-def antisymmetrizer(k, n, rset=None):
+def antisymmetrizer(k, n):
     """q-antisymmetrizer: signed sum of q-permutation operators over S_k."""
-    if rset is None:
-        rset = build_rmatrix_set(n)
-    dims = (n,) * k
     total = n ** k
     acc = TMatrix.zeros(SCALARS, total, total)
     for perm in itertools.permutations(range(1, k + 1)):
-        term = q_perm(perm, n, rset)
+        term = q_perm(perm, n)
         acc = acc + (term if perm_sign(perm) > 0 else -term)
     return acc
 
@@ -314,7 +318,7 @@ def antisymmetrizer_r0_check(n):
     """A^(2) interpolates the R-matrices: R - q^2 R~ = (1 - q^2) A^(2)."""
     rset = build_rmatrix_set(n)
     lhs = rset.R - rset.Rtilde.scaled(Scalar.q_power(2))
-    rhs = antisymmetrizer(2, n, rset).scaled(ONE - Scalar.q_power(2))
+    rhs = antisymmetrizer(2, n).scaled(ONE - Scalar.q_power(2))
     return matrix_verdict(lhs, rhs,
                           label=f"R - q^2 R~ vs (1-q^2) A^(2) at n={n}")
 
@@ -326,9 +330,8 @@ def pq_action_check(k, n):
       = q^{l(sigma tau^-1) - l(tau)} e_{a_{tau sigma^-1(1)}} (x) ...
     for every sigma, tau in S_k and every a_1 < ... < a_k.
     """
-    rset = build_rmatrix_set(n)
     perms = list(itertools.permutations(range(1, k + 1)))
-    ops = {p: q_perm(p, n, rset) for p in perms}
+    ops = {p: q_perm(p, n) for p in perms}
     total = n ** k
 
     def flat(letters):
@@ -358,13 +361,12 @@ def pq_action_check(k, n):
 def reduced_word_independence(k, n):
     """Rebuild every element of S_k from a second reduced word (obtained
     by sorting from the right) and compare operators."""
-    rset = build_rmatrix_set(n)
     for perm in itertools.permutations(range(1, k + 1)):
         w1 = reduced_word(perm)
         w2 = reduced_word(perm, from_right=True)
         if not len(w1) == len(w2) == perm_length(perm):
             raise AssertionError
-        if q_perm(perm, n, rset, w1) != q_perm(perm, n, rset, w2):
+        if q_perm(perm, n, w1) != q_perm(perm, n, w2):
             return Verdict(False, witness=f"reduced words disagree for {perm}: "
                                           f"{w1} vs {w2}")
     return Verdict(True, lhs=f"S_{k} words", rhs="operator-independent")
@@ -381,8 +383,7 @@ def check_fusion(rep, k, sign):
 
     n, d = rep.n, rep.d
     dims = (n,) * k + (d,)
-    rset = build_rmatrix_set(n)
-    asym = embed(lift(antisymmetrizer(k, n, rset), UFIELD),
+    asym = embed(lift(antisymmetrizer(k, n), UFIELD),
                  tuple(range(1, k + 1)), dims)
     factors = []
     for a in range(1, k + 1):

@@ -481,8 +481,8 @@ Q_MINUS_QINV = Q - QINV
 # q-integers and their cyclotomic factors
 # ---------------------------------------------------------------------------
 
-# the two caches below hold values of their key alone, never of the
-# fault setting
+# the two caches below read no fault probe, so they key on none (the
+# cache rule is in :mod:`.faults`)
 
 @functools.cache
 def _phi2(d):
@@ -710,38 +710,44 @@ def _grown(frame, f):
     return _ell1(frame.norms, _norms(f))
 
 
-def _degree_sum(x, y):
-    return x.deg + y.deg
+def _widths(bound, deg, bits, slot):
+    """(B, E): ``bits`` and ``slot`` each doubled until every |coefficient|
+    up to ``bound`` is below 2^(B-1) and every q-degree up to ``deg`` is
+    below E (both None over Q(q))."""
+    while bound.bit_length() >= bits:
+        bits *= 2
+    while deg is not None and deg >= slot:
+        slot *= 2
+    return bits, slot
 
 
-def _fit(need, degree, *ops):
-    """Bring (frame, rows) operands to one digit width B with
-    ``need(*frames) < 2^(B-1)`` and, over a function field, to one slot
-    width E with ``degree(*frames) < E`` (None for a kernel that keeps
-    the q-degrees); returns (the rows, B, E).
+def _fit(rule, den, shift, *ops):
+    """(rows, record) of a kernel on (frame, rows) operands: their rows at
+    one digit width B and, over a function field, one slot width E, and
+    the record of the result, over ``den`` at ``shift``, whose (bound,
+    l1, deg) are ``rule(*frames)`` (deg None over Q(q)).
 
-    When a need reaches its width at the widest operand, the frames that
-    are not tight yet are first re-measured in place from their actual
-    digits, each once in its life; only a width that still does not
-    suffice is doubled.  An operand at another B or E is repacked for
-    this kernel alone: its own matrix keeps its rows."""
+    B and E are the widest operand's unless the rule reaches one of
+    them.  Then the frames that are not tight yet are first re-measured
+    in place from their actual digits, each once in its life, and the
+    rule is applied again; only a width that still does not suffice is
+    doubled.  An operand at another B or E is repacked for this kernel
+    alone: its own matrix keeps its rows."""
     frames = [f for f, _ in ops]
     bits = max(f.bits for f in frames)
     slot = frames[0].slot
     if slot is not None:
         slot = max(f.slot for f in frames)
-    deep = degree is not None and slot is not None
-    if (need(*frames).bit_length() >= bits
-            or deep and degree(*frames) >= slot):
+    bound, l1, deg = rule(*frames)
+    if _widths(bound, deg, bits, slot) != (bits, slot):
         for f, rows in ops:
             if not f.tight:
                 _measure(f, rows)
-        while need(*frames).bit_length() >= bits:
-            bits *= 2
-        while deep and degree(*frames) >= slot:
-            slot *= 2
-    return [rows if f.bits == bits and f.slot == slot
-            else _repacked(rows, f, bits, slot) for f, rows in ops], bits, slot
+        bound, l1, deg = rule(*frames)
+        bits, slot = _widths(bound, deg, bits, slot)
+    return ([rows if f.bits == bits and f.slot == slot
+             else _repacked(rows, f, bits, slot) for f, rows in ops],
+            Packed(den, bits, shift, bound, l1, slot=slot, deg=deg))
 
 
 def _measure(frame, rows):
@@ -799,14 +805,10 @@ def _pack(rows, one, slot=None):
     norms = [_norms(p) for p in nums]
     bound = max((b for b, _ in norms), default=0)
     l1 = max((n for _, n in norms), default=0)
-    bits = BITS
-    while bound.bit_length() >= bits:
-        bits *= 2
     deg = None
     if slot is not None:
         deg = max((a.low + len(a.c) for a in coeffs), default=1) - 1 + shift
-        while deg >= slot:
-            slot *= 2
+    bits, slot = _widths(bound, deg, BITS, slot)
     return ([{j: _encode(p, bits, shift, slot) for j, p in row.items()}
              for row in data],
             Packed(den, bits, shift, bound, l1, True, slot, deg))
@@ -903,15 +905,13 @@ class Packed:
         """(a, b, frame of the products) for rows ``a`` in this frame and
         ``b`` in ``other``, where an output entry sums at most ``terms``
         products."""
-        def need(x, y):
-            return _ell1(x.norms, y.norms, terms)[0]
+        def rule(x, y):
+            deg = None if x.deg is None else x.deg + y.deg
+            return (*_ell1(x.norms, y.norms, terms), deg)
 
-        (a, b), bits, slot = _fit(need, _degree_sum, (self, a), (other, b))
-        deg = None if slot is None else _degree_sum(self, other)
-        return a, b, Packed(_lmul(self.den, other.den), bits,
-                            self.shift + other.shift,
-                            *_ell1(self.norms, other.norms, terms),
-                            slot=slot, deg=deg)
+        (a, b), frame = _fit(rule, _lmul(self.den, other.den),
+                             self.shift + other.shift, (self, a), (other, b))
+        return a, b, frame
 
     def common(self, other, a, b):
         """(a, b, frame of their sums): rows ``a`` in this frame and ``b``
@@ -924,30 +924,24 @@ class Packed:
             fa, fb, den = other.den, self.den, _lmul(self.den, other.den)
         shift = max(self.shift, other.shift)
 
-        def need(x, y):
-            return _grown(x, fa)[0] + _grown(y, fb)[0]
+        def rule(x, y):
+            (bound_a, l1_a), (bound_b, l1_b) = _grown(x, fa), _grown(y, fb)
+            deg = None if x.deg is None else max(
+                x.deg + _qdeg(fa) + shift - x.shift,
+                y.deg + _qdeg(fb) + shift - y.shift)
+            return bound_a + bound_b, l1_a + l1_b, deg
 
-        degree = None
-        if self.slot is not None:
-            up_a = _qdeg(fa) + shift - self.shift
-            up_b = _qdeg(fb) + shift - other.shift
-
-            def degree(x, y):
-                return max(x.deg + up_a, y.deg + up_b)
-
-        (a, b), bits, slot = _fit(need, degree, (self, a), (other, b))
-        (bound_a, l1_a), (bound_b, l1_b) = _grown(self, fa), _grown(other, fb)
+        (a, b), frame = _fit(rule, den, shift, (self, a), (other, b))
+        bits, slot = frame.bits, frame.slot
         return (_times(a, _encode(fa, bits, shift - self.shift, slot)),
                 _times(b, _encode(fb, bits, shift - other.shift, slot)),
-                Packed(den, bits, shift, bound_a + bound_b, l1_a + l1_b,
-                       slot=slot,
-                       deg=None if degree is None else degree(self, other)))
+                frame)
 
     def summed(self, rows, k):
         """(rows, frame of sums of up to ``k`` of their entries)."""
-        (rows,), bits, slot = _fit(lambda x: x.bound * k, None, (self, rows))
-        return rows, Packed(self.den, bits, self.shift, self.bound * k,
-                            self.l1 * k, slot=slot, deg=self.deg)
+        (rows,), frame = _fit(lambda x: (x.bound * k, x.l1 * k, x.deg),
+                              self.den, self.shift, (self, rows))
+        return rows, frame
 
     def trimmed(self, rows):
         """(rows, a record of their own) for ``rows``, some of the entries
@@ -1252,10 +1246,8 @@ class FracField:
         ``frame``."""
         deg = max((x.bit_length() for row in rows for x in row.values()),
                   default=0) // frame.bits
-        slot = SLOT
-        while deg >= slot:
-            slot *= 2
-        return Packed(Poly((frame.den,)), frame.bits, frame.shift,
+        bits, slot = _widths(frame.bound, deg, frame.bits, SLOT)
+        return Packed(Poly((frame.den,)), bits, frame.shift,
                       frame.bound, frame.l1, frame.tight, slot, deg)
 
     def from_coeff(self, c):

@@ -321,18 +321,18 @@ class TMatrix:
             return self.field.zero
         return self.field.join(acc, den)
 
-    def map_entries(self, func, field=None):
+    def map_entries(self, func):
         """Apply ``func`` to the normalised stored entries, dropping zero
         results, and pack the results over one denominator.
 
         ``func`` must send zero to zero, since the entries that are not
         stored are never passed to it; a ``ValueError`` says otherwise.
         """
-        field = field if field is not None else self.field
-        if func(self.field.zero):
+        field = self.field
+        if func(field.zero):
             raise ValueError("map_entries needs a function that sends zero "
                              "to zero")
-        join, den = self.field.join, self.den
+        join, den = field.join, self.den
         out = []
         for row in self._data:
             mapped = ((j, func(join(x, den))) for j, x in row.items())

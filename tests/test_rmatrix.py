@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 
-from qgelfand import faults
+from qgelfand import faults, rmatrix
 from qgelfand.scalars import (Scalar, SCALARS, UFIELD, XFIELD, qnum, ONE,
                               ZERO, Q, QINV, Q_MINUS_QINV)
 from qgelfand.tmatrix import TMatrix, embed, lift
@@ -76,12 +76,38 @@ def test_d_trace_is_quantum_dimension():
         assert d[n - 1, n - 1] == Scalar.q_power(1 - n)
 
 
+def test_d_inverse_is_the_inverse_of_d():
+    for n in range(1, 5):
+        rset = build_rmatrix_set(n)
+        assert rset.Dinv * rset.D == TMatrix.identity(SCALARS, n)
+
+
+def test_rmatrix_set_is_built_once_per_n_and_probe():
+    # one shared set per (n, rmatrix probe); the probe gets a set of its
+    # own, and leaving it gives back the clean set
+    rmatrix._rmatrix_set.cache_clear()
+    clean = build_rmatrix_set(2)
+    assert build_rmatrix_set(2) is clean
+    assert build_rmatrix_set(3) is not clean
+    with faults.inject("rmatrix"):
+        faulty = build_rmatrix_set(2)
+        assert build_rmatrix_set(2) is faulty
+    assert faulty is not clean
+    assert faulty.R != clean.R
+    assert faulty.Rtilde == clean.Rtilde
+    assert build_rmatrix_set(2) is clean
+    for kind in ("rep", "qnum"):
+        with faults.inject(kind):
+            assert build_rmatrix_set(2) is clean
+    assert rmatrix._rmatrix_set.cache_info().misses == 3
+
+
 def test_r0_specialisations():
     # R - x R~ at x=1 is (q - q^-1) P, at x=q^2 it is (1-q^2) A^(2)
     for n in (2, 3):
         rset = build_rmatrix_set(n)
         u = UFIELD
-        at_one = r0(n, u.one, rset)
+        at_one = r0(n, u.one)
         expect = lift(rset.P, u).scaled(u.from_coeff(Q_MINUS_QINV))
         assert at_one == expect
         assert antisymmetrizer_r0_check(n)
@@ -130,13 +156,12 @@ def test_yang_baxter_at_x_cubed_matches_coefficient_oracle():
     # the sides over Q(q)(x) at y = x^3, built as check_yang_baxter does,
     # carry c_ij at x^(i+3j) and nothing else, and c_ij agree side by side
     for n in (2, 3):
-        rset = build_rmatrix_set(n)
         dims = (n, n, n)
         x = XFIELD.gen
         y = x ** 3
-        r12 = embed(r0(n, x, rset), (1, 2), dims)
-        r13 = embed(r0(n, x * y, rset), (1, 3), dims)
-        r23 = embed(r0(n, y, rset), (2, 3), dims)
+        r12 = embed(r0(n, x), (1, 2), dims)
+        r13 = embed(r0(n, x * y), (1, 3), dims)
+        r23 = embed(r0(n, y), (2, 3), dims)
         sides = {False: r12 * (r13 * r23), True: (r23 * r13) * r12}
         oracle = {rev: ybe_coefficients(n, rev) for rev in sides}
         assert oracle[False] == oracle[True]
@@ -232,10 +257,9 @@ def test_perm_helpers_random():
 
 def test_q_perm_word_independence_longest_element():
     # the two standard words for the longest element of S_3
-    rset = build_rmatrix_set(2)
     w0 = (3, 2, 1)
-    op1 = q_perm(w0, 2, rset, word=(1, 2, 1))
-    op2 = q_perm(w0, 2, rset, word=(2, 1, 2))
+    op1 = q_perm(w0, 2, word=(1, 2, 1))
+    op2 = q_perm(w0, 2, word=(2, 1, 2))
     assert op1 == op2
 
 
@@ -263,6 +287,6 @@ def test_antisymmetrizer_ranks():
 def test_antisymmetrizer_quasi_idempotent():
     # A^(2) P_q = -A^(2) = P_q A^(2): top-degree antisymmetry
     rset = build_rmatrix_set(2)
-    a2 = antisymmetrizer(2, 2, rset)
+    a2 = antisymmetrizer(2, 2)
     assert a2 * rset.Pq == -a2
     assert rset.Pq * a2 == -a2

@@ -100,6 +100,25 @@ def test_fault_run_after_clean_run_fails_rep_categories():
     assert failing >= REP_CATEGORIES
 
 
+def test_rmatrix_fault_between_clean_runs_keeps_the_sets_apart():
+    # the R-matrix sets are shared across runs, one per (n, probe): the
+    # probe must fail every n it runs at, and must leave nothing that a
+    # later clean run reads
+    cfg = dict(ns=(2, 3), N_max=1,
+               include=("ybe", "crossing", "antisymmetrizer"))
+    clean = run_suite(SuiteConfig(**cfg))
+    assert clean["summary"]["fail"] == 0
+    report = run_suite(SuiteConfig(**cfg, fault="rmatrix"))
+    failing = {(r["name"], r["context"].split()[0])
+               for r in report["checks"] if r["verdict"] == "fail"}
+    assert failing == {(name, f"n={n}") for name in cfg["include"]
+                       for n in cfg["ns"]}
+    again = run_suite(SuiteConfig(**cfg))
+    for r in (clean, again):
+        r.pop("runtime_ms")
+    assert again == clean
+
+
 def test_centrality_rows_at_n2_3_N2():
     # the z coefficient rows m >= 1 read (q^{n-1} - q^{n+1}) tr_q M^m
     # and keep the names, order and verdicts of the K-power route
