@@ -11,7 +11,7 @@ import contextlib
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, faults
 from .invariants import (closed_form_eigenvalues, classical_eigenvalues,
                          classical_limit_values, require_dominant,
                          shifted_weights)
@@ -79,7 +79,7 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1, metavar="K",
                    help="accepted for compatibility; checks always "
                         "run serially")
-    p.add_argument("--inject-fault", choices=("rmatrix", "rep", "qnum"),
+    p.add_argument("--inject-fault", choices=faults.KINDS,
                    default=None, help=argparse.SUPPRESS)
 
     for name, extra in (("eigenvalue",

@@ -29,10 +29,6 @@ def active(kind):
     return _active == kind
 
 
-def current():
-    return _active
-
-
 def set_fault(kind):
     global _active
     if kind is not None and kind not in KINDS:
@@ -43,7 +39,7 @@ def set_fault(kind):
 @contextmanager
 def inject(kind):
     """Activate a fault kind for the duration of a with-block."""
-    previous = current()
+    previous = _active
     set_fault(kind)
     try:
         yield

@@ -307,7 +307,7 @@ def _divexact(a, b, quotient):
     return quot
 
 
-def render_laurent(p, var="q"):
+def render_laurent(p):
     """Deterministic text form, descending powers: 'q^2 + 1 + q^-2'."""
     if not p.c:
         return "0"
@@ -320,7 +320,7 @@ def render_laurent(p, var="q"):
         if e == 0:
             body = str(abs(a))
         else:
-            pow_txt = var if e == 1 else f"{var}^{e}"
+            pow_txt = "q" if e == 1 else f"q^{e}"
             body = pow_txt if abs(a) == 1 else f"{abs(a)}*{pow_txt}"
         if not parts:
             parts.append(body if a > 0 else f"-{body}")
@@ -460,9 +460,6 @@ class Scalar(_Fraction):
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at q={q0}")
         return self.num.eval_fraction(q0) / d
-
-    def size_hint(self):
-        return len(self.num.c) + len(self.den.c)
 
     def render(self):
         if self.den.is_one():
@@ -1200,9 +1197,6 @@ class Frac(_Fraction):
     def _of(self, num, den, reduced=False):
         return Frac(self.field, num, den, reduced)
 
-    def size_hint(self):
-        return sum(len(a.c) for a in self.num.c + self.den.c)
-
     def render(self):
         return self.field.render(self)
 
@@ -1215,7 +1209,7 @@ class FracField:
     ``Frac``, and ``lifted`` reads a Q(q) matrix's packed numerators as
     constants in var.  ``Scalar`` coefficients come in
     through ``from_coeff`` and ``poly``, which clear their denominators,
-    and are formed again only by ``monic``, ``render`` and ``expand``."""
+    and are formed again only by ``coeffs``, ``render`` and ``expand``."""
 
     def __init__(self, var):
         self.var = var
@@ -1267,10 +1261,10 @@ class FracField:
         return Frac(self, num, Poly((den,)), _reduced=True)
 
     @staticmethod
-    def monic(p):
-        """The coefficients over Q(q) of the nonzero polynomial ``p``,
-        each divided by the leading one."""
-        return [Scalar(a, p.c[-1]) for a in p.c]
+    def coeffs(p):
+        """The coefficients of the numerator ``p``, lowest power first, as
+        elements of Q(q)."""
+        return [Scalar(a) for a in p.c]
 
     def render_poly(self, coeffs):
         """Text form of the polynomial with these ``Scalar`` coefficients,

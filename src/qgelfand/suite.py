@@ -390,14 +390,10 @@ def _run_task(category, fn):
 def run_suite(config):
     """Execute the configured checks; returns the report as a dict."""
     t0 = time.monotonic()
-    previous = faults.current()
-    faults.set_fault(config.fault)
-    try:
+    with faults.inject(config.fault):
         power = functools.cache(
             lambda n, N: reps.tensor_power(reps.vector_rep(n), N))
         chunks = [_run_task(*t) for t in _tasks(config, power)]
-    finally:
-        faults.set_fault(previous)
     rows = sorted((r for chunk in chunks for r in chunk),
                   key=lambda r: (r[0], r[1]))
     checks = []

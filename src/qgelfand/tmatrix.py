@@ -18,9 +18,9 @@ to numerator rows and ``den``), ``join`` (one numerator over ``den``
 to the normalised element) and ``name``; the elements render
 themselves.  ``lift`` uses ``lifted`` (the record of Q(q) numerators
 read as constants of a function field).  ``pencil_inverse`` uses
-``poly`` (a polynomial from its Q(q) coefficients, whose numerator has
-``lcm``) and ``monic`` (the coefficients over Q(q) of such a
-numerator, made monic); from a ``den`` it uses the protocol that
+``gen``, ``poly`` (a polynomial from its Q(q) coefficients, whose
+numerator has ``lcm``) and ``coeffs`` (the coefficients over Q(q) of
+such a numerator); from a ``den`` it uses the protocol that
 brings operands into one frame: ``product`` (products and ``kron``),
 ``common`` (sums and equality) and ``summed`` (traces), and
 ``trimmed``, the record of a block.  An exact zero is never stored:
@@ -59,17 +59,21 @@ No matrix records a tensor factorisation of its index space: ``embed``,
 the matrix does not factor so.  They and ``kron``, like the ring
 operations, walk only the stored entries.
 
-Inverse, solve, rank, determinant and nullspace all run one kernel,
-fraction-field Gauss-Jordan elimination on sparse rows of normalised
-entries.  Pivots are chosen to minimise an entry-size hint, and
-elimination touches only stored entries, so block-decomposable systems
-(such as weight-graded operators) never mix their blocks.  Inverse and
-solve pack their result over the lcm of its entry denominators.
+Inverse, solve, rank, determinant, nullspace and the Krylov
+annihilator of ``pencil_inverse`` all run one elimination step,
+``_insert``: a sparse row of normalised entries is reduced against the
+pivot rows so far, carrying a combination along, and its leftmost
+column becomes its pivot.  So every elimination ends in the reduced row
+echelon form, which is unique, and touches only stored entries, so
+block-decomposable systems (such as weight-graded operators) never mix
+their blocks.  Inverse and solve pack their result over the lcm of its
+entry denominators.
 
 No check eliminates over a function field.  A pencil A - tB over Q(q)
-is inverted over Q(q)(t) by ``pencil_inverse``, from A^-1 and the
-minimal polynomial of A^-1 B, both found over Q(q); Gauss-Jordan over
-a function field serves the tests alone, as that kernel's oracle.
+is inverted over Q(q)(t) by ``pencil_inverse``, from A^-1 and an
+annihilator of A^-1 B of least degree, both found over Q(q);
+elimination over a function field serves the tests alone, as that
+kernel's oracle.
 """
 
 from __future__ import annotations
@@ -386,70 +390,35 @@ class TMatrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _gauss_jordan(self, aug=None):
-        """The elimination kernel: Gauss-Jordan on the normalised entries
-        of ``self``, augmented on the right by the columns of ``aug``.
-
-        Each column of ``self`` in turn takes as pivot the remaining row
-        whose entry there has the smallest size hint; that row is scaled
-        to a leading 1 and the column is cleared in every other row that
-        stores an entry there.  A column with no pivot is passed over, so
-        fewer pivots than rows means a rank deficit.  Returns (rows as
-        dicts of field elements, pivot columns, sign of the row
-        permutation, pivot values before scaling).
-        """
-        rows, cols = self.rows, self.cols
-        one, join = self.field.one, self.field.join
-        work = [{j: join(x, self.den) for j, x in row.items()}
-                for row in self._data]
-        if aug is not None:
-            for row, extra in zip(work, aug._data):
-                for j, x in extra.items():
-                    row[cols + j] = join(x, aug.den)
-        pivots, values = [], []
-        sign = 1
-        pr = 0
-        for c in range(cols):
-            if pr == rows:
-                break
-            best = None
-            best_size = None
-            for r in range(pr, rows):
-                x = work[r].get(c)
-                if x is not None:
-                    s = x.size_hint()
-                    if best is None or s < best_size:
-                        best, best_size = r, s
-            if best is None:
-                continue
-            if best != pr:
-                work[pr], work[best] = work[best], work[pr]
-                sign = -sign
-            p = work[pr][c]
-            pinv = one / p
-            prow = work[pr] = {j: x * pinv for j, x in work[pr].items()}
-            for r in range(rows):
-                if r != pr:
-                    f = work[r].get(c)
-                    if f is not None:
-                        _subtract(work[r], f, prow)
-            pivots.append(c)
-            values.append(p)
-            pr += 1
-        return work, pivots, sign, values
+    def _echelon(self, carries=None):
+        """The rows of ``self``, normalised, put through ``_insert`` in
+        order, row i carrying ``carries[i]`` (nothing when None).  Returns
+        the reduced row echelon basis {pivot column: (row, carry)}, in
+        insertion order, whose rows leave out their leading 1, and the
+        pivot values before scaling."""
+        join, den = self.field.join, self.den
+        basis, values = {}, []
+        for i, row in enumerate(self._data):
+            p = _insert(basis, {j: join(x, den) for j, x in row.items()},
+                        {} if carries is None else carries[i])
+            if p is not None:
+                values.append(p)
+        return basis, values
 
     def _solved(self, aug):
         """The solution X of self @ X = aug for a square ``self``, packed
-        over the lcm of its entry denominators."""
+        over the lcm of its entry denominators: row i of ``aug`` is row
+        i's carry, so the pivot row of column c carries row c of X."""
         if not self.rows == self.cols == aug.rows:
             raise ValueError(f"not a square system: {self.rows}x{self.cols}")
         n = self.rows
-        work, pivots, _, _ = self._gauss_jordan(aug)
-        if len(pivots) < n:
+        join, den = self.field.join, aug.den
+        basis, _ = self._echelon([{j: join(x, den) for j, x in row.items()}
+                                  for row in aug._data])
+        if len(basis) < n:
             raise SingularMatrixError(
-                f"singular matrix: rank {len(pivots)} < {n}")
-        data, den = self.field.pack([
-            {j - n: x for j, x in row.items() if j >= n} for row in work])
+                f"singular matrix: rank {len(basis)} < {n}")
+        data, den = self.field.pack([basis[c][1] for c in range(n)])
         return TMatrix._of(self.field, n, aug.cols, data, den)
 
     def inverse(self):
@@ -460,33 +429,39 @@ class TMatrix:
         return self._solved(rhs)
 
     def rank(self):
-        return len(self._gauss_jordan()[1])
+        return len(self._echelon()[0])
 
     def det(self):
-        """Signed product of the pivots; the product is taken here, not
-        inside the kernel, so inverse and solve never pay for it.
+        """The product of the pivot values, times the sign of the pivot
+        columns' order: the reduced rows, in insertion order, are the unit
+        rows of those columns, a permutation matrix.  The product and the
+        sign are taken here, not inside the kernel, so inverse and solve
+        never pay for them.
         API for the tests and the benchmark tracer; no check calls it."""
         if self.rows != self.cols:
             raise ValueError(f"det of a {self.rows}x{self.cols} matrix")
-        _, pivots, sign, values = self._gauss_jordan()
-        if len(pivots) < self.rows:
+        basis, values = self._echelon()
+        if len(basis) < self.rows:
             return self.field.zero
         acc = self.field.one
         for p in values:
             acc = acc * p
-        return acc if sign > 0 else -acc
+        cols = list(basis)
+        odd = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:]) % 2
+        return -acc if odd else acc
 
     def nullspace(self):
         """Exact kernel basis, deterministic order, first coordinate 1."""
-        work, pivots, _, _ = self._gauss_jordan()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
+        basis, _ = self._echelon()
+        out = []
         zero, one = self.field.zero, self.field.one
-        for fc in free:
+        for fc in range(self.cols):
+            if fc in basis:
+                continue
             v = [zero] * self.cols
             v[fc] = one
-            for r, pc in enumerate(pivots):
-                x = work[r].get(fc)
+            for pc, (row, _) in basis.items():
+                x = row.get(fc)
                 if x is not None:
                     v[pc] = -x
             # normalise: first nonzero coordinate 1
@@ -494,8 +469,8 @@ class TMatrix:
             if not first == one:
                 inv = one / first
                 v = [x * inv for x in v]
-            basis.append(TMatrix.column(self.field, v))
-        return basis
+            out.append(TMatrix.column(self.field, v))
+        return out
 
     def __repr__(self):
         return f"TMatrix({self.rows}x{self.cols} over {self.field.name})"
@@ -510,36 +485,35 @@ def pencil_inverse(ainv, power, field, reverse=False):
     t over the field of ``ainv`` = A^-1, where ``power(j)`` is K^j for
     K = A^-1 B; with ``reverse``, (A - t^-1 B)^-1.
 
-    Let p(t) = t^r + a_1 t^(r-1) + ... + a_r be the minimal polynomial
-    of K (``_annihilator``), p~(t) = t^r p(1/t) = 1 + a_1 t + ... + a_r t^r
-    and B_j = a_0 K^j + a_1 K^(j-1) + ... + a_j (a_0 = 1).  Then
+    Let p(t) = a_0 t^r + a_1 t^(r-1) + ... + a_r be the integral
+    annihilator of K that ``_annihilator`` finds, p~(t) = t^r p(1/t) =
+    a_0 + a_1 t + ... + a_r t^r and B_j = a_0 K^j + a_1 K^(j-1) + ... + a_j.
+    Then, since K B_j = B_(j+1) - a_(j+1) I and B_r = p(K),
 
         (I - tK) (B_0 + t B_1 + ... + t^(r-1) B_(r-1)) = p~(t) I - t^r p(K),
 
-    so once p(K) = 0 is checked exactly, (A - tB)^-1 = (I - tK)^-1 A^-1
-    has the numerators sum_j t^j B_j A^-1 over the denominator p~(t).
-    Reversed, B_j A^-1 stands at t^(r-j) over p(t).  The inverse is
-    unique, so this is the matrix elimination over ``field`` would give,
-    but the elimination and the products run over the coefficient field.
+    which is linear in the a_j, so p need not be monic.  Once p(K) = 0 is
+    checked exactly, (A - tB)^-1 = (I - tK)^-1 A^-1 is sum_j t^j B_j A^-1
+    over p~(t): each B_j A^-1 is formed over Q(q), lifted into ``field``
+    with its packed numerators (``lift``) and scaled by t^j.  Reversed,
+    B_j A^-1 stands at t^(r-j) over p(t).  The inverse is unique, so this
+    is the matrix elimination over ``field`` would give, but the
+    elimination and the products run over the coefficient field.
     Raises ``ArithmeticError`` when p(K) is not 0.
     """
-    a = [ainv.field.one] + _annihilator(power, field)
+    a = _annihilator(power, field)
     r = len(a) - 1
     if _combination([power(r - i) for i in range(r + 1)], a):
         raise ArithmeticError(f"pencil inverse: the degree-{r} annihilator "
                               f"found for K does not annihilate it")
     parts = [ainv] + [power(m) * ainv for m in range(1, r)]
-    zero = ainv.field.zero
-    rows = [{} for _ in range(ainv.rows)]
+    t, n = field.gen, ainv.rows
+    inv = TMatrix.zeros(field, n, n)
     for j in range(r):
-        for i, c, x in _combination(parts[j::-1], a).nonzero():
-            rows[i].setdefault(c, [zero] * r)[j] = x
-    if reverse:
-        rows = [{c: [zero] + cs[::-1] for c, cs in row.items()}
-                for row in rows]
-    data, den = field.pack([{c: field.poly(cs) for c, cs in row.items()}
-                            for row in rows])
-    inv = TMatrix._of(field, ainv.rows, ainv.cols, data, den)
+        # the whole matrix as a block has a record measured from its
+        # entries (``den.trimmed``), so the sums start from tight bounds
+        b = lift(_combination(parts[j::-1], a).block(0, 0, n, n), field)
+        inv = inv + b.scaled(t ** (r - j if reverse else j))
     return inv.scaled(field.poly(a[::-1] if reverse else a).inverse())
 
 
@@ -552,60 +526,86 @@ def _combination(mats, coeffs):
 
 
 def _annihilator(power, field):
-    """[a_1, ..., a_r] for the minimal polynomial
-    p(t) = t^r + a_1 t^(r-1) + ... + a_r of K = ``power(1)``; the lcm is
-    taken over the numerators of ``field``, which clear the denominators
-    of the coefficients, so ``field.monic`` divides it by its leading
-    coefficient at the end.
+    """[a_0, ..., a_r], the coefficients over Q(q) of an annihilator
+    p(t) = a_0 t^r + a_1 t^(r-1) + ... + a_r of K = ``power(1)`` of least
+    degree: the lcm of integral polynomials in the numerators of
+    ``field``, so every a_j is a Laurent polynomial, and a_0 need not
+    be 1.
 
     p(K) = 0 exactly when row i of p(K) is 0 for every i, so p is the lcm
-    over the rows i of the least monic f for which row i of f(K) is 0.
-    Each f comes from a Krylov sequence (A. N. Krylov, 1931): its degree
-    is the first j at which row i of K^j is a combination of rows i of
-    K^0, ..., K^(j-1).  Each power's row is reduced once against the
-    echelon basis of the earlier ones, carrying its combination of the
-    powers along, and a row that reduces to zero gives the polynomial.
-    Row by row, the eliminations stay as small as the rows, and the
-    polynomials of different rows never mix until their lcm."""
+    over the rows i of the least f for which row i of f(K) is 0.  Each f
+    comes from a Krylov sequence (A. N. Krylov, 1931): its degree is the
+    first j at which row i of K^j is a combination of rows i of K^0, ...,
+    K^(j-1).  Each power's row goes through ``_insert`` once, carrying its
+    combination of the powers along, and a row that reduces to zero gives
+    the polynomial.  Row by row, the eliminations stay as small as the
+    rows, and the polynomials of different rows never mix until their
+    lcm."""
     scalars = power(0).field
     polys = {}
     for i in range(power(0).rows):
-        basis = []
+        basis = {}
         j = 0
         while True:
             m = power(j)
-            vec = {c: m[i, c] for c in m._data[i]}
             comb = {j: scalars.one}
-            for key, bvec, bcomb in basis:
-                f = vec.get(key)
-                if f is not None:
-                    _subtract(vec, f, bvec)
-                    _subtract(comb, f, bcomb)
-            if not vec:
+            if _insert(basis, {c: m[i, c] for c in m._data[i]}, comb) is None:
                 break
-            key = min(vec, key=lambda k: vec[k].size_hint())
-            inv = scalars.one / vec[key]
-            basis.append((key, {k: x * inv for k, x in vec.items()},
-                          {k: x * inv for k, x in comb.items()}))
             j += 1
         polys[field.poly([comb.get(k, scalars.zero)
                           for k in range(j + 1)]).num] = None
     p, *rest = polys
     for q in rest:
         p = p.lcm(q)
-    return field.monic(p)[-2::-1]
+    return field.coeffs(p)[::-1]
 
 
-def _subtract(vec, f, other):
-    """vec -= f * other for sparse dict vectors, dropping zeros: the row
-    operation of both eliminations."""
-    for k, y in other.items():
-        x = vec.get(k)
-        x = -(f * y) if x is None else x - f * y
-        if x:
-            vec[k] = x
-        else:
-            vec.pop(k, None)
+def _insert(basis, vec, carry):
+    """The one elimination step: insert the sparse row ``vec``, carrying
+    the sparse row ``carry`` along, into ``basis``, a reduced row echelon
+    basis {pivot column: (row, carry)}.  A pivot row is stored without
+    its leading 1, so no row operation multiplies by it or cancels it.
+
+    ``vec`` is reduced against the pivot rows of the pivot columns it
+    stores, and ``carry`` takes the same row operations; each pivot row is
+    0 in every other pivot column, so one pass leaves no pivot column in
+    ``vec``.  A row that reduces to zero is not inserted: the step returns
+    None, and ``carry`` is its combination.  Otherwise the row's leftmost
+    column becomes its pivot: the row and its carry are scaled to a
+    leading 1, the column is cleared from the earlier pivot rows, and the
+    step returns the pivot value before scaling.  Leftmost pivots keep the
+    basis the reduced row echelon form of the rows inserted so far, which
+    is unique: no result depends on the order of elimination.  Only stored
+    entries are touched, so block-decomposable systems (such as
+    weight-graded operators) never mix their blocks."""
+    for c in [c for c in vec if c in basis]:
+        _subtract((vec, carry), vec.pop(c), basis[c])
+    if not vec:
+        return None
+    c = min(vec)
+    p = vec.pop(c)
+    inv = p.inverse()
+    new = ({k: x * inv for k, x in vec.items()},
+           {k: x * inv for k, x in carry.items()})
+    for old in basis.values():
+        f = old[0].pop(c, None)
+        if f is not None:
+            _subtract(old, f, new)
+    basis[c] = new
+    return p
+
+
+def _subtract(target, f, source):
+    """target -= f * source, row and carry alike, for (row, carry) pairs
+    of sparse dict vectors, dropping zeros."""
+    for vec, other in zip(target, source):
+        for k, y in other.items():
+            x = vec.get(k)
+            x = -(f * y) if x is None else x - f * y
+            if x:
+                vec[k] = x
+            else:
+                vec.pop(k, None)
 
 
 # ---------------------------------------------------------------------------

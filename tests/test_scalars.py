@@ -442,7 +442,7 @@ def test_poly_from_scalar_coefficients(coeffs):
         expect = expect + UFIELD.from_coeff(c) * UFIELD.gen ** i
     assert (x.num, x.den) == (expect.num, expect.den)
     if x:
-        assert UFIELD.monic(x.num) == _euclid_gcd(_trimmed(list(coeffs)), [])
+        assert monic(x.num) == _euclid_gcd(_trimmed(list(coeffs)), [])
 
 
 def test_frac_normal_form_edge_cases():

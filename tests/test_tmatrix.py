@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qgelfand import scalars
+from qgelfand import scalars, tmatrix
 from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, XFIELD,
                               ONE, ZERO, Q, qnum, Poly, Frac)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
@@ -1352,6 +1352,98 @@ def test_pencil_inverse_matches_gauss_jordan_3x3():
         b = rand_matrix(rng, 3, 3)
         for reverse in (False, True):
             check_pencil(a, b, reverse)
+
+
+def test_pencil_inverse_is_linear_in_the_annihilator(monkeypatch):
+    # the annihilator is integral and need not be monic: its coefficients
+    # times the non-unit 1 + q^2 give the same inverse, since
+    # (I - tK) sum_j t^j B_j = p~(t) I - t^r p(K) is linear in them
+    rng = random.Random(1019)
+    pencils = [(rand_invertible(rng, SCALARS, 3), rand_matrix(rng, 3, 3))
+               for _ in range(2)]
+    pencils.append((TMatrix.diag(SCALARS, [Q, qnum(2)]),
+                    TMatrix.unit(SCALARS, 2, 1, 2)))
+    expected = {}
+    for k, (a, b) in enumerate(pencils):
+        ainv = a.inverse()
+        power = powers_of(ainv * b)
+        coeffs = tmatrix._annihilator(power, UFIELD)
+        assert all(c.den.is_one() for c in coeffs)
+        for reverse in (False, True):
+            expected[k, reverse] = pencil_inverse(ainv, power, UFIELD, reverse)
+    real = tmatrix._annihilator
+    factor = ONE + Q * Q
+    monkeypatch.setattr(tmatrix, "_annihilator", lambda power, field: [
+        c * factor for c in real(power, field)])
+    for k, (a, b) in enumerate(pencils):
+        ainv = a.inverse()
+        for reverse in (False, True):
+            got = pencil_inverse(ainv, powers_of(ainv * b), UFIELD, reverse)
+            assert got == expected[k, reverse]
+
+
+# ---------------------------------------------------------------------------
+# the one elimination step
+# ---------------------------------------------------------------------------
+# Every elimination inserts rows in order with leftmost pivots
+# (``tmatrix._insert``), which gives the reduced row echelon form: unique,
+# so no result may depend on the order of the rows.
+
+def permutation_sign(perm):
+    """The sign of a permutation, from its cycle lengths."""
+    sign, seen = 1, set()
+    for i in range(len(perm)):
+        length = 0
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@st.composite
+def permuted_systems(draw):
+    """(A, P, sign of P, rhs): A square over Q(q) with small entries,
+    singular or not, P a permutation matrix and rhs two columns."""
+    n = draw(st.integers(1, 3))
+    entries = st.lists(pencil_entries(), min_size=n * n, max_size=n * n)
+    a = TMatrix(SCALARS, n, n, draw(entries))
+    perm = draw(st.permutations(range(n)))
+    p = TMatrix(SCALARS, n, n, [ONE if j == perm[i] else ZERO
+                                for i in range(n) for j in range(n)])
+    rhs = TMatrix(SCALARS, n, 2, draw(st.lists(pencil_entries(),
+                                               min_size=2 * n,
+                                               max_size=2 * n)))
+    return a, p, permutation_sign(perm), rhs
+
+
+@settings(ORACLE, max_examples=40)
+@given(permuted_systems())
+def test_row_order_leaves_elimination_unchanged(system):
+    a, p, sign, rhs = system
+    pa = p * a
+    assert pa.rank() == a.rank()
+    assert pa.nullspace() == a.nullspace()
+    assert pa.det() == (a.det() if sign > 0 else -a.det())
+    if a.rank() < a.rows:
+        with pytest.raises(SingularMatrixError):
+            pa.inverse()
+        return
+    # (PA)^-1 P = A^-1, and PA X = P rhs has the solution of A X = rhs
+    assert pa.inverse() * p == a.inverse()
+    assert pa.solve(p * rhs) == a.solve(rhs)
+
+
+def test_nullspace_is_read_from_leftmost_pivots():
+    # [1 q 1] pivots on column 0, so columns 1 and 2 are free: the basis
+    # is (-q, 1, 0), (-1, 0, 1), each scaled to first coordinate 1; a
+    # pivot on another column would free column 0
+    a = TMatrix(SCALARS, 1, 3, [ONE, Q, ONE])
+    assert a.nullspace() == [
+        TMatrix.column(SCALARS, [ONE, -Q.inverse(), ZERO]),
+        TMatrix.column(SCALARS, [ONE, ZERO, -ONE])]
 
 
 # ---------------------------------------------------------------------------
