@@ -7,13 +7,14 @@ quantum Gelfand invariants tr_q M^m with M = L^-(L^+)^-1, and checks the
 structural identities between them: the comatrix identities, centrality,
 the Liouville formula z(u) = qdet(uq^2)/qdet(u), the eigenvalue formula
 on highest weight vectors, its partial-fraction form, the q -> 1
-classical limit and the alternate central families.
+classical limit and the alternate central families.  A quantum minor
+is expanded along its first column, and every quantum trace
+tr_1 (D^{+-1} (x) 1_W) X is ``_qtrace``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -316,6 +317,12 @@ def _aux_diag(rep, field, inverse):
     return kron(d, eye)
 
 
+def _qtrace(rep, x, inverse=False):
+    """tr_1 (D (x) 1_W) x, or tr_1 (D^-1 (x) 1_W) x, on W."""
+    return (_aux_diag(rep, x.field, inverse) * x).partial_trace(
+        1, (rep.n, rep.d))
+
+
 @memo
 def _l_inverse(rep, sign):
     """(L+)^-1 or (L-)^-1 over the coefficient field."""
@@ -327,17 +334,6 @@ def _xblock(rep, sign, a, b, w):
     the (a, b) block of the memoised L(w)."""
     d = rep.d
     return evaluated_L(rep, sign, w).block((a - 1) * d, (b - 1) * d, d, d)
-
-
-def _minor_terms(k, u):
-    """(permutation, (-q)^{-l}, shifts) for the k x k quantum minor at u:
-    column t carries the parameter u q^{2(k-t)}."""
-    field = u.field
-    shifts = [u * field.from_coeff(Scalar.q_power(2 * (k - t)))
-              for t in range(1, k + 1)]
-    for perm in itertools.permutations(range(1, k + 1)):
-        coeff = field.from_coeff(_neg_q_power(-perm_length(perm)))
-        yield perm, coeff, shifts
 
 
 def quantum_minor(rep, sign, u, rows, cols):
@@ -352,22 +348,27 @@ def quantum_minor(rep, sign, u, rows, cols):
 
 
 def minor_on_vector(rep, sign, u, rows, cols, vec):
-    """quantum_minor applied to ``vec`` (d x c), never forming the full
-    operator when ``vec`` is a column: each term is a chain of products
-    taken right to left.  The empty minor (no rows and no columns, as
-    the (n-1)-minors of gl_1) is 1, so it returns ``vec``."""
+    """quantum_minor applied to ``vec`` (d x c), expanded along the first
+    column: sum_p (-q)^{-p} X_{rows[p] cols[1]}(u q^{2k-2}) times the
+    minor without rows[p] and cols[1] on ``vec``.  The sigma with
+    sigma(1) = p + 1 have l(sigma) = p + l(sigma') and columns 2..k at
+    the parameters of that (k-1)-minor, so this only regroups the sum
+    over S_k.  No full operator is formed when ``vec`` is a column.  The
+    empty minor (as the (n-1)-minors of gl_1) is 1: it returns ``vec``."""
     k = len(rows)
     if k != len(cols):
         raise ValueError(f"quantum minor on rows {tuple(rows)} and "
                          f"columns {tuple(cols)}")
     if not k:
         return vec
-    acc = TMatrix.zeros(u.field, rep.d, vec.cols)
-    for perm, coeff, shifts in _minor_terms(k, u):
-        w = vec
-        for t in range(k - 1, -1, -1):
-            w = _xblock(rep, sign, rows[perm[t] - 1], cols[t], shifts[t]) * w
-        acc = acc + w.scaled(coeff)
+    w = u * u.field.from_coeff(Scalar.q_power(2 * k - 2))
+    acc = None
+    for p in range(k):
+        term = _xblock(rep, sign, rows[p], cols[0], w) * minor_on_vector(
+            rep, sign, u, rows[:p] + rows[p + 1:], cols[1:], vec)
+        if p:
+            term = term.scaled(u.field.from_coeff(_neg_q_power(-p)))
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -489,9 +490,7 @@ def _lu_inverse(rep, sign):
 def z_matrix(rep, sign):
     """z(u) as an operator on W:
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
-    lshift = _l_shifted(rep, sign)
-    prod = _aux_diag(rep, UFIELD, False) * lshift * _lu_inverse(rep, sign)
-    return prod.partial_trace(1, (rep.n, rep.d)).scaled(
+    return _qtrace(rep, _l_shifted(rep, sign) * _lu_inverse(rep, sign)).scaled(
         UFIELD.from_coeff(qnum(rep.n).inverse()))
 
 
@@ -543,8 +542,7 @@ def z_identity_checks(rep, sign):
     dims = (rep.n, rep.d)
     out = []
 
-    alt = (_aux_diag(rep, field, True) * linv
-           * lshift).partial_trace(1, dims).scaled(inv_n)
+    alt = _qtrace(rep, linv * lshift, True).scaled(inv_n)
     out.append(("trace forms agree",
                 matrix_verdict(z, alt, label=f"z trace forms sign={sign}")))
 
@@ -614,8 +612,7 @@ def _family_power(rep, which, m):
 @memo
 def gelfand_invariant(rep, m):
     """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W."""
-    return (_aux_diag(rep, SCALARS, False)
-            * _family_power(rep, "M", m)).partial_trace(1, (rep.n, rep.d))
+    return _qtrace(rep, _family_power(rep, "M", m))
 
 
 def generator_images(rep):
@@ -665,15 +662,14 @@ def z_series_coefficient(rep, m):
     against the M-power route of ``gelfand_invariant``, and it also
     serves centrality row m = 0.  The suite's other z coefficients are
     derived from tr_q M^m."""
-    d1 = _aux_diag(rep, SCALARS, False)
     inv_n = qnum(rep.n).inverse()
     if m == 0:
-        return d1.partial_trace(1, (rep.n, rep.d)).scaled(inv_n)
+        return _qtrace(rep, _family_power(rep, "pm", 0)).scaled(inv_n)
     lpinv = _l_inverse(rep, "+")
     term = rep.Lp * (_family_power(rep, "pm", m) * lpinv) \
         - (rep.Lm * (_family_power(rep, "pm", m - 1) * lpinv)).scaled(
             Scalar.q_power(2 * rep.n))
-    return (d1 * term).partial_trace(1, (rep.n, rep.d)).scaled(inv_n)
+    return _qtrace(rep, term).scaled(inv_n)
 
 
 # ---------------------------------------------------------------------------
@@ -820,16 +816,13 @@ def alternate_family_checks(rep, m):
       (a)  tr_1 D^-1 ((L+)^-1 L-)^m = tr_q M^m
       (b)  tr_1 D^-1 ((L-)^-1 L+)^m = tr_1 D (L+ (L-)^-1)^m
     """
-    dinv = _aux_diag(rep, SCALARS, True)
-    dmat = _aux_diag(rep, SCALARS, False)
-    dims = (rep.n, rep.d)
     out = []
-    got = (dinv * _family_power(rep, "pm", m)).partial_trace(1, dims)
+    got = _qtrace(rep, _family_power(rep, "pm", m), True)
     out.append(("family (a)",
                 matrix_verdict(got, gelfand_invariant(rep, m),
                                label=f"family (a) m={m} {rep.label}")))
-    lhs = (dinv * _family_power(rep, "mp", m)).partial_trace(1, dims)
-    rhs = (dmat * _family_power(rep, "rev", m)).partial_trace(1, dims)
+    lhs = _qtrace(rep, _family_power(rep, "mp", m), True)
+    rhs = _qtrace(rep, _family_power(rep, "rev", m))
     out.append(("family (b)",
                 matrix_verdict(lhs, rhs,
                                label=f"family (b) m={m} {rep.label}")))
@@ -839,9 +832,8 @@ def alternate_family_checks(rep, m):
 def alternate_eigenvalue_check(rep, lam, m):
     """(c): the hwv scalar of tr_1 D (L+ (L-)^-1)^m is the q -> q^-1
     image of the tr_q M^m eigenvalue."""
-    op = (_aux_diag(rep, SCALARS, False)
-          * _family_power(rep, "rev", m)).partial_trace(1, (rep.n, rep.d))
-    got = scalar_on_vector(op, highest_weight_vector(rep, lam))
+    got = scalar_on_vector(_qtrace(rep, _family_power(rep, "rev", m)),
+                           highest_weight_vector(rep, lam))
     expect = closed_form_eigenvalue(rep.n, lam, m).subs_qinv()
     return equal_verdict(
         got, expect, f"q->1/q family on lambda={tuple(lam)} m={m} {rep.label}")

@@ -261,9 +261,6 @@ def perm_length(p):
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
                if p[i] > p[j])
 
-def perm_sign(p):
-    return -1 if perm_length(p) % 2 else 1
-
 
 def reduced_word(perm, from_right=False):
     """Reduced word (s_{a_1} ... s_{a_m} = perm, composition order) via
@@ -305,12 +302,18 @@ def q_perm(perm, n, word=None):
 
 
 def antisymmetrizer(k, n):
-    """q-antisymmetrizer: signed sum of q-permutation operators over S_k."""
-    total = n ** k
-    acc = TMatrix.zeros(SCALARS, total, total)
-    for perm in itertools.permutations(range(1, k + 1)):
-        term = q_perm(perm, n)
-        acc = acc + (term if perm_sign(perm) > 0 else -term)
+    """q-antisymmetrizer sum_sigma (-1)^{l(sigma)} P_sigma over S_k, coset
+    by coset: A = T_1 = 1, then T_{m+1} = 1 - P_m T_m, the signed sum of
+    P_c over the minimal coset representatives c = s_m ... s_j of S_m in
+    S_{m+1}, and A <- A T_{m+1}.  Each sigma is one sigma' c with lengths
+    adding, and P_{sigma' c} = P_{sigma'} P_c since the flips P_a satisfy
+    the Coxeter relations (the "reduced words" rows check them)."""
+    dims, pq = (n,) * k, build_rmatrix_set(n).Pq
+    one = TMatrix.identity(SCALARS, n ** k)
+    acc = t = one
+    for m in range(1, k):
+        t = one - embed(pq, (m, m + 1), dims) * t
+        acc = acc * t
     return acc
 
 

@@ -370,7 +370,8 @@ def test_evaluated_l_is_one_entry_per_argument():
 
 def test_qdet_matrix_forms_each_evaluated_operator_once(monkeypatch):
     # at n = 3: one scaling in each of L(u), L(uq^2) and L(uq^4), and
-    # one coefficient (-q)^-l(sigma) for each of the 6 permutation terms
+    # one coefficient (-q)^-p for each of the 2 + 3 first-column terms
+    # with p > 0
     calls = []
     scaled = TMatrix.scaled
 
@@ -384,6 +385,57 @@ def test_qdet_matrix_forms_each_evaluated_operator_once(monkeypatch):
         calls.clear()
         inv.qdet_matrix(rep, sign)
         assert len(calls) <= 9, (sign, len(calls))
+
+
+def minor_oracle(rep, sign, u, rows, cols, vec):
+    """The quantum minor on ``vec`` as the sum over S_k of
+    (-q)^{-l(sigma)} X_{rows[sigma(1)] cols[1]}(u q^{2k-2}) ...
+    X_{rows[sigma(k)] cols[k]}(u) vec, each chain taken right to left."""
+    k = len(rows)
+    acc = TMatrix.zeros(UFIELD, rep.d, vec.cols)
+    for perm in itertools.permutations(range(k)):
+        w = vec
+        for t in reversed(range(k)):
+            shift = u * UFIELD.from_coeff(Scalar.q_power(2 * (k - 1 - t)))
+            w = inv._xblock(rep, sign, rows[perm[t]], cols[t], shift) * w
+        length = sum(1 for i in range(k) for j in range(i + 1, k)
+                     if perm[i] > perm[j])
+        coeff = Scalar.q_power(-length)
+        acc = acc + w.scaled(UFIELD.from_coeff(-coeff if length % 2
+                                               else coeff))
+    return acc
+
+
+def minor_index_tuples(n, k):
+    """Ordered, permuted and repeated (rows, cols) pairs of length k."""
+    ordered = tuple(range(1, k + 1))
+    top = tuple(range(n - k + 1, n + 1))
+    out = [(ordered, ordered), (top, ordered), (ordered[::-1], top),
+           (ordered[1:] + ordered[:1], top[::-1])]
+    if k >= 2:
+        out += [((1,) * k, ordered), (top, (n,) * k),
+                ((n,) + ordered[1:], (2,) + top[1:])]
+    return out
+
+
+@pytest.mark.parametrize("n,N", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_minors_match_the_sum_over_s_k(n, N):
+    # the first-column expansion against the k!-term sum it regroups,
+    # as operators and on the (N, 0, ..) highest weight vector
+    rep = vv(n, N)
+    u = UFIELD.gen
+    vec = lift(highest_weight_vector(rep, (N,) + (0,) * (n - 1)), UFIELD)
+    eye = TMatrix.identity(UFIELD, rep.d)
+    for w in (u, u * UFIELD.from_coeff(Scalar.q_power(2))):
+        for sign in "+-":
+            for k in range(1, n + 1):
+                for rows, cols in minor_index_tuples(n, k):
+                    where = (sign, k, rows, cols)
+                    assert inv.quantum_minor(rep, sign, w, rows, cols) == \
+                        minor_oracle(rep, sign, w, rows, cols, eye), where
+                    assert inv.minor_on_vector(rep, sign, w, rows, cols,
+                                               vec) == \
+                        minor_oracle(rep, sign, w, rows, cols, vec), where
 
 
 def test_column_rule():

@@ -15,7 +15,7 @@ from qgelfand.rmatrix import (build_rmatrix_set, r0, r0_inverse,
                               antisymmetrizer, antisymmetrizer_r0_check,
                               pq_action_check, reduced_word_independence,
                               perm_compose, perm_inverse, perm_length,
-                              perm_sign, reduced_word, q_perm)
+                              reduced_word, q_perm)
 
 
 def flat(n, a, b):
@@ -241,7 +241,6 @@ def test_perm_helpers_random():
         # length counts inversions and matches the reduced word
         inversions = sum(1 for i in range(k) for j in range(i + 1, k)
                          if p[i] > p[j])
-        assert perm_sign(p) == (-1) ** inversions
         for from_right in (False, True):
             word = reduced_word(p, from_right)
             assert perm_length(p) == inversions == len(word)
@@ -282,6 +281,18 @@ def test_antisymmetrizer_ranks():
             assert a.rank() == math.comb(n, k), (k, n)
     # vanishing beyond the exterior power
     assert not antisymmetrizer(3, 2)
+
+
+def test_antisymmetrizer_is_the_signed_sum_over_s_k():
+    # the coset recursion against the k!-term sum it regroups
+    for n in (1, 2, 3):
+        for k in range(1, 5):
+            total = n ** k
+            expect = TMatrix.zeros(SCALARS, total, total)
+            for perm in itertools.permutations(range(1, k + 1)):
+                term = q_perm(perm, n)
+                expect = expect + (-term if perm_length(perm) % 2 else term)
+            assert antisymmetrizer(k, n) == expect, (k, n)
 
 
 def test_antisymmetrizer_quasi_idempotent():

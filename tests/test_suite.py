@@ -1,5 +1,6 @@
 """Suite configuration and report assembly."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from qgelfand import faults, invariants, reps, suite, tmatrix
 from qgelfand.scalars import ONE, FracField
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
-                            dominant_partitions, run_suite)
+                            dominant_partitions, render_json, run_suite)
 
 
 def test_dominant_partitions():
@@ -360,6 +361,27 @@ def test_reports_match_the_benchmark_references(name):
     assert len(got) == len(report["checks"]) == len(reference["rows"])
     assert got == want
     assert (report["summary"]["fail"] > 0) == (reference["exit_code"] != 0)
+
+
+# sha256 of ``render_json`` of `verify --n 2,3 --N-max 2 --inject-fault K`
+# with runtime_ms removed, recorded at commit 2246a14, where the quantum
+# minors and the q-antisymmetrizer were still the sums over S_k that the
+# tests keep as oracles.  Every witness of a probe run is pinned, not
+# only its set of failing categories
+PROBE_REPORT_DIGESTS = {
+    "rep": "0441f26982a21b913df22952006cf09fa3417a95978dc374b6b59855e42aada0",
+    "rmatrix":
+        "c5c41565360449655feb2242b815c9efe59fee3b93d4a76535fe37488b99da57",
+    "qnum": "c9b36338dbded147eed6310e0ee9af9a1c6900f6bdc8d8bb725bed239bc411bf",
+}
+
+
+@pytest.mark.parametrize("kind", faults.KINDS)
+def test_probe_reports_match_their_recorded_digests(kind):
+    report = run_suite(SuiteConfig(ns=(2, 3), N_max=2, fault=kind))
+    del report["runtime_ms"]
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == PROBE_REPORT_DIGESTS[kind]
 
 
 # ---------------------------------------------------------------------------
