@@ -2,6 +2,9 @@
 
 Exit codes: 0 all requested checks pass, 1 a verification failed,
 2 usage or configuration error.
+
+``eigenvalue`` and ``limit`` answer from the closed forms of
+:mod:`.formulas` alone; only ``verify`` imports the suite.
 """
 
 from __future__ import annotations
@@ -12,12 +15,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__, faults
-from .invariants import (closed_form_eigenvalues, classical_eigenvalues,
-                         classical_limit_values, require_dominant,
-                         shifted_weights)
-from .reps import WeightError
-from .suite import (SuiteConfig, ConfigError, CHECK_NAMES, run_suite,
-                    render_text, render_json, _lam_str)
+from .formulas import (CHECK_NAMES, ConfigError, WeightError, _lam_str,
+                       closed_form_eigenvalues, classical_eigenvalues,
+                       classical_limit_values, require_dominant,
+                       shifted_weights)
 
 
 def _parse_ints(text):
@@ -143,6 +144,10 @@ def _degrees(args, lam):
 
 
 def cmd_verify(args):
+    # the suite, and with it every matrix and representation module, is
+    # compiled only by the verb that runs it
+    from .suite import SuiteConfig, run_suite, render_text, render_json
+
     try:
         config = SuiteConfig(ns=args.n, N_max=args.N_max, m_max=args.m_max,
                              order=args.order, include=args.checks,

@@ -28,10 +28,7 @@ from . import faults
 from .scalars import SCALARS, Scalar, ONE, Q, QINV, Q_MINUS_QINV
 from .tmatrix import TMatrix, embed, lift
 from .verdict import Verdict, matrix_verdict
-
-
-class WeightError(ValueError):
-    """Requested weight is not dominant or not present in the module."""
+from .formulas import WeightError
 
 
 class NotEigenvectorError(ArithmeticError):

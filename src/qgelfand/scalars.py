@@ -28,7 +28,7 @@ are formed only on the way out.  One loop per job serves both rings:
 Every q-integer comes from one factorisation site, ``_qint_factors``:
 [k]_q = +-q^(1-k) prod_{d | k, d > 1} Phi_d(q^2), whose cyclotomic
 factors are pairwise coprime.  Products and quotients of q-integers are
-therefore exponent vectors over the Phi_d(q^2), and :mod:`.invariants`
+therefore exponent vectors over the Phi_d(q^2), and :mod:`.formulas`
 puts its eigenvalue formulas in lowest terms with no gcd.
 
 Limits at q = 1 are taken exactly: a common factor (q - 1) is divided
@@ -504,7 +504,7 @@ def _qint_factors(k):
     the divisors d > 1 of |k|, or None when k = 0.  The Phi_d(q^2) of
     distinct d are coprime: all divide the squarefree q^(2M) - 1 for a
     common multiple M.  Every q-integer is formed from this one site,
-    ``qnum`` and the weights of :mod:`.invariants` alike, so the
+    ``qnum`` and the weights of :mod:`.formulas` alike, so the
     ``qnum`` fault probe (every nonzero |k| one too large) acts here."""
     if k == 0:
         return None
@@ -811,6 +811,21 @@ def _pack(rows, one, slot=None):
             Packed(den, bits, shift, bound, l1, True, slot, deg))
 
 
+def _pack_one(x, slot=None):
+    """(packed numerator, tight record) of one nonzero element: ``_pack``
+    of the 1x1 matrix (x), read from x alone, whose lcm is its ``den``."""
+    p = x.num
+    coeffs = (p,) if slot is None else [a for a in p.c if a]
+    shift = -min(a.low for a in coeffs)
+    bound, l1 = _norms(p)
+    deg = None
+    if slot is not None:
+        deg = max(a.low + len(a.c) for a in coeffs) - 1 + shift
+    bits, slot = _widths(bound, deg, BITS, slot)
+    return (_encode(p, bits, shift, slot),
+            Packed(x.den, bits, shift, bound, l1, True, slot, deg))
+
+
 class Packed:
     """The denominator of a matrix, and how its numerators are packed: one
     record for Q(q), Q(q)(u) and Q(q)(x).
@@ -969,10 +984,10 @@ class Packed:
 class _ScalarField:
     """Field descriptor for Q(q).
 
-    ``pack`` and ``join`` are the matrix storage interface (see
-    :mod:`.tmatrix`): ``pack`` turns rows of ``Scalar`` entries into
-    packed integer numerators over a ``Packed`` record, and ``join``
-    decodes one of them into the reduced ``Scalar``.
+    ``pack``, ``pack_one`` and ``join`` are the matrix storage interface
+    (see :mod:`.tmatrix`): ``pack`` turns rows of ``Scalar`` entries (and
+    ``pack_one`` one) into packed integer numerators over a ``Packed``
+    record, and ``join`` decodes one of them into the reduced ``Scalar``.
     """
 
     name = "Q(q)"
@@ -983,6 +998,8 @@ class _ScalarField:
     def pack(rows):
         """(packed rows, record) for rows {column: nonzero Scalar}."""
         return _pack(rows, _L_ONE)
+
+    pack_one = staticmethod(_pack_one)
 
     @staticmethod
     def join(x, frame):
@@ -1202,14 +1219,15 @@ class Frac(_Fraction):
 
 
 class FracField:
-    """The field Q(q)(var).  ``pack`` and ``join`` are the matrix storage
-    interface (see :mod:`.tmatrix`): ``pack`` puts rows of elements over
-    one ``Poly`` denominator and packs each numerator into one integer
-    in u-slots (``Packed``), ``join`` decodes one into the reduced
-    ``Frac``, and ``lifted`` reads a Q(q) matrix's packed numerators as
-    constants in var.  ``Scalar`` coefficients come in
-    through ``from_coeff`` and ``poly``, which clear their denominators,
-    and are formed again only by ``coeffs``, ``render`` and ``expand``."""
+    """The field Q(q)(var).  ``pack``, ``pack_one`` and ``join`` are the
+    matrix storage interface (see :mod:`.tmatrix`): ``pack`` puts rows of
+    elements (``pack_one`` one) over one ``Poly`` denominator and packs
+    each numerator into one integer in u-slots (``Packed``), ``join``
+    decodes one into the reduced ``Frac``, and ``lifted`` reads a Q(q)
+    matrix's packed numerators as constants in var.  ``Scalar``
+    coefficients come in through ``from_coeff`` and ``poly``, which clear
+    their denominators, and are formed again only by ``coeffs``,
+    ``render`` and ``expand``."""
 
     def __init__(self, var):
         self.var = var
@@ -1221,6 +1239,10 @@ class FracField:
     def pack(self, rows):
         """(packed rows, record) for rows {column: nonzero element}."""
         return _pack(rows, _P_ONE, SLOT)
+
+    def pack_one(self, x):
+        """(packed numerator, record) of one nonzero element."""
+        return _pack_one(x, SLOT)
 
     def join(self, x, frame):
         """The normalised element whose packed numerator is ``x``: its

@@ -20,27 +20,9 @@ import time
 from dataclasses import dataclass, asdict
 
 from . import __version__, faults
-from . import rmatrix, reps, invariants
+from . import rmatrix, reps, invariants, formulas
+from .formulas import CHECK_NAMES, ConfigError, _lam_str
 from .verdict import Verdict, equal_verdict
-
-CHECK_NAMES = (
-    "ybe",
-    "crossing",
-    "f-series",
-    "antisymmetrizer",
-    "fusion",
-    "defining-relations",
-    "comatrix",
-    "z-identities",
-    "centrality",
-    "liouville",
-    "series-expansion",
-    "eigenvalue-match",
-    "partial-fractions",
-    "classical-limit",
-    "alternate-families",
-    "shift-covariance",
-)
 
 
 # The largest operator a run may build, as a dimension: n^2 * n^N-max for
@@ -51,10 +33,6 @@ CHECK_NAMES = (
 # N-max 6 (6561) and n=6 with the antisymmetrizer (46656) before anything
 # is built.
 MAX_OPERATOR_DIM = 4096
-
-
-class ConfigError(ValueError):
-    """Rejected suite configuration (unknown names, bad bounds, too large)."""
 
 
 def _check_dim(n, exp, formula):
@@ -145,10 +123,6 @@ def dominant_partitions(total, parts):
     return out
 
 
-def _lam_str(lam):
-    return "(" + ",".join(str(x) for x in lam) + ")"
-
-
 # ---------------------------------------------------------------------------
 # the check table
 # ---------------------------------------------------------------------------
@@ -216,7 +190,7 @@ def _centrality_rows(rep, m_max, order):
     rows = [(f"tr_q M^{m}",
              invariants.centrality_verdict(rep, f"tr_q M^{m}", gen))
             for m, gen in first.items()]
-    factor = invariants.series_factor(rep.n)
+    factor = formulas.series_factor(rep.n)
     for m in range(order + 1):
         if m not in first:
             z = (invariants.gelfand_invariant(rep, m).scaled(factor)
@@ -246,7 +220,7 @@ def _inverted_rows(rep, lam, m_max):
 
 def _formula_rows(n, lams, m_max):
     return [(f"lambda={_lam_str(lam)} s={s} m={m} formula",
-             invariants.shift_covariance_formula_check(n, lam, m, s))
+             formulas.shift_covariance_formula_check(n, lam, m, s))
             for lam in lams for s in (1, 2) for m in range(1, m_max + 1)]
 
 
@@ -337,7 +311,7 @@ def _check_table():
              (n, lam, range(1, c.m_max + 1)))
             for n in c.ns for N in range(min(c.N_max, 3) + 1)
             for lam in dominant_partitions(N, n)),
-         invariants.classical_limit_checks),
+         formulas.classical_limit_checks),
         ("alternate-families", lambda c: _powers(
             _small(c), min(c.N_max, 3), c.m_max), _family_rows),
         ("alternate-families", lambda c: _weights(c, c.m_max), _inverted_rows),

@@ -14,7 +14,8 @@ coefficients fill slots of the integer, and the denominator a ``Poly``.
 The record states the bound and degree rules and why decoding and
 zero tests are exact.  This module knows no ring.  From the field
 descriptor it uses ``zero``, ``one``, ``pack`` (rows of field elements
-to numerator rows and ``den``), ``join`` (one numerator over ``den``
+to numerator rows and ``den``), ``pack_one`` (one element, for
+``scaled``), ``join`` (one numerator over ``den``
 to the normalised element) and ``name``; the elements render
 themselves.  ``lift`` uses ``lifted`` (the record of Q(q) numerators
 read as constants of a function field).  ``pencil_inverse`` uses
@@ -254,8 +255,8 @@ class TMatrix:
         takes its denominator."""
         if not s:
             return TMatrix.zeros(self.field, self.rows, self.cols)
-        srows, sden = self.field.pack([{0: s}])
-        data, srows, den = self.den.product(sden, self._data, srows, 1)
+        num, sden = self.field.pack_one(s)
+        data, srows, den = self.den.product(sden, self._data, [{0: num}], 1)
         num = srows[0][0]
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: num * x for j, x in row.items()}

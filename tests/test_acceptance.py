@@ -21,7 +21,7 @@ from qgelfand.rmatrix import (build_rmatrix_set, check_yang_baxter,
 from qgelfand.reps import (vector_rep, tensor_power,
                            verify_defining_relations)
 from qgelfand.suite import CHECK_NAMES, dominant_partitions
-from qgelfand import invariants as inv
+from qgelfand import formulas, invariants as inv
 
 
 _REP_CACHE = {}
@@ -209,13 +209,13 @@ def test_criterion_08_classical_limit():
     for n in (2, 3, 4):
         for lam in lam_set(n):
             for m in range(5):
-                v = inv.classical_limit_check(n, lam, m)
+                v = formulas.classical_limit_check(n, lam, m)
                 if not v:
                     failures.append((n, lam, m, v.witness))
     # independently derived spot values: trace and Casimir of gl_2 on (1,0)
-    if inv.classical_limit_value(2, (1, 0), 1) != 1:
+    if formulas.classical_limit_value(2, (1, 0), 1) != 1:
         failures.append(("spot", "m=1", "expected 1"))
-    if inv.classical_limit_value(2, (1, 0), 2) != 2:
+    if formulas.classical_limit_value(2, (1, 0), 2) != 2:
         failures.append(("spot", "m=2", "expected 2"))
     conclude(8, "classical limit matches Perelomov-Popov values",
              t0, 60, failures)

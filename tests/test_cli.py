@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qgelfand import cli
-from qgelfand.invariants import shifted_weights
+from qgelfand.formulas import shifted_weights
 from qgelfand.suite import CHECK_NAMES, SuiteConfig, ConfigError
 
 
@@ -145,11 +145,11 @@ def dominant_weights(n, budget, cap=None):
 
 def test_q_span_bounds_the_built_polynomials():
     # every numerator, the common denominator and q^0 fit in the span
-    from qgelfand import invariants
+    from qgelfand import formulas
     for n, lam in ((1, (0,)), (1, (-4,)), (2, (5, -5)), (3, (2, 2, -1)),
                    (4, (6, 1, -2, -5)), (6, (16, 0, 0, 0, 0, 0))):
         ell = shifted_weights(n, lam)
-        lcd, nums = invariants._eigen_numerators(n, lam, range(7))
+        lcd, nums = formulas._eigen_numerators(n, lam, range(7))
         for m, num in enumerate(nums):
             polys = [p for p in (num, lcd) if p]
             low = min(0, *(p.low for p in polys))

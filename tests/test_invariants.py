@@ -13,7 +13,7 @@ from qgelfand.tmatrix import TMatrix, lift
 from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
                            evaluated_L)
-from qgelfand import faults, invariants as inv
+from qgelfand import faults, formulas, invariants as inv
 
 
 def v(n):
@@ -29,65 +29,67 @@ def vv(n, N):
 # ---------------------------------------------------------------------------
 
 def test_shifted_weights():
-    assert inv.shifted_weights(3, (2, 1, 0)) == (4, 2, 0)
-    assert inv.shifted_weights(2, (0, 0)) == (1, 0)
+    assert formulas.shifted_weights(3, (2, 1, 0)) == (4, 2, 0)
+    assert formulas.shifted_weights(2, (0, 0)) == (1, 0)
     with pytest.raises(WeightError, match="length"):
-        inv.shifted_weights(2, (1, 0, 0))
+        formulas.shifted_weights(2, (1, 0, 0))
 
 
 def test_require_dominant_message():
     with pytest.raises(WeightError) as err:
-        inv.require_dominant(2, (0, 1))
+        formulas.require_dominant(2, (0, 1))
     assert str(err.value) == ("weight (0, 1) is not dominant: "
                               "repeated shifted weight l_1 = l_2 = 1")
 
 
 def test_closed_form_goldens():
-    assert inv.closed_form_eigenvalue(2, (1, 0), 0).render() == "q + q^-1"
-    assert inv.closed_form_eigenvalue(2, (1, 0), 1).render() == "q^3 + q^-1"
-    assert inv.closed_form_eigenvalue(2, (2, 0), 1).render() == "q^5 + q^-1"
-    assert inv.closed_form_eigenvalue(1, (5,), 3) == Scalar.q_power(30)
+    e = formulas.closed_form_eigenvalue
+    assert e(2, (1, 0), 0).render() == "q + q^-1"
+    assert e(2, (1, 0), 1).render() == "q^3 + q^-1"
+    assert e(2, (2, 0), 1).render() == "q^5 + q^-1"
+    assert e(1, (5,), 3) == Scalar.q_power(30)
 
 
 def test_closed_form_m0_is_quantum_dimension_sum():
     # E_0 telescopes to [n] for every dominant weight
     for n, lam in ((2, (1, 0)), (2, (3, 1)), (3, (2, 1, 0)), (4, (1, 1, 0, 0))):
-        assert inv.closed_form_eigenvalue(n, lam, 0) == qnum(n)
+        assert formulas.closed_form_eigenvalue(n, lam, 0) == qnum(n)
 
 
 def test_closed_form_eval_at_rational_q():
-    e = inv.closed_form_eigenvalue(2, (1, 0), 1)
+    e = formulas.closed_form_eigenvalue(2, (1, 0), 1)
     assert e.eval_at(Fraction(2)) == Fraction(17, 2)
     assert e.eval_at(Fraction(3, 2)) == Fraction(97, 24)
-    assert inv.closed_form_eigenvalue(2, (2, 0), 1).eval_at(Fraction(1)) == 2
+    e = formulas.closed_form_eigenvalue(2, (2, 0), 1)
+    assert e.eval_at(Fraction(1)) == 2
 
 
 def test_classical_spots():
-    assert inv.classical_eigenvalue(2, (1, 0), 1) == 1
-    assert inv.classical_eigenvalue(2, (1, 0), 2) == 2
-    assert inv.classical_limit_value(2, (1, 0), 1) == 1
-    assert inv.classical_limit_value(2, (1, 0), 2) == 2
-    assert inv.classical_limit_value(2, (1, 0), 0) == 2
-    assert inv.classical_limit_value(3, (0, 0, 0), 1) == 0
+    assert formulas.classical_eigenvalue(2, (1, 0), 1) == 1
+    assert formulas.classical_eigenvalue(2, (1, 0), 2) == 2
+    assert formulas.classical_limit_value(2, (1, 0), 1) == 1
+    assert formulas.classical_limit_value(2, (1, 0), 2) == 2
+    assert formulas.classical_limit_value(2, (1, 0), 0) == 2
+    assert formulas.classical_limit_value(3, (0, 0, 0), 1) == 0
 
 
 def test_classical_limit_sweep():
     for n, lam in ((1, (4,)), (2, (2, 1)), (2, (3, 0)), (3, (2, 1, 0)),
                    (3, (1, 1, 1)), (4, (1, 0, 0, 0))):
         for m in range(1, 5):
-            assert inv.classical_limit_check(n, lam, m), (n, lam, m)
+            assert formulas.classical_limit_check(n, lam, m), (n, lam, m)
 
 
 def test_series_factor_forms():
     for n in range(1, 5):
-        f = inv.series_factor(n)
+        f = formulas.series_factor(n)
         assert f == Scalar.q_power(n - 1) - Scalar.q_power(n + 1)
         assert f == (ONE - Scalar.q_power(2 * n)) / qnum(n)
 
 
 def test_partial_fraction_constants():
     for n, lam in ((2, (1, 0)), (3, (1, 0, 0)), (3, (2, 1, 0))):
-        c, a = inv.partial_fraction_constants(n, lam)
+        c, a = formulas.partial_fraction_constants(n, lam)
         assert c == Scalar.q_power(2 * n)
         # z(0) = 1 pins the residue sum
         total = SCALARS.zero
@@ -102,7 +104,7 @@ def test_partial_fraction_constants():
 
 def per_m_eigenvalue(n, lam, m):
     """E_m term by term, every product and sum normalised on its own."""
-    ell = inv.shifted_weights(n, lam)
+    ell = formulas.shifted_weights(n, lam)
     acc = SCALARS.zero
     for k in range(n):
         term = Scalar.q_power(2 * ell[k] * m)
@@ -114,10 +116,10 @@ def per_m_eigenvalue(n, lam, m):
 
 
 def per_k_partial_fractions(n, lam):
-    ell = inv.shifted_weights(n, lam)
+    ell = formulas.shifted_weights(n, lam)
     a = []
     for k in range(n):
-        term = inv.series_factor(n)
+        term = formulas.series_factor(n)
         for i in range(n):
             if i != k:
                 term = term * qnum(ell[i] - ell[k] + 1) / qnum(ell[i] - ell[k])
@@ -185,7 +187,7 @@ BATCH_WEIGHTS = random_dominant_weights(5, 40)
 
 def test_batch_weights_cover_zero_weights_and_negatives():
     zero_weight = [lam for n, lam in BATCH_WEIGHTS
-                   if not all(inv._pp_weights(n, lam)[1])]
+                   if not all(formulas._pp_weights(n, lam)[1])]
     assert len(zero_weight) >= 10
     assert any(min(lam) < 0 for _, lam in BATCH_WEIGHTS)
     assert {n for n, _ in BATCH_WEIGHTS} == set(range(1, 7))
@@ -193,24 +195,24 @@ def test_batch_weights_cover_zero_weights_and_negatives():
 
 @pytest.mark.parametrize("n,lam", BATCH_WEIGHTS)
 def test_closed_form_batch_matches_oracles(n, lam):
-    batch = inv.closed_form_eigenvalues(n, lam, range(7))
+    batch = formulas.closed_form_eigenvalues(n, lam, range(7))
     q0 = Fraction(3, 2)
     for m, e in enumerate(batch):
         ref = per_m_eigenvalue(n, lam, m)
         assert (e.num, e.den) == (ref.num, ref.den), m
         assert e.render() == ref.render()
         assert e.eval_at(q0) == fraction_eigenvalue(n, lam, m, q0)
-        assert inv.closed_form_eigenvalue(n, lam, m) == e
-    assert inv.closed_form_eigenvalues(n, lam, (5, 0, 5)) == [
+        assert formulas.closed_form_eigenvalue(n, lam, m) == e
+    assert formulas.closed_form_eigenvalues(n, lam, (5, 0, 5)) == [
         batch[5], batch[0], batch[5]]
-    limits = inv.classical_limit_values(n, lam, range(7))
-    direct = inv.classical_eigenvalues(n, lam, range(7))
+    limits = formulas.classical_limit_values(n, lam, range(7))
+    direct = formulas.classical_eigenvalues(n, lam, range(7))
     assert limits == direct == [classical_oracle(n, lam, m) for m in range(7)]
-    assert inv.classical_eigenvalues(n, lam, (5, 0, 5)) == [
+    assert formulas.classical_eigenvalues(n, lam, (5, 0, 5)) == [
         direct[5], direct[0], direct[5]]
-    assert inv.classical_eigenvalue(n, lam, 3) == direct[3]
-    assert inv.classical_limit_values(n, lam, (4,)) == [limits[4]]
-    assert inv.partial_fraction_constants(n, lam) == \
+    assert formulas.classical_eigenvalue(n, lam, 3) == direct[3]
+    assert formulas.classical_limit_values(n, lam, (4,)) == [limits[4]]
+    assert formulas.partial_fraction_constants(n, lam) == \
         per_k_partial_fractions(n, lam)
 
 
@@ -229,7 +231,7 @@ def gcd_route_weights(n, lam):
     """The Perelomov-Popov weights by the gcd route: each c_k one product
     of q-integers over another, put in lowest terms by ``Scalar``, whose
     normalisation divides by the PRS gcd."""
-    ell = inv.shifted_weights(n, lam)
+    ell = formulas.shifted_weights(n, lam)
     out = []
     for k in range(n):
         num = den = IntLaurent.from_int(1)
@@ -244,7 +246,7 @@ def gcd_route_weights(n, lam):
 def gcd_route_eigenvalues(n, lam, ms):
     """E_m by the gcd route: the weights over the lcm of their
     denominators, each E_m one gcd normalisation."""
-    ell = inv.shifted_weights(n, lam)
+    ell = formulas.shifted_weights(n, lam)
     weights = gcd_route_weights(n, lam)
     lcd = IntLaurent.from_int(1)
     for c in weights:
@@ -285,34 +287,34 @@ def test_cyclotomic_route_matches_the_gcd_route(weight):
     n, lam = weight
     for fault in (None, "qnum"):
         with faults.inject(fault):
-            got = inv._pp_weights(n, lam)[1]
+            got = formulas._pp_weights(n, lam)[1]
             expect = gcd_route_weights(n, lam)
             assert [(c.num, c.den) for c in got] == \
                 [(c.num, c.den) for c in expect], fault
-            got = inv.closed_form_eigenvalues(n, lam, range(7))
+            got = formulas.closed_form_eigenvalues(n, lam, range(7))
             expect = gcd_route_eigenvalues(n, lam, range(7))
             assert [(e.num, e.den) for e in got] == \
                 [(e.num, e.den) for e in expect], fault
 
 
 def test_batch_empty_degrees():
-    assert inv.closed_form_eigenvalues(2, (1, 0), ()) == []
-    assert inv.classical_limit_values(2, (1, 0), ()) == []
+    assert formulas.closed_form_eigenvalues(2, (1, 0), ()) == []
+    assert formulas.classical_limit_values(2, (1, 0), ()) == []
 
 
 def test_classical_limit_checks_rows():
-    rows = inv.classical_limit_checks(3, (2, 1, 0), range(1, 4))
+    rows = formulas.classical_limit_checks(3, (2, 1, 0), range(1, 4))
     assert [name for name, _ in rows] == ["m=1", "m=2", "m=3"]
     assert all(v for _, v in rows)
     with faults.inject("qnum"):
-        rows = inv.classical_limit_checks(2, (1, 0), range(1, 4))
+        rows = formulas.classical_limit_checks(2, (1, 0), range(1, 4))
     assert not all(v for _, v in rows)
 
 
 def test_shift_covariance_formula():
     for n, lam, m, s in ((2, (1, 0), 2, 1), (3, (2, 1, 0), 3, 2),
                          (2, (0, 0), 1, 3)):
-        assert inv.shift_covariance_formula_check(n, lam, m, s)
+        assert formulas.shift_covariance_formula_check(n, lam, m, s)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ def test_qdet_scalar_matches_closed_form():
     for rep, lam in ((v(2), (1, 0)), (vv(2, 2), (1, 1)), (vv(2, 2), (2, 0)),
                      (v(3), (1, 0, 0))):
         got = inv.qdet_scalar(rep, "+", lam)
-        assert got == inv.qdet_scalar_closed_form(rep.n, lam)
+        assert got == formulas.qdet_scalar_closed_form(rep.n, lam)
 
 
 def test_qdet_n1_is_l11():
@@ -552,7 +554,7 @@ def test_z_coefficients_are_scaled_gelfand_invariants():
     # K-power route gives (q^{n-1} - q^{n+1}) tr_q M^m
     for n, N in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3)):
         rep = vv(n, N)
-        factor = inv.series_factor(n)
+        factor = formulas.series_factor(n)
         for m in range(1, 4):
             assert inv.z_series_coefficient(rep, m) == \
                 inv.gelfand_invariant(rep, m).scaled(factor), (n, N, m)
@@ -682,6 +684,6 @@ def test_eigenvalues_are_laurent_polynomials():
     # denominators all cancel, so eigenvalues specialise at any q != 0
     for n, lam in ((2, (2, 1)), (3, (2, 1, 0))):
         for m in range(4):
-            e = inv.closed_form_eigenvalue(n, lam, m)
+            e = formulas.closed_form_eigenvalue(n, lam, m)
             assert e.den.is_one()
             assert e.eval_at(Fraction(-1)) is not None

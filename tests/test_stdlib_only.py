@@ -76,3 +76,15 @@ def test_tmatrix_imports_nothing_from_scalars():
              if name == "qgelfand.scalars"
              or name.startswith("qgelfand.scalars.")]
     assert not found, found
+
+
+def test_formulas_import_only_scalars_and_verdict():
+    """The closed forms answer the ``eigenvalue`` and ``limit`` commands
+    with no matrix or representation code loaded."""
+    allowed = ("qgelfand.scalars", "qgelfand.verdict")
+    found = [f"formulas.py:{line}: {name}"
+             for line, name in _imported_modules(PACKAGE / "formulas.py")
+             if name.startswith("qgelfand")
+             and not any(name == m or name.startswith(f"{m}.")
+                         for m in allowed)]
+    assert not found, found

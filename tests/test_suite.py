@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qgelfand import faults, invariants, reps, suite, tmatrix
+from qgelfand import faults, formulas, invariants, reps, suite, tmatrix
 from qgelfand.scalars import ONE, FracField
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
                             dominant_partitions, render_json, run_suite)
@@ -149,7 +149,7 @@ def test_derived_z_rows_match_the_full_check():
     rows = {r["context"]: r for r in report["checks"]}
     with faults.inject("rep"):
         rep = reps.tensor_power(reps.vector_rep(2), 2)
-        factor = invariants.series_factor(2)
+        factor = formulas.series_factor(2)
         for m in range(1, 4):
             label = f"z coefficient {m}"
             full = invariants.centrality_check(

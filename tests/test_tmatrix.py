@@ -1063,6 +1063,20 @@ def assert_record_sound(frame, *rows):
         assert fresh.deg == frame.deg is None or fresh.deg <= frame.deg
 
 
+def assert_pack_one_is_pack(field, s):
+    """``pack_one`` (the packing of ``scaled``) stores a nonzero element
+    as ``pack`` stores the 1x1 matrix (s), with the same tight record,
+    and that record bounds the packed digits."""
+    if not s:
+        return
+    num, frame = field.pack_one(s)
+    (row,), whole = field.pack([{0: s}])
+    assert row == {0: num} and frame.tight
+    assert all(getattr(frame, k) == getattr(whole, k)
+               for k in scalars.Packed.__slots__)
+    assert_record_sound(frame, [{0: num}])
+
+
 def entrywise_sums(x, y):
     return [{j: rx.get(j, 0) + ry.get(j, 0) for j in rx.keys() | ry.keys()
              if rx.get(j, 0) + ry.get(j, 0)} for rx, ry in zip(x, y)]
@@ -1076,6 +1090,7 @@ def test_every_kernel_record_bounds_its_digits(a, a2, b, m, s):
     below what the digits they describe hold, also after a cancelling
     sum has left an operand's record loose."""
     loose = (a + a2) - a2
+    assert_pack_one_is_pack(SCALARS, s)
     results = [a * b, a + a2, a - a2, loose * b, a.scaled(s), kron(a, b),
                kron(loose, b), embed(m, (3, 1), (2, 3, 2)),
                m.block(1, 1, 2, 3), loose.block(0, 1, 2, 2),
@@ -1163,6 +1178,7 @@ def test_packed_function_field_kernels_match_entrywise_frac(field, data):
     s = data.draw(f_entries(field))
     ae, a2e, me = a.e, a2.e, m.e
     loose = (a + a2) - a2
+    assert_pack_one_is_pack(field, s)
     for r in (a * b, a + a2, loose * b, a.scaled(s), kron(loose, b),
               m.partial_trace(1, (2, 2)), m.block(1, 1, 2, 3)):
         assert_record_sound(r.den, r._data)
