@@ -702,11 +702,6 @@ def _qdeg(p):
     return max(a.low + len(a.c) for a in p.c if a) - 1
 
 
-def _grown(frame, f):
-    """(bound, l1) of a frame's numerators times ``f``."""
-    return _ell1(frame.norms, _norms(f))
-
-
 def _widths(bound, deg, bits, slot):
     """(B, E): ``bits`` and ``slot`` each doubled until every |coefficient|
     up to ``bound`` is below 2^(B-1) and every q-degree up to ``deg`` is
@@ -789,13 +784,12 @@ def _repacked(rows, frame, bits, slot):
     return [{j: repack(x) for j, x in row.items()} for row in rows]
 
 
-def _pack(rows, one, slot=None):
-    """(packed rows, tight record) for rows {column: nonzero element}:
-    the numerators over the lcm of the denominators (``_over_lcm``),
-    shifted so the lowest q-exponent is 0 and packed at the first B that
-    holds their coefficients.  Over a function field (``slot`` the first
-    E to try) they fill u-slots of the first E above their q-degrees."""
-    data, den = _over_lcm(rows, one)
+def _pack(data, den, slot=None):
+    """(packed rows, tight record) for rows {column: nonzero numerator}
+    over ``den`` (by ``pack``, over the lcm ``_over_lcm`` finds), shifted
+    so the lowest q-exponent is 0 and packed at the first B that holds
+    their coefficients.  Over a function field (``slot`` the first E to
+    try) they fill u-slots of the first E above their q-degrees."""
     nums = [p for row in data for p in row.values()]
     coeffs = nums if slot is None else [a for p in nums for a in p.c if a]
     shift = -min((a.low for a in coeffs), default=0)
@@ -809,21 +803,6 @@ def _pack(rows, one, slot=None):
     return ([{j: _encode(p, bits, shift, slot) for j, p in row.items()}
              for row in data],
             Packed(den, bits, shift, bound, l1, True, slot, deg))
-
-
-def _pack_one(x, slot=None):
-    """(packed numerator, tight record) of one nonzero element: ``_pack``
-    of the 1x1 matrix (x), read from x alone, whose lcm is its ``den``."""
-    p = x.num
-    coeffs = (p,) if slot is None else [a for a in p.c if a]
-    shift = -min(a.low for a in coeffs)
-    bound, l1 = _norms(p)
-    deg = None
-    if slot is not None:
-        deg = max(a.low + len(a.c) for a in coeffs) - 1 + shift
-    bits, slot = _widths(bound, deg, BITS, slot)
-    return (_encode(p, bits, shift, slot),
-            Packed(x.den, bits, shift, bound, l1, True, slot, deg))
 
 
 class Packed:
@@ -937,7 +916,8 @@ class Packed:
         shift = max(self.shift, other.shift)
 
         def rule(x, y):
-            (bound_a, l1_a), (bound_b, l1_b) = _grown(x, fa), _grown(y, fb)
+            (bound_a, l1_a), (bound_b, l1_b) = (_ell1(x.norms, _norms(fa)),
+                                                _ell1(y.norms, _norms(fb)))
             deg = None if x.deg is None else max(
                 x.deg + _qdeg(fa) + shift - x.shift,
                 y.deg + _qdeg(fb) + shift - y.shift)
@@ -984,22 +964,22 @@ class Packed:
 class _ScalarField:
     """Field descriptor for Q(q).
 
-    ``pack``, ``pack_one`` and ``join`` are the matrix storage interface
-    (see :mod:`.tmatrix`): ``pack`` turns rows of ``Scalar`` entries (and
-    ``pack_one`` one) into packed integer numerators over a ``Packed``
-    record, and ``join`` decodes one of them into the reduced ``Scalar``.
+    ``pack`` and ``join`` are the matrix storage interface (see
+    :mod:`.tmatrix`): ``pack`` turns rows of ``Scalar`` entries into
+    packed integer numerators over a ``Packed`` record, and ``join``
+    decodes one of them into the reduced ``Scalar``.
     """
 
     name = "Q(q)"
     zero = None  # filled below
     one = None
 
-    @staticmethod
-    def pack(rows):
+    def pack(self, rows):
         """(packed rows, record) for rows {column: nonzero Scalar}."""
-        return _pack(rows, _L_ONE)
+        return _pack(*_over_lcm(rows, _L_ONE))
 
-    pack_one = staticmethod(_pack_one)
+    def pack_one(self, x):
+        return _pack([{0: x.num}], x.den)
 
     @staticmethod
     def join(x, frame):
@@ -1219,15 +1199,14 @@ class Frac(_Fraction):
 
 
 class FracField:
-    """The field Q(q)(var).  ``pack``, ``pack_one`` and ``join`` are the
-    matrix storage interface (see :mod:`.tmatrix`): ``pack`` puts rows of
-    elements (``pack_one`` one) over one ``Poly`` denominator and packs
-    each numerator into one integer in u-slots (``Packed``), ``join``
-    decodes one into the reduced ``Frac``, and ``lifted`` reads a Q(q)
-    matrix's packed numerators as constants in var.  ``Scalar``
-    coefficients come in through ``from_coeff`` and ``poly``, which clear
-    their denominators, and are formed again only by ``coeffs``,
-    ``render`` and ``expand``."""
+    """The field Q(q)(var).  ``pack`` and ``join`` are the matrix storage
+    interface (see :mod:`.tmatrix`): ``pack`` puts rows of elements over
+    one ``Poly`` denominator and packs each numerator into one integer
+    in u-slots (``Packed``), ``join`` decodes one into the reduced
+    ``Frac``, and ``lifted`` reads a Q(q) matrix's packed numerators as
+    constants in var.  ``Scalar`` coefficients come in
+    through ``from_coeff`` and ``poly``, which clear their denominators,
+    and are formed again only by ``coeffs``, ``render`` and ``expand``."""
 
     def __init__(self, var):
         self.var = var
@@ -1238,11 +1217,10 @@ class FracField:
 
     def pack(self, rows):
         """(packed rows, record) for rows {column: nonzero element}."""
-        return _pack(rows, _P_ONE, SLOT)
+        return _pack(*_over_lcm(rows, _P_ONE), SLOT)
 
     def pack_one(self, x):
-        """(packed numerator, record) of one nonzero element."""
-        return _pack_one(x, SLOT)
+        return _pack([{0: x.num}], x.den, SLOT)
 
     def join(self, x, frame):
         """The normalised element whose packed numerator is ``x``: its

@@ -255,8 +255,8 @@ class TMatrix:
         takes its denominator."""
         if not s:
             return TMatrix.zeros(self.field, self.rows, self.cols)
-        num, sden = self.field.pack_one(s)
-        data, srows, den = self.den.product(sden, self._data, [{0: num}], 1)
+        srows, sden = self.field.pack_one(s)
+        data, srows, den = self.den.product(sden, self._data, srows, 1)
         num = srows[0][0]
         return TMatrix._of(self.field, self.rows, self.cols,
                            [{j: num * x for j, x in row.items()}

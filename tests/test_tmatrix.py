@@ -1063,18 +1063,14 @@ def assert_record_sound(frame, *rows):
         assert fresh.deg == frame.deg is None or fresh.deg <= frame.deg
 
 
-def assert_pack_one_is_pack(field, s):
+def assert_pack_one_sound(field, s):
     """``pack_one`` (the packing of ``scaled``) stores a nonzero element
-    as ``pack`` stores the 1x1 matrix (s), with the same tight record,
-    and that record bounds the packed digits."""
-    if not s:
-        return
-    num, frame = field.pack_one(s)
-    (row,), whole = field.pack([{0: s}])
-    assert row == {0: num} and frame.tight
-    assert all(getattr(frame, k) == getattr(whole, k)
-               for k in scalars.Packed.__slots__)
-    assert_record_sound(frame, [{0: num}])
+    as one numerator that decodes back to it, under a tight record that
+    bounds its digits."""
+    if s:
+        (row,), frame = field.pack_one(s)
+        assert field.join(row[0], frame) == s and frame.tight
+        assert_record_sound(frame, [row])
 
 
 def entrywise_sums(x, y):
@@ -1090,7 +1086,7 @@ def test_every_kernel_record_bounds_its_digits(a, a2, b, m, s):
     below what the digits they describe hold, also after a cancelling
     sum has left an operand's record loose."""
     loose = (a + a2) - a2
-    assert_pack_one_is_pack(SCALARS, s)
+    assert_pack_one_sound(SCALARS, s)
     results = [a * b, a + a2, a - a2, loose * b, a.scaled(s), kron(a, b),
                kron(loose, b), embed(m, (3, 1), (2, 3, 2)),
                m.block(1, 1, 2, 3), loose.block(0, 1, 2, 2),
@@ -1178,7 +1174,7 @@ def test_packed_function_field_kernels_match_entrywise_frac(field, data):
     s = data.draw(f_entries(field))
     ae, a2e, me = a.e, a2.e, m.e
     loose = (a + a2) - a2
-    assert_pack_one_is_pack(field, s)
+    assert_pack_one_sound(field, s)
     for r in (a * b, a + a2, loose * b, a.scaled(s), kron(loose, b),
               m.partial_trace(1, (2, 2)), m.block(1, 1, 2, 3)):
         assert_record_sound(r.den, r._data)
