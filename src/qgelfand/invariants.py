@@ -8,7 +8,13 @@ structural identities between them: the comatrix identities, centrality,
 the Liouville formula z(u) = qdet(uq^2)/qdet(u), the eigenvalue formula
 on highest weight vectors, its partial-fraction form and the alternate
 central families.  A quantum minor is expanded along its first column,
-and every quantum trace tr_1 (D^{+-1} (x) 1_W) X is ``_qtrace``.
+and every quantum trace tr_1 (D^{+-1} (x) 1_W) A B is ``_qtrace``, which
+forms only the n diagonal blocks of A B: the top power M^(m-1) M of
+tr_q M^m, the product in z(u) and its trace form, and both terms of a
+z-series coefficient are traced, never formed.  (L+-)^-1 of a tensor
+product is the reverse product of its factors' inverses, so no
+elimination runs on a matrix larger than that of a module built
+directly.
 
 The closed forms these checks compare against need no representation
 and live in :mod:`.formulas`, which the ``eigenvalue`` and ``limit``
@@ -20,10 +26,11 @@ from __future__ import annotations
 import functools
 
 from .scalars import SCALARS, Scalar, UFIELD, qnum, expand, ONE
-# ``embed`` and ``classical_limit_value`` are not called here;
-# ``bench/`` reads both as names of this module
-from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse  # noqa: F401
+from .tmatrix import (TMatrix, embed, kron, lift, pencil_inverse,
+                      traced_product)
 from .verdict import Verdict, equal_verdict, matrix_verdict
+# ``classical_limit_value`` is not called here; ``bench/`` reads it as a
+# name of this module
 from .formulas import (classical_limit_value,  # noqa: F401
                        closed_form_eigenvalue, closed_form_eigenvalues,
                        partial_fraction_constants, qdet_scalar_closed_form,
@@ -54,16 +61,31 @@ def _aux_diag(rep, field, inverse):
     return kron(d, eye)
 
 
-def _qtrace(rep, x, inverse=False):
-    """tr_1 (D (x) 1_W) x, or tr_1 (D^-1 (x) 1_W) x, on W."""
-    return (_aux_diag(rep, x.field, inverse) * x).partial_trace(
-        1, (rep.n, rep.d))
+def _qtrace(rep, a, b, inverse=False):
+    """tr_1 (D (x) 1_W) a b, or tr_1 (D^-1 (x) 1_W) a b, on W: the product
+    a b is only traced, so only its diagonal blocks are formed
+    (``traced_product``).  A matrix formed anyway is ``b``, with the
+    identity as ``a``."""
+    return traced_product(_aux_diag(rep, a.field, inverse) * a, b,
+                          (rep.n, rep.d))
 
 
 @memo
 def _l_inverse(rep, sign):
-    """(L+)^-1 or (L-)^-1 over the coefficient field."""
-    return (rep.Lp if sign == "+" else rep.Lm).inverse()
+    """(L+)^-1 or (L-)^-1 over Q(q).  A tensor product W_a (x) W_b has
+    L = (L_a)_12 (L_b)_13 by the coproduct, so its inverse is
+    (L_b^-1)_13 (L_a^-1)_12, from the factors' memoised inverses, down
+    to modules built directly, which ``inverse`` eliminates (n^2 x n^2
+    for the vector module).  The product's record is loose, so it is
+    taken as a whole-matrix ``block``, which measures one of its own,
+    as in ``pencil_inverse``."""
+    if rep.factors is None:
+        return (rep.Lp if sign == "+" else rep.Lm).inverse()
+    a, b = rep.factors
+    dims = (rep.n, a.d, b.d)
+    size = rep.n * rep.d
+    return (embed(_l_inverse(b, sign), (1, 3), dims)
+            * embed(_l_inverse(a, sign), (1, 2), dims)).block(0, 0, size, size)
 
 
 def _xblock(rep, sign, a, b, w):
@@ -227,7 +249,7 @@ def _lu_inverse(rep, sign):
 def z_matrix(rep, sign):
     """z(u) as an operator on W:
     (1/[n]_q) tr_1 ( D_1 L(uq^{2n}) L(u)^-1 )."""
-    return _qtrace(rep, _l_shifted(rep, sign) * _lu_inverse(rep, sign)).scaled(
+    return _qtrace(rep, _l_shifted(rep, sign), _lu_inverse(rep, sign)).scaled(
         UFIELD.from_coeff(qnum(rep.n).inverse()))
 
 
@@ -279,7 +301,7 @@ def z_identity_checks(rep, sign):
     dims = (rep.n, rep.d)
     out = []
 
-    alt = _qtrace(rep, linv * lshift, True).scaled(inv_n)
+    alt = _qtrace(rep, linv, lshift, True).scaled(inv_n)
     out.append(("trace forms agree",
                 matrix_verdict(z, alt, label=f"z trace forms sign={sign}")))
 
@@ -348,8 +370,10 @@ def _family_power(rep, which, m):
 
 @memo
 def gelfand_invariant(rep, m):
-    """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W."""
-    return _qtrace(rep, _family_power(rep, "M", m))
+    """tr_q M^m = tr_1 (D_1 M^m) with M = L^- (L^+)^-1, on W, traced from
+    M^(m-1) and M: M^m itself is neither formed nor memoised."""
+    return _qtrace(rep, _family_power(rep, "M", max(m - 1, 0)),
+                   _family_power(rep, "M", min(m, 1)))
 
 
 def generator_images(rep):
@@ -400,13 +424,13 @@ def z_series_coefficient(rep, m):
     serves centrality row m = 0.  The suite's other z coefficients are
     derived from tr_q M^m."""
     inv_n = qnum(rep.n).inverse()
+    one = _family_power(rep, "pm", 0)
     if m == 0:
-        return _qtrace(rep, _family_power(rep, "pm", 0)).scaled(inv_n)
+        return _qtrace(rep, one, one).scaled(inv_n)
     lpinv = _l_inverse(rep, "+")
-    term = rep.Lp * (_family_power(rep, "pm", m) * lpinv) \
-        - (rep.Lm * (_family_power(rep, "pm", m - 1) * lpinv)).scaled(
-            Scalar.q_power(2 * rep.n))
-    return _qtrace(rep, term).scaled(inv_n)
+    upper = _qtrace(rep, rep.Lp, _family_power(rep, "pm", m) * lpinv)
+    lower = _qtrace(rep, rep.Lm, _family_power(rep, "pm", m - 1) * lpinv)
+    return (upper - lower.scaled(Scalar.q_power(2 * rep.n))).scaled(inv_n)
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +578,13 @@ def alternate_family_checks(rep, m):
       (b)  tr_1 D^-1 ((L-)^-1 L+)^m = tr_1 D (L+ (L-)^-1)^m
     """
     out = []
-    got = _qtrace(rep, _family_power(rep, "pm", m), True)
+    one = _family_power(rep, "pm", 0)
+    got = _qtrace(rep, one, _family_power(rep, "pm", m), True)
     out.append(("family (a)",
                 matrix_verdict(got, gelfand_invariant(rep, m),
                                label=f"family (a) m={m} {rep.label}")))
-    lhs = _qtrace(rep, _family_power(rep, "mp", m), True)
-    rhs = _qtrace(rep, _family_power(rep, "rev", m))
+    lhs = _qtrace(rep, one, _family_power(rep, "mp", m), True)
+    rhs = _qtrace(rep, one, _family_power(rep, "rev", m))
     out.append(("family (b)",
                 matrix_verdict(lhs, rhs,
                                label=f"family (b) m={m} {rep.label}")))
@@ -569,7 +594,8 @@ def alternate_family_checks(rep, m):
 def alternate_eigenvalue_check(rep, lam, m):
     """(c): the hwv scalar of tr_1 D (L+ (L-)^-1)^m is the q -> q^-1
     image of the tr_q M^m eigenvalue."""
-    got = scalar_on_vector(_qtrace(rep, _family_power(rep, "rev", m)),
+    got = scalar_on_vector(_qtrace(rep, _family_power(rep, "rev", 0),
+                                   _family_power(rep, "rev", m)),
                            highest_weight_vector(rep, lam))
     expect = closed_form_eigenvalue(rep.n, lam, m).subs_qinv()
     return equal_verdict(

@@ -5,8 +5,11 @@ C^n (x) W: the upper operator L+ = sum e_ij (x) pi(l+_ij) and the lower
 operator L- = sum e_ij (x) pi(l-_ij).  The vector representation is
 built explicitly; tensor products come from the coproduct, realised as
 the ordered product of the big L-operators acting through a common
-auxiliary space.  Highest weight vectors are found exactly as joint
-kernels of the raising operators inside a weight subspace.
+auxiliary space.  A tensor product keeps its two factors, so the inverse
+of each of its L-operators is the reverse product of the factors'
+inverses (``invariants._l_inverse``).  Highest weight vectors are found
+exactly as joint kernels of the raising operators inside a weight
+subspace.
 
 Everything derived from a representation (generator blocks, weights,
 lifted and evaluated operators, inverses, highest weight vectors and
@@ -58,9 +61,13 @@ def memo(fn):
 
 
 class Representation:
-    """A finite-dimensional module, presented by its big L-operators."""
+    """A finite-dimensional module, presented by its big L-operators.
 
-    def __init__(self, n, d, Lp, Lm, label):
+    ``factors`` is the pair (a, b) of modules that ``tensor_product``
+    built it from, so that L+- = (L+-_a)_12 (L+-_b)_13 on
+    C^n (x) W_a (x) W_b, and None for a module built directly."""
+
+    def __init__(self, n, d, Lp, Lm, label, factors=None):
         for big in (Lp, Lm):
             if not big.rows == big.cols == n * d:
                 raise ValueError(f"L-operator of {label} is {big.rows}x"
@@ -70,6 +77,7 @@ class Representation:
         self.Lp = Lp
         self.Lm = Lm
         self.label = label
+        self.factors = factors
         self._cache = {}
 
     def __repr__(self):
@@ -166,7 +174,7 @@ def tensor_product(a, b):
     dims = (n, a.d, b.d)
     lp = embed(a.Lp, (1, 2), dims) * embed(b.Lp, (1, 3), dims)
     lm = embed(a.Lm, (1, 2), dims) * embed(b.Lm, (1, 3), dims)
-    return Representation(n, d, lp, lm, f"{a.label}(x){b.label}")
+    return Representation(n, d, lp, lm, f"{a.label}(x){b.label}", (a, b))
 
 
 def tensor_power(rep, N):
@@ -178,7 +186,8 @@ def tensor_power(rep, N):
     out = rep
     for _ in range(N - 1):
         out = tensor_product(out, rep)
-    return Representation(rep.n, out.d, out.Lp, out.Lm, f"{rep.label}^(x){N}")
+    return Representation(rep.n, out.d, out.Lp, out.Lm, f"{rep.label}^(x){N}",
+                          out.factors)
 
 
 @memo

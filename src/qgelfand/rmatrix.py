@@ -14,31 +14,34 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import faults
 from .scalars import (SCALARS, Scalar, UFIELD, XFIELD, qnum,
                       Q, QINV, ONE, Q_MINUS_QINV)
 from .tmatrix import TMatrix, embed, kron, lift, pencil_inverse
-from .verdict import Verdict, equal_verdict, matrix_verdict
+from .verdict import Record, Verdict, equal_verdict, matrix_verdict
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RMatrixSet:
-    """The constant operators on C^n (x) C^n plus the diagonal twist D."""
+class RMatrixSet(Record):
+    """The constant operators on C^n (x) C^n plus the diagonal twist D:
 
-    n: int
-    R: TMatrix        # upper solution: q on e_ii(x)e_ii, weights (q-q^-1)
-    Rtilde: TMatrix   # lower counterpart with q^-1 and negated weights
-    P: TMatrix        # flip
-    Pq: TMatrix       # q-weighted flip generating the symmetric group action
-    Q: TMatrix        # partial transpose of the flip: sum e_ij (x) e_ij
-    D: TMatrix        # diag(q^{n-1}, q^{n-3}, ..., q^{-n+1})
-    Dinv: TMatrix     # D^-1
+    R       upper solution: q on e_ii (x) e_ii, weights (q - q^-1)
+    Rtilde  lower counterpart with q^-1 and negated weights
+    P       flip
+    Pq      q-weighted flip generating the symmetric group action
+    Q       partial transpose of the flip: sum e_ij (x) e_ij
+    D       diag(q^{n-1}, q^{n-3}, ..., q^{-n+1})
+    Dinv    D^-1
+    """
+
+    __slots__ = ("n", "R", "Rtilde", "P", "Pq", "Q", "D", "Dinv")
+
+    def __init__(self, n, R, Rtilde, P, Pq, Q, D, Dinv):
+        self._set(n, R, Rtilde, P, Pq, Q, D, Dinv)
 
 
 def _two_site(n, entries):
@@ -140,11 +143,14 @@ def check_yang_baxter(n):
                           label=f"Yang-Baxter n={n} at y=x^3")
 
 
-@dataclass(frozen=True)
-class CrossingResult:
-    proportional: Verdict
-    scalar: object          # the observed proportionality scalar in Q(q)(x)
-    matches_predicted: Verdict
+class CrossingResult(Record):
+    """The two crossing verdicts and ``scalar``, the observed
+    proportionality scalar in Q(q)(x)."""
+
+    __slots__ = ("proportional", "scalar", "matches_predicted")
+
+    def __init__(self, proportional, scalar, matches_predicted):
+        self._set(proportional, scalar, matches_predicted)
 
 
 def r0_inverse(n):
@@ -186,14 +192,14 @@ def crossing_scalar(n):
 # the normalising series f(x)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FSeries:
+class FSeries(Record):
     """Truncated solution of f(x q^{2n}) (1-x)(1-x q^{2n})
     = f(x) (1-x q^2)(1-x q^{2n-2}) with f_0 = 1."""
 
-    n: int
-    order: int
-    coeffs: tuple
+    __slots__ = ("n", "order", "coeffs")
+
+    def __init__(self, n, order, coeffs):
+        self._set(n, order, coeffs)
 
 
 def _fseries_sides(n):

@@ -66,10 +66,10 @@ import itertools
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import faults
+from .verdict import Record
 
 
 class DivergentLimitError(ArithmeticError):
@@ -1322,12 +1322,13 @@ XFIELD = FracField("x")
 # Truncated power series in u
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class USeries:
+class USeries(Record):
     """Truncated series in u with Scalar coefficients (u^0 .. u^order)."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order, coeffs):
+        self._set(order, coeffs)
 
     def coeff(self, m):
         return self.coeffs[m]

@@ -17,12 +17,11 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
 
 from . import __version__, faults
 from . import rmatrix, reps, invariants, formulas
 from .formulas import CHECK_NAMES, ConfigError, _lam_str
-from .verdict import Verdict, equal_verdict
+from .verdict import Record, Verdict, equal_verdict
 
 
 # The largest operator a run may build, as a dimension: n^2 * n^N-max for
@@ -47,8 +46,7 @@ def _check_dim(n, exp, formula):
             f"the cap of {MAX_OPERATOR_DIM}")
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Record):
     """Bounds and selection for one suite run.
 
     ``ns`` are the matrix sizes to cover, ``N_max`` caps the tensor
@@ -56,19 +54,16 @@ class SuiteConfig:
     order.  ``include``/``exclude`` select categories by name.
     ``jobs`` is validated and reported but changes nothing: the checks
     always run serially.  A selection that leaves no task to run is
-    refused.
+    refused.  The fields, in order, are the keys of the report's
+    ``config``.
     """
 
-    ns: tuple = (2, 3)
-    N_max: int = 3
-    m_max: int = 3
-    order: int = 3
-    include: tuple = CHECK_NAMES
-    exclude: tuple = ()
-    jobs: int = 1
-    fault: str | None = None
+    __slots__ = ("ns", "N_max", "m_max", "order", "include", "exclude",
+                 "jobs", "fault")
 
-    def __post_init__(self):
+    def __init__(self, ns=(2, 3), N_max=3, m_max=3, order=3,
+                 include=CHECK_NAMES, exclude=(), jobs=1, fault=None):
+        self._set(ns, N_max, m_max, order, include, exclude, jobs, fault)
         if not self.ns or any(n < 1 for n in self.ns):
             raise ConfigError(f"matrix sizes must be positive: {self.ns}")
         for n in self.ns:
@@ -382,7 +377,7 @@ def run_suite(config):
         else:
             npass += 1
         checks.append(entry)
-    cfg = asdict(config)
+    cfg = {name: getattr(config, name) for name in SuiteConfig.__slots__}
     cfg["ns"] = list(config.ns)
     cfg["include"] = list(config.include)
     cfg["exclude"] = list(config.exclude)

@@ -22,9 +22,9 @@ read as constants of a function field).  ``pencil_inverse`` uses
 ``gen``, ``poly`` (a polynomial from its Q(q) coefficients, whose
 numerator has ``lcm``) and ``coeffs`` (the coefficients over Q(q) of
 such a numerator); from a ``den`` it uses the protocol that
-brings operands into one frame: ``product`` (products and ``kron``),
-``common`` (sums and equality) and ``summed`` (traces), and
-``trimmed``, the record of a block.  An exact zero is never stored:
+brings operands into one frame: ``product`` (products, ``kron`` and
+``traced_product``), ``common`` (sums and equality) and ``summed``
+(traces), and ``trimmed``, the record of a block.  An exact zero is never stored:
 every kernel drops the entries that cancel, so a matrix is falsy
 exactly when no row holds an entry.
 
@@ -55,10 +55,13 @@ elements and pack them over the lcm of their denominators.
 access; no kernel uses it.
 
 No matrix records a tensor factorisation of its index space: ``embed``,
-``partial_transpose`` and ``partial_trace`` take the factor dimensions
-``dims`` and 1-based sites as arguments, and raise ``ValueError`` when
-the matrix does not factor so.  They and ``kron``, like the ring
-operations, walk only the stored entries.
+``partial_transpose``, ``partial_trace`` and ``traced_product`` take the
+factor dimensions ``dims`` and 1-based sites as arguments, and raise
+``ValueError`` when the matrix does not factor so.  They and ``kron``,
+like the ring operations, walk only the stored entries.
+``traced_product`` is tr_1 (a b) formed from the n diagonal blocks of
+a b alone, so a product that is only traced never has its n^2 - n
+off-diagonal blocks formed.
 
 Inverse, solve, rank, determinant, nullspace and the Krylov
 annihilator of ``pencil_inverse`` all run one elimination step,
@@ -369,7 +372,9 @@ class TMatrix:
         return TMatrix._of(self.field, n, n, out, self.den)
 
     def partial_trace(self, site, dims):
-        """Trace out one tensor factor (1-based site) of ``dims``."""
+        """Trace out one tensor factor (1-based site) of ``dims``.
+        API for the tests, where it is the oracle of ``traced_product``,
+        and the benchmark tracer; no check calls it."""
         dims = _factored(self.rows, self.cols, dims, (site,))
         a = site - 1
         rest = dims[:a] + dims[a + 1:]
@@ -677,6 +682,39 @@ def embed(op, sites, dims):
             for base_c, x in shifted:
                 target[base_c + p] = x
     return TMatrix._of(op.field, total, total, out, op.den)
+
+
+def traced_product(a, b, dims):
+    """tr_1 (a b) over ``dims``, for square ``a`` and ``b`` of one size:
+    site 1, of dimension n = dims[0], is traced out, and only the n
+    diagonal d x d blocks of a b are formed.  Block i takes the rows of
+    ``a``'s row block i against ``b``'s column block i, so each row of
+    ``b`` is split by column block once.  An output entry sums at most n
+    times as many products as the longest row of ``a`` holds entries;
+    its record follows the product rule with that many terms."""
+    dims = _factored(a.rows, a.cols, dims, (1,))
+    _same_shape(a, b)
+    n = dims[0]
+    d = a.rows // n
+    terms = n * max(map(len, a._data), default=0)
+    arows, brows, den = a.den.product(b.den, a._data, b._data, terms)
+    split = []
+    for row in brows:
+        parts = [{} for _ in range(n)]
+        for c, y in row.items():
+            parts[c // d][c % d] = y
+        split.append(parts)
+    out = [{} for _ in range(d)]
+    for i in range(n):
+        for r, acc in enumerate(out):
+            for k, x in arows[i * d + r].items():
+                for c, y in split[k][i].items():
+                    if c in acc:
+                        acc[c] = acc[c] + x * y
+                    else:
+                        acc[c] = x * y
+    out = [{c: x for c, x in acc.items() if x} for acc in out]
+    return TMatrix._of(a.field, d, d, out, den)
 
 
 def _factored(rows, cols, dims, sites):

@@ -1,12 +1,46 @@
-"""Uniform pass/fail result for identity checks."""
+"""Uniform pass/fail result for identity checks, and the immutable
+record type it and the package's other result values are built on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class Record:
+    """An immutable value whose fields are the ``__slots__`` of its class,
+    in that order.  ``__init__`` sets them through ``_set``; afterwards
+    every assignment raises ``AttributeError``.  Two records are equal
+    when they are of one class with equal fields, and hash by their
+    fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one exact identity check.
 
     ``lhs``/``rhs`` carry canonical renderings of the compared values
@@ -14,10 +48,10 @@ class Verdict:
     pinpoints the first discrepancy on failure.
     """
 
-    ok: bool
-    witness: str | None = None
-    lhs: str = ""
-    rhs: str = ""
+    __slots__ = ("ok", "witness", "lhs", "rhs")
+
+    def __init__(self, ok, witness=None, lhs="", rhs=""):
+        self._set(ok, witness, lhs, rhs)
 
     def __bool__(self):
         return self.ok

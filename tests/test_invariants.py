@@ -9,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, qnum,
                               expand, ONE, Q, QINV)
-from qgelfand.tmatrix import TMatrix, lift
+from qgelfand.tmatrix import TMatrix, kron, lift
 from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
                            evaluated_L)
+from qgelfand.rmatrix import build_rmatrix_set
 from qgelfand import faults, formulas, invariants as inv
 
 
@@ -504,6 +505,59 @@ def test_lu_inverse_matches_gauss_jordan_under_faults(kind):
             for sign in "+-":
                 assert inv._lu_inverse(rep, sign) == \
                     evaluated_L(rep, sign, UFIELD.gen).inverse(), (n, N, sign)
+
+
+@pytest.mark.parametrize("kind", (None,) + faults.KINDS)
+def test_coproduct_inverse_matches_gauss_jordan(kind):
+    # (L+-)^-1 of V^(x)N from its factors' inverses, against elimination
+    # of the whole operator, clean and under each probe
+    with faults.inject(kind):
+        for n in (2, 3):
+            for N in range(1, 5):
+                rep = vv(n, N)
+                assert (rep.factors is None) == (N == 1), (n, N)
+                for sign in "+-":
+                    big = rep.Lp if sign == "+" else rep.Lm
+                    assert inv._l_inverse(rep, sign) == big.inverse(), \
+                        (n, N, sign)
+
+
+@pytest.mark.parametrize("n,N", [(2, 3), (3, 2)])
+def test_traced_invariants_match_the_full_products(n, N):
+    # the quantum traces that form only the diagonal blocks, against
+    # tr_1 (D^+-1 (x) 1) X of the whole product X
+    rep = vv(n, N)
+    rset = build_rmatrix_set(n)
+    dims = (n, rep.d)
+
+    def qtrace(x, d=rset.D):
+        eye = TMatrix.identity(x.field, rep.d)
+        if x.field is not SCALARS:
+            d = lift(d, x.field)
+        return (kron(d, eye) * x).partial_trace(1, dims)
+
+    m = rep.Lm * rep.Lp.inverse()
+    power = TMatrix.identity(SCALARS, n * rep.d)
+    for k in range(4):
+        assert inv.gelfand_invariant(rep, k) == qtrace(power), k
+        power = power * m
+    inv_n = UFIELD.from_coeff(qnum(n).inverse())
+    lshift = inv._l_shifted(rep, "+")
+    linv = evaluated_L(rep, "+", UFIELD.gen).inverse()
+    z = inv.z_matrix(rep, "+")
+    assert z == qtrace(lshift * linv).scaled(inv_n)
+    assert z == qtrace(linv * lshift, rset.Dinv).scaled(inv_n)
+    lpinv = rep.Lp.inverse()
+    powers = [TMatrix.identity(SCALARS, n * rep.d)]
+    for _ in range(2):
+        powers.append(powers[-1] * (lpinv * rep.Lm))
+    inv_n = qnum(n).inverse()
+    assert inv.z_series_coefficient(rep, 0) == qtrace(powers[0]).scaled(inv_n)
+    for j in (1, 2):
+        want = qtrace(rep.Lp * powers[j] * lpinv
+                      - (rep.Lm * powers[j - 1] * lpinv).scaled(
+                          Scalar.q_power(2 * n)))
+        assert inv.z_series_coefficient(rep, j) == want.scaled(inv_n), j
 
 
 def test_liouville_operator():

@@ -64,6 +64,29 @@ def test_queries_load_only_the_closed_forms():
                       "qgelfand.verdict"}
 
 
+NO_DATACLASSES = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from qgelfand import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["eigenvalue", "--n", "2", "--lambda", "1,0"])
+print("dataclasses" in sys.modules)
+from qgelfand import suite
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["verify", "--n", "2", "--N-max", "1", "--checks", "ybe"])
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_no_verb_loads_dataclasses():
+    # ``-S``: no site hook may import it first
+    res = subprocess.run([sys.executable, "-S", "-c", NO_DATACLASSES,
+                          str(SRC)], capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False"]
+
+
 def test_every_public_name_resolves_and_is_listed():
     assert sorted(qgelfand.__all__) == sorted(PUBLIC)
     listed = dir(qgelfand)

@@ -11,6 +11,7 @@ from qgelfand import faults, formulas, invariants, reps, suite, tmatrix
 from qgelfand.scalars import ONE, FracField
 from qgelfand.suite import (SuiteConfig, ConfigError, CHECK_NAMES,
                             dominant_partitions, render_json, run_suite)
+from qgelfand.verdict import Verdict
 
 
 def test_dominant_partitions():
@@ -46,6 +47,26 @@ def test_config_selection():
                       exclude=("f-series",))
     assert cfg.selected() == ("ybe", "crossing")
     assert SuiteConfig().selected() == CHECK_NAMES
+
+
+def test_config_is_an_immutable_value():
+    cfg = SuiteConfig(ns=(2,), N_max=1)
+    assert cfg == SuiteConfig((2,), 1) and hash(cfg) == hash(
+        SuiteConfig(ns=(2,), N_max=1))
+    assert cfg != SuiteConfig(ns=(2,), N_max=2)
+    with pytest.raises(AttributeError):
+        cfg.N_max = 2
+    with pytest.raises(AttributeError):
+        del cfg.ns
+    assert repr(cfg).startswith("SuiteConfig(ns=(2,), N_max=1, m_max=3,")
+    report = run_suite(SuiteConfig(ns=(2,), N_max=1, include=("ybe",)))
+    assert list(report["config"]) == ["ns", "N_max", "m_max", "order",
+                                      "include", "exclude", "jobs", "fault"]
+    ok = Verdict(True, lhs="x")
+    assert ok == Verdict(True, None, "x", "") and ok != Verdict(False)
+    assert ok != (True, None, "x", "") and ok.__eq__(cfg) is NotImplemented
+    with pytest.raises(AttributeError):
+        ok.ok = False
 
 
 def test_run_suite_report_shape():
@@ -316,6 +337,23 @@ def test_no_elimination_over_a_function_field(monkeypatch):
     assert report["summary"]["fail"] == 0
     assert fields
     assert not [f for f in fields if isinstance(f, FracField)]
+
+
+def test_centrality_eliminates_only_vector_module_operators(monkeypatch):
+    # (L+-)^-1 of V^(x)N is the reverse product of its factors' inverses,
+    # so ``verify --n 3 --N-max 4 --checks centrality`` eliminates no
+    # matrix larger than the vector module's n^2 x n^2 operators
+    sizes = []
+    real = tmatrix.TMatrix._echelon
+
+    def counting(self, carries=None):
+        sizes.append((self.rows, self.cols))
+        return real(self, carries)
+
+    monkeypatch.setattr(tmatrix.TMatrix, "_echelon", counting)
+    report = run_suite(SuiteConfig(ns=(3,), N_max=4, include=("centrality",)))
+    assert report["summary"] == {"pass": 28, "fail": 0}
+    assert sizes and set(sizes) == {(9, 9)}
 
 
 def test_wrong_annihilator_gives_failed_rows(monkeypatch):

@@ -13,7 +13,8 @@ from qgelfand import scalars, tmatrix
 from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, XFIELD,
                               ONE, ZERO, Q, qnum, Poly, Frac)
 from qgelfand.tmatrix import (TMatrix, SingularMatrixError, kron, embed, lift,
-                              first_difference, pencil_inverse)
+                              first_difference, pencil_inverse,
+                              traced_product)
 from qgelfand.verdict import matrix_verdict
 from test_scalars import ORACLE
 
@@ -1090,7 +1091,8 @@ def test_every_kernel_record_bounds_its_digits(a, a2, b, m, s):
     results = [a * b, a + a2, a - a2, loose * b, a.scaled(s), kron(a, b),
                kron(loose, b), embed(m, (3, 1), (2, 3, 2)),
                m.block(1, 1, 2, 3), loose.block(0, 1, 2, 2),
-               ((m + m) - m).block(1, 0, 3, 3)]
+               ((m + m) - m).block(1, 0, 3, 3), traced_product(m, m, (2, 2)),
+               traced_product((m + m) - m, m, (2, 2))]
     results += [m.partial_trace(site, (2, 2)) for site in (1, 2)]
     for r in results:
         assert_record_sound(r.den, r._data)
@@ -1176,7 +1178,8 @@ def test_packed_function_field_kernels_match_entrywise_frac(field, data):
     loose = (a + a2) - a2
     assert_pack_one_sound(field, s)
     for r in (a * b, a + a2, loose * b, a.scaled(s), kron(loose, b),
-              m.partial_trace(1, (2, 2)), m.block(1, 1, 2, 3)):
+              m.partial_trace(1, (2, 2)), m.block(1, 1, 2, 3),
+              traced_product(m, m2, (2, 2))):
         assert_record_sound(r.den, r._data)
     xr, yr, frame = loose.den.common(a.den, loose._data, a._data)
     assert_record_sound(frame, xr, yr, entrywise_sums(xr, yr))
@@ -1205,6 +1208,53 @@ def test_packed_function_field_kernels_match_entrywise_frac(field, data):
     assert (a == a2) == (ae == a2e) and (a == c) == (ae == c.e)
     assert first_difference(a, a2) == first_differing(ae, a2e, 3)
     assert first_difference(c, a) == first_differing(c.e, ae, 3)
+
+
+@settings(ORACLE, max_examples=15)
+@given(st.sampled_from(((2, 2), (2, 3), (3, 2))), st.data())
+def test_traced_product_is_the_partial_trace_of_the_product(dims, data):
+    """tr_1 (a b) from the diagonal blocks of a b alone equals the partial
+    trace of the whole product, over Q(q) and over Q(q)(u), with
+    denominators that differ, and its record bounds its digits."""
+    size = dims[0] * dims[1]
+    for strategy in (q_matrices(size, size), f_matrices(UFIELD, size, size)):
+        a, b = data.draw(strategy), data.draw(strategy)
+        got = assert_packed(traced_product(a, b, dims))
+        assert (got.rows, got.cols) == (dims[1], dims[1])
+        assert got.e == (a * b).partial_trace(1, dims).e
+        assert_record_sound(got.den, got._data)
+
+
+@pytest.mark.parametrize("field", (SCALARS, UFIELD))
+def test_traced_product_of_vanishing_blocks_and_over_a_denominator(field):
+    """The diagonal blocks of a b vanish while a b does not, a b vanishes
+    while a and b do not, a and b stand over denominators other than 1,
+    and each output entry sums one product per diagonal block, so the
+    record counts n terms where a row of a holds one entry."""
+    q = Q if field is SCALARS else field.from_coeff(Q)
+    x = TMatrix(field, 3, 3, [q, field.one] + [field.zero] * 6 + [field.one])
+    e11, e12, e21, e22 = (kron(TMatrix.unit(field, 2, i, j), x)
+                          for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    dims = (2, 3)
+    off = traced_product(e12, e22, dims)
+    assert e12 * e22 and not off and (off.rows, off.cols) == (3, 3)
+    assert not e11 * e21 and not traced_product(e11, e21, dims)
+    rng = random.Random(281)
+    a = rand_fraction_matrix(rng, field, 6, 6)
+    b = rand_fraction_matrix(rng, field, 6, 6)
+    assert not den_of(a).is_one() and not den_of(b).is_one()
+    got = traced_product(a, b, dims)
+    assert got == (a * b).partial_trace(1, dims)
+    assert got.e == oracle_partial_trace(oracle_mul(a, b), 1, dims).e
+    assert_record_sound(got.den, got._data)
+    ones = TMatrix(field, 6, 6, [field.one] * 36)
+    got = traced_product(TMatrix.identity(field, 6), ones, dims)
+    assert got.e == [field.one + field.one] * 9
+    assert_record_sound(got.den, got._data)
+    with pytest.raises(ValueError):
+        traced_product(a, b, (4, 2))
+    with pytest.raises(ValueError):
+        traced_product(a.block(0, 0, 4, 4), b, (2, 2))
 
 
 def f_poly(field, *terms):
