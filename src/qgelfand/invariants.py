@@ -77,15 +77,13 @@ def _l_inverse(rep, sign):
     (L_b^-1)_13 (L_a^-1)_12, from the factors' memoised inverses, down
     to modules built directly, which ``inverse`` eliminates (n^2 x n^2
     for the vector module).  The product's record is loose, so it is
-    taken as a whole-matrix ``block``, which measures one of its own,
-    as in ``pencil_inverse``."""
+    measured (``TMatrix.measured``), as in ``pencil_inverse``."""
     if rep.factors is None:
         return (rep.Lp if sign == "+" else rep.Lm).inverse()
     a, b = rep.factors
     dims = (rep.n, a.d, b.d)
-    size = rep.n * rep.d
     return (embed(_l_inverse(b, sign), (1, 3), dims)
-            * embed(_l_inverse(a, sign), (1, 2), dims)).block(0, 0, size, size)
+            * embed(_l_inverse(a, sign), (1, 2), dims)).measured()
 
 
 def _xblock(rep, sign, a, b, w):

@@ -611,15 +611,10 @@ def _times(rows, f):
     return [{j: x * f for j, x in row.items()} for row in rows]
 
 
-# Matrices pack each numerator into one integer (Kronecker substitution).
-# BITS is the width B of a base-2^B digit that a matrix built from field
-# elements starts with.  Under the l1 rule on ``Packed`` the bounds stay
-# close to the true coefficients, so a narrow B holds every product chain
-# of the verify suite's default and large configurations; a kernel whose
-# bound would reach 2^(B-1) re-measures, then doubles B.  SLOT is the
-# width E, in digits, of one u-slot of a function-field numerator that
-# such a matrix starts with; a kernel whose q-degrees would reach E
-# re-measures, then doubles E, by the same rule.
+# A matrix built from field elements packs its numerators in digits of
+# BITS = B bits and u-slots of SLOT = E digits, which ``_fit`` doubles as
+# kernels need.  At B = 16 the verify workloads run slower: chained
+# products widen back to 32, repacking their operands.
 BITS = 32
 SLOT = 64
 
@@ -720,11 +715,10 @@ def _fit(rule, den, shift, *ops):
     l1, deg) are ``rule(*frames)`` (deg None over Q(q)).
 
     B and E are the widest operand's unless the rule reaches one of
-    them.  Then the frames that are not tight yet are first re-measured
-    in place from their actual digits, each once in its life, and the
-    rule is applied again; only a width that still does not suffice is
-    doubled.  An operand at another B or E is repacked for this kernel
-    alone: its own matrix keeps its rows."""
+    them.  Then the operands' records are tightened in place (each once
+    in its life) and the rule applied again; only a width that still
+    does not suffice is doubled.  An operand at another B or E is
+    repacked for this kernel alone: its own matrix keeps its rows."""
     frames = [f for f, _ in ops]
     bits = max(f.bits for f in frames)
     slot = frames[0].slot
@@ -744,28 +738,45 @@ def _fit(rule, den, shift, *ops):
 
 def _measure(frame, rows):
     """Tighten ``frame``'s bound, l1 and, over a function field, deg to
-    the digits of ``rows``, and mark it tight.  A slot value P_j(2^B) is
-    below 2^(B*E-1) in absolute value, so the slot values are the
-    balanced base-2^(B*E) digits of a numerator, and each one's bit
-    length over B is its q-degree (``FracField.lifted``); the digits are
-    read slot by slot, which skips the zero digits above each P_j."""
-    bound = l1 = deg = 0
+    the digits of ``rows``, and mark it tight, with two integer
+    operations per entry (SWAR: L. Lamport, CACM 18(8), 1975).
+
+    Over the n = bitlength // B + 1 digits of the longest entry, off_s
+    holds 2^s and high_s bits s+1..B-1 in each digit.  For s <= B-2,
+    (x + off_s) & high_s == 0 exactly when each balanced digit d of x has
+    -2^s <= d < 2^s: then no d + 2^s carries or reaches 2^(s+1).  Else
+    the lowest digit out of range takes no borrow: d >= 2^s sets a bit of
+    high_s in d + 2^s; d < -2^s borrows, leaving d + 2^s + 2^B >= 2^(B-1)
+    with bit B-1 set, also in the two's complement that & reads when the
+    total is negative.  The least s all entries pass gives bound 2^s, at
+    most twice the largest |coefficient| (at s = B-1 high_s is empty,
+    and |d| < 2^(B-1) bounds instead).
+
+    l1 is the bound times the most digits of an entry from its lowest
+    nonzero digit to its highest, which is digit bitlength // B (see
+    ``FracField.lifted``).  A function-field numerator's digits are its
+    P_j's, as deg P_j < E, so the test bounds them too; its slot values
+    P_j(2^B) give the P_j's spans, which add, and its q-degree."""
     bits, slot = frame.bits, frame.slot
-    for row in rows:
-        for x in row.values():
-            if slot is None:
-                a = list(map(abs, _decode(x, bits)))
-                bound, l1 = max(bound, max(a)), max(l1, sum(a))
-                continue
-            total = 0
-            for v in _decode(x, bits * slot):
-                a = list(map(abs, _decode(v, bits)))
-                bound, total = max(bound, max(a)), total + sum(a)
-                deg = max(deg, v.bit_length() // bits)
-            l1 = max(l1, total)
-    frame.bound, frame.l1, frame.tight = bound, l1, True
-    if slot is not None:
-        frame.deg = deg
+    xs = [x for row in rows for x in row.values()]
+    n = max(map(int.bit_length, xs), default=0) // bits + 1
+    unit = int.from_bytes((b"\1" + bytes(bits // 8 - 1)) * n, "little")
+    s = span = deg = 0
+    off, high = unit, unit * ((1 << bits) - 2)
+    for x in xs:
+        while (x + off) & high:
+            s += 1
+            off, high = unit << s, unit * ((1 << bits) - (2 << s))
+        k = 0
+        for v in (x,) if slot is None else _decode(x, bits * slot):
+            if v:
+                top = v.bit_length() // bits
+                k += top - ((v & -v).bit_length() - 1) // bits + 1
+                deg = max(deg, top)
+        span = max(span, k)
+    bound = min(1 << s, (1 << bits - 1) - 1) if xs else 0
+    frame.bound, frame.l1, frame.tight = bound, bound * span, True
+    frame.deg = None if slot is None else deg
 
 
 def _repacked(rows, frame, bits, slot):
@@ -846,17 +857,13 @@ class Packed:
     * sum and equality: each side is first multiplied by the other's
       ``den`` where the dens differ (a product with one inner term) and
       shifted up to the larger ``shift``; then bounds and l1 add;
-    * partial trace and trace: bound and l1 times the number of terms
-      summed;
+    * traces: bound and l1 times the number of terms summed;
     * transposes, embeddings and negation keep the record;
     * a block gets its own record (``trimmed``).
 
-    ``deg`` follows the same kernels:
-
-    * product: the two bounds add;
-    * sum and equality: each side's bound plus the q-degree of the other
-      ``den`` it is multiplied by and plus its shift up; the larger;
-    * traces, transposes, embeddings and negation keep it.
+    ``deg`` follows the same kernels: a product's two bounds add; a sum
+    or equality takes the larger side's bound plus the q-degree of the
+    other ``den`` it is multiplied by and its shift up; the rest keep it.
 
     A denominator has lowest q-exponent 0 (the ``_Fraction`` normal form,
     kept by lcm and products), so cross-multiplying by one leaves the
@@ -864,14 +871,16 @@ class Packed:
     whose q-degree could reach E, ``_fit`` re-measures the operands
     whose records are not ``tight`` and widens B or E only if that does
     not suffice.  A record is tight when its bounds were measured from
-    its matrix's digits (by ``_pack`` or ``_measure``), so none is
-    measured twice.  A record is shared only by matrices holding the
-    same coefficients up to sign (the kernels that move or negate
-    entries), and no matrix is written after it is built, so tightening
-    a record in place is true of every matrix that holds it.
+    its matrix's digits, so none is measured twice: ``_pack`` finds the
+    largest |coefficient| and sum of them, ``_measure`` a power of two at
+    most twice the first, and that times the longest digit span.  A
+    record is shared only by matrices holding the same coefficients up to
+    sign (the kernels that move or negate entries), and no matrix is
+    written after it is built, so tightening a record in place is true of
+    every matrix that holds it.
 
-    ``product``, ``common``, ``summed`` and ``trimmed`` are the frame
-    protocol of :mod:`.tmatrix`.
+    ``product``, ``common``, ``summed``, ``measured`` and ``trimmed`` are
+    the frame protocol of :mod:`.tmatrix`.
     """
 
     __slots__ = ("den", "bits", "shift", "bound", "l1", "tight", "slot",
@@ -879,18 +888,8 @@ class Packed:
 
     def __init__(self, den, bits, shift, bound, l1, tight=False, slot=None,
                  deg=None):
-        self.den = den
-        self.bits = bits
-        self.shift = shift
-        self.bound = bound
-        self.l1 = l1
-        self.tight = tight
-        self.slot = slot
-        self.deg = deg
-
-    @property
-    def norms(self):
-        return self.bound, self.l1
+        self.den, self.bits, self.shift, self.slot = den, bits, shift, slot
+        self.bound, self.l1, self.tight, self.deg = bound, l1, tight, deg
 
     def product(self, other, a, b, terms):
         """(a, b, frame of the products) for rows ``a`` in this frame and
@@ -898,7 +897,7 @@ class Packed:
         products."""
         def rule(x, y):
             deg = None if x.deg is None else x.deg + y.deg
-            return (*_ell1(x.norms, y.norms, terms), deg)
+            return (*_ell1((x.bound, x.l1), (y.bound, y.l1), terms), deg)
 
         (a, b), frame = _fit(rule, _lmul(self.den, other.den),
                              self.shift + other.shift, (self, a), (other, b))
@@ -916,8 +915,9 @@ class Packed:
         shift = max(self.shift, other.shift)
 
         def rule(x, y):
-            (bound_a, l1_a), (bound_b, l1_b) = (_ell1(x.norms, _norms(fa)),
-                                                _ell1(y.norms, _norms(fb)))
+            (bound_a, l1_a), (bound_b, l1_b) = (
+                _ell1((x.bound, x.l1), _norms(fa)),
+                _ell1((y.bound, y.l1), _norms(fb)))
             deg = None if x.deg is None else max(
                 x.deg + _qdeg(fa) + shift - x.shift,
                 y.deg + _qdeg(fb) + shift - y.shift)
@@ -935,26 +935,30 @@ class Packed:
                               self.den, self.shift, (self, rows))
         return rows, frame
 
-    def trimmed(self, rows):
-        """(rows, a record of their own) for ``rows``, some of the entries
-        of a matrix in this frame.  Over Q(q) the low zero digits that all
-        of them share are shifted out (x >> B*k is exact, and divides every
-        P by q^k), and the record is measured from these entries alone.
-        Over a function field such a shift could cross a u-slot, so the
-        record is a fresh, loose copy of this one: this record itself may
-        be tightened in place to its own matrix's entries."""
-        bits = self.bits
-        if self.slot is not None:
-            return rows, Packed(self.den, bits, self.shift, self.bound,
-                                self.l1, slot=self.slot, deg=self.deg)
-        k = min((((x & -x).bit_length() - 1) // bits
-                 for row in rows for x in row.values()), default=0)
+    def measured(self, rows):
+        """(rows, a record measured from them alone) for ``rows``, entries
+        of a matrix in this frame.  Over Q(q) the low zero digits they all
+        share are shifted out first (x >> B*k divides every P by q^k)."""
+        bits, k = self.bits, 0
+        if self.slot is None:
+            k = min((((x & -x).bit_length() - 1) // bits
+                     for row in rows for x in row.values()), default=0)
         if k:
             rows = [{j: x >> bits * k for j, x in row.items()}
                     for row in rows]
-        frame = Packed(self.den, bits, self.shift - k, 0, 0)
+        frame = Packed(self.den, bits, self.shift - k, 0, 0, slot=self.slot)
         _measure(frame, rows)
         return rows, frame
+
+    def trimmed(self, rows):
+        """(rows, a record of their own) for ``rows``, some of the entries
+        of a matrix in this frame: ``measured`` over Q(q).  Over a function
+        field a shift could cross a u-slot, and the record is a fresh,
+        loose copy of this one."""
+        if self.slot is None:
+            return self.measured(rows)
+        return rows, Packed(self.den, self.bits, self.shift, self.bound,
+                            self.l1, slot=self.slot, deg=self.deg)
 
 
 # ---------------------------------------------------------------------------

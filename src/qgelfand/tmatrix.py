@@ -24,20 +24,25 @@ numerator has ``lcm``) and ``coeffs`` (the coefficients over Q(q) of
 such a numerator); from a ``den`` it uses the protocol that
 brings operands into one frame: ``product`` (products, ``kron`` and
 ``traced_product``), ``common`` (sums and equality) and ``summed``
-(traces), and ``trimmed``, the record of a block.  An exact zero is never stored:
+(traces); ``measured``, a record measured from the entries; and
+``trimmed``, the record of a block.  An exact zero is never stored:
 every kernel drops the entries that cancel, so a matrix is falsy
 exactly when no row holds an entry.
 
 A matrix is immutable: it is built once, from its entries or by a
 kernel, and no method writes an entry.  Kernels therefore share rather
 than copy: a sum with a zero operand keeps the operand's rows, and
-negation, transposes and embeddings keep its record.  ``block`` alone
-builds a record of its own (``den.trimmed``): over Q(q) it shifts out
-the low zero digits the block's entries share and measures their
-bounds, so a block does not carry the bounds of the whole matrix; over
-a function field it takes a fresh, loose copy of the matrix's bounds.
-Either way it shares no record that a kernel may tighten in place
-(``scalars._fit``) to the entries of one matrix.
+negation, transposes and embeddings keep its record.  A kernel may
+tighten a record in place to the entries of one matrix before it widens
+(``scalars._fit``), with two integer operations per entry
+(``scalars._measure``).  So ``block`` builds a record of its own
+(``den.trimmed``): over Q(q) it shifts out the low zero digits the
+block's entries share and measures their bounds, so a block does not
+carry the bounds of the whole matrix; over a function field it takes a
+fresh, loose copy of the matrix's bounds.  ``measured`` gives a whole
+matrix the Q(q) block's record without copying it as a block, for a
+result whose loose record would feed many kernels, such as the sums of
+``pencil_inverse``.
 
 The kernels -- products, sums, scaling, ``kron``, ``embed``, transposes,
 partial trace and equality -- work on the numerators alone and multiply
@@ -202,6 +207,15 @@ class TMatrix:
         data, den = self.den.trimmed(data)
         return TMatrix._of(self.field, rows, cols, data, den)
 
+    def measured(self):
+        """This matrix under a record measured from its entries alone
+        (``den.measured``), for a kernel's result whose own record bounds
+        it loosely and which feeds many kernels: over Q(q) the low zero
+        digits all entries share are shifted out, and only then are the
+        rows copied."""
+        data, den = self.den.measured(self._data)
+        return TMatrix._of(self.field, self.rows, self.cols, data, den)
+
     def __bool__(self):
         return any(self._data)
 
@@ -268,7 +282,8 @@ class TMatrix:
     def __mul__(self, other):
         """Matrix product over the stored numerators of both sides; the
         denominators multiply.  An output entry sums at most as many
-        products as the longest row of ``self`` holds entries."""
+        products as the longest row of ``self`` holds entries.  A row is
+        stored as accumulated unless one of its entries cancelled."""
         if not isinstance(other, TMatrix):
             raise TypeError(f"matrix times {type(other).__name__}")
         if self.cols != other.rows:
@@ -287,7 +302,8 @@ class TMatrix:
                         acc[j] = acc[j] + a * b
                     else:
                         acc[j] = a * b
-            out.append({j: x for j, x in acc.items() if x})
+            out.append(acc if all(acc.values())
+                       else {j: x for j, x in acc.items() if x})
         return TMatrix._of(self.field, rows, cols, out, den)
 
     def commutes(self, other):
@@ -516,9 +532,8 @@ def pencil_inverse(ainv, power, field, reverse=False):
     t, n = field.gen, ainv.rows
     inv = TMatrix.zeros(field, n, n)
     for j in range(r):
-        # the whole matrix as a block has a record measured from its
-        # entries (``den.trimmed``), so the sums start from tight bounds
-        b = lift(_combination(parts[j::-1], a).block(0, 0, n, n), field)
+        # measured, so the sums start from tight bounds
+        b = lift(_combination(parts[j::-1], a).measured(), field)
         inv = inv + b.scaled(t ** (r - j if reverse else j))
     return inv.scaled(field.poly(a[::-1] if reverse else a).inverse())
 
@@ -713,7 +728,8 @@ def traced_product(a, b, dims):
                         acc[c] = acc[c] + x * y
                     else:
                         acc[c] = x * y
-    out = [{c: x for c, x in acc.items() if x} for acc in out]
+    out = [acc if all(acc.values()) else {c: x for c, x in acc.items() if x}
+           for acc in out]
     return TMatrix._of(a.field, d, d, out, den)
 
 

@@ -522,6 +522,22 @@ def test_coproduct_inverse_matches_gauss_jordan(kind):
                         (n, N, sign)
 
 
+def test_coproduct_inverse_copies_no_block(monkeypatch):
+    # the product of the factors' inverses has its record measured, not
+    # taken from a whole-matrix block
+    rep = vv(2, 3)
+
+    def no_block(*args):
+        raise AssertionError("block")
+
+    monkeypatch.setattr(TMatrix, "block", no_block)
+    for sign in "+-":
+        got = inv._l_inverse(rep, sign)
+        assert got.den.tight
+    monkeypatch.undo()
+    assert got == rep.Lm.inverse()
+
+
 @pytest.mark.parametrize("n,N", [(2, 3), (3, 2)])
 def test_traced_invariants_match_the_full_products(n, N):
     # the quantum traces that form only the diagonal blocks, against

@@ -7,7 +7,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qgelfand import scalars, tmatrix
 from qgelfand.scalars import (IntLaurent, Scalar, SCALARS, UFIELD, XFIELD,
@@ -970,7 +970,9 @@ def test_loose_bound_is_re_measured_not_widened(monkeypatch):
     for _ in range(20):
         acc = acc * perm
     assert measured and acc.den.bits == scalars.BITS
-    assert perm.den.tight and perm.den.bound == perm.den.l1 == 1
+    # measured: sound, at most twice the true bound 1, one digit per entry
+    assert decoded_record(perm.den, perm._data) == (1, 1, None, 1)
+    assert perm.den.tight and 1 <= perm.den.bound == perm.den.l1 <= 2
     assert [f is perm.den for f in measured] == [True]
     # perm^4 = q^38 I, the product of the four monomials
     assert acc == perm.scaled(Scalar.q_power(5 * 38))
@@ -982,6 +984,39 @@ def test_loose_bound_is_re_measured_not_widened(monkeypatch):
     for _ in range(3):
         assert (wide * wide).den.bits > scalars.BITS
     assert [f is wide.den for f in measured] == [True]
+
+
+def test_measured_records_without_copying_a_block(monkeypatch):
+    """``measured`` puts a matrix whose record is loose under one measured
+    from its entries, and shares its rows unless, over Q(q), it shifts
+    out low zero digits that they all share; ``pencil_inverse`` measures
+    its sums so, and copies no matrix as a block to do it."""
+    for field in (SCALARS, UFIELD):
+        q = Q if field is SCALARS else field.from_coeff(Q)
+        m = TMatrix(field, 2, 2, [q, field.one, field.zero, -q * q])
+        pad = TMatrix(field, 2, 2, [q.inverse() + field.one] * 4)
+        loose = (m + pad) - pad
+        got = loose.measured()
+        assert got == m and got.den.tight and not loose.den.tight
+        bound, l1, deg, _ = decoded_record(got.den, got._data)
+        assert bound <= got.den.bound <= 2 * bound and l1 <= got.den.l1
+        assert deg == got.den.deg
+        assert (got._data is loose._data) == (field is UFIELD)
+        assert m.measured()._data is m._data
+    # 1 = (1 + q^-4) - q^-4 is stored as q^4 at shift 4, shifted out here
+    low = TMatrix(SCALARS, 1, 1, [Scalar.q_power(-4)])
+    one = (TMatrix.identity(SCALARS, 1) + low) - low
+    got = one.measured()
+    assert one.den.shift == 4 and one._data == [{0: 1 << 4 * scalars.BITS}]
+    assert got.den.shift == 0 and got._data == [{0: 1}]
+    assert got == TMatrix.identity(SCALARS, 1)
+
+    def no_block(*args):
+        raise AssertionError("block")
+
+    monkeypatch.setattr(TMatrix, "block", no_block)
+    a = TMatrix(SCALARS, 2, 2, [Q, ONE, ZERO, qnum(2)])
+    check_pencil(a, TMatrix(SCALARS, 2, 2, [ONE, ZERO, Q, ONE]), False)
 
 
 def test_each_bound_rule_widens_at_the_edge():
@@ -1054,14 +1089,101 @@ def test_power_chain_matches_laurent_products():
     assert acc.den.bits > scalars.BITS
 
 
+def decoded_record(frame, rows):
+    """(bound, l1, deg, span) of ``rows`` in ``frame``, read off every
+    decoded digit: the largest |coefficient|, the largest sum of one
+    entry's |coefficients|, over a function field the largest q-degree of
+    a u-coefficient (None over Q(q)), and the most digits of one entry
+    from the lowest to the highest nonzero one, counted per u-slot of E
+    digits over a function field.  The oracle of ``scalars._measure``."""
+    bits, slot = frame.bits, frame.slot
+    bound = l1 = span = deg = 0
+    for row in rows:
+        for x in row.values():
+            c = scalars._decode(x, bits)
+            bound = max(bound, max(map(abs, c)))
+            l1 = max(l1, sum(map(abs, c)))
+            width = slot or len(c)
+            digits = 0
+            for k in range(0, len(c), width):
+                nonzero = [i for i, d in enumerate(c[k:k + width]) if d]
+                if nonzero:
+                    digits += nonzero[-1] - nonzero[0] + 1
+                    deg = max(deg, nonzero[-1])
+            span = max(span, digits)
+    return bound, l1, None if slot is None else deg, span
+
+
 def assert_record_sound(frame, *rows):
-    """A fresh measure of the digits of ``rows`` finds a bound and l1, and
-    over a function field a q-degree, no larger than ``frame`` claims."""
-    fresh = copy.copy(frame)
+    """The digits of ``rows`` hold no |coefficient|, no sum of one entry's
+    |coefficients| and, over a function field, no q-degree larger than
+    ``frame`` claims."""
     for r in rows:
-        scalars._measure(fresh, r)
-        assert fresh.bound <= frame.bound and fresh.l1 <= frame.l1
-        assert fresh.deg == frame.deg is None or fresh.deg <= frame.deg
+        bound, l1, deg, _ = decoded_record(frame, r)
+        assert bound <= frame.bound and l1 <= frame.l1
+        assert deg == frame.deg is None or deg <= frame.deg
+
+
+@st.composite
+def digit_rows(draw):
+    """(B, E, rows): a digit width B, a slot width E (None over Q(q)) and
+    rows {column: entry}, each entry a list over its u-slots of (number
+    of low zero digits, digits) or None for an empty slot.  The digits
+    take both signs, reach +-(2^(B-1) - 1) and sit next to powers of 2;
+    an entry's top digit is nonzero and may be negative, and rows may be
+    empty."""
+    bits = draw(st.sampled_from((8, 16, 32, 64)))
+    slot = draw(st.sampled_from((None, 1, 3, 8)))
+    top = (1 << bits - 1) - 1
+    digit = st.one_of(
+        st.integers(-3, 3), st.sampled_from((top, -top)),
+        st.builds(lambda k, e, sign: sign * ((1 << k) + e),
+                  st.integers(0, bits - 2), st.sampled_from((-1, 0, 1)),
+                  st.sampled_from((1, -1))))
+    width = slot or 6
+
+    def poly():
+        low = draw(st.integers(0, min(3, width - 1)))
+        return low, draw(st.lists(digit, max_size=width - low - 1)) + [
+            draw(digit.filter(bool))]
+
+    def entry():
+        slots = [draw(st.one_of(st.none(), st.builds(poly)))
+                 for _ in range(draw(st.integers(0, 2) if slot else
+                                     st.just(0)))]
+        return slots + [poly()]
+
+    rows = [{j: entry() for j in range(draw(st.integers(0, 3)))}
+            for _ in range(draw(st.integers(0, 3)))]
+    return bits, slot, rows
+
+
+@settings(ORACLE, max_examples=200)
+@given(digit_rows())
+@example((8, None, [{0: [(0, [-127])], 1: [(2, [1])]}, {}]))
+@example((16, None, [{0: [(0, [5, -3])]}]))
+@example((8, 3, [{0: [(1, [2, -1]), None, (0, [-126, 3, -1])]}]))
+def test_measure_is_sound_and_within_twice_the_decoded_record(case):
+    """The SWAR measure against the decoded digits: its bound is a power
+    of two (or 2^(B-1) - 1) from the largest |coefficient| to twice it,
+    its l1 that bound times the entries' longest digit span, which bounds
+    every sum of |coefficients|, and its q-degree exact."""
+    bits, slot, rows = case
+    packed = [{j: sum(scalars._encode(IntLaurent(*p), bits, 0)
+                      << bits * (slot or 0) * k
+                      for k, p in enumerate(e) if p is not None)
+               for j, e in row.items()} for row in rows]
+    frame = scalars.Packed(None, bits, 0, 0, 0, slot=slot)
+    scalars._measure(frame, packed)
+    bound, l1, deg, span = decoded_record(frame, packed)
+    assert frame.tight and frame.deg == deg
+    top = (1 << bits - 1) - 1
+    if not bound:
+        assert frame.bound == frame.l1 == 0
+        return
+    assert bound <= frame.bound <= 2 * bound
+    assert frame.bound & (frame.bound - 1) == 0 or frame.bound == top
+    assert l1 <= frame.l1 == frame.bound * span
 
 
 def assert_pack_one_sound(field, s):
@@ -1228,7 +1350,8 @@ def test_traced_product_is_the_partial_trace_of_the_product(dims, data):
 @pytest.mark.parametrize("field", (SCALARS, UFIELD))
 def test_traced_product_of_vanishing_blocks_and_over_a_denominator(field):
     """The diagonal blocks of a b vanish while a b does not, a b vanishes
-    while a and b do not, a and b stand over denominators other than 1,
+    while a and b do not, the blocks' terms cancel (and leave no stored
+    zero), a and b stand over denominators other than 1,
     and each output entry sums one product per diagonal block, so the
     record counts n terms where a row of a holds one entry."""
     q = Q if field is SCALARS else field.from_coeff(Q)
@@ -1239,6 +1362,8 @@ def test_traced_product_of_vanishing_blocks_and_over_a_denominator(field):
     off = traced_product(e12, e22, dims)
     assert e12 * e22 and not off and (off.rows, off.cols) == (3, 3)
     assert not e11 * e21 and not traced_product(e11, e21, dims)
+    flip = kron(TMatrix.diag(field, [field.one, -field.one]), x)
+    assert flip and not traced_product(TMatrix.identity(field, 6), flip, dims)
     rng = random.Random(281)
     a = rand_fraction_matrix(rng, field, 6, 6)
     b = rand_fraction_matrix(rng, field, 6, 6)
