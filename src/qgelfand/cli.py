@@ -115,9 +115,11 @@ def build_parser():
 # n - 1 q-integers, which together reach the second.  A query above the
 # cap exits 2 before anything is built.  Every query with n <= 6, m <= 6
 # and |lambda| <= 16 spans at most 1144.  The slowest accepted queries
-# are limits with a large m-max on a small weight, which add up
-# O(m-max^2) polynomials: ``limit --n 1 --lambda 0 --m-max 750`` takes
-# about 5 s on a 2-core Xeon.
+# are limits with a large m-max on a small weight, whose division of
+# each pair by (q - 1) is cubic in m-max: ``limit --n 2 --lambda 1,0
+# --m-max 248`` takes about 2.7 s on a 2-core Xeon.  A zero numerator
+# is not divided, so ``limit --n 1 --lambda 0 --m-max 750``, zero at
+# every m > 0, takes 0.3 s.
 MAX_Q_SPAN = 1500
 
 

@@ -18,7 +18,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .scalars import (IntLaurent, Scalar, UFIELD, ONE, ZERO, Q_MINUS_QINV,
-                      _limit_pair, _phi2, _phi2_product, _qint_factors)
+                      _decode, _limit_pair, _phi2, _phi2_at, _phi2_product,
+                      _qint_factors)
 from .verdict import equal_verdict
 
 CHECK_NAMES = (
@@ -125,42 +126,30 @@ def _pp_weights(n, lam):
     return ell, out
 
 
-def _eigen_parts(n, lam, ms):
-    """({d: x_d}, [numerator of E_m for m in ms]) with E_m = num_m / L
-    for the lcm L = prod_d Phi_d(q^2)^x_d of the weights' denominators:
-    x_d is the largest exponent of Phi_d(q^2) in one of them, and each
-    N_k = c_k L is one product, over the exponents of c_k plus x_d."""
+def _numerator_frame(n, lam, scale=1):
+    """(x, parts, B) for E_m = sum_k q^{2 l_k m} N_k / L over the lcm
+    L = prod_d Phi_d(q^2)^x_d of the weights' denominators: a part
+    (2 l_k, e_k, y_k) per nonzero weight, N_k = c_k L =
+    q^e_k prod_d Phi_d(q^2)^y_k[d], and the least digit width B, a
+    multiple of 8, with scale * sum_k ||N_k||_1 < 2^(B-1), which bounds
+    every coefficient of a sum of ``scale`` numerators (``Packed``)."""
     ell, weights = _pp_exponents(n, lam)
     lcd = Counter()
     for w in weights:
         if w is not None:
             lcd |= -w[1]        # -w keeps the denominator's exponents
-    parts = [(2 * l, _phi2_product(w[1] + lcd, w[0]))
+    parts = [(2 * l, w[0], w[1] + lcd)
              for l, w in zip(ell, weights) if w is not None]
-    return lcd, [_laurent_sum([(part, step * m, 1) for step, part in parts])
-                 for m in ms]
+    l1 = scale * sum(math.prod(sum(map(abs, _phi2(d).c)) ** y
+                               for d, y in ys.items()) for _, _, ys in parts)
+    return lcd, parts, (l1.bit_length() // 8 + 1) * 8
 
 
-def _laurent_sum(terms):
-    """sum of f q^s p over the (p, s, f) in ``terms``, for ``IntLaurent``
-    p and integers s and f, added in one coefficient list."""
-    terms = [t for t in terms if t[0].c and t[2]]
-    if not terms:
-        return IntLaurent(0, ())
-    low = min(p.low + s for p, s, _ in terms)
-    high = max(p.low + s + len(p.c) for p, s, _ in terms)
-    c = [0] * (high - low)
-    for p, s, f in terms:
-        for i, a in enumerate(p.c, p.low + s - low):
-            c[i] += f * a
-    return IntLaurent(low, c)
-
-
-def _eigen_numerators(n, lam, ms):
-    """(L, [numerator of E_m for m in ms]): the weights c_k = N_k / L over
-    their lcm L, and E_m = sum_k q^{2 l_k m} N_k / L (``_eigen_parts``)."""
-    lcd, nums = _eigen_parts(n, lam, ms)
-    return _phi2_product(lcd), nums
+def _packed_parts(parts, bits):
+    """The parts with y_k replaced by q^-e_k N_k at q = 2^bits, one
+    product of the cached Phi_d(q^2) at 2^bits."""
+    return [(step, e, math.prod(_phi2_at(d, bits) ** y for d, y in ys.items()))
+            for step, e, ys in parts]
 
 
 def closed_form_eigenvalues(n, lam, ms):
@@ -169,34 +158,47 @@ def closed_form_eigenvalues(n, lam, ms):
 
         E_m = sum_k q^{2 l_k m} prod_{i != k} [l_i - l_k + 1]_q / [l_i - l_k]_q.
 
-    The weights are put over their lcm L = prod_d Phi_d(q^2)^x_d once
-    (``_eigen_parts``).  Each E_m is brought to lowest terms with no gcd:
-    its numerator is divided exactly by each Phi_d(q^2) of L while one
-    divides, and the Phi_d(q^2) left over make the denominator.  That
-    removes the whole common factor.  The Phi_d(q^2) are coprime, and
-    each is irreducible or, for odd d, Phi_d(q) Phi_d(-q).  Substituting
-    q -> -q multiplies every [j]_q by (-1)^(j-1), so every weight,
-    probed or not, by (-1)^(n-1), and leaves L and q^{2 l_k m} alone:
-    the numerator is even or odd in q, so Phi_d(q) and Phi_d(-q) divide
-    it equally often."""
-    lcd, nums = _eigen_parts(n, lam, ms)
+    Over the lcm L = prod_d Phi_d(q^2)^x_d of the weights
+    (``_numerator_frame``), each E_m is brought to lowest terms with no
+    gcd: its numerator N is divided by each Phi_d(q^2) of L while one
+    divides, and those left over make the denominator.  That removes the
+    whole common factor.  The Phi_d(q^2) are coprime, and each is
+    irreducible or, for odd d, Phi_d(q) Phi_d(-q).  Substituting q -> -q
+    multiplies every [j]_q by (-1)^(j-1), so every weight, probed or not,
+    by (-1)^(n-1), and leaves L and q^{2 l_k m} alone: N is even or odd
+    in q, so Phi_d(q) and Phi_d(-q) divide it equally often.
+
+    The divisions are integer ones at q = 2^B, of N(2^B) by Phi_d(2^B)
+    while the remainder is zero.  The quotient, decoded once as Q, is
+    accepted only if max|Q| prod ||Phi_d||_1 < 2^(B-1) over the factors P
+    divided out; else B doubles, for this and the later degrees.  Q P and
+    N then have coefficients below 2^(B-1) and one value at 2^B, so
+    Q P = N: every division was exact, and a nonzero remainder proves
+    that Phi_d(q^2) does not divide (a quotient in Z[q] is one in Z)."""
+    lcd, parts, b = _numerator_frame(n, lam)
+    terms = _packed_parts(parts, b)
     out = []
-    for num in nums:
-        if not num:
-            out.append(ZERO)
-            continue
-        left = {}
-        for d, x in lcd.items():
-            phi = _phi2(d)
-            while x:
-                try:
-                    num = num.divexact(phi)
-                except ArithmeticError:
-                    break
-                x -= 1
-            if x:
-                left[d] = x
-        out.append(Scalar(num, _phi2_product(left), True))
+    for m in ms:
+        while True:
+            low = min((step * m + e for step, e, _ in terms), default=0)
+            x = sum(y << b * (step * m + e - low) for step, e, y in terms)
+            left, l1 = dict(lcd), 1
+            for d in lcd:
+                while left[d]:
+                    quot, rem = divmod(x, _phi2_at(d, b))
+                    if rem:
+                        break
+                    x, left[d] = quot, left[d] - 1
+                    l1 *= sum(map(abs, _phi2(d).c))
+            try:        # an uncertified quotient may need one digit more
+                c = _decode(x, b)
+            except OverflowError:
+                c = [1 << b]
+            if max(map(abs, c)) * l1 < 1 << (b - 1):
+                break
+            b *= 2
+            terms = _packed_parts(parts, b)
+        out.append(Scalar(IntLaurent(low, c), _phi2_product(left), True))
     return out
 
 
@@ -236,29 +238,30 @@ def classical_eigenvalue(n, lam, m):
 
 def classical_limit_values(n, lam, ms):
     """q -> 1 limits of (q - q^-1)^-m sum_r C(m,r) (-1)^(m-r) E_r, one per
-    degree m in ``ms``.  E_0..E_max(ms) come from one batch over their
-    common denominator L, and each limit is taken on the pair
-    (sum_r C(m,r) (-1)^(m-r) N_r, L (q - q^-1)^m) as it stands, with no
-    reduction (``_limit_pair``)."""
+    degree m in ``ms``, each of the pair (S_m, L (q - q^-1)^m) as it
+    stands (``_limit_pair``).  S_m = sum_r C(m,r) (-1)^(m-r) N_r is
+    sum_k N_k (q^{2 l_k} - 1)^m, of l1 norm at most 2^m sum_k ||N_k||_1:
+    at that width one shift and one subtraction per packed term take
+    each degree to the next, and S_m is decoded once."""
     ms = tuple(ms)
     top = max(ms, default=-1)
-    lcd, nums = _eigen_numerators(n, lam, range(top + 1))
-    dens = [lcd]   # L (q - q^-1)^m, one two-term product per degree
-    for _ in range(top):
+    lcd, parts, bits = _numerator_frame(n, lam, 1 << max(top, 0))
+    low = min((e + min(step, 0) * top for step, e, _ in parts), default=0)
+    terms = [(bits * step, x << bits * (e - low))
+             for step, e, x in _packed_parts(parts, bits)]
+    sums, dens = [], [_phi2_product(lcd)]   # dens: L (q - q^-1)^m
+    for _ in range(top + 1):
+        sums.append(sum(x for _, x in terms))
+        terms = [(s, (x << s if s >= 0 else x >> -s) - x) for s, x in terms]
         dens.append(dens[-1] * Q_MINUS_QINV.num)
-    out = []
-    for m in ms:
-        acc = _laurent_sum([(nums[r], 0, math.comb(m, r) * (-1) ** (m - r))
-                            for r in range(m + 1)])
-        out.append(_limit_pair(acc, dens[m]))
-    return out
+    return [_limit_pair(IntLaurent(low, _decode(sums[m], bits)), dens[m])
+            for m in ms]
 
 
 def classical_limit_value(n, lam, m):
-    """The single limit of ``classical_limit_values``.  API for the tests
+    """The single limit of ``classical_limit_values``: API for the tests
     and the benchmark (``bench/run.py`` names it as a per-layer metric,
-    ``bench/test_bench.py`` checks it); no suite row or CLI command calls
-    it."""
+    ``bench/test_bench.py`` checks it), called by no suite row or CLI."""
     return classical_limit_values(n, lam, (m,))[0]
 
 
@@ -273,11 +276,6 @@ def classical_limit_checks(n, lam, ms):
             got, expect, f"classical limit n={n} lambda={tuple(lam)} m={m}",
             show_values=True)))
     return out
-
-
-def classical_limit_check(n, lam, m):
-    """The single verdict of ``classical_limit_checks``; API for tests."""
-    return classical_limit_checks(n, lam, (m,))[0][1]
 
 
 def qdet_scalar_closed_form(n, lam):

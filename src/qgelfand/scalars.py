@@ -20,10 +20,10 @@ brings both to lowest terms: divide num and den by the ring's gcd, then
 multiply both by the unit +-q^k that gives den lowest q-exponent 0 and a
 positive leading integer.  ``Poly.gcd`` is a primitive PRS (Knuth TAOCP
 2, 4.6.1) times the gcd of the contents.  Euclid over Q(q) finds that gcd up to a
-unit of Q(q) through ``Scalar`` coefficients of growing size; it
-survives only in the tests, as the reference.  ``Scalar`` coefficients
-are formed only on the way out.  One loop per job serves both rings:
-``_prs`` both gcds, ``_divexact`` both exact divisions.
+unit of Q(q) through ``Scalar`` coefficients of growing size; it survives
+only in the tests, as the reference.  ``Scalar`` coefficients are formed
+only on the way out.  One loop per job serves both rings: ``_prs`` both
+gcds, ``_divexact`` both exact divisions (the closed forms reduce at q = 2^B).
 
 Every q-integer comes from one factorisation site, ``_qint_factors``:
 [k]_q = +-q^(1-k) prod_{d | k, d > 1} Phi_d(q^2), whose cyclotomic
@@ -478,7 +478,7 @@ Q_MINUS_QINV = Q - QINV
 # q-integers and their cyclotomic factors
 # ---------------------------------------------------------------------------
 
-# the two caches below read no fault probe, so they key on none (the
+# the three caches below read no fault probe, so they key on none (the
 # cache rule is in :mod:`.faults`)
 
 @functools.cache
@@ -491,6 +491,12 @@ def _phi2(d):
         if d % e == 0:
             p = p.divexact(_phi2(e))
     return p
+
+
+@functools.cache
+def _phi2_at(d, bits):
+    """Phi_d(q^2) at q = 2^bits, the packed integer of ``_phi2(d)``."""
+    return _encode(_phi2(d), bits, 0)
 
 
 @functools.cache
@@ -519,17 +525,11 @@ def _qint_factors(k):
 
 def _phi2_product(exps, e=0, sign=1):
     """sign * q^e * prod_d Phi_d(q^2)^exps[d] in Z[q, q^-1], for
-    nonnegative exponents, as one product of packed integers: the sum of
-    the |coefficients| of a product is at most the product of theirs
-    (the l1 rule of ``Packed``), so digits of that width decode it
-    exactly."""
-    l1 = 1
-    for d, x in exps.items():
-        l1 *= sum(map(abs, _phi2(d).c)) ** x
+    nonnegative exponents, decoded from one product of packed integers at
+    a width the l1 rule of ``Packed`` makes exact."""
+    l1 = math.prod(sum(map(abs, _phi2(d).c)) ** x for d, x in exps.items())
     bits = (l1.bit_length() // 8 + 1) * 8
-    packed = 1
-    for d, x in exps.items():
-        packed *= _encode(_phi2(d), bits, 0) ** x
+    packed = math.prod(_phi2_at(d, bits) ** x for d, x in exps.items())
     return IntLaurent(e, [sign * a for a in _decode(packed, bits)])
 
 
@@ -570,7 +570,9 @@ def _limit_pair(num, den):
     (den nonzero): while both vanish at q = 1, each is divided by (q - 1)
     exactly; then both are evaluated at q = 1.  Dividing both by a common
     factor leaves the function, so the limit is the same for every
-    representative of one element of Q(q)."""
+    representative of one element of Q(q).  0/den is 0 at once."""
+    if not num:
+        return Fraction(0)
     while den.at_one() == 0 and num.at_one() == 0:
         num = _over_q_minus_one(num)
         den = _over_q_minus_one(den)

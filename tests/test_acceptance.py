@@ -209,7 +209,7 @@ def test_criterion_08_classical_limit():
     for n in (2, 3, 4):
         for lam in lam_set(n):
             for m in range(5):
-                v = formulas.classical_limit_check(n, lam, m)
+                v = formulas.classical_limit_checks(n, lam, (m,))[0][1]
                 if not v:
                     failures.append((n, lam, m, v.witness))
     # independently derived spot values: trace and Casimir of gl_2 on (1,0)

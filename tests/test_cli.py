@@ -144,12 +144,15 @@ def dominant_weights(n, budget, cap=None):
 
 
 def test_q_span_bounds_the_built_polynomials():
-    # every numerator, the common denominator and q^0 fit in the span
-    from qgelfand import formulas
+    # every numerator over the common denominator L, L itself and q^0 fit
+    # in the span; E_m = num/den in lowest terms has numerator num L/den
+    from qgelfand import formulas, scalars
     for n, lam in ((1, (0,)), (1, (-4,)), (2, (5, -5)), (3, (2, 2, -1)),
                    (4, (6, 1, -2, -5)), (6, (16, 0, 0, 0, 0, 0))):
         ell = shifted_weights(n, lam)
-        lcd, nums = formulas._eigen_numerators(n, lam, range(7))
+        lcd = scalars._phi2_product(formulas._numerator_frame(n, lam)[0])
+        nums = [e.num * lcd.divexact(e.den)
+                for e in formulas.closed_form_eigenvalues(n, lam, range(7))]
         for m, num in enumerate(nums):
             polys = [p for p in (num, lcd) if p]
             low = min(0, *(p.low for p in polys))

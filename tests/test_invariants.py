@@ -78,7 +78,8 @@ def test_classical_limit_sweep():
     for n, lam in ((1, (4,)), (2, (2, 1)), (2, (3, 0)), (3, (2, 1, 0)),
                    (3, (1, 1, 1)), (4, (1, 0, 0, 0))):
         for m in range(1, 5):
-            assert formulas.classical_limit_check(n, lam, m), (n, lam, m)
+            verdict = formulas.classical_limit_checks(n, lam, (m,))[0][1]
+            assert verdict, (n, lam, m)
 
 
 def test_series_factor_forms():
@@ -296,6 +297,74 @@ def test_cyclotomic_route_matches_the_gcd_route(weight):
             expect = gcd_route_eigenvalues(n, lam, range(7))
             assert [(e.num, e.den) for e in got] == \
                 [(e.num, e.den) for e in expect], fault
+
+
+RETRY_WEIGHTS = ((3, (4, 2, 0)), (4, (9, 6, 1, 0)), (5, (8, 4, 4, 0, 0)))
+
+
+def test_width_retry_matches_the_gcd_route(monkeypatch):
+    # at the first digit width B the quotient of some E_m of these weights
+    # is not certified; B doubles once, and the pairs are the gcd route's
+    packed_parts, widths = formulas._packed_parts, []
+
+    def counted(parts, bits):
+        widths.append(bits)
+        return packed_parts(parts, bits)
+
+    monkeypatch.setattr(formulas, "_packed_parts", counted)
+    for n, lam in RETRY_WEIGHTS:
+        for fault in (None, "qnum"):
+            widths.clear()
+            with faults.inject(fault):
+                got = formulas.closed_form_eigenvalues(n, lam, range(7))
+                expect = gcd_route_eigenvalues(n, lam, range(7))
+            assert [(e.num, e.den) for e in got] == \
+                [(e.num, e.den) for e in expect], (n, lam, fault)
+            if fault is None:
+                assert widths == [widths[0], 2 * widths[0]], (n, lam)
+
+
+def test_certificate_rejects_a_quotient_wider_than_its_numerator(
+        monkeypatch):
+    # q^360 - 1, the product of the Phi_d(q^2) over d | 180, has digits
+    # +-1 and fits 8-bit digits; dividing out the Phi_d(q^2) of d outside
+    # ``keep`` leaves the product of the rest, with a coefficient 186 that
+    # does not.  Decoded at B = 8 that quotient is wrong, so only the
+    # certificate, prod ||Phi_d||_1 included, sends it to a wider B.
+    keep = (1, 2, 3, 4, 5, 9, 30, 36, 45, 60, 90)
+    divisors = [d for d in range(1, 181) if 180 % d == 0]
+    expect = IntLaurent.from_int(1)
+    for d in keep:
+        expect = expect * formulas._phi2(d)
+    assert max(map(abs, expect.c)) == 186
+    frame = ({d: 1 for d in divisors if d not in keep},
+             [(0, 0, dict.fromkeys(divisors, 1))], 8)
+    monkeypatch.setattr(formulas, "_numerator_frame", lambda n, lam: frame)
+    assert formulas.closed_form_eigenvalues(1, (0,), (0, 1)) == \
+        [Scalar(expect)] * 2
+
+
+SPAN_CAP_WEIGHTS = [(n, lam) for n in range(2, 7)
+                    for lam in ((1,) + (0,) * (n - 1), (0,) * (n - 1) + (-1,))]
+
+
+@pytest.mark.parametrize("n,lam", SPAN_CAP_WEIGHTS)
+def test_queries_at_the_span_cap_match_the_oracles(n, lam, capsys):
+    # the largest degree the q-span cap admits, within 10 of the cap: the
+    # widest packed frames either verb builds on these weights
+    from qgelfand import cli
+    ell = formulas.shifted_weights(n, lam)
+    m = max(m for m in range(1000)
+            if cli._q_span(n, ell, m) <= cli.MAX_Q_SPAN)
+    assert cli._q_span(n, ell, m) >= cli.MAX_Q_SPAN - 10
+    args = ["--n", str(n), "--lambda", ",".join(map(str, lam)),
+            "--m", str(m)]
+    assert cli.main(["eigenvalue", *args]) == 0
+    (value,) = gcd_route_eigenvalues(n, lam, (m,))
+    assert capsys.readouterr().out == \
+        f"E_{m}{formulas._lam_str(lam)} = {value.render()}\n"
+    assert cli.main(["limit", *args]) == 0
+    assert capsys.readouterr().out == f"m={m}: {classical_oracle(n, lam, m)}\n"
 
 
 def test_batch_empty_degrees():

@@ -706,6 +706,19 @@ def test_pair_limit_is_the_limit_of_the_reduced_scalar():
                     == expect
 
 
+def test_pair_limit_of_zero_divides_nothing(monkeypatch):
+    # 0/den is 0 at once, however often den vanishes at q = 1
+    den = IntLaurent(-3, (2, 1))
+    for _ in range(50):
+        den = den * IntLaurent(0, (-1, 1))
+
+    def refuse(p):
+        raise AssertionError("divided by q - 1")
+
+    monkeypatch.setattr(scalars_module, "_over_q_minus_one", refuse)
+    assert scalars_module._limit_pair(IntLaurent(0, ()), den) == 0
+
+
 @pytest.mark.parametrize("p", (IntLaurent(0, ()), IntLaurent(-3, (2, 0, -1, 5)),
                                IntLaurent(2, (1, -4, 0, 0, 7)),
                                IntLaurent(-1, (-6,))))
