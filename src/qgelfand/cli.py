@@ -115,11 +115,12 @@ def build_parser():
 # n - 1 q-integers, which together reach the second.  A query above the
 # cap exits 2 before anything is built.  Every query with n <= 6, m <= 6
 # and |lambda| <= 16 spans at most 1144.  The slowest accepted queries
-# are limits with a large m-max on a small weight, whose division of
-# each pair by (q - 1) is cubic in m-max: ``limit --n 2 --lambda 1,0
-# --m-max 248`` takes about 2.7 s on a 2-core Xeon.  A zero numerator
-# is not divided, so ``limit --n 1 --lambda 0 --m-max 750``, zero at
-# every m > 0, takes 0.3 s.
+# are limits with a large m-max on a small weight, whose m divisions of
+# each degree's numerator by (q - 1) are cubic in m-max: ``limit --n 2
+# --lambda 1,0 --m-max 248`` takes about 1.0 s on a 2-core Xeon, where
+# dividing the denominator too took 2.3 s.  A zero numerator costs next
+# to nothing, so ``limit --n 1 --lambda 0 --m-max 750``, zero at every
+# m > 0, takes 0.08 s.
 MAX_Q_SPAN = 1500
 
 

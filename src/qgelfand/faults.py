@@ -12,9 +12,10 @@ Probes are activated through ``inject`` (tests) or the hidden
 
 A process-wide cache keys on every probe its value reads, so a probed
 run and a clean run never share a value: ``rmatrix._rmatrix_set`` keys
-on the ``rmatrix`` probe, and ``scalars._phi2``, ``scalars._divisors``
-and ``scalars._phi2_at`` (Phi_d(q^2) packed at q = 2^B, keyed on d and
-B) key on none.
+on the ``rmatrix`` probe, and ``scalars._phi2``, ``scalars._phi2_l1``
+(its sum of |coefficients|), ``scalars._divisors`` and
+``scalars._phi2_at`` (Phi_d(q^2) packed at q = 2^B, keyed on d and B)
+key on none.
 """
 
 from __future__ import annotations

@@ -14,12 +14,11 @@ check categories ``CHECK_NAMES``, ``WeightError`` and ``ConfigError``.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
-from .scalars import (IntLaurent, Scalar, UFIELD, ONE, ZERO, Q_MINUS_QINV,
-                      _decode, _limit_pair, _phi2, _phi2_at, _phi2_product,
-                      _qint_factors)
+from .scalars import (IntLaurent, Scalar, UFIELD, ONE, ZERO, _decode,
+                      _over_q_minus_one, _phi2, _phi2_at, _phi2_l1,
+                      _phi2_product, _qint_factors, _width)
 from .verdict import equal_verdict
 
 CHECK_NAMES = (
@@ -92,7 +91,7 @@ def _pp_exponents(n, lam):
     ell = require_dominant(n, lam)
     weights = []
     for k in range(n):
-        e, exps = 0, Counter()
+        e, exps = 0, {}
         for i in range(n):
             if i == k:
                 continue
@@ -102,8 +101,10 @@ def _pp_exponents(n, lam):
                 break
             bottom = _qint_factors(ell[i] - ell[k])
             e += top[1] - bottom[1]
-            exps.update(top[2])
-            exps.subtract(bottom[2])
+            for d in top[2]:
+                exps[d] = exps.get(d, 0) + 1
+            for d in bottom[2]:
+                exps[d] = exps.get(d, 0) - 1
         else:
             weights.append((e, exps))
     return ell, weights
@@ -130,19 +131,26 @@ def _numerator_frame(n, lam, scale=1):
     """(x, parts, B) for E_m = sum_k q^{2 l_k m} N_k / L over the lcm
     L = prod_d Phi_d(q^2)^x_d of the weights' denominators: a part
     (2 l_k, e_k, y_k) per nonzero weight, N_k = c_k L =
-    q^e_k prod_d Phi_d(q^2)^y_k[d], and the least digit width B, a
-    multiple of 8, with scale * sum_k ||N_k||_1 < 2^(B-1), which bounds
-    every coefficient of a sum of ``scale`` numerators (``Packed``)."""
+    q^e_k prod_d Phi_d(q^2)^y_k[d], and the least digit width B of the
+    one width rule (``scalars._width``: 16 * 2^k, a machine word up to
+    64 bits) with scale * sum_k ||N_k||_1 < 2^(B-1), which bounds every
+    coefficient of a sum of ``scale`` numerators (``Packed``)."""
     ell, weights = _pp_exponents(n, lam)
-    lcd = Counter()
-    for w in weights:
-        if w is not None:
-            lcd |= -w[1]        # -w keeps the denominator's exponents
-    parts = [(2 * l, w[0], w[1] + lcd)
-             for l, w in zip(ell, weights) if w is not None]
-    l1 = scale * sum(math.prod(sum(map(abs, _phi2(d).c)) ** y
-                               for d, y in ys.items()) for _, _, ys in parts)
-    return lcd, parts, (l1.bit_length() // 8 + 1) * 8
+    nonzero = [(l, w) for l, w in zip(ell, weights) if w is not None]
+    lcd = {}        # the largest denominator exponent of each Phi_d
+    for _, (_, exps) in nonzero:
+        for d, x in exps.items():
+            if -x > lcd.get(d, 0):
+                lcd[d] = -x
+    parts = []
+    for l, (e, exps) in nonzero:
+        ys = dict(lcd)
+        for d, x in exps.items():
+            ys[d] = ys.get(d, 0) + x
+        parts.append((2 * l, e, {d: y for d, y in ys.items() if y}))
+    l1 = scale * sum(math.prod(_phi2_l1(d) ** y for d, y in ys.items())
+                     for _, _, ys in parts)
+    return lcd, parts, _width(l1)
 
 
 def _packed_parts(parts, bits):
@@ -177,7 +185,7 @@ def closed_form_eigenvalues(n, lam, ms):
     that Phi_d(q^2) does not divide (a quotient in Z[q] is one in Z)."""
     lcd, parts, b = _numerator_frame(n, lam)
     terms = _packed_parts(parts, b)
-    out = []
+    dens, out = {}, []      # dens: each distinct leftover denominator
     for m in ms:
         while True:
             low = min((step * m + e for step, e, _ in terms), default=0)
@@ -189,7 +197,7 @@ def closed_form_eigenvalues(n, lam, ms):
                     if rem:
                         break
                     x, left[d] = quot, left[d] - 1
-                    l1 *= sum(map(abs, _phi2(d).c))
+                    l1 *= _phi2_l1(d)
             try:        # an uncertified quotient may need one digit more
                 c = _decode(x, b)
             except OverflowError:
@@ -198,7 +206,10 @@ def closed_form_eigenvalues(n, lam, ms):
                 break
             b *= 2
             terms = _packed_parts(parts, b)
-        out.append(Scalar(IntLaurent(low, c), _phi2_product(left), True))
+        key = tuple(left.values())
+        if key not in dens:
+            dens[key] = _phi2_product(left)
+        out.append(Scalar(IntLaurent(low, c), dens[key], True))
     return out
 
 
@@ -238,24 +249,37 @@ def classical_eigenvalue(n, lam, m):
 
 def classical_limit_values(n, lam, ms):
     """q -> 1 limits of (q - q^-1)^-m sum_r C(m,r) (-1)^(m-r) E_r, one per
-    degree m in ``ms``, each of the pair (S_m, L (q - q^-1)^m) as it
-    stands (``_limit_pair``).  S_m = sum_r C(m,r) (-1)^(m-r) N_r is
-    sum_k N_k (q^{2 l_k} - 1)^m, of l1 norm at most 2^m sum_k ||N_k||_1:
-    at that width one shift and one subtraction per packed term take
-    each degree to the next, and S_m is decoded once."""
+    degree m in ``ms``.  Over L, the numerator is S_m = sum_r C(m,r)
+    (-1)^(m-r) N_r = sum_k N_k (q^{2 l_k} - 1)^m, of l1 norm at most
+    2^m sum_k ||N_k||_1: at that width one shift and one subtraction per
+    packed term take each degree to the next, and S_m is decoded once.
+
+    Every term of S_m carries (q^{2 l_k} - 1)^m, so S_m is divided by
+    (q - 1) exactly m times and read at q = 1.  The denominator is not
+    divided: L (q - q^-1)^m = L q^-m (q + 1)^m (q - 1)^m, and with
+    (q - 1)^m gone it reads L(1) 2^m at q = 1, where L(1) =
+    prod_d Phi_d(1)^x_d is nonzero, since every d of ``_qint_factors``
+    exceeds 1 (under its probe too).  ``scalars._limit_pair``, which
+    divides both by (q - 1), serves ``limit_q1``; the tests keep it on
+    (S_m, L (q - q^-1)^m) as the oracle of this route."""
     ms = tuple(ms)
     top = max(ms, default=-1)
     lcd, parts, bits = _numerator_frame(n, lam, 1 << max(top, 0))
     low = min((e + min(step, 0) * top for step, e, _ in parts), default=0)
     terms = [(bits * step, x << bits * (e - low))
              for step, e, x in _packed_parts(parts, bits)]
-    sums, dens = [], [_phi2_product(lcd)]   # dens: L (q - q^-1)^m
+    sums = []
     for _ in range(top + 1):
         sums.append(sum(x for _, x in terms))
         terms = [(s, (x << s if s >= 0 else x >> -s) - x) for s, x in terms]
-        dens.append(dens[-1] * Q_MINUS_QINV.num)
-    return [_limit_pair(IntLaurent(low, _decode(sums[m], bits)), dens[m])
-            for m in ms]
+    at_one = math.prod(_phi2(d).at_one() ** x for d, x in lcd.items())
+    out = []
+    for m in ms:
+        num = IntLaurent(low, _decode(sums[m], bits))
+        for _ in range(m):
+            num = _over_q_minus_one(num)
+        out.append(Fraction(num.at_one(), at_one << m))
+    return out
 
 
 def classical_limit_value(n, lam, m):

@@ -478,7 +478,7 @@ Q_MINUS_QINV = Q - QINV
 # q-integers and their cyclotomic factors
 # ---------------------------------------------------------------------------
 
-# the three caches below read no fault probe, so they key on none (the
+# the four caches below read no fault probe, so they key on none (the
 # cache rule is in :mod:`.faults`)
 
 @functools.cache
@@ -491,6 +491,12 @@ def _phi2(d):
         if d % e == 0:
             p = p.divexact(_phi2(e))
     return p
+
+
+@functools.cache
+def _phi2_l1(d):
+    """||Phi_d(q^2)||_1, the sum of |coefficients| of ``_phi2(d)``."""
+    return sum(map(abs, _phi2(d).c))
 
 
 @functools.cache
@@ -526,9 +532,9 @@ def _qint_factors(k):
 def _phi2_product(exps, e=0, sign=1):
     """sign * q^e * prod_d Phi_d(q^2)^exps[d] in Z[q, q^-1], for
     nonnegative exponents, decoded from one product of packed integers at
-    a width the l1 rule of ``Packed`` makes exact."""
-    l1 = math.prod(sum(map(abs, _phi2(d).c)) ** x for d, x in exps.items())
-    bits = (l1.bit_length() // 8 + 1) * 8
+    the width (``_width``) the l1 rule of ``Packed`` makes exact."""
+    l1 = math.prod(_phi2_l1(d) ** x for d, x in exps.items())
+    bits = _width(l1)
     packed = math.prod(_phi2_at(d, bits) ** x for d, x in exps.items())
     return IntLaurent(e, [sign * a for a in _decode(packed, bits)])
 
@@ -570,7 +576,10 @@ def _limit_pair(num, den):
     (den nonzero): while both vanish at q = 1, each is divided by (q - 1)
     exactly; then both are evaluated at q = 1.  Dividing both by a common
     factor leaves the function, so the limit is the same for every
-    representative of one element of Q(q).  0/den is 0 at once."""
+    representative of one element of Q(q).  0/den is 0 at once.
+    ``limit_q1`` runs on it; the closed-form limits of :mod:`.formulas`
+    know both orders of vanishing and divide only their numerator, and
+    the tests keep this pair route as their oracle."""
     if not num:
         return Fraction(0)
     while den.at_one() == 0 and num.at_one() == 0:
@@ -688,8 +697,7 @@ def _lmul(a, b):
         return a
     if isinstance(a, Poly):
         return a * b
-    bound = _ell1(_norms(a), _norms(b))[0]
-    bits = (bound.bit_length() // 8 + 1) * 8
+    bits = _width(_ell1(_norms(a), _norms(b))[0])
     x = _encode(a, bits, -a.low) * _encode(b, bits, -b.low)
     return IntLaurent(a.low + b.low, _decode(x, bits))
 
@@ -699,12 +707,20 @@ def _qdeg(p):
     return max(a.low + len(a.c) for a in p.c if a) - 1
 
 
-def _widths(bound, deg, bits, slot):
-    """(B, E): ``bits`` and ``slot`` each doubled until every |coefficient|
-    up to ``bound`` is below 2^(B-1) and every q-degree up to ``deg`` is
-    below E (both None over Q(q))."""
+def _width(bound, bits=16):
+    """The one digit-width rule: the least B = bits * 2^k with every
+    |coefficient| up to ``bound`` below 2^(B-1).  From the default 16 it
+    is a machine word up to 64 bits, which ``_decode`` reads as such."""
     while bound.bit_length() >= bits:
         bits *= 2
+    return bits
+
+
+def _widths(bound, deg, bits, slot):
+    """(B, E): ``bits`` and ``slot`` each doubled until every |coefficient|
+    up to ``bound`` is below 2^(B-1) (``_width``) and every q-degree up to
+    ``deg`` is below E (both None over Q(q))."""
+    bits = _width(bound, bits)
     while deg is not None and deg >= slot:
         slot *= 2
     return bits, slot

@@ -14,7 +14,7 @@ from qgelfand.reps import (WeightError, vector_rep, tensor_power,
                            highest_weight_vector, scalar_on_vector,
                            evaluated_L)
 from qgelfand.rmatrix import build_rmatrix_set
-from qgelfand import faults, formulas, invariants as inv
+from qgelfand import faults, formulas, invariants as inv, scalars
 
 
 def v(n):
@@ -245,16 +245,22 @@ def gcd_route_weights(n, lam):
     return out
 
 
-def gcd_route_eigenvalues(n, lam, ms):
-    """E_m by the gcd route: the weights over the lcm of their
-    denominators, each E_m one gcd normalisation."""
+def gcd_route_frame(n, lam):
+    """(L, [(2 l_k, N_k)]): the gcd route's weights c_k over their lcm L,
+    N_k = c_k L, one part per nonzero weight."""
     ell = formulas.shifted_weights(n, lam)
     weights = gcd_route_weights(n, lam)
     lcd = IntLaurent.from_int(1)
     for c in weights:
         lcd = lcd.lcm(c.den)
-    parts = [(2 * l, c.num * lcd.divexact(c.den))
-             for l, c in zip(ell, weights) if c]
+    return lcd, [(2 * l, c.num * lcd.divexact(c.den))
+                 for l, c in zip(ell, weights) if c]
+
+
+def gcd_route_eigenvalues(n, lam, ms):
+    """E_m by the gcd route: the weights over the lcm of their
+    denominators, each E_m one gcd normalisation."""
+    lcd, parts = gcd_route_frame(n, lam)
     out = []
     for m in ms:
         num = IntLaurent(0, ())
@@ -277,12 +283,17 @@ def small_dominant_weights(draw):
     return n, tuple(sorted(lam, reverse=True))
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(small_dominant_weights())
-@example((6, (16, 0, 0, 0, 0, 0)))
-@example((6, (0, 0, 0, 0, 0, -16)))
-@example((5, (3, 3, 2, 0, -8)))
-@example((1, (-7,)))
+def over_the_eigenvalue_range(test):
+    """Runs ``test`` on (n, lambda) with n <= 6 and |lambda| <= 16:
+    100 derandomized draws and the extreme weights."""
+    for weight in ((1, (-7,)), (5, (3, 3, 2, 0, -8)),
+                   (6, (0, 0, 0, 0, 0, -16)), (6, (16, 0, 0, 0, 0, 0))):
+        test = example(weight)(test)
+    return settings(max_examples=100, derandomize=True, deadline=None,
+                    database=None)(given(small_dominant_weights())(test))
+
+
+@over_the_eigenvalue_range
 def test_cyclotomic_route_matches_the_gcd_route(weight):
     # the exponent bookkeeping and trial division give the pairs the gcd
     # gives, for the true q-integers and under the qnum probe
@@ -299,7 +310,73 @@ def test_cyclotomic_route_matches_the_gcd_route(weight):
                 [(e.num, e.den) for e in expect], fault
 
 
-RETRY_WEIGHTS = ((3, (4, 2, 0)), (4, (9, 6, 1, 0)), (5, (8, 4, 4, 0, 0)))
+@pytest.mark.parametrize("scale", (1, 2 ** 6))
+def test_numerator_frame_width_is_the_least_word_width(scale, monkeypatch):
+    # B is the least 16 * 2^k above scale * sum_k ||N_k||_1, and across
+    # the batch every closed form and limit decodes machine words
+    widths, decode = [], formulas._decode
+
+    def spy(x, bits):
+        widths.append(bits)
+        return decode(x, bits)
+
+    monkeypatch.setattr(formulas, "_decode", spy)
+    for n, lam in BATCH_WEIGHTS:
+        _, parts, bits = formulas._numerator_frame(n, lam, scale)
+        l1 = 0
+        for _, _, ys in parts:
+            norm = 1
+            for d, y in ys.items():
+                norm *= sum(map(abs, scalars._phi2(d).c)) ** y
+            l1 += norm
+        l1 *= scale
+        assert l1 < 1 << (bits - 1) and (bits == 16 or l1 >= 1 << (
+            bits // 2 - 1)), (n, lam)
+        assert bits in (16, 32, 64), (n, lam)
+        formulas.closed_form_eigenvalues(n, lam, range(7))
+        formulas.classical_limit_values(n, lam, range(7))
+    assert 16 in set(widths) <= {16, 32, 64}
+
+
+def pair_route_limits(n, lam, ms):
+    """[(S_m, limit)] by the route ``classical_limit_values`` replaced:
+    over the gcd route's L, S_m = sum_k N_k (q^{2 l_k} - 1)^m against
+    L (q - q^-1)^m, both divided by (q - 1) while both vanish at q = 1
+    (``scalars._limit_pair``)."""
+    lcd, parts = gcd_route_frame(n, lam)
+    q_minus_qinv = IntLaurent(-1, (-1, 0, 1))
+    out = []
+    for m in ms:
+        num, den = IntLaurent(0, ()), lcd
+        for step, part in parts:
+            for _ in range(m):
+                part = part.shifted(step) - part
+            num = num + part
+        for _ in range(m):
+            den = den * q_minus_qinv
+        out.append((num, scalars._limit_pair(num, den)))
+    return out
+
+
+@over_the_eigenvalue_range
+def test_numerator_only_limits_match_the_pair_route(weight):
+    # S_m vanishes to order m at q = 1 and L does not vanish there, so
+    # dividing only S_m by (q - 1)^m and L (q - q^-1)^m / (q - 1)^m
+    # reading L(1) 2^m gives the pair route's limits, plain and probed
+    n, lam = weight
+    for fault in (None, "qnum"):
+        with faults.inject(fault):
+            got = formulas.classical_limit_values(n, lam, range(7))
+            expect = pair_route_limits(n, lam, range(7))
+            assert gcd_route_frame(n, lam)[0].at_one() != 0, fault
+        assert got == [limit for _, limit in expect], fault
+        for m, (num, _) in enumerate(expect):
+            for _ in range(m):
+                assert num.at_one() == 0, (fault, m)
+                num = scalars._over_q_minus_one(num)
+
+
+RETRY_WEIGHTS = ((3, (16, 3, 0)), (4, (5, 2, 0, -2)), (5, (4, 1, 0, 0, -2)))
 
 
 def test_width_retry_matches_the_gcd_route(monkeypatch):

@@ -2,6 +2,7 @@
 and Q(q)(x)."""
 
 import random
+import sys
 
 import pytest
 import sympy
@@ -659,6 +660,94 @@ def test_phi2_is_the_cyclotomic_polynomial_at_q_squared():
         expect = sympy.Poly(sympy.cyclotomic_poly(d, SQ ** 2), SQ)
         assert scalars_module._phi2(d) == IntLaurent(
             0, [int(c) for c in reversed(expect.all_coeffs())]), d
+
+
+def least_word_width(bound):
+    """The least B = 16 * 2^k with bound < 2^(B-1), by search."""
+    return next(b for b in (16 << k for k in range(32))
+                if bound < 1 << (b - 1))
+
+
+def decoded_widths(monkeypatch):
+    """The digit widths of the ``_decode`` calls from here on, in order."""
+    widths, decode = [], scalars_module._decode
+
+    def spy(x, bits):
+        widths.append(bits)
+        return decode(x, bits)
+
+    monkeypatch.setattr(scalars_module, "_decode", spy)
+    return widths
+
+
+def test_width_is_the_least_16_times_a_power_of_two():
+    edges = {0: 16, 1: 16, 2 ** 15 - 1: 16, 2 ** 15: 32, 2 ** 31 - 1: 32,
+             2 ** 31: 64, 2 ** 63 - 1: 64, 2 ** 63: 128, 2 ** 127: 256}
+    for bound, bits in edges.items():
+        assert scalars_module._width(bound) == least_word_width(bound) \
+            == bits, bound
+    assert scalars_module._width(2 ** 15, 8) == 32
+    assert scalars_module._width(3, 64) == 64
+
+
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="machine words are read on little-endian only")
+def test_decode_reads_machine_words_up_to_64_bits(monkeypatch):
+    # the word path casts one memoryview per call; at 8, 24 and 128 bits
+    # _decode takes the byte slices
+    casts = []
+
+    def spy(raw):
+        casts.append(len(raw))
+        return memoryview(raw)
+
+    monkeypatch.setattr(scalars_module, "memoryview", spy, raising=False)
+    p = IntLaurent(-2, (5, -3, 0, 7))
+    for bits in (8, 16, 24, 32, 64, 128):
+        casts.clear()
+        assert IntLaurent(-2, scalars_module._decode(
+            scalars_module._encode(p, bits, 2), bits)) == p
+        assert bool(casts) == (bits in (16, 32, 64)), bits
+
+
+def test_phi2_product_decodes_at_the_least_word_width(monkeypatch):
+    rng = random.Random(33)
+    widths = decoded_widths(monkeypatch)
+    seen = set()
+    for _ in range(60):
+        exps = {d: rng.randint(1, 6)
+                for d in rng.sample(range(2, 40), rng.randint(1, 5))}
+        expect, l1 = IntLaurent.from_int(1), 1
+        for d, x in exps.items():
+            phi = scalars_module._phi2(d)
+            for _ in range(x):
+                expect = expect * phi
+            l1 *= sum(map(abs, phi.c)) ** x
+        assert scalars_module._phi2_product(exps) == expect
+        (bits,) = widths
+        widths.clear()
+        assert bits == least_word_width(l1), exps
+        seen.add(bits)
+    assert {16, 32, 64} <= seen
+
+
+def test_lmul_decodes_at_the_least_word_width(monkeypatch):
+    rng = random.Random(34)
+    widths = decoded_widths(monkeypatch)
+    seen = set()
+    for _ in range(200):
+        top = 1 << rng.randint(0, 40)
+        a, b = (IntLaurent(rng.randint(-4, 4),
+                           [rng.randint(-top, top) for _ in range(
+                               rng.randint(2, 6))] + [top]) for _ in "ab")
+        assert scalars_module._lmul(a, b) == a * b
+        (bits,) = widths
+        widths.clear()
+        ca, cb = [abs(x) for x in a.c], [abs(x) for x in b.c]
+        bound = min(sum(ca) * max(cb), max(ca) * sum(cb))
+        assert bits == least_word_width(bound), (a, b)
+        seen.add(bits)
+    assert {16, 32, 64, 128} <= seen
 
 
 @pytest.mark.parametrize("fault", (None, "qnum"))
